@@ -150,7 +150,8 @@ PassResult run_pass(const std::string& mode, std::size_t concurrency,
   result.interactive_p50 = quantile(interactive_latency, 0.5);
   result.interactive_p99 = quantile(interactive_latency, 0.99);
   result.bulk_p99 = quantile(bulk_latency, 0.99);
-  result.overtakes = broker.metrics().interactive_overtakes;
+  result.overtakes =
+      static_cast<std::uint64_t>(broker.stat("interactive_overtakes"));
   return result;
 }
 

@@ -133,21 +133,26 @@ int main(int argc, char** argv) {
     std::optional<obs::PromHttpServer> prom;
     if (cli.has("prom-port")) {
       prom.emplace(static_cast<std::uint16_t>(cli.get_int("prom-port", 0)),
-                   [&server] { return server.broker().prometheus_text(); });
+                   [&server] {
+                     return server.broker().scrape(StatsFormat::Prometheus);
+                   });
       std::cout << "phonocd: metrics on http://127.0.0.1:" << prom->port()
                 << "/metrics" << std::endl;
     }
     server.run(static_cast<std::size_t>(max_conns));
-    const auto snapshot = server.broker().metrics();
-    std::cout << "phonocd: served " << snapshot.connections
-              << " connection(s), " << snapshot.requests_accepted
-              << " request(s) accepted, "
-              << snapshot.shed_overloaded + snapshot.shed_budget +
-                     snapshot.shed_deadline + snapshot.shed_shutdown
-              << " shed" << std::endl;
+    const auto stats = server.broker().stats();
+    double shed = 0.0;
+    for (const auto& [name, value] : stats)
+      if (starts_with(name, "shed_")) shed += value;
+    std::cout << "phonocd: served " << server.broker().stat("connections")
+              << " connection(s), "
+              << server.broker().stat("requests_accepted")
+              << " request(s) accepted, " << shed << " shed" << std::endl;
     if (const auto csv = cli.get("stats-csv")) {
       std::ofstream out(*csv);
-      out << snapshot.to_csv();
+      out << "metric,value\n";
+      for (const auto& [name, value] : stats)
+        out << name << ',' << format_double(value) << '\n';
       if (!out) {
         std::cerr << "phonocd: cannot write " << *csv << "\n";
         return 1;

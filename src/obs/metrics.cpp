@@ -24,6 +24,35 @@ std::string escape_help(std::string_view help) {
   return out;
 }
 
+/// Escape a label value (backslash, quote, newline) per the exposition
+/// format.
+std::string prometheus_escape(std::string_view value) {
+  std::string out;
+  out.reserve(value.size());
+  for (char c : value) {
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// Render `key="value",...` (no braces) from a label list.
+std::string prometheus_label_text(const MetricLabels& labels) {
+  std::string out;
+  for (const MetricLabel& label : labels) {
+    if (!out.empty()) out += ',';
+    out += label.key + "=\"" + prometheus_escape(label.value) + "\"";
+  }
+  return out;
+}
+
 /// Render a double the way Prometheus expects: shortest faithful
 /// decimal, `+Inf`/`-Inf`/`NaN` spelled out.
 std::string format_value(double value) {
@@ -39,6 +68,35 @@ std::string format_value(double value) {
     return short_buffer;
   }
   return buffer;
+}
+
+/// Append `# HELP`/`# TYPE` lines.
+void append_prometheus_header(std::string& out, std::string_view name,
+                              std::string_view help, const char* type) {
+  out += "# HELP ";
+  out += name;
+  out += ' ';
+  out += escape_help(help);
+  out += "\n# TYPE ";
+  out += name;
+  out += ' ';
+  out += type;
+  out += '\n';
+}
+
+/// Append one `name{labels} value` sample line (labels may be empty).
+void append_prometheus_sample(std::string& out, std::string_view name,
+                              const std::string& label_text,
+                              const std::string& value) {
+  out += name;
+  if (!label_text.empty()) {
+    out += '{';
+    out += label_text;
+    out += '}';
+  }
+  out += ' ';
+  out += value;
+  out += '\n';
 }
 
 }  // namespace
@@ -67,6 +125,40 @@ void HistogramMetric::observe(double value) noexcept {
   while (!sum_.compare_exchange_weak(current, current + value,
                                      std::memory_order_relaxed)) {
   }
+  double top = max_.load(std::memory_order_relaxed);
+  while (value > top && !max_.compare_exchange_weak(
+                            top, value, std::memory_order_relaxed)) {
+  }
+}
+
+double HistogramMetric::mean() const noexcept {
+  const std::uint64_t n = count();
+  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
+}
+
+double HistogramMetric::quantile(double q) const noexcept {
+  // Slot counts only grow, so the rank taken from this first pass is
+  // always reached in the second.
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i <= bounds_.size(); ++i)
+    total += slots_[i].load(std::memory_order_relaxed);
+  if (total == 0) return 0.0;
+  const double top = max();
+  const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
+  double below = 0.0;
+  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+    const auto in_slot =
+        static_cast<double>(slots_[i].load(std::memory_order_relaxed));
+    if (in_slot > 0.0 && below + in_slot >= rank) {
+      // Slot i spans (bounds_[i - 1], bounds_[i]]; the max caps the top
+      // occupied slot, the +Inf one included.
+      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
+      const double hi = i < bounds_.size() ? std::min(bounds_[i], top) : top;
+      return std::min(lo + (hi - lo) * (rank - below) / in_slot, top);
+    }
+    below += in_slot;
+  }
+  return top;
 }
 
 std::uint64_t HistogramMetric::cumulative(std::size_t i) const noexcept {
@@ -160,10 +252,10 @@ std::string MetricsRegistry::render_prometheus() const {
     for (const Instance& instance : family->instances) {
       if (instance.counter) {
         append_prometheus_sample(out, family->name, instance.label_text,
-                                 instance.counter->value());
+                                 std::to_string(instance.counter->value()));
       } else if (instance.gauge) {
         append_prometheus_sample(out, family->name, instance.label_text,
-                                 instance.gauge->value());
+                                 format_value(instance.gauge->value()));
       } else if (instance.histogram) {
         const HistogramMetric& h = *instance.histogram;
         for (std::size_t i = 0; i < h.bounds().size(); ++i) {
@@ -171,89 +263,40 @@ std::string MetricsRegistry::render_prometheus() const {
           if (!labels.empty()) labels += ',';
           labels += "le=\"" + format_value(h.bounds()[i]) + "\"";
           append_prometheus_sample(out, std::string(family->name) + "_bucket",
-                                   labels, h.cumulative(i));
+                                   labels, std::to_string(h.cumulative(i)));
         }
         std::string inf_labels = instance.label_text;
         if (!inf_labels.empty()) inf_labels += ',';
         inf_labels += "le=\"+Inf\"";
         append_prometheus_sample(out, std::string(family->name) + "_bucket",
-                                 inf_labels, h.count());
+                                 inf_labels, std::to_string(h.count()));
         append_prometheus_sample(out, std::string(family->name) + "_sum",
-                                 instance.label_text, h.sum());
+                                 instance.label_text, format_value(h.sum()));
         append_prometheus_sample(out, std::string(family->name) + "_count",
-                                 instance.label_text, h.count());
+                                 instance.label_text,
+                                 std::to_string(h.count()));
       }
     }
   }
   return out;
 }
 
-// --- exposition helpers ----------------------------------------------------
-
-std::string prometheus_escape(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
+std::vector<std::pair<std::string, double>> MetricsRegistry::scalar_values()
+    const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::pair<std::string, double>> values;
+  for (const auto& family : families_) {
+    for (const Instance& instance : family->instances) {
+      if (!instance.label_text.empty()) continue;
+      if (instance.counter) {
+        values.emplace_back(family->name,
+                            static_cast<double>(instance.counter->value()));
+      } else if (instance.gauge) {
+        values.emplace_back(family->name, instance.gauge->value());
+      }
     }
   }
-  return out;
-}
-
-std::string prometheus_label_text(const MetricLabels& labels) {
-  std::string out;
-  for (const MetricLabel& label : labels) {
-    if (!out.empty()) out += ',';
-    out += label.key + "=\"" + prometheus_escape(label.value) + "\"";
-  }
-  return out;
-}
-
-void append_prometheus_header(std::string& out, std::string_view name,
-                              std::string_view help, const char* type) {
-  out += "# HELP ";
-  out += name;
-  out += ' ';
-  out += escape_help(help);
-  out += "\n# TYPE ";
-  out += name;
-  out += ' ';
-  out += type;
-  out += '\n';
-}
-
-namespace {
-void append_sample_line(std::string& out, std::string_view name,
-                        const std::string& label_text,
-                        const std::string& value) {
-  out += name;
-  if (!label_text.empty()) {
-    out += '{';
-    out += label_text;
-    out += '}';
-  }
-  out += ' ';
-  out += value;
-  out += '\n';
-}
-}  // namespace
-
-void append_prometheus_sample(std::string& out, std::string_view name,
-                              const std::string& label_text,
-                              std::uint64_t value) {
-  append_sample_line(out, name, label_text, std::to_string(value));
-}
-
-void append_prometheus_sample(std::string& out, std::string_view name,
-                              const std::string& label_text, double value) {
-  append_sample_line(out, name, label_text, format_value(value));
+  return values;
 }
 
 }  // namespace phonoc::obs

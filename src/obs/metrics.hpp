@@ -1,14 +1,13 @@
 #pragma once
 /// \file metrics.hpp
-/// \brief Fleet telemetry: a process-wide registry of named counters,
-/// gauges and fixed-bin histograms with Prometheus text exposition.
+/// \brief Fleet telemetry: registries of named counters, gauges and
+/// fixed-bin histograms with Prometheus text exposition.
 ///
-/// The registry generalizes the hand-rolled ServiceMetrics fields: any
-/// layer registers a metric once (name + help + optional labels) and
-/// holds the returned reference; increments are single relaxed atomic
-/// ops, so instrumenting a hot seam costs nanoseconds and never locks.
-/// Metrics of the same name but different label sets form one family
-/// and render under one `# HELP`/`# TYPE` header, e.g.
+/// Any layer registers a metric once (name + help + optional labels)
+/// and holds the returned reference; increments are single relaxed
+/// atomic ops, so instrumenting a hot seam costs nanoseconds and never
+/// locks. Metrics of the same name but different label sets form one
+/// family and render under one `# HELP`/`# TYPE` header, e.g.
 ///
 ///     # HELP phonoc_sched_units_total Work units acquired by path.
 ///     # TYPE phonoc_sched_units_total counter
@@ -19,9 +18,10 @@
 /// a `_total` suffix for monotonic counters and base-unit names
 /// (`_seconds`, `_cells`). Labels are for low-cardinality dimensions —
 /// host, backend, task kind, acquire path — never per-request ids.
-/// phonocd serves the global registry (plus its ServiceMetrics
-/// snapshot) over the framed `stats prometheus` request and the plain
-/// HTTP `--prom-port` listener (see obs/prom_http.hpp).
+/// phonocd serves its broker's own registry (the `phonocd_*` families)
+/// followed by the global one over the framed `stats prometheus`
+/// request and the plain HTTP `--prom-port` listener (see
+/// obs/prom_http.hpp).
 
 #include <atomic>
 #include <cstdint>
@@ -29,6 +29,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace phonoc::obs {
@@ -75,9 +76,11 @@ class Gauge {
 };
 
 /// Fixed-bucket histogram (Prometheus type `histogram`): cumulative
-/// `_bucket{le=...}` counts plus `_sum` and `_count`. Bucket bounds are
-/// fixed at registration, so observing is two relaxed atomic adds and a
-/// small linear scan — constant-size state however many observations.
+/// `_bucket{le=...}` counts plus `_sum` and `_count`, and the observed
+/// max. Bucket bounds are fixed at registration, so observing is a few
+/// relaxed atomic ops and a small linear scan — constant-size state
+/// however many observations. Meant for non-negative observations
+/// (durations, sizes).
 class HistogramMetric {
  public:
   explicit HistogramMetric(std::vector<double> upper_bounds);
@@ -89,6 +92,17 @@ class HistogramMetric {
   [[nodiscard]] double sum() const noexcept {
     return sum_.load(std::memory_order_relaxed);
   }
+  /// sum() / count(); 0 while empty.
+  [[nodiscard]] double mean() const noexcept;
+  /// Largest observation; 0 while empty.
+  [[nodiscard]] double max() const noexcept {
+    return max_.load(std::memory_order_relaxed);
+  }
+  /// The q-quantile (q in [0, 1]): linear interpolation inside the
+  /// bucket that holds rank q * count, clamped to max() — so it is off
+  /// by at most one bucket and never reports more than was observed.
+  /// 0 while empty.
+  [[nodiscard]] double quantile(double q) const noexcept;
   [[nodiscard]] const std::vector<double>& bounds() const noexcept {
     return bounds_;
   }
@@ -102,11 +116,14 @@ class HistogramMetric {
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;  ///< per-interval
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+  std::atomic<double> max_{0.0};
 };
 
 /// The registry: register-once, increment-forever. Registration takes a
 /// mutex (do it at startup or cache the reference); the returned
-/// references stay valid for the registry's lifetime.
+/// references stay valid for the registry's lifetime. Besides the
+/// process-wide global() one, a component may own an instance (each
+/// phonocd broker does, so its counts are its own).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -131,6 +148,11 @@ class MetricsRegistry {
   /// order.
   [[nodiscard]] std::string render_prometheus() const;
 
+  /// (name, value) of every unlabelled counter and gauge, in
+  /// registration order — the flat view behind phonocd's `stats` lines.
+  [[nodiscard]] std::vector<std::pair<std::string, double>> scalar_values()
+      const;
+
  private:
   enum class Kind { Counter, Gauge, Histogram };
   struct Instance {
@@ -152,26 +174,5 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Family>> families_;
 };
-
-// --- exposition helpers (shared with the phonocd snapshot renderer) --------
-
-/// Escape a label value (backslash, quote, newline) per the exposition
-/// format.
-[[nodiscard]] std::string prometheus_escape(std::string_view value);
-
-/// Render `key="value",...` (no braces) from a label list.
-[[nodiscard]] std::string prometheus_label_text(const MetricLabels& labels);
-
-/// Append `# HELP`/`# TYPE` lines. `type` is "counter", "gauge",
-/// "histogram" or "untyped".
-void append_prometheus_header(std::string& out, std::string_view name,
-                              std::string_view help, const char* type);
-
-/// Append one `name{labels} value` sample line (labels may be empty).
-void append_prometheus_sample(std::string& out, std::string_view name,
-                              const std::string& label_text,
-                              std::uint64_t value);
-void append_prometheus_sample(std::string& out, std::string_view name,
-                              const std::string& label_text, double value);
 
 }  // namespace phonoc::obs

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "mapping/mapping.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -17,48 +16,168 @@ namespace phonoc {
 
 namespace {
 
-/// Instrumentation counters of the admit -> queue -> execute -> stream
-/// path (process-wide registry; the framed snapshot counters stay in
-/// ServiceMetrics). Registered once, bumped with one relaxed atomic.
-obs::Counter& admitted_counter() {
-  static obs::Counter& counter = obs::MetricsRegistry::global().counter(
-      "phonoc_service_admitted_total", "Requests admitted by the broker.");
-  return counter;
-}
-
-obs::Counter& shed_counter(const char* kind) {
-  static obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  return registry.counter("phonoc_service_sheds_total",
-                          "Requests shed at or after admission, by kind.",
-                          {{"kind", kind}});
-}
-
-obs::Counter& cells_counter(const char* status) {
-  static obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  return registry.counter("phonoc_service_cells_total",
-                          "Cells streamed by the broker, by status.",
-                          {{"status", status}});
-}
-
-obs::Counter& lane_counter(const char* lane) {
-  static obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  return registry.counter("phonoc_service_lane_total",
-                          "Requests admitted by the broker, by lane.",
-                          {{"lane", lane}});
-}
-
-obs::Gauge& in_flight_gauge() {
-  static obs::Gauge& gauge = obs::MetricsRegistry::global().gauge(
-      "phonoc_service_in_flight_requests",
-      "Requests currently executing on broker workers.");
-  return gauge;
-}
+/// Every broker metric is registered as `phonocd_<line>`: the prefixed
+/// name is its Prometheus family, the bare name its `stats` line.
+constexpr std::string_view kMetricPrefix = "phonocd_";
 
 }  // namespace
 
+std::vector<double> latency_buckets() {
+  // Parsed from decimal text so every bound is the double nearest its
+  // printed value and renders as a short `le` label.
+  std::vector<double> bounds;
+  for (int exponent = -4; exponent < 2; ++exponent)
+    for (const char* mantissa : {"1", "1.6", "2.5", "4", "6.3"})
+      bounds.push_back(parse_double(std::string(mantissa) + "e" +
+                                    std::to_string(exponent)));
+  bounds.push_back(100.0);
+  return bounds;
+}
+
+/// The broker's metric handles, registered in catalog order: the order
+/// of the `stats` lines (ServiceCache registers the problem_cache_*
+/// counters right after these).
+struct RequestBroker::Metrics {
+  explicit Metrics(obs::MetricsRegistry& r);
+
+  /// The counter a rejection of `kind` bumps.
+  [[nodiscard]] obs::Counter& rejections(RejectKind kind) noexcept;
+  /// Fold one finished Evaluator's memo counters in.
+  void count_memo(const Evaluator& evaluator);
+
+  obs::Gauge& queue_depth;
+  obs::Gauge& queue_depth_interactive;
+  obs::Gauge& queue_depth_bulk;
+  obs::Gauge& in_flight_cells;
+  obs::Gauge& in_flight_requests;
+  obs::Gauge& uptime_seconds;
+  obs::Counter& connections;
+  obs::Counter& requests_accepted;
+  obs::Counter& requests_completed;
+  obs::Counter& requests_failed;
+  obs::Counter& requests_canceled;
+  obs::Counter& shed_overloaded;
+  obs::Counter& shed_budget;
+  obs::Counter& shed_deadline;
+  obs::Counter& shed_shutdown;
+  obs::Counter& shed_per_client;
+  obs::Counter& requests_interactive;
+  obs::Counter& requests_bulk;
+  obs::Counter& interactive_overtakes;
+  obs::Counter& requests_malformed;
+  obs::Counter& stats_requests;
+  obs::Counter& single_evaluations;
+  obs::Counter& cells_ok;
+  obs::Counter& cells_failed;
+  obs::Counter& evaluator_cache_hits;
+  obs::Counter& evaluator_cache_misses;
+  obs::Counter& evaluator_cache_evictions;
+  obs::HistogramMetric& wall;              ///< completed requests only
+  obs::HistogramMetric& wait_interactive;  ///< submit -> dequeue, per lane
+  obs::HistogramMetric& wait_bulk;
+};
+
+RequestBroker::Metrics::Metrics(obs::MetricsRegistry& r)
+    : queue_depth(r.gauge("phonocd_queue_depth",
+                          "Requests admitted but not yet executing.")),
+      queue_depth_interactive(
+          r.gauge("phonocd_queue_depth_interactive",
+                  "Queued requests in the interactive lane.")),
+      queue_depth_bulk(r.gauge("phonocd_queue_depth_bulk",
+                               "Queued requests in the bulk lane.")),
+      in_flight_cells(
+          r.gauge("phonocd_in_flight_cells",
+                  "Unfinished cells across all executing requests.")),
+      in_flight_requests(
+          r.gauge("phonocd_in_flight_requests",
+                  "Requests currently executing on broker workers.")),
+      uptime_seconds(r.gauge("phonocd_uptime_seconds",
+                             "Seconds since the broker started.")),
+      connections(r.counter("phonocd_connections",
+                            "Client connections accepted.")),
+      requests_accepted(r.counter("phonocd_requests_accepted",
+                                  "Requests past admission control.")),
+      requests_completed(r.counter("phonocd_requests_completed",
+                                   "Requests that ran to completion.")),
+      requests_failed(r.counter("phonocd_requests_failed",
+                                "Accepted requests that died executing.")),
+      requests_canceled(
+          r.counter("phonocd_requests_canceled",
+                    "Requests whose client vanished mid-stream.")),
+      shed_overloaded(r.counter("phonocd_shed_overloaded",
+                                "Requests shed: admission queue full.")),
+      shed_budget(r.counter("phonocd_shed_budget",
+                            "Requests shed: cell budget exceeded.")),
+      shed_deadline(
+          r.counter("phonocd_shed_deadline",
+                    "Requests shed: deadline passed while queued.")),
+      shed_shutdown(
+          r.counter("phonocd_shed_shutdown",
+                    "Requests shed: broker draining for shutdown.")),
+      shed_per_client(r.counter(
+          "phonocd_shed_per_client",
+          "Requests shed: the client's own queue share is full.")),
+      requests_interactive(
+          r.counter("phonocd_requests_interactive",
+                    "Requests routed to the interactive lane.")),
+      requests_bulk(r.counter("phonocd_requests_bulk",
+                              "Requests routed to the bulk lane.")),
+      interactive_overtakes(
+          r.counter("phonocd_interactive_overtakes",
+                    "Interactive picks that jumped queued bulk requests.")),
+      requests_malformed(
+          r.counter("phonocd_requests_malformed",
+                    "Frames that failed to parse as requests.")),
+      stats_requests(r.counter("phonocd_stats_requests",
+                               "Stats scrapes served (framed and HTTP).")),
+      single_evaluations(
+          r.counter("phonocd_single_evaluations",
+                    "Single-mapping evaluation requests served.")),
+      cells_ok(r.counter("phonocd_cells_ok",
+                         "Sweep cells that evaluated successfully.")),
+      cells_failed(r.counter("phonocd_cells_failed",
+                             "Sweep cells that failed to evaluate.")),
+      evaluator_cache_hits(r.counter("phonocd_evaluator_cache_hits",
+                                     "Evaluator pool cache hits.")),
+      evaluator_cache_misses(r.counter("phonocd_evaluator_cache_misses",
+                                       "Evaluator pool cache misses.")),
+      evaluator_cache_evictions(
+          r.counter("phonocd_evaluator_cache_evictions",
+                    "Evaluator pool cache evictions.")),
+      wall(r.histogram("phonocd_wall_seconds",
+                       "Wall time of completed requests.",
+                       latency_buckets())),
+      wait_interactive(r.histogram("phonocd_wait_seconds",
+                                   "Queue wait (submit to dequeue) by lane.",
+                                   latency_buckets(),
+                                   {{"lane", "interactive"}})),
+      wait_bulk(r.histogram("phonocd_wait_seconds",
+                            "Queue wait (submit to dequeue) by lane.",
+                            latency_buckets(), {{"lane", "bulk"}})) {}
+
+obs::Counter& RequestBroker::Metrics::rejections(RejectKind kind) noexcept {
+  switch (kind) {
+    case RejectKind::Overloaded: return shed_overloaded;
+    case RejectKind::Budget: return shed_budget;
+    case RejectKind::Deadline: return shed_deadline;
+    case RejectKind::Malformed: return requests_malformed;
+    case RejectKind::Shutdown: return shed_shutdown;
+    case RejectKind::PerClientLimit: return shed_per_client;
+    case RejectKind::Internal: break;
+  }
+  return requests_failed;
+}
+
+void RequestBroker::Metrics::count_memo(const Evaluator& evaluator) {
+  evaluator_cache_hits.inc(evaluator.cache_hit_count());
+  evaluator_cache_misses.inc(evaluator.cache_miss_count());
+  evaluator_cache_evictions.inc(evaluator.cache_eviction_count());
+}
+
 RequestBroker::RequestBroker(BrokerOptions options)
     : options_(std::move(options)),
-      cache_(options_.cache),
+      metrics_(std::make_unique<Metrics>(registry_)),
+      cache_(options_.cache, registry_),
       sched_(options_.drr_quantum_cells) {
   paused_ = options_.start_paused;
   if (options_.batch.backend == BatchBackend::InProcess) {
@@ -95,7 +214,7 @@ RequestBroker::~RequestBroker() {
     queued_cells_ = 0;
   }
   for (auto& job : leftovers) {
-    metrics_.on_shed_shutdown();
+    count_rejection(RejectKind::Shutdown, job.request.id);
     if (job.events.on_reject)
       job.events.on_reject(RejectKind::Shutdown, "service is shutting down");
   }
@@ -107,90 +226,49 @@ Submission RequestBroker::submit(ServiceRequest request, JobEvents events,
   span.arg({"id", std::string_view(request.id)});
   Submission outcome;
   outcome.cells = cell_count(request.spec);
-  if (outcome.cells == 0) {
-    metrics_.on_malformed();
-    shed_counter("malformed").inc();
-    obs::trace_instant("service", "shed", {"id", std::string_view(request.id)},
-                       {"kind", std::string_view("malformed")});
-    outcome.kind = RejectKind::Malformed;
-    outcome.reason = "the sweep grid is empty (a dimension has no values)";
+  const auto reject = [&](RejectKind kind, std::string reason) {
+    count_rejection(kind, request.id);
+    outcome.kind = kind;
+    outcome.reason = std::move(reason);
     return outcome;
-  }
-  if (request.max_cells != 0 && outcome.cells > request.max_cells) {
-    metrics_.on_shed_budget();
-    shed_counter("budget").inc();
-    obs::trace_instant("service", "shed", {"id", std::string_view(request.id)},
-                       {"kind", std::string_view("budget")});
-    outcome.kind = RejectKind::Budget;
-    outcome.reason = "grid has " + std::to_string(outcome.cells) +
-                     " cells, the request allows max_cells=" +
-                     std::to_string(request.max_cells);
-    return outcome;
-  }
+  };
+  if (outcome.cells == 0)
+    return reject(RejectKind::Malformed,
+                  "the sweep grid is empty (a dimension has no values)");
+  if (request.max_cells != 0 && outcome.cells > request.max_cells)
+    return reject(RejectKind::Budget,
+                  "grid has " + std::to_string(outcome.cells) +
+                      " cells, the request allows max_cells=" +
+                      std::to_string(request.max_cells));
   if (options_.max_cells_per_request != 0 &&
-      outcome.cells > options_.max_cells_per_request) {
-    metrics_.on_shed_budget();
-    shed_counter("budget").inc();
-    obs::trace_instant("service", "shed", {"id", std::string_view(request.id)},
-                       {"kind", std::string_view("budget")});
-    outcome.kind = RejectKind::Budget;
-    outcome.reason = "grid has " + std::to_string(outcome.cells) +
-                     " cells, the server caps requests at " +
-                     std::to_string(options_.max_cells_per_request);
-    return outcome;
-  }
+      outcome.cells > options_.max_cells_per_request)
+    return reject(RejectKind::Budget,
+                  "grid has " + std::to_string(outcome.cells) +
+                      " cells, the server caps requests at " +
+                      std::to_string(options_.max_cells_per_request));
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (stop_) {
-      metrics_.on_shed_shutdown();
-      shed_counter("shutdown").inc();
-      obs::trace_instant("service", "shed",
-                         {"id", std::string_view(request.id)},
-                         {"kind", std::string_view("shutdown")});
-      outcome.kind = RejectKind::Shutdown;
-      outcome.reason = "service is shutting down";
-      return outcome;
-    }
-    if (sched_.size() >= options_.max_queue_depth) {
-      metrics_.on_shed_overloaded();
-      shed_counter("overloaded").inc();
-      obs::trace_instant("service", "shed",
-                         {"id", std::string_view(request.id)},
-                         {"kind", std::string_view("overloaded")});
-      outcome.kind = RejectKind::Overloaded;
-      outcome.reason = "admission queue is full (" +
-                       std::to_string(sched_.size()) + " request(s) waiting)";
-      return outcome;
-    }
+    if (stop_) return reject(RejectKind::Shutdown, "service is shutting down");
+    if (sched_.size() >= options_.max_queue_depth)
+      return reject(RejectKind::Overloaded,
+                    "admission queue is full (" +
+                        std::to_string(sched_.size()) +
+                        " request(s) waiting)");
     if (options_.max_queue_per_client != 0 &&
-        sched_.client_depth(client) >= options_.max_queue_per_client) {
-      metrics_.on_shed_per_client();
-      shed_counter("per_client_limit").inc();
-      obs::trace_instant("service", "shed",
-                         {"id", std::string_view(request.id)},
-                         {"kind", std::string_view("per_client_limit")});
-      outcome.kind = RejectKind::PerClientLimit;
-      outcome.reason = "client already has " +
-                       std::to_string(sched_.client_depth(client)) +
-                       " request(s) queued (per-client cap " +
-                       std::to_string(options_.max_queue_per_client) + ")";
-      return outcome;
-    }
+        sched_.client_depth(client) >= options_.max_queue_per_client)
+      return reject(RejectKind::PerClientLimit,
+                    "client already has " +
+                        std::to_string(sched_.client_depth(client)) +
+                        " request(s) queued (per-client cap " +
+                        std::to_string(options_.max_queue_per_client) + ")");
     const std::size_t outstanding = queued_cells_ + running_cells_left_;
     if (options_.max_outstanding_cells != 0 &&
-        outstanding + outcome.cells > options_.max_outstanding_cells) {
-      metrics_.on_shed_overloaded();
-      shed_counter("overloaded").inc();
-      obs::trace_instant("service", "shed",
-                         {"id", std::string_view(request.id)},
-                         {"kind", std::string_view("overloaded")});
-      outcome.kind = RejectKind::Overloaded;
-      outcome.reason =
-          std::to_string(outstanding) + " cell(s) outstanding; " +
-          std::to_string(outcome.cells) + " more would exceed the cap of " +
-          std::to_string(options_.max_outstanding_cells);
-      return outcome;
-    }
+        outstanding + outcome.cells > options_.max_outstanding_cells)
+      return reject(RejectKind::Overloaded,
+                    std::to_string(outstanding) + " cell(s) outstanding; " +
+                        std::to_string(outcome.cells) +
+                        " more would exceed the cap of " +
+                        std::to_string(options_.max_outstanding_cells));
     Job job;
     job.request = std::move(request);
     job.events = std::move(events);
@@ -198,10 +276,9 @@ Submission RequestBroker::submit(ServiceRequest request, JobEvents events,
     job.cells = outcome.cells;
     job.lane = route(job.request, job.cells);
     queued_cells_ += job.cells;
-    metrics_.on_accepted(job.lane == ServiceLane::Interactive);
-    admitted_counter().inc();
-    lane_counter(job.lane == ServiceLane::Interactive ? "interactive"
-                                                      : "bulk")
+    metrics_->requests_accepted.inc();
+    (job.lane == ServiceLane::Interactive ? metrics_->requests_interactive
+                                          : metrics_->requests_bulk)
         .inc();
     obs::trace_instant("service", "queue",
                        {"id", std::string_view(job.request.id)},
@@ -256,34 +333,71 @@ EvaluationAnswer RequestBroker::evaluate(const EvaluateRequest& request) {
   answer.snr_db = raw.worst_snr_db;
   answer.loss_db = raw.worst_loss_db;
   cache_.harvest_memo(key, evaluator);
-  metrics_.on_evaluator_counters(evaluator.cache_hit_count(),
-                                 evaluator.cache_miss_count(),
-                                 evaluator.cache_eviction_count());
-  metrics_.on_evaluation();
+  metrics_->count_memo(evaluator);
+  metrics_->single_evaluations.inc();
   return answer;
 }
 
-MetricsSnapshot RequestBroker::metrics() const {
-  ServiceMetrics::Gauges gauges;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    gauges.queue_depth = sched_.size();
-    gauges.queue_depth_interactive = sched_.size(ServiceLane::Interactive);
-    gauges.queue_depth_bulk = sched_.size(ServiceLane::Bulk);
-    gauges.in_flight_cells = running_cells_left_;
-    gauges.in_flight_requests = running_jobs_;
-  }
-  MetricsSnapshot snap = metrics_.snapshot(gauges);
-  const auto cache = cache_.counters();
-  snap.problem_cache_hits = cache.problem_hits;
-  snap.problem_cache_misses = cache.problem_misses;
-  snap.problem_cache_evictions = cache.problem_evictions;
-  return snap;
+void RequestBroker::count_connection() noexcept {
+  metrics_->connections.inc();
 }
 
-std::string RequestBroker::prometheus_text() const {
-  return metrics().to_prometheus() +
-         obs::MetricsRegistry::global().render_prometheus();
+void RequestBroker::count_rejection(RejectKind kind, const std::string& id) {
+  metrics_->rejections(kind).inc();
+  obs::trace_instant("service", "shed", {"id", std::string_view(id)},
+                     {"kind", reject_kind_token(kind)});
+}
+
+void RequestBroker::sample_gauges() const {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    metrics_->queue_depth.set(static_cast<double>(sched_.size()));
+    metrics_->queue_depth_interactive.set(
+        static_cast<double>(sched_.size(ServiceLane::Interactive)));
+    metrics_->queue_depth_bulk.set(
+        static_cast<double>(sched_.size(ServiceLane::Bulk)));
+    metrics_->in_flight_cells.set(static_cast<double>(running_cells_left_));
+    metrics_->in_flight_requests.set(static_cast<double>(running_jobs_));
+  }
+  metrics_->uptime_seconds.set(uptime_.elapsed_seconds());
+}
+
+std::vector<std::pair<std::string, double>> RequestBroker::stats() const {
+  sample_gauges();
+  auto lines = registry_.scalar_values();
+  for (auto& line : lines) line.first.erase(0, kMetricPrefix.size());
+  const Metrics& m = *metrics_;
+  lines.emplace_back("wall_p50_seconds", m.wall.quantile(0.5));
+  lines.emplace_back("wall_p90_seconds", m.wall.quantile(0.9));
+  lines.emplace_back("wall_p99_seconds", m.wall.quantile(0.99));
+  lines.emplace_back("wall_max_seconds", m.wall.max());
+  lines.emplace_back("wall_mean_seconds", m.wall.mean());
+  lines.emplace_back("wait_interactive_p50_seconds",
+                     m.wait_interactive.quantile(0.5));
+  lines.emplace_back("wait_interactive_p99_seconds",
+                     m.wait_interactive.quantile(0.99));
+  lines.emplace_back("wait_bulk_p50_seconds", m.wait_bulk.quantile(0.5));
+  lines.emplace_back("wait_bulk_p99_seconds", m.wait_bulk.quantile(0.99));
+  return lines;
+}
+
+double RequestBroker::stat(std::string_view name) const {
+  for (const auto& [line, value] : stats())
+    if (line == name) return value;
+  throw InvalidArgument("no stats line named '" + std::string(name) + "'");
+}
+
+std::string RequestBroker::scrape(StatsFormat format) {
+  metrics_->stats_requests.inc();
+  if (format == StatsFormat::Prometheus) {
+    sample_gauges();
+    return registry_.render_prometheus() +
+           obs::MetricsRegistry::global().render_prometheus();
+  }
+  std::string text;
+  for (const auto& [name, value] : stats())
+    text += name + ' ' + format_double(value) + '\n';
+  return text;
 }
 
 void RequestBroker::pause() {
@@ -320,10 +434,11 @@ void RequestBroker::worker_loop() {
       job.cells_left = job.cells;
       running_cells_left_ += job.cells;
       ++running_jobs_;
-      in_flight_gauge().set(static_cast<double>(running_jobs_));
     }
-    metrics_.on_dequeue(job.lane == ServiceLane::Interactive, waited,
-                        overtook);
+    (job.lane == ServiceLane::Interactive ? metrics_->wait_interactive
+                                          : metrics_->wait_bulk)
+        .observe(waited);
+    if (overtook) metrics_->interactive_overtakes.inc();
     execute(job);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -333,7 +448,6 @@ void RequestBroker::worker_loop() {
       running_cells_left_ -= std::min(job.cells_left, running_cells_left_);
       job.cells_left = 0;
       --running_jobs_;
-      in_flight_gauge().set(static_cast<double>(running_jobs_));
     }
   }
 }
@@ -347,11 +461,7 @@ void RequestBroker::execute(Job& job) {
   if (deadline > 0.0 && waited > deadline) {
     // Shed stale work instead of running it: the client stopped caring
     // `waited - deadline` seconds ago.
-    metrics_.on_shed_deadline();
-    shed_counter("deadline").inc();
-    obs::trace_instant("service", "shed",
-                       {"id", std::string_view(job.request.id)},
-                       {"kind", std::string_view("deadline")});
+    count_rejection(RejectKind::Deadline, job.request.id);
     if (job.events.on_reject)
       job.events.on_reject(RejectKind::Deadline,
                            "deadline of " + format_double(deadline) +
@@ -360,7 +470,7 @@ void RequestBroker::execute(Job& job) {
     return;
   }
   if (job.events.alive && !job.events.alive()) {
-    metrics_.on_request_canceled(0, 0);
+    metrics_->requests_canceled.inc();
     if (job.events.on_done) job.events.on_done(0, 0);
     return;
   }
@@ -378,15 +488,17 @@ void RequestBroker::execute(Job& job) {
     // answer it; the daemon and the other requests keep going.
     log_warning("service") << "service broker: request '" << job.request.id
                            << "' failed: " << e.what();
-    metrics_.on_request_failed();
+    metrics_->requests_failed.inc();
     if (job.events.on_reject)
       job.events.on_reject(RejectKind::Internal, e.what());
     return;
   }
-  if (canceled)
-    metrics_.on_request_canceled(ok, failed);
-  else
-    metrics_.on_completed(ok, failed, wall.elapsed_seconds());
+  if (canceled) {
+    metrics_->requests_canceled.inc();
+  } else {
+    metrics_->requests_completed.inc();
+    metrics_->wall.observe(wall.elapsed_seconds());
+  }
   // on_done fires either way — for a vanished client the send simply
   // fails — so the connection's job accounting always balances.
   if (job.events.on_done) job.events.on_done(ok, failed);
@@ -420,10 +532,10 @@ void RequestBroker::execute_in_process(Job& job, bool& canceled,
       if (!cancel.load(std::memory_order_relaxed)) {
         if (result.status == CellStatus::Ok) {
           ++ok;
-          cells_counter("ok").inc();
+          metrics_->cells_ok.inc();
         } else {
           ++failed;
-          cells_counter("failed").inc();
+          metrics_->cells_failed.inc();
         }
         if (job.events.on_cell && !job.events.on_cell(result))
           cancel.store(true);
@@ -455,10 +567,10 @@ void RequestBroker::execute_batch(Job& job, bool& canceled, std::size_t& ok,
     if (!canceled) {
       if (result.status == CellStatus::Ok) {
         ++ok;
-        cells_counter("ok").inc();
+        metrics_->cells_ok.inc();
       } else {
         ++failed;
-        cells_counter("failed").inc();
+        metrics_->cells_failed.inc();
       }
       if (job.events.on_cell && !job.events.on_cell(result)) canceled = true;
     }
@@ -496,9 +608,7 @@ CellResult RequestBroker::run_cell(const SweepSpec& spec,
                      .run_with(evaluator, spec.optimizers[cell.optimizer],
                                spec.budgets[cell.budget], result.seed);
     cache_.harvest_memo(key, evaluator);
-    metrics_.on_evaluator_counters(evaluator.cache_hit_count(),
-                                   evaluator.cache_miss_count(),
-                                   evaluator.cache_eviction_count());
+    metrics_->count_memo(evaluator);
     result.seconds = timer.elapsed_seconds();
     return result;
   } catch (const std::exception& e) {

@@ -48,13 +48,15 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/batch_engine.hpp"
 #include "exec/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "service/cache.hpp"
-#include "service/metrics.hpp"
 #include "service/protocol.hpp"
 #include "service/scheduler.hpp"
 #include "util/timer.hpp"
@@ -129,6 +131,17 @@ struct EvaluationAnswer {
   double loss_db = 0.0;
 };
 
+/// Bucket upper bounds of the broker's latency histograms (request wall
+/// time and per-lane queue wait): log-spaced from 100 µs to 100 s, five
+/// per decade (1, 1.6, 2.5, 4, 6.3 x 10^n).
+[[nodiscard]] std::vector<double> latency_buckets();
+
+/// What RequestBroker::scrape renders.
+enum class StatsFormat {
+  Text,        ///< the `stats` lines as `name value` (framed `stats`)
+  Prometheus,  ///< text exposition (`stats prometheus`, --prom-port)
+};
+
 class RequestBroker {
  public:
   explicit RequestBroker(BrokerOptions options);
@@ -153,18 +166,28 @@ class RequestBroker {
   /// invalid input (empty dimensions, non-injective assignment).
   [[nodiscard]] EvaluationAnswer evaluate(const EvaluateRequest& request);
 
-  /// Current metrics (counters + live gauges + cache counters).
-  [[nodiscard]] MetricsSnapshot metrics() const;
+  /// Every `stats` line in catalog order (src/service/README.md): the
+  /// broker registry's counters and gauges, then the latency quantiles
+  /// read off its histograms. A plain read, not counted as a scrape.
+  [[nodiscard]] std::vector<std::pair<std::string, double>> stats() const;
 
-  /// Prometheus exposition body: the snapshot's phonocd_* families plus
-  /// the process-wide obs::MetricsRegistry (phonoc_* instrumentation).
-  /// Served by both the framed `stats prometheus` request and the
-  /// --prom-port HTTP listener.
-  [[nodiscard]] std::string prometheus_text() const;
+  /// One stats() line by name; throws InvalidArgument for a name not in
+  /// the catalog.
+  [[nodiscard]] double stat(std::string_view name) const;
 
-  /// Direct metric feeds for connection-level events the broker cannot
-  /// see itself.
-  ServiceMetrics& raw_metrics() noexcept { return metrics_; }
+  /// A metrics scrape, counted once in stats_requests: the framed
+  /// `stats` and `stats prometheus` requests and the --prom-port HTTP
+  /// listener all render through here. Prometheus is the broker
+  /// registry's exposition (phonocd_* counters, gauges and latency
+  /// histograms) followed by the process-wide obs::MetricsRegistry
+  /// (phonoc_* instrumentation).
+  [[nodiscard]] std::string scrape(StatsFormat format);
+
+  /// Count a client connection that completed the handshake.
+  void count_connection() noexcept;
+  /// Count one rejection of `kind` — a shed, or a frame the server
+  /// could not parse — and mark it on the trace timeline.
+  void count_rejection(RejectKind kind, const std::string& id);
 
   /// Test hooks: freeze/unfreeze the broker workers so admission
   /// behavior can be asserted deterministically.
@@ -181,6 +204,8 @@ class RequestBroker {
   }
 
  private:
+  struct Metrics;  ///< handles into registry_ (broker.cpp)
+
   struct Job {
     ServiceRequest request;
     JobEvents events;
@@ -209,10 +234,15 @@ class RequestBroker {
   void finish_cell(Job& job);
   [[nodiscard]] ServiceLane route(const ServiceRequest& request,
                                   std::size_t cells) const noexcept;
+  /// Set the gauges only a render can sample: queue depths, the
+  /// in-flight ledgers and uptime.
+  void sample_gauges() const;
 
   BrokerOptions options_;
-  ServiceCache cache_;
-  ServiceMetrics metrics_;
+  obs::MetricsRegistry registry_;     ///< one per broker: counts are its own
+  std::unique_ptr<Metrics> metrics_;  ///< registered in catalog order
+  ServiceCache cache_;                ///< adds problem_cache_* to registry_
+  Timer uptime_;
   std::unique_ptr<ThreadPool> pool_;  ///< InProcess cell fan-out
 
   mutable std::mutex mutex_;

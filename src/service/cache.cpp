@@ -9,7 +9,14 @@
 
 namespace phonoc {
 
-ServiceCache::ServiceCache(Options options) : options_(options) {}
+ServiceCache::ServiceCache(Options options, obs::MetricsRegistry& registry)
+    : options_(options),
+      hits_(registry.counter("phonocd_problem_cache_hits",
+                             "Parsed-problem cache hits.")),
+      misses_(registry.counter("phonocd_problem_cache_misses",
+                               "Parsed-problem cache misses.")),
+      evictions_(registry.counter("phonocd_problem_cache_evictions",
+                                  "Parsed-problem cache evictions.")) {}
 
 std::string ServiceCache::key_of(const SweepSpec& spec,
                                  const SweepCell& cell) {
@@ -42,11 +49,11 @@ std::shared_ptr<const MappingProblem> ServiceCache::problem(
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (const auto it = slots_.find(key); it != slots_.end()) {
-      ++counters_.problem_hits;
+      hits_.inc();
       touch(it->second);
       return it->second.problem;
     }
-    ++counters_.problem_misses;
+    misses_.inc();
   }
   // Build outside the lock: construction is the expensive part, and
   // holding the mutex through it would stall every concurrent broker
@@ -68,7 +75,7 @@ std::shared_ptr<const MappingProblem> ServiceCache::problem(
   while (slots_.size() > options_.max_problems && !lru_.empty()) {
     slots_.erase(lru_.back());
     lru_.pop_back();
-    ++counters_.problem_evictions;
+    evictions_.inc();
   }
   return problem;
 }
@@ -109,11 +116,6 @@ void ServiceCache::harvest_memo(const std::string& key,
   for (auto& entry : fresh.entries) adopt(entry);
   for (auto& entry : bank.entries) adopt(entry);
   bank = std::move(merged);
-}
-
-ServiceCache::Counters ServiceCache::counters() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
 }
 
 }  // namespace phonoc

@@ -31,6 +31,7 @@
 #include "core/evaluator.hpp"
 #include "core/problem.hpp"
 #include "exec/sweep.hpp"
+#include "obs/metrics.hpp"
 
 namespace phonoc {
 
@@ -44,13 +45,9 @@ class ServiceCache {
     std::size_t memo_capacity = 4096;
   };
 
-  struct Counters {
-    std::uint64_t problem_hits = 0;
-    std::uint64_t problem_misses = 0;
-    std::uint64_t problem_evictions = 0;
-  };
-
-  explicit ServiceCache(Options options);
+  /// Registers the problem_cache_{hits,misses,evictions} counters in
+  /// `registry` (the owning broker's), which must outlive the cache.
+  ServiceCache(Options options, obs::MetricsRegistry& registry);
 
   /// Canonical problem identity of one grid coordinate (see file
   /// comment). Kind-independent: Optimize and Sample grids over the
@@ -74,8 +71,6 @@ class ServiceCache {
   /// `memo_capacity`. No-op for unknown (evicted) keys.
   void harvest_memo(const std::string& key, const Evaluator& evaluator);
 
-  [[nodiscard]] Counters counters() const;
-
  private:
   struct Slot {
     std::shared_ptr<const MappingProblem> problem;
@@ -89,7 +84,9 @@ class ServiceCache {
   mutable std::mutex mutex_;
   mutable std::list<std::string> lru_;  ///< most-recent first
   std::map<std::string, Slot> slots_;
-  Counters counters_;
+  obs::Counter& hits_;
+  obs::Counter& misses_;
+  obs::Counter& evictions_;
 };
 
 }  // namespace phonoc

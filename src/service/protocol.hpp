@@ -57,7 +57,7 @@ inline constexpr const char* kServiceHello = "hello phonoc-service v1";
 inline constexpr const char* kServiceQuit = "quit";
 /// Metrics snapshot request (no arguments).
 inline constexpr const char* kServiceStats = "stats";
-/// Metrics in Prometheus text exposition format: the phonocd snapshot
+/// Metrics in Prometheus text exposition format: the broker's registry
 /// (phonocd_* families) plus the process-wide obs::MetricsRegistry
 /// (phonoc_* instrumentation counters). Same `stats\n<body>` reply
 /// frame, different body grammar.

@@ -140,7 +140,7 @@ std::size_t serve_client(Connection& conn, RequestBroker& broker,
     return 0;
   }
   if (!conn.send(kServiceHello)) return 0;
-  broker.raw_metrics().on_connection();
+  broker.count_connection();
   const std::string client = client_identity(hello.payload);
 
   const auto writer = std::make_shared<ResponseWriter>(conn);
@@ -157,17 +157,13 @@ std::size_t serve_client(Connection& conn, RequestBroker& broker,
     if (request.status != Connection::RecvStatus::Ok) break;
     if (request.payload == kServiceQuit) break;
 
-    if (request.payload == kServiceStats) {
+    if (request.payload == kServiceStats ||
+        request.payload == kServiceStatsPrometheus) {
       ++handled;
-      broker.raw_metrics().on_stats_request();
-      (void)writer->send(stats_reply(broker.metrics().to_text()));
-      continue;
-    }
-
-    if (request.payload == kServiceStatsPrometheus) {
-      ++handled;
-      broker.raw_metrics().on_stats_request();
-      (void)writer->send(stats_reply(broker.prometheus_text()));
+      (void)writer->send(stats_reply(
+          broker.scrape(request.payload == kServiceStats
+                            ? StatsFormat::Text
+                            : StatsFormat::Prometheus)));
       continue;
     }
 
@@ -181,11 +177,11 @@ std::size_t serve_client(Connection& conn, RequestBroker& broker,
         (void)writer->send(evaluation_reply(id, answer.fitness,
                                             answer.snr_db, answer.loss_db));
       } catch (const ParseError& e) {
-        broker.raw_metrics().on_malformed();
+        broker.count_rejection(RejectKind::Malformed, id);
         (void)writer->send(
             rejected_reply(id, RejectKind::Malformed, e.what()));
       } catch (const InvalidArgument& e) {
-        broker.raw_metrics().on_malformed();
+        broker.count_rejection(RejectKind::Malformed, id);
         (void)writer->send(
             rejected_reply(id, RejectKind::Malformed, e.what()));
       } catch (const std::exception& e) {
@@ -201,9 +197,10 @@ std::size_t serve_client(Connection& conn, RequestBroker& broker,
       try {
         parsed = parse_request(request.payload);
       } catch (const std::exception& e) {
-        broker.raw_metrics().on_malformed();
-        (void)writer->send(rejected_reply(salvage_id(request.payload),
-                                          RejectKind::Malformed, e.what()));
+        const std::string id = salvage_id(request.payload);
+        broker.count_rejection(RejectKind::Malformed, id);
+        (void)writer->send(
+            rejected_reply(id, RejectKind::Malformed, e.what()));
         continue;
       }
       const std::string id = parsed.id;

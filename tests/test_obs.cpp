@@ -7,12 +7,15 @@
 // coverage (a deal/steal/retry/speculate instant covers every cell and
 // a settle instant names every index), the MetricsRegistry Prometheus
 // exposition (counter families with labels, gauges, histogram
-// buckets), the phonocd snapshot's three renderings staying in
-// agreement (one descriptor table behind to_text / to_csv /
-// to_prometheus), and the loopback --prom-port HTTP scrape server.
+// buckets), HistogramMetric quantiles on the phonocd latency layout,
+// the phonocd broker's stats lines and Prometheus exposition rendering
+// from its one registry, and the loopback --prom-port HTTP scrape
+// server, every scrape counted in stats_requests.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
@@ -31,7 +34,7 @@
 #include "obs/prom_http.hpp"
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
-#include "service/metrics.hpp"
+#include "service/broker.hpp"
 #include "util/strings.hpp"
 #include "workloads/generator.hpp"
 
@@ -577,68 +580,135 @@ TEST(Metrics, RegistryRendersPrometheusExposition) {
             std::string::npos);
 }
 
-// --- snapshot renderings agree ----------------------------------------------
+// --- HistogramMetric quantiles ----------------------------------------------
 
-TEST(Metrics, SnapshotRenderingsComeFromOneTable) {
-  MetricsSnapshot snapshot;
-  snapshot.queue_depth = 3;
-  snapshot.in_flight_cells = 17;
-  snapshot.uptime_seconds = 12.25;
-  snapshot.connections = 5;
-  snapshot.requests_accepted = 101;
-  snapshot.requests_completed = 99;
-  snapshot.shed_overloaded = 7;
-  snapshot.cells_ok = 420;
-  snapshot.wall_p50_seconds = 0.125;
+/// Index of the bucket holding `value` (bounds.size() is the +Inf one).
+std::size_t bucket_of(const std::vector<double>& bounds, double value) {
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin());
+}
 
-  const std::string text = snapshot.to_text();
-  const std::string csv = snapshot.to_csv();
-  const std::string prom = snapshot.to_prometheus();
+TEST(Metrics, HistogramQuantilesResolveMillisecondsAndStayUnderTheMax) {
+  // phonocd's latency layout must resolve what the service serves: 100
+  // requests spread evenly over 3-5 ms. A quantile may be off by one
+  // bucket, never above the slowest observation.
+  const auto bounds = latency_buckets();
+  ASSERT_EQ(bounds.front(), 1e-4);
+  ASSERT_EQ(bounds.back(), 100.0);
+  ASSERT_GE(bounds.size(), 6u * 4u + 1u);  // >= 4 per decade
+  obs::HistogramMetric wall(bounds);
+  EXPECT_EQ(wall.quantile(0.99), 0.0);  // empty
+  for (int i = 0; i < 100; ++i) wall.observe(3e-3 + 2e-3 * i / 99.0);
+  EXPECT_DOUBLE_EQ(wall.max(), 5e-3);
+  EXPECT_NEAR(wall.mean(), 4e-3, 1e-9);
 
-  // to_text: `name value` lines. to_csv: a header row then `name,value`
-  // rows, same names, same order, same rendered values.
-  std::map<std::string, std::string> text_values;
-  for (const auto& line : split(text, '\n')) {
+  const double p50 = wall.quantile(0.5);
+  const double p99 = wall.quantile(0.99);
+  const auto buckets_apart = [&](double got, double want) {
+    const std::size_t a = bucket_of(bounds, got);
+    const std::size_t b = bucket_of(bounds, want);
+    return a > b ? a - b : b - a;
+  };
+  EXPECT_LE(buckets_apart(p50, 4e-3), 1u) << p50;
+  EXPECT_LE(buckets_apart(p99, 5e-3), 1u) << p99;
+  EXPECT_LE(p50, p99);
+  EXPECT_LE(p99, wall.max());
+}
+
+TEST(Metrics, HistogramStaysConsistentUnderConcurrentObservers) {
+  // Broker workers observe while a scrape reads: every observation
+  // lands, the max is exact, and a quantile never exceeds the max read
+  // after it.
+  obs::HistogramMetric wall(latency_buckets());
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  std::atomic<bool> done{false};
+  bool ordered = true;
+  std::thread reader([&] {
+    while (!done.load()) {
+      const double p99 = wall.quantile(0.99);
+      if (p99 > wall.max()) ordered = false;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t)
+    writers.emplace_back([&wall, t] {
+      for (int i = 0; i < kPerThread; ++i)
+        wall.observe(1e-4 * (1 + (i + t) % 1000));
+    });
+  for (auto& writer : writers) writer.join();
+  done.store(true);
+  reader.join();
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(wall.count(), std::uint64_t{kThreads * kPerThread});
+  EXPECT_EQ(wall.cumulative(wall.bounds().size()), wall.count());
+  EXPECT_EQ(wall.max(), 1e-4 * 1000);
+}
+
+// --- the phonocd broker renders from one registry ---------------------------
+
+TEST(Metrics, BrokerStatsAndPrometheusRenderFromOneRegistry) {
+  BrokerOptions options;
+  options.batch.workers = 1;
+  RequestBroker broker(options);
+
+  // The `stats` / --stats-csv lines that CI greps and perfbench parses:
+  // these 39 names, in this order.
+  const std::vector<std::string> catalog{
+      "queue_depth", "queue_depth_interactive", "queue_depth_bulk",
+      "in_flight_cells", "in_flight_requests", "uptime_seconds",
+      "connections", "requests_accepted", "requests_completed",
+      "requests_failed", "requests_canceled", "shed_overloaded",
+      "shed_budget", "shed_deadline", "shed_shutdown", "shed_per_client",
+      "requests_interactive", "requests_bulk", "interactive_overtakes",
+      "requests_malformed", "stats_requests", "single_evaluations",
+      "cells_ok", "cells_failed", "evaluator_cache_hits",
+      "evaluator_cache_misses", "evaluator_cache_evictions",
+      "problem_cache_hits", "problem_cache_misses",
+      "problem_cache_evictions", "wall_p50_seconds", "wall_p90_seconds",
+      "wall_p99_seconds", "wall_max_seconds", "wall_mean_seconds",
+      "wait_interactive_p50_seconds", "wait_interactive_p99_seconds",
+      "wait_bulk_p50_seconds", "wait_bulk_p99_seconds"};
+  ASSERT_EQ(catalog.size(), 39u);
+  std::vector<std::string> names;
+  for (const auto& [name, value] : broker.stats()) names.push_back(name);
+  EXPECT_EQ(names, catalog);
+
+  // The framed `stats` body: the same lines as `name value`; the scrape
+  // counts itself.
+  std::vector<std::string> text_names;
+  for (const auto& line : split(broker.scrape(StatsFormat::Text), '\n')) {
     if (trim(line).empty()) continue;
     const auto space = line.find(' ');
     ASSERT_NE(space, std::string::npos) << line;
-    text_values[line.substr(0, space)] = line.substr(space + 1);
-  }
-  std::map<std::string, std::string> csv_values;
-  bool header = true;
-  for (const auto& line : split(csv, '\n')) {
-    if (trim(line).empty()) continue;
-    if (header) {
-      EXPECT_EQ(line, "metric,value");
-      header = false;
-      continue;
+    text_names.push_back(line.substr(0, space));
+    if (text_names.back() == "stats_requests") {
+      EXPECT_EQ(line.substr(space + 1), "1");
     }
-    const auto comma = line.find(',');
-    ASSERT_NE(comma, std::string::npos) << line;
-    csv_values[line.substr(0, comma)] = line.substr(comma + 1);
   }
-  ASSERT_FALSE(text_values.empty());
-  EXPECT_EQ(text_values, csv_values);
+  EXPECT_EQ(text_names, catalog);
 
-  // Spot-check the values went through, not just the shapes.
-  EXPECT_EQ(text_values.at("requests_accepted"), "101");
-  EXPECT_EQ(text_values.at("queue_depth"), "3");
-  EXPECT_EQ(text_values.at("wall_p50_seconds"), format_double(0.125));
-
-  // to_prometheus: every table metric appears as phonocd_<name> with
-  // the same value, typed counter or gauge, with help text.
-  for (const auto& [name, value] : text_values) {
-    const std::string sample = "phonocd_" + name + " " + value + "\n";
-    EXPECT_NE(prom.find(sample), std::string::npos)
-        << "missing or mismatched sample: " << sample;
-    EXPECT_NE(prom.find("# HELP phonocd_" + name + " "), std::string::npos);
-  }
+  // Prometheus: every counter and gauge as phonocd_<name>, and the
+  // latency distributions as histogram families, not quantile gauges.
+  const std::string prom = broker.scrape(StatsFormat::Prometheus);
+  EXPECT_NE(prom.find("# TYPE phonocd_requests_accepted counter\n"
+                      "phonocd_requests_accepted 0\n"),
+            std::string::npos)
+      << prom;
   EXPECT_NE(prom.find("# TYPE phonocd_queue_depth gauge\n"),
             std::string::npos);
-  EXPECT_NE(prom.find("# TYPE phonocd_requests_accepted counter\n"),
+  EXPECT_NE(prom.find("\nphonocd_stats_requests 2\n"), std::string::npos);
+  EXPECT_NE(prom.find("# TYPE phonocd_wall_seconds histogram\n"),
             std::string::npos);
-  EXPECT_NE(prom.find("# TYPE phonocd_uptime_seconds gauge\n"),
+  EXPECT_NE(prom.find("phonocd_wall_seconds_bucket{le=\"0.0001\"} 0\n"),
             std::string::npos);
+  EXPECT_NE(prom.find("phonocd_wait_seconds_bucket{lane=\"interactive\","
+                      "le=\"+Inf\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("phonocd_wait_seconds_count{lane=\"bulk\"} 0\n"),
+            std::string::npos);
+  EXPECT_EQ(prom.find("_p99_seconds"), std::string::npos);
+  EXPECT_EQ(prom.find("phonocd_wall_max_seconds"), std::string::npos);
 }
 
 // --- the --prom-port HTTP scrape server -------------------------------------
@@ -694,6 +764,22 @@ TEST(PromHttp, ServesTheRenderOverLoopback) {
       http_get(server.port(), "GET / HTTP/1.0\r\n\r\n");
   EXPECT_NE(again.find("t_up 2\n"), std::string::npos);
   EXPECT_GE(server.requests_served(), 2u);
+}
+
+TEST(PromHttp, EveryHttpScrapeCountsInStatsRequests) {
+  // The --prom-port listener renders through the broker's scrape path,
+  // so HTTP scrapes count in stats_requests like framed ones.
+  BrokerOptions options;
+  options.batch.workers = 1;
+  RequestBroker broker(options);
+  obs::PromHttpServer server(
+      0, [&broker] { return broker.scrape(StatsFormat::Prometheus); });
+  const std::string get = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
+  const std::string first = http_get(server.port(), get);
+  const std::string second = http_get(server.port(), get);
+  EXPECT_NE(first.find("\nphonocd_stats_requests 1\n"), std::string::npos);
+  EXPECT_NE(second.find("\nphonocd_stats_requests 2\n"), std::string::npos);
+  EXPECT_EQ(broker.stat("stats_requests"), 2);
 }
 
 #endif  // PHONOC_TEST_SOCKETS

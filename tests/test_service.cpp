@@ -6,7 +6,8 @@
 // hook, FairScheduler lane + deficit-round-robin mechanics, broker
 // scheduling (per-client fairness, lane routing, per-client caps,
 // per-job in-flight accounting, bit-identity under a concurrent
-// request pool), cross-request evaluator-memo reuse, and serve_client()
+// request pool), cross-request evaluator-memo reuse, latency quantiles
+// that never exceed the slowest request, and serve_client()
 // end to end over real socketpairs: concurrent Optimize + Sample clients
 // bit-identical to an in-process BatchEngine run, and a vanished client
 // canceling its job instead of hanging the connection handler.
@@ -368,10 +369,9 @@ TEST(RequestBroker, FullQueueShedsOverloadedImmediately) {
   EXPECT_EQ(b.kind, RejectKind::Overloaded);
   EXPECT_NE(b.reason.find("queue is full"), std::string::npos);
 
-  const auto snap = broker.metrics();
-  EXPECT_EQ(snap.requests_accepted, 1u);
-  EXPECT_EQ(snap.shed_overloaded, 1u);
-  EXPECT_EQ(snap.queue_depth, 1u);
+  EXPECT_EQ(broker.stat("requests_accepted"), 1);
+  EXPECT_EQ(broker.stat("shed_overloaded"), 1);
+  EXPECT_EQ(broker.stat("queue_depth"), 1);
 
   broker.resume();
   first.wait();
@@ -422,7 +422,7 @@ TEST(RequestBroker, CellBudgetsRejectOversizedGridsAsBudget) {
       capped.submit(make_request("big", opt_spec()), {});
   EXPECT_FALSE(server_capped.accepted);
   EXPECT_EQ(server_capped.kind, RejectKind::Budget);
-  EXPECT_EQ(capped.metrics().shed_budget, 1u);
+  EXPECT_EQ(capped.stat("shed_budget"), 1);
 }
 
 TEST(RequestBroker, EmptyGridIsMalformedNotAccepted) {
@@ -433,7 +433,7 @@ TEST(RequestBroker, EmptyGridIsMalformedNotAccepted) {
   const auto outcome = broker.submit(make_request("empty", empty), {});
   EXPECT_FALSE(outcome.accepted);
   EXPECT_EQ(outcome.kind, RejectKind::Malformed);
-  EXPECT_EQ(broker.metrics().requests_malformed, 1u);
+  EXPECT_EQ(broker.stat("requests_malformed"), 1);
 }
 
 TEST(RequestBroker, ExpiredDeadlineShedsTheQueuedJob) {
@@ -451,7 +451,7 @@ TEST(RequestBroker, ExpiredDeadlineShedsTheQueuedJob) {
   collected.wait();
   EXPECT_TRUE(collected.rejected);
   EXPECT_EQ(collected.kind, RejectKind::Deadline);
-  EXPECT_EQ(broker.metrics().shed_deadline, 1u);
+  EXPECT_EQ(broker.stat("shed_deadline"), 1);
   EXPECT_TRUE(collected.cells.empty());  // shed means never run
 }
 
@@ -485,12 +485,11 @@ TEST(RequestBroker, StreamsBitIdenticalCellsAndReusesTheMemoBank) {
   // The identical repeat request hit the cross-request reuse state:
   // same problems (cache hits), and its evaluations were answered from
   // the harvested memo bank.
-  const auto snap = broker.metrics();
-  EXPECT_EQ(snap.requests_completed, 2u);
-  EXPECT_GT(snap.problem_cache_hits, 0u);
-  EXPECT_GT(snap.evaluator_cache_hits, 0u);
-  EXPECT_GT(snap.cells_ok, 0u);
-  EXPECT_GT(snap.wall_max_seconds, 0.0);
+  EXPECT_EQ(broker.stat("requests_completed"), 2);
+  EXPECT_GT(broker.stat("problem_cache_hits"), 0);
+  EXPECT_GT(broker.stat("evaluator_cache_hits"), 0);
+  EXPECT_GT(broker.stat("cells_ok"), 0);
+  EXPECT_GT(broker.stat("wall_max_seconds"), 0.0);
 }
 
 TEST(RequestBroker, EvaluateScoresAMappingThroughTheSharedCache) {
@@ -521,13 +520,44 @@ TEST(RequestBroker, EvaluateScoresAMappingThroughTheSharedCache) {
   // The repeat evaluation is answered from the harvested memo bank.
   const auto repeat = broker.evaluate(request);
   EXPECT_EQ(repeat.fitness, answer.fitness);
-  const auto snap = broker.metrics();
-  EXPECT_EQ(snap.single_evaluations, 2u);
-  EXPECT_GT(snap.evaluator_cache_hits, 0u);
+  EXPECT_EQ(broker.stat("single_evaluations"), 2);
+  EXPECT_GT(broker.stat("evaluator_cache_hits"), 0);
 
   EvaluateRequest wrong = request;
   wrong.assignment = {0, 1};  // workload has 5 tasks
   EXPECT_THROW((void)broker.evaluate(wrong), Error);
+}
+
+TEST(RequestBroker, WallQuantilesNeverExceedTheSlowestRequest) {
+  // Warm 1-cell requests take about a millisecond: the reported
+  // quantiles must resolve that and stay at or below the slowest request
+  // actually served.
+  SweepSpec spec;
+  spec.add_workload("p5", pipeline_cg(5))
+      .add_topology(TopologyKind::Mesh)
+      .add_goal(OptimizationGoal::Snr)
+      .add_optimizers({"rs"})
+      .add_budget(30)
+      .add_seed_range(1, 1);
+  BrokerOptions options;
+  options.batch.workers = 1;
+  RequestBroker broker(options);
+  for (int i = 0; i < 25; ++i) {
+    Collected collected;
+    ASSERT_TRUE(broker
+                    .submit(make_request("w" + std::to_string(i), spec),
+                            collected.events())
+                    .accepted);
+    collected.wait();
+    ASSERT_TRUE(collected.done);
+  }
+  ASSERT_EQ(broker.stat("requests_completed"), 25);
+  const double max = broker.stat("wall_max_seconds");
+  EXPECT_GT(max, 0.0);
+  EXPECT_LE(broker.stat("wall_p50_seconds"), max);
+  EXPECT_LE(broker.stat("wall_p90_seconds"), max);
+  EXPECT_LE(broker.stat("wall_p99_seconds"), max);
+  EXPECT_LE(broker.stat("wall_mean_seconds"), max);
 }
 
 // --- serve_client over real socketpairs -------------------------------------
@@ -675,15 +705,14 @@ TEST(ServeClient, ConcurrentMixedKindClientsAreBitIdenticalToInProcess) {
   server_a.join();
   server_b.join();
 
-  const auto snap = broker.metrics();
-  EXPECT_EQ(snap.connections, 2u);
-  EXPECT_EQ(snap.requests_accepted, 3u);
-  EXPECT_EQ(snap.requests_completed, 3u);
-  EXPECT_EQ(snap.stats_requests, 1u);
-  EXPECT_EQ(snap.single_evaluations, 1u);
+  EXPECT_EQ(broker.stat("connections"), 2);
+  EXPECT_EQ(broker.stat("requests_accepted"), 3);
+  EXPECT_EQ(broker.stat("requests_completed"), 3);
+  EXPECT_EQ(broker.stat("stats_requests"), 1);
+  EXPECT_EQ(broker.stat("single_evaluations"), 1);
   // The repeated Optimize request reused the cross-request memo bank.
-  EXPECT_GT(snap.evaluator_cache_hits, 0u);
-  EXPECT_GT(snap.problem_cache_hits, 0u);
+  EXPECT_GT(broker.stat("evaluator_cache_hits"), 0);
+  EXPECT_GT(broker.stat("problem_cache_hits"), 0);
 }
 
 TEST(ServeClient, VanishedClientCancelsItsJobWithoutHanging) {
@@ -713,10 +742,9 @@ TEST(ServeClient, VanishedClientCancelsItsJobWithoutHanging) {
   broker.resume();
   server.join();  // must not hang: the alive() probe skips the job
 
-  const auto snap = broker.metrics();
-  EXPECT_EQ(snap.requests_canceled, 1u);
-  EXPECT_EQ(snap.requests_completed, 0u);
-  EXPECT_EQ(snap.cells_ok, 0u);  // canceled before any cell ran
+  EXPECT_EQ(broker.stat("requests_canceled"), 1);
+  EXPECT_EQ(broker.stat("requests_completed"), 0);
+  EXPECT_EQ(broker.stat("cells_ok"), 0);  // canceled before any cell ran
 }
 
 TEST(ServeClient, MalformedAndUnknownFramesGetStructuredAnswers) {
@@ -753,7 +781,7 @@ TEST(ServeClient, MalformedAndUnknownFramesGetStructuredAnswers) {
   EXPECT_EQ(closed.status, Connection::RecvStatus::Closed);
 
   server.join();
-  EXPECT_EQ(broker.metrics().requests_malformed, 1u);
+  EXPECT_EQ(broker.stat("requests_malformed"), 1);
 }
 
 TEST(ServeClient, HandshakeMismatchIsAnsweredAndDropped) {
@@ -768,7 +796,7 @@ TEST(ServeClient, HandshakeMismatchIsAnsweredAndDropped) {
   ASSERT_EQ(reply.status, Connection::RecvStatus::Ok);
   EXPECT_EQ(parse_reply(reply.payload).kind, ServiceReply::Kind::Error);
   server.join();
-  EXPECT_EQ(broker.metrics().connections, 0u);
+  EXPECT_EQ(broker.stat("connections"), 0);
 }
 
 // --- the TCP daemon surface (ServiceServer) ---------------------------------
@@ -794,7 +822,7 @@ TEST(ServiceServer, ServesARealTcpClientOnAnEphemeralPort) {
   (void)conn->send(kServiceQuit);
   conn->close();
   accept_thread.join();
-  EXPECT_EQ(server.broker().metrics().requests_completed, 1u);
+  EXPECT_EQ(server.broker().stat("requests_completed"), 1);
 }
 
 // --- FairScheduler: lanes + deficit round robin -----------------------------
@@ -1005,14 +1033,11 @@ TEST(RequestBroker, LaneRoutingByThresholdAndExplicitPriority) {
   submit(std::move(pinned));
   submit(make_request("fast-by-size", opt_spec()));
 
-  {
-    const auto snap = broker.metrics();
-    EXPECT_EQ(snap.queue_depth, 3u);
-    EXPECT_EQ(snap.queue_depth_interactive, 1u);
-    EXPECT_EQ(snap.queue_depth_bulk, 2u);
-    EXPECT_EQ(snap.requests_interactive, 1u);
-    EXPECT_EQ(snap.requests_bulk, 2u);
-  }
+  EXPECT_EQ(broker.stat("queue_depth"), 3);
+  EXPECT_EQ(broker.stat("queue_depth_interactive"), 1);
+  EXPECT_EQ(broker.stat("queue_depth_bulk"), 2);
+  EXPECT_EQ(broker.stat("requests_interactive"), 1);
+  EXPECT_EQ(broker.stat("requests_bulk"), 2);
 
   broker.resume();
   for (auto& job : jobs) job->wait();
@@ -1020,10 +1045,9 @@ TEST(RequestBroker, LaneRoutingByThresholdAndExplicitPriority) {
   // though it was submitted last.
   ASSERT_EQ(completion_order.size(), 3u);
   EXPECT_EQ(completion_order[0], "fast-by-size");
-  const auto snap = broker.metrics();
-  EXPECT_EQ(snap.interactive_overtakes, 1u);
-  EXPECT_EQ(snap.queue_depth, 0u);
-  EXPECT_GE(snap.wait_bulk_p99_seconds, 0.0);
+  EXPECT_EQ(broker.stat("interactive_overtakes"), 1);
+  EXPECT_EQ(broker.stat("queue_depth"), 0);
+  EXPECT_GE(broker.stat("wait_bulk_p99_seconds"), 0.0);
 }
 
 TEST(RequestBroker, PerClientCapShedsTheHogAndAdmitsOthers) {
@@ -1053,10 +1077,9 @@ TEST(RequestBroker, PerClientCapShedsTheHogAndAdmitsOthers) {
                             "polite")
                   .accepted);
 
-  const auto snap = broker.metrics();
-  EXPECT_EQ(snap.shed_per_client, 1u);
-  EXPECT_EQ(snap.requests_accepted, 3u);
-  EXPECT_EQ(snap.queue_depth, 3u);
+  EXPECT_EQ(broker.stat("shed_per_client"), 1);
+  EXPECT_EQ(broker.stat("requests_accepted"), 3);
+  EXPECT_EQ(broker.stat("queue_depth"), 3);
 
   broker.resume();
   h0.wait();
@@ -1109,12 +1132,9 @@ TEST(RequestBroker, InFlightCellsAreAPerJobSumUnderConcurrency) {
     ASSERT_TRUE(gate_cv.wait_for(lock, kWaitLimit,
                                  [&] { return cells_entered >= 2; }));
   }
-  {
-    const auto snap = broker.metrics();
-    EXPECT_EQ(snap.in_flight_requests, 2u);
-    EXPECT_EQ(snap.in_flight_cells, 8u);  // 4 + 4, not last-writer-wins
-    EXPECT_EQ(snap.queue_depth, 0u);
-  }
+  EXPECT_EQ(broker.stat("in_flight_requests"), 2);
+  EXPECT_EQ(broker.stat("in_flight_cells"), 8);  // 4 + 4, not last-writer-wins
+  EXPECT_EQ(broker.stat("queue_depth"), 0);
   {
     const std::lock_guard<std::mutex> lock(gate_mutex);
     release = true;
@@ -1127,15 +1147,12 @@ TEST(RequestBroker, InFlightCellsAreAPerJobSumUnderConcurrency) {
   // on_done fires from inside execute(); the worker releases its
   // in-flight accounting just after, so poll briefly for the settle.
   const auto deadline = std::chrono::steady_clock::now() + kWaitLimit;
-  MetricsSnapshot snap = broker.metrics();
-  while (snap.in_flight_requests != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
+  while (broker.stat("in_flight_requests") != 0 &&
+         std::chrono::steady_clock::now() < deadline)
     std::this_thread::yield();
-    snap = broker.metrics();
-  }
-  EXPECT_EQ(snap.in_flight_requests, 0u);
-  EXPECT_EQ(snap.in_flight_cells, 0u);
-  EXPECT_EQ(snap.requests_completed, 2u);
+  EXPECT_EQ(broker.stat("in_flight_requests"), 0);
+  EXPECT_EQ(broker.stat("in_flight_cells"), 0);
+  EXPECT_EQ(broker.stat("requests_completed"), 2);
 }
 
 TEST(RequestBroker, ThreeConcurrentBusyClientsStayBitIdenticalToSolo) {
@@ -1188,15 +1205,12 @@ TEST(RequestBroker, ThreeConcurrentBusyClientsStayBitIdenticalToSolo) {
   // The in-flight gauges settle just after each on_done (see the
   // accounting test above): poll briefly.
   const auto deadline = std::chrono::steady_clock::now() + kWaitLimit;
-  MetricsSnapshot snap = broker.metrics();
-  while (snap.in_flight_requests != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
+  while (broker.stat("in_flight_requests") != 0 &&
+         std::chrono::steady_clock::now() < deadline)
     std::this_thread::yield();
-    snap = broker.metrics();
-  }
-  EXPECT_EQ(snap.requests_completed, 3u);
-  EXPECT_EQ(snap.in_flight_cells, 0u);
-  EXPECT_EQ(snap.in_flight_requests, 0u);
+  EXPECT_EQ(broker.stat("requests_completed"), 3);
+  EXPECT_EQ(broker.stat("in_flight_cells"), 0);
+  EXPECT_EQ(broker.stat("in_flight_requests"), 0);
 }
 
 }  // namespace
