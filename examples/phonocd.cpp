@@ -51,6 +51,7 @@
 ///
 /// Exit codes: 0 = served the requested connections, 1 = setup error.
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -141,13 +142,18 @@ int main(int argc, char** argv) {
     }
     server.run(static_cast<std::size_t>(max_conns));
     const auto stats = server.broker().stats();
-    double shed = 0.0;
-    for (const auto& [name, value] : stats)
-      if (starts_with(name, "shed_")) shed += value;
-    std::cout << "phonocd: served " << server.broker().stat("connections")
-              << " connection(s), "
-              << server.broker().stat("requests_accepted")
-              << " request(s) accepted, " << shed << " shed" << std::endl;
+    std::uint64_t connections = 0;
+    std::uint64_t accepted = 0;
+    std::uint64_t shed = 0;
+    for (const auto& [name, value] : stats) {
+      const auto count = static_cast<std::uint64_t>(value);
+      if (name == "connections") connections = count;
+      if (name == "requests_accepted") accepted = count;
+      if (starts_with(name, "shed_")) shed += count;
+    }
+    std::cout << "phonocd: served " << connections << " connection(s), "
+              << accepted << " request(s) accepted, " << shed << " shed"
+              << std::endl;
     if (const auto csv = cli.get("stats-csv")) {
       std::ofstream out(*csv);
       out << "metric,value\n";

@@ -23,15 +23,13 @@ constexpr std::string_view kMetricPrefix = "phonocd_";
 }  // namespace
 
 std::vector<double> latency_buckets() {
-  // Parsed from decimal text so every bound is the double nearest its
-  // printed value and renders as a short `le` label.
-  std::vector<double> bounds;
-  for (int exponent = -4; exponent < 2; ++exponent)
-    for (const char* mantissa : {"1", "1.6", "2.5", "4", "6.3"})
-      bounds.push_back(parse_double(std::string(mantissa) + "e" +
-                                    std::to_string(exponent)));
-  bounds.push_back(100.0);
-  return bounds;
+  return {1e-4, 1.6e-4, 2.5e-4, 4e-4, 6.3e-4,  //
+          1e-3, 1.6e-3, 2.5e-3, 4e-3, 6.3e-3,  //
+          1e-2, 1.6e-2, 2.5e-2, 4e-2, 6.3e-2,  //
+          1e-1, 1.6e-1, 2.5e-1, 4e-1, 6.3e-1,  //
+          1e0,  1.6e0,  2.5e0,  4e0,  6.3e0,   //
+          1e1,  1.6e1,  2.5e1,  4e1,  6.3e1,   //
+          1e2};
 }
 
 /// The broker's metric handles, registered in catalog order: the order
@@ -40,7 +38,8 @@ std::vector<double> latency_buckets() {
 struct RequestBroker::Metrics {
   explicit Metrics(obs::MetricsRegistry& r);
 
-  /// The counter a rejection of `kind` bumps.
+  /// The counter a rejection of `kind` bumps; Internal (an accepted
+  /// request that died executing) counts as requests_failed.
   [[nodiscard]] obs::Counter& rejections(RejectKind kind) noexcept;
   /// Fold one finished Evaluator's memo counters in.
   void count_memo(const Evaluator& evaluator);
@@ -488,7 +487,7 @@ void RequestBroker::execute(Job& job) {
     // answer it; the daemon and the other requests keep going.
     log_warning("service") << "service broker: request '" << job.request.id
                            << "' failed: " << e.what();
-    metrics_->requests_failed.inc();
+    count_rejection(RejectKind::Internal, job.request.id);
     if (job.events.on_reject)
       job.events.on_reject(RejectKind::Internal, e.what());
     return;

@@ -185,8 +185,9 @@ class RequestBroker {
 
   /// Count a client connection that completed the handshake.
   void count_connection() noexcept;
-  /// Count one rejection of `kind` — a shed, or a frame the server
-  /// could not parse — and mark it on the trace timeline.
+  /// Count one rejection of `kind` — a shed, a frame the server could
+  /// not parse, or an accepted request that failed executing (Internal)
+  /// — and mark it on the trace timeline.
   void count_rejection(RejectKind kind, const std::string& id);
 
   /// Test hooks: freeze/unfreeze the broker workers so admission

@@ -455,6 +455,30 @@ TEST(RequestBroker, ExpiredDeadlineShedsTheQueuedJob) {
   EXPECT_TRUE(collected.cells.empty());  // shed means never run
 }
 
+TEST(RequestBroker, RequestLevelFailureRejectsInternalAndCountsFailed) {
+  BrokerOptions options;
+  options.batch.workers = 1;
+  RequestBroker broker(options);
+
+  // A 2x2 mesh cannot host the 5-task pipeline: admission passes, then
+  // problem construction throws on the broker worker.
+  SweepSpec spec;
+  spec.add_workload("p5", pipeline_cg(5))
+      .add_topology(TopologyKind::Mesh, 2)
+      .add_goal(OptimizationGoal::Snr)
+      .add_optimizer("rs")
+      .add_budget(30)
+      .add_seed(1);
+  Collected collected;
+  ASSERT_TRUE(
+      broker.submit(make_request("unfit", spec), collected.events()).accepted);
+  collected.wait();
+  EXPECT_TRUE(collected.rejected);
+  EXPECT_EQ(collected.kind, RejectKind::Internal);
+  EXPECT_EQ(broker.stat("requests_failed"), 1);
+  EXPECT_EQ(broker.stat("requests_completed"), 0);
+}
+
 TEST(RequestBroker, StreamsBitIdenticalCellsAndReusesTheMemoBank) {
   const auto spec = opt_spec();
   const auto reference = BatchEngine(BatchOptions{}).run(spec);
