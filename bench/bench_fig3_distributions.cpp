@@ -16,7 +16,9 @@
 /// distributions are bit-identical whatever the worker count or
 /// backend — `--verify` asserts exactly that against a fresh
 /// in-process run, which is what CI's fork and two-daemon TCP smokes
-/// lean on.
+/// lean on. `--backend=fork` runs the sub-cells on `--workers` local
+/// worker processes (spawn hosts for the `phonoc_workerd` next to this
+/// executable).
 ///
 /// Memory: no raw per-sample vectors are kept (at paper scale those
 /// were 2 x 100k doubles per app); quantiles come from the merged
@@ -34,7 +36,7 @@
 ///     bench_fig3_distributions [--samples=N] [--subcells=K] [--seed=S]
 ///                              [--workers=N]
 ///                              [--backend=thread|fork|remote]
-///                              [--worker=PATH] [--hosts=EP1,EP2,...]
+///                              [--hosts=EP1,EP2,...]
 ///                              [--verify] [--exact-quantiles]
 
 #include <iostream>
@@ -42,10 +44,10 @@
 
 #include "core/evaluator.hpp"
 #include "exec/batch_engine.hpp"
-#include "exec/fork_exec.hpp"
 #include "exec/sweep.hpp"
 #include "io/csv.hpp"
 #include "io/table_writer.hpp"
+#include "sched/transport.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -115,8 +117,8 @@ int main(int argc, char** argv) {
 
   BatchOptions options{.workers = workers};
   if (backend_name == "fork") {
-    options.backend = BatchBackend::ForkExec;
-    options.worker_path = cli.get_or("worker", worker_path_near(argv[0]));
+    options.backend = BatchBackend::Remote;
+    options.remote_hosts = local_worker_endpoints(argv[0], workers);
   } else if (backend_name == "remote") {
     options.backend = BatchBackend::Remote;
     for (const auto& endpoint :

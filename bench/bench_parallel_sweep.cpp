@@ -11,7 +11,8 @@
 ///
 /// --evals=N cell budget (default 1500; PHONOC_SWEEP_EVALS overrides),
 /// --workers=N pool size for the parallel pass (default all threads),
-/// --fork=1 adds a fork/exec worker-process pass (spawn + wire-protocol
+/// --fork=1 adds a local worker-process pass (spawn hosts for the
+/// `phonoc_workerd` next to this binary: process spawn + wire-protocol
 /// overhead, bit-identity across the process boundary),
 /// --remote=N adds a distributed-scheduler pass over N loopback workers
 /// (framing + scheduling overhead, bit-identity through src/sched/),
@@ -32,7 +33,6 @@
 
 #include "exec/aggregate.hpp"
 #include "exec/batch_engine.hpp"
-#include "exec/fork_exec.hpp"
 #include "exec/sweep.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/service.hpp"
@@ -93,13 +93,14 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < sequential_results.size(); ++i)
     if (!identical(sequential_results[i], parallel_results[i])) ++mismatches;
 
-  // Optional third pass: the crash-isolated fork/exec worker backend.
-  // Measures the process-spawn + serialization overhead against the
-  // in-process pool and re-checks bit-identity across the wire.
+  // Optional third pass: crash-isolated local worker processes (one
+  // spawn host per worker). Measures the process-spawn + serialization
+  // overhead against the in-process pool and re-checks bit-identity
+  // across the wire.
   if (cli.get_bool("fork", false)) {
-    const BatchEngine forked({.workers = workers,
-                              .backend = BatchBackend::ForkExec,
-                              .worker_path = worker_path_near(argv[0])});
+    const auto hosts = local_worker_endpoints(argv[0], workers);
+    const BatchEngine forked(
+        {.backend = BatchBackend::Remote, .remote_hosts = hosts});
     timer.restart();
     const auto forked_results = forked.run(spec);
     const double forked_seconds = timer.elapsed_seconds();
@@ -108,8 +109,8 @@ int main(int argc, char** argv) {
       if (forked_results[i].status != CellStatus::Ok ||
           !identical(sequential_results[i], forked_results[i]))
         ++fork_mismatches;
-    std::cout << "# fork/exec (" << forked.worker_count()
-              << " processes): " << format_fixed(forked_seconds, 2) << " s, "
+    std::cout << "# fork (" << hosts.size() << " worker processes): "
+              << format_fixed(forked_seconds, 2) << " s, "
               << fork_mismatches << " mismatched cells"
               << (fork_mismatches == 0 ? " (bit-identical across the wire)"
                                        : " (BUG)")

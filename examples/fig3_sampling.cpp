@@ -16,6 +16,9 @@
 ///                   [--seed=S] [--workers=N]
 ///                   [--backend=thread|fork|remote] [--hosts=EP1,...]
 ///
+/// `--backend=fork` runs the sub-cells on `--workers` local worker
+/// processes (spawned `phonoc_workerd`s), `--backend=remote` on `--hosts`.
+///
 /// Prints the merged summary statistics and an ASCII histogram of the
 /// worst-case SNR per app. The full Fig. 3 harness (CSV series,
 /// quantiles, verification hooks) is `bench/bench_fig3_distributions`.
@@ -23,8 +26,8 @@
 #include <iostream>
 
 #include "exec/batch_engine.hpp"
-#include "exec/fork_exec.hpp"
 #include "exec/sweep.hpp"
+#include "sched/transport.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
@@ -54,8 +57,8 @@ int main(int argc, char** argv) {
                            static_cast<std::size_t>(cli.get_int("workers", 0))};
   const auto backend_name = cli.get_or("backend", "thread");
   if (backend_name == "fork") {
-    options.backend = BatchBackend::ForkExec;
-    options.worker_path = cli.get_or("worker", worker_path_near(argv[0]));
+    options.backend = BatchBackend::Remote;
+    options.remote_hosts = local_worker_endpoints(argv[0], options.workers);
   } else if (backend_name == "remote") {
     options.backend = BatchBackend::Remote;
     for (const auto& endpoint :

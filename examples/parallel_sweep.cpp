@@ -8,46 +8,48 @@
 /// dimension collapsed into RunningStats) and optionally a CSV.
 ///
 ///     parallel_sweep [--evals=N] [--workers=N] [--seeds=N] [--csv=FILE]
-///                    [--backend=thread|fork|remote] [--worker=PATH]
+///                    [--backend=thread|fork|remote]
 ///                    [--hosts=EP1,EP2,...] [--cells-per-shard=N]
 ///                    [--journal=FILE] [--admit-port=N] [--pin]
 ///                    [--trace=FILE] [--host-report-csv=FILE]
 ///                    [--verify] [--expect-failed=N]
 ///                    [--expect-admitted=N] [--expect-journaled-min=N]
 ///
-/// `--backend=fork` runs the grid on crash-isolated `phonoc_worker`
-/// processes (one per slice; a dying worker fails only the cell it died
-/// on). `--worker` overrides the worker binary, which defaults to the
-/// `phonoc_worker` sitting next to this executable.
+/// `--backend=fork` runs the grid on `--workers` crash-isolated local
+/// worker processes: one `spawn:` host per worker for the
+/// `phonoc_workerd` sitting next to this executable, driven through
+/// the remote path below. A dying worker is respawned and fails only
+/// the cell it died on.
 ///
 /// `--backend=remote` ships framed shards to a fleet of worker
 /// endpoints through the distributed scheduler (src/sched/): `--hosts`
-/// lists them, either `host:port` TCP `phonoc_workerd` daemons or
-/// `loopback` for in-process served connections (the default fleet is
-/// two loopback workers). Dead hosts fail over and stragglers are
+/// lists them — `host:port` TCP `phonoc_workerd` daemons, `spawn:PATH`
+/// local worker processes of another binary, or `loopback` for
+/// in-process served connections (the default fleet is two loopback
+/// workers). Dead hosts fail over and stragglers are
 /// retried; results stay bit-identical to the in-process backend. The
 /// summary prints each host's ledger activity (steals, retries,
 /// speculations, late admission).
 ///
-/// `--journal=FILE` (remote only) logs every settled cell to an
+/// `--journal=FILE` (fork and remote) logs every settled cell to an
 /// append-only checksummed journal; re-running the same sweep with the
 /// same journal replays the settled cells and only executes the rest —
 /// a scheduler killed mid-sweep resumes instead of restarting. CI
 /// `kill -9`s a sweep and asserts the resumed report with `--verify
 /// --expect-failed=0 --expect-journaled-min=1`.
 ///
-/// `--admit-port=N` (remote only) opens the dynamic-admission port:
+/// `--admit-port=N` (fork and remote) opens the dynamic-admission port:
 /// `phonoc_workerd --join=host:N` daemons enter the sweep mid-flight
 /// and absorb queued, stolen or speculated work. `--expect-admitted=N`
 /// asserts how many actually joined.
 ///
 /// `--trace=FILE` records the sweep's flight-recorder events (exec
-/// cell spans, sched deal/steal/settle, worker spawns) and writes them
+/// cell spans, sched deal/steal/settle, host losses) and writes them
 /// as Chrome trace_event JSON on exit — load the file in Perfetto or
 /// chrome://tracing. Tracing is read-only: results stay bit-identical
 /// with it on or off (see src/obs/README.md).
 ///
-/// `--host-report-csv=FILE` (remote only) dumps the per-host ledger —
+/// `--host-report-csv=FILE` (fork and remote) dumps the per-host ledger —
 /// one HostReport row per fleet member, late joiners last — as CSV.
 ///
 /// `--pin` caps in-flight cells at the hardware thread count
@@ -60,7 +62,7 @@
 /// determinism contract, including runs where one daemon is killed
 /// mid-sweep and its cells are recovered by retry. `--expect-failed`
 /// asserts the exact number of failed cells (the fork-backend crash
-/// smoke).
+/// smoke, where PHONOC_WORKER_CRASH_INDEX makes one cell poison).
 ///
 /// Because every cell owns its Evaluator and RNG, the results are
 /// bit-identical whatever the worker count or backend: re-run with
@@ -75,7 +77,6 @@
 
 #include "exec/aggregate.hpp"
 #include "exec/batch_engine.hpp"
-#include "exec/fork_exec.hpp"
 #include "exec/sweep.hpp"
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
@@ -126,9 +127,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto trace_path = cli.get_or("trace", "");
+  const bool fleet_backend = backend_name != "thread";
   const auto host_csv_path = cli.get_or("host-report-csv", "");
-  if (!host_csv_path.empty() && backend_name != "remote") {
-    std::cerr << "error: --host-report-csv needs --backend=remote\n";
+  if (!host_csv_path.empty() && !fleet_backend) {
+    std::cerr << "error: --host-report-csv needs --backend=fork|remote\n";
     return 1;
   }
   if (!trace_path.empty()) obs::start_tracing();
@@ -145,39 +147,37 @@ int main(int argc, char** argv) {
 
   BatchOptions options{.workers = workers};
   options.pin_one_cell_per_thread = cli.get_bool("pin", false);
-  if (backend_name == "fork") {
-    options.backend = BatchBackend::ForkExec;
-    options.worker_path = cli.get_or("worker", worker_path_near(argv[0]));
-  } else if (backend_name == "remote") {
-    options.backend = BatchBackend::Remote;
+  // Both fleets run through the Scheduler below: spawned local workers
+  // for --backend=fork, the --hosts endpoints for --backend=remote.
+  std::vector<std::string> hosts;
+  if (backend_name == "fork")
+    hosts = local_worker_endpoints(argv[0], workers);
+  else if (backend_name == "remote")
     for (const auto& endpoint :
          split(cli.get_or("hosts", "loopback,loopback"), ','))
-      if (!trim(endpoint).empty())
-        options.remote_hosts.emplace_back(trim(endpoint));
-  }
+      if (!trim(endpoint).empty()) hosts.emplace_back(trim(endpoint));
   const BatchEngine engine(options);
   std::cout << "Sweeping " << cell_count(spec) << " cells ("
             << spec.workloads.size() << " apps x " << spec.topologies.size()
             << " topologies x " << spec.goals.size() << " objectives x "
             << spec.optimizers.size() << " optimizers x " << spec.seeds.size()
             << " seeds) on ";
-  if (backend_name == "remote")
-    std::cout << options.remote_hosts.size() << " remote host(s)...\n";
+  if (fleet_backend)
+    std::cout << hosts.size() << ' ' << backend_name << " host(s)...\n";
   else
-    std::cout << engine.worker_count() << ' ' << backend_name
-              << " worker(s)...\n";
+    std::cout << engine.worker_count() << " thread worker(s)...\n";
 
   Timer timer;
-  // The remote path drives the Scheduler directly (not through
+  // The fleet path drives the Scheduler directly (not through
   // BatchEngine) so the fleet outcome — per-host ledger counters,
   // journal replay count, admitted joiners — is visible to the summary
   // and the --expect-* assertions. The cell results are the same either
   // way; run_remote() is this minus the introspection.
   std::optional<ScheduleResult> fleet;
   std::vector<CellResult> results;
-  if (backend_name == "remote") {
+  if (fleet_backend) {
     SchedulerOptions sched;
-    sched.hosts = options.remote_hosts;
+    sched.hosts = hosts;
     sched.evaluator = options.evaluator;
     if (const auto shard_cells = cli.get_int("cells-per-shard", 0);
         shard_cells > 0)

@@ -18,6 +18,12 @@
 /// scheduler's admission port (`parallel_sweep --admit-port=N`) instead
 /// of listening, serves that one connection, and exits.
 ///
+/// `--stdio` serves one connection on fd 0 and exits, status lines on
+/// stderr: a scheduler's `spawn:PATH` host (what `--backend=fork`
+/// builds) fork/execs `PATH --stdio --threads=1` on a socketpair. The
+/// flag is explicit, not sniffed from fd 0, because `ssh host
+/// phonoc_workerd` also hands the daemon a socket on stdin.
+///
 /// Flags:
 ///   --port=N              listening port (0 picks an ephemeral port;
 ///                         the chosen port is printed either way)
@@ -26,23 +32,29 @@
 ///                         (0 = the hardware thread count)
 ///   --join=HOST:PORT      dial a scheduler's admission port, serve the
 ///                         sweep in flight, exit (ignores --port/--once)
+///   --stdio               serve one connection on fd 0, exit (ignores
+///                         --port/--once)
 ///   --once                exit after serving one connection
 ///   --max-conns=N         exit after serving N connections
-///   --crash-after-cells=N CI/test hook: abort() after emitting N cell
-///                         results — the injected mid-sweep worker
-///                         death the scheduler must recover from
 ///   --trace=FILE          record flight-recorder events (serve_shard /
 ///                         exec cell spans) and write Chrome trace_event
 ///                         JSON on exit — load in Perfetto
 ///
+/// Environment: PHONOC_WORKER_CRASH_INDEX=N is the test/CI crash hook.
+/// The worker abort()s when it reaches the cell with grid index N: the
+/// injected poison cell the scheduler must quarantine. Spawned workers
+/// inherit it from their scheduler.
+///
 /// Exit codes: 0 = served the requested connections, 1 = setup error.
 
+#include <cstdlib>
 #include <iostream>
 
 #include "obs/trace.hpp"
 #include "sched/service.hpp"
 #include "sched/transport.hpp"
 #include "util/cli.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -50,13 +62,13 @@ namespace {
 /// returns): armed by --trace=FILE, a no-op otherwise.
 struct TraceFlusher {
   std::string path;
+  std::ostream& status;
   ~TraceFlusher() {
     if (path.empty()) return;
     phonoc::obs::stop_tracing();
     phonoc::obs::write_chrome_trace_file(path);
-    std::cout << "phonoc_workerd: trace ("
-              << phonoc::obs::trace_event_count() << " events) written to "
-              << path << std::endl;
+    status << "phonoc_workerd: trace (" << phonoc::obs::trace_event_count()
+           << " events) written to " << path << std::endl;
   }
 };
 
@@ -65,52 +77,57 @@ struct TraceFlusher {
 int main(int argc, char** argv) {
   using namespace phonoc;
   const CliOptions cli(argc, argv);
-  TraceFlusher trace{cli.get_or("trace", "")};
+  const bool stdio = cli.has("stdio");
+  std::ostream& status = stdio ? std::cerr : std::cout;
+  TraceFlusher trace{cli.get_or("trace", ""), status};
   if (!trace.path.empty()) obs::start_tracing();
   const auto port = static_cast<std::uint16_t>(cli.get_int("port", 7401));
   const auto max_conns = cli.has("once")
                              ? 1
                              : cli.get_int("max-conns", 0);  // 0 = forever
   ServiceOptions service;
-  service.crash_after_cells = cli.get_int("crash-after-cells", -1);
+  if (const char* crash = std::getenv("PHONOC_WORKER_CRASH_INDEX");
+      crash && *crash)
+    service.crash_index = parse_long(crash);
   const auto threads = cli.get_int("threads", 0);
   if (threads > 0) {
     service.exec_threads = static_cast<std::size_t>(threads);
     service.advertised_capacity = static_cast<std::size_t>(threads);
   }
 
+  // --stdio (a spawned worker) and --join (a late joiner dialing a
+  // scheduler's admission port) serve one connection and exit. The
+  // scheduler speaks first on both, as on connections it dials.
   const std::string join = cli.get_or("join", "");
-  if (!join.empty()) {
-    // Late admission: the scheduler is the listener here. Dial it,
-    // serve the one connection (serve_connection starts by receiving
-    // the hello — the scheduler speaks first on admitted connections,
-    // same as on dialed ones), and exit.
+  if (stdio || !join.empty()) {
+    std::unique_ptr<Connection> conn;
     try {
-      TcpTransport transport;
-      auto conn = transport.connect(join);
-      std::cout << "phonoc_workerd: joined scheduler at " << join
-                << std::endl;
-      const auto cells = serve_connection(*conn, service);
-      conn->close();
-      std::cout << "phonoc_workerd: sweep connection done, " << cells
-                << " cell(s) served" << std::endl;
-      return 0;
+      conn = stdio ? make_fd_connection(0) : TcpTransport().connect(join);
     } catch (const std::exception& e) {
       std::cerr << "phonoc_workerd: cannot join " << join << ": "
                 << e.what() << "\n";
       return 1;
     }
+    if (!stdio)
+      status << "phonoc_workerd: joined scheduler at " << join << std::endl;
+    const auto cells = serve_connection(*conn, service);
+    conn->close();
+    // One write: sibling workers share the scheduler's stderr.
+    status << "phonoc_workerd: " + std::string(stdio ? "stdio" : "sweep") +
+                  " connection done, " + std::to_string(cells) +
+                  " cell(s) served\n"
+           << std::flush;
+    return 0;
   }
 
   TcpListener listener(port);
-  std::cout << "phonoc_workerd: listening on 127.0.0.1:" << listener.port()
-            << (service.crash_after_cells >= 0 ? " (crash injection armed)"
-                                               : "")
-            << std::endl;
+  status << "phonoc_workerd: listening on 127.0.0.1:" << listener.port()
+         << (service.crash_index >= 0 ? " (crash injection armed)" : "")
+         << std::endl;
 
   std::int64_t served = 0;
   for (;;) {
-    auto conn = listener.accept();
+    auto conn = listener.accept_for(0.0);
     if (!conn) {
       std::cerr << "phonoc_workerd: accept failed\n";
       return 1;
@@ -118,8 +135,8 @@ int main(int argc, char** argv) {
     const auto cells = serve_connection(*conn, service);
     conn->close();
     ++served;
-    std::cout << "phonoc_workerd: connection " << served << " done, "
-              << cells << " cell(s) served" << std::endl;
+    status << "phonoc_workerd: connection " << served << " done, " << cells
+           << " cell(s) served" << std::endl;
     if (max_conns > 0 && served >= max_conns) return 0;
   }
 }

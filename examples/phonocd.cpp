@@ -16,9 +16,10 @@
 ///                         the chosen port is printed either way)
 ///   --once / --max-conns=N  exit after serving 1 / N connections
 ///   --workers=N           cell workers (0 = hardware threads)
-///   --backend=thread|fork|remote   execution backend
-///   --worker=PATH         fork backend: phonoc_worker binary
+///   --backend=thread|fork|remote   execution backend; fork spawns
+///                         --workers phonoc_workerd processes
 ///   --hosts=EP1,EP2,...   remote backend: phonoc_workerd endpoints
+///                         (host:port, or spawn:PATH)
 ///   --request-concurrency=N  requests executing concurrently (broker
 ///                         worker pool size; 0 = hardware threads,
 ///                         1 = the old one-at-a-time behavior)
@@ -58,6 +59,7 @@
 
 #include "obs/prom_http.hpp"
 #include "obs/trace.hpp"
+#include "sched/transport.hpp"
 #include "service/server.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
@@ -74,8 +76,9 @@ int main(int argc, char** argv) {
   broker.batch.workers = static_cast<std::size_t>(cli.get_int("workers", 0));
   const auto backend_name = cli.get_or("backend", "thread");
   if (backend_name == "fork") {
-    broker.batch.backend = BatchBackend::ForkExec;
-    broker.batch.worker_path = cli.get_or("worker", "");
+    broker.batch.backend = BatchBackend::Remote;
+    broker.batch.remote_hosts =
+        local_worker_endpoints(argv[0], broker.batch.workers);
   } else if (backend_name == "remote") {
     broker.batch.backend = BatchBackend::Remote;
     for (const auto& endpoint : split(cli.get_or("hosts", ""), ','))

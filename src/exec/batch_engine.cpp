@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/evaluator.hpp"
-#include "exec/fork_exec.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -249,18 +248,14 @@ BatchEngine::BatchEngine(BatchOptions options)
 std::vector<CellResult> BatchEngine::run(const SweepSpec& spec) const {
   obs::TraceSpan span("exec", "batch_run");
   span.arg({"backend",
-            std::string_view(options_.backend == BatchBackend::ForkExec
-                                 ? "fork_exec"
-                                 : options_.backend == BatchBackend::Remote
-                                       ? "remote"
-                                       : "in_process")});
+            std::string_view(options_.backend == BatchBackend::Remote
+                                 ? "remote"
+                                 : "in_process")});
   span.arg({"cells", std::uint64_t(cell_count(spec))});
   static obs::Counter& sweeps = obs::MetricsRegistry::global().counter(
       "phonoc_exec_sweeps_total", "Batch sweeps run, by backend.",
       {{"backend", "in_process"}});
 
-  if (options_.backend == BatchBackend::ForkExec)
-    return run_fork_exec(spec, options_, workers_);
   if (options_.backend == BatchBackend::Remote)
     return run_remote(spec, options_);
   sweeps.inc();

@@ -5,7 +5,7 @@
 /// Determinism contract: for a spec whose budgets are evaluation counts
 /// (no wall-clock caps), the results are bit-identical to a sequential
 /// run regardless of worker count, scheduling order and backend (the
-/// in-process pool and the fork/exec worker processes run the same
+/// in-process pool and the scheduler's worker processes run the same
 /// per-cell code; the wire format round-trips doubles bit-exactly).
 /// Each cell owns its Evaluator and RNG (seeded from the spec's seed
 /// list alone), the shared problems are immutable after construction,
@@ -35,25 +35,20 @@ enum class BatchBackend {
   /// Worker threads in this process (fastest; a crashing optimizer
   /// takes the whole batch down).
   InProcess,
-  /// One forked+exec'd `phonoc_worker` process per contiguous slice of
-  /// the grid, speaking the exec/serialize wire protocol over pipes. A
-  /// crashing or leaking worker fails only the cell it died on; the
-  /// slice's remainder is respawned and the rest of the grid completes.
-  ForkExec,
-  /// The distributed sweep scheduler (src/sched/): shards are framed
-  /// with the exec/serialize wire format and shipped to a fleet of
-  /// `phonoc_workerd` daemons listed in BatchOptions::remote_hosts;
-  /// dead hosts fail over, stragglers are retried on surviving hosts,
-  /// and late duplicate answers are deduplicated per cell. Results are
-  /// bit-identical to the in-process backend. Use sched::Scheduler
-  /// directly for per-host reports and the full set of knobs.
+  /// The distributed sweep scheduler (src/sched/): framed shards go to
+  /// BatchOptions::remote_hosts — TCP `phonoc_workerd` daemons, or
+  /// `spawn:PATH` crash-isolated local worker processes (a dying worker
+  /// is respawned and fails only the cell it died on). Dead hosts fail
+  /// over, stragglers are retried, and late duplicate answers are
+  /// deduplicated per cell. Results are bit-identical to the in-process
+  /// backend. Use sched::Scheduler directly for per-host reports and
+  /// the full set of knobs.
   Remote,
 };
 
 struct BatchOptions {
-  /// Worker threads (InProcess) or worker processes (ForkExec);
-  /// 0 = ThreadPool::default_worker_count(). With the InProcess
-  /// backend, 1 runs inline on the calling thread (no pool).
+  /// Worker threads (InProcess); 0 = ThreadPool::default_worker_count().
+  /// 1 runs inline on the calling thread (no pool).
   std::size_t workers = 0;
   /// Per-cell Evaluator configuration (memo capacity, incremental move
   /// path). Each cell constructs its own Evaluator from these, so the
@@ -63,14 +58,12 @@ struct BatchOptions {
   EvaluatorOptions evaluator{};
   /// Execution backend (see BatchBackend).
   BatchBackend backend = BatchBackend::InProcess;
-  /// ForkExec only: path of the worker executable. Empty falls back to
-  /// the PHONOC_WORKER_BIN environment variable, then to "phonoc_worker"
-  /// resolved through PATH.
-  std::string worker_path;
   /// Remote only: worker endpoints, one per fleet host — "host:port"
-  /// for a TCP `phonoc_workerd` daemon, or "loopback" for a worker
-  /// served by an in-process thread over a socketpair (tests and
-  /// single-host use). Must be non-empty for BatchBackend::Remote.
+  /// for a TCP `phonoc_workerd` daemon, "spawn:PATH" for a local worker
+  /// process (`local_worker_endpoints` in sched/transport.hpp builds a
+  /// fleet of them), or "loopback" for a worker served by an in-process
+  /// thread over a socketpair (tests and single-host use). Must be
+  /// non-empty for BatchBackend::Remote.
   std::vector<std::string> remote_hosts;
   /// Remote only: settled-cell journal path (see sched/journal.hpp).
   /// Accepted answers are logged, and an existing journal for the same
@@ -162,8 +155,8 @@ struct CellResult {
 /// keyed by (workload, topology, goal). Built sequentially before a
 /// grid runs (network construction is the expensive, allocation-heavy
 /// part); immutable afterwards, so sharing across workers is safe. The
-/// fork/exec worker uses the same builder so both backends construct
-/// bit-identical problems.
+/// sched worker service uses the same builder so both backends
+/// construct bit-identical problems.
 using SweepProblemKey = std::tuple<std::size_t, std::size_t, std::size_t>;
 [[nodiscard]] std::map<SweepProblemKey,
                        std::shared_ptr<const MappingProblem>>
@@ -188,9 +181,8 @@ build_sweep_problems(const SweepSpec& spec,
                                           std::string error);
 
 /// run_sweep_cell with per-cell exception isolation: a throwing
-/// optimizer becomes a Failed cell instead of a lost slice. Shared by
-/// the fork/exec worker body and the sched worker service so their
-/// failure semantics cannot drift apart.
+/// optimizer becomes a Failed cell instead of a lost slice. The sched
+/// worker service runs every cell through it.
 [[nodiscard]] CellResult run_sweep_cell_isolated(
     const SweepSpec& spec, const SweepCell& cell,
     const std::map<SweepProblemKey,

@@ -15,6 +15,11 @@ namespace {
 constexpr const char* kShardMagic = "phonoc-shard v1";
 constexpr const char* kCellMagic = "phonoc-cell v1";
 
+/// Bound on a cell block's mapping tile count, which sizes the mapping's
+/// tile table: a 1024 x 1024 grid, far beyond any network the model can
+/// build (its path table grows with tiles^2).
+constexpr std::size_t kMaxWireTiles = std::size_t{1} << 20;
+
 // --- writing helpers -------------------------------------------------------
 
 void write_doubles(std::ostream& out, std::initializer_list<double> values) {
@@ -521,8 +526,9 @@ std::optional<CellResult> read_cell_result(std::istream& in) {
     check_arity(status_fields, 3, reader.line());
     auto& d = result.distribution;
     d.samples = parse_u64(status_fields[1], reader.line());
+    // Wire counts bound loops, never allocations: a count the block
+    // cannot hold runs out of lines and throws ParseError.
     const auto metric_count = parse_size(status_fields[2], reader.line());
-    d.metrics.reserve(metric_count);
     for (std::size_t m = 0; m < metric_count; ++m) {
       fields = reader.expect("metric");
       check_arity(fields, 7, reader.line());
@@ -566,6 +572,11 @@ std::optional<CellResult> read_cell_result(std::istream& in) {
   if (fields.size() < 3)
     throw ParseError("mapping directive expects tiles + tasks", reader.line());
   const auto tiles = parse_size(fields[1], reader.line());
+  if (tiles > kMaxWireTiles)
+    throw ParseError("mapping tile count " + fields[1] +
+                         " exceeds the wire bound of " +
+                         std::to_string(kMaxWireTiles),
+                     reader.line());
   const auto tasks = parse_size(fields[2], reader.line());
   check_arity(fields, 3 + tasks, reader.line());
   std::vector<TileId> assignment;
@@ -586,7 +597,6 @@ std::optional<CellResult> read_cell_result(std::istream& in) {
   fields = reader.expect("trace");
   check_arity(fields, 2, reader.line());
   const auto trace_count = parse_size(fields[1], reader.line());
-  result.run.search.trace.reserve(trace_count);
   for (std::size_t i = 0; i < trace_count; ++i) {
     fields = reader.expect("t");
     check_arity(fields, 3, reader.line());
@@ -605,7 +615,6 @@ std::optional<CellResult> read_cell_result(std::istream& in) {
   fields = reader.expect("edges");
   check_arity(fields, 2, reader.line());
   const auto edge_count = parse_size(fields[1], reader.line());
-  result.run.best_evaluation.edges.reserve(edge_count);
   for (std::size_t i = 0; i < edge_count; ++i) {
     fields = reader.expect("e");
     check_arity(fields, 8, reader.line());

@@ -10,9 +10,10 @@
 /// complete per-cell outcome (mapping, fitness, trace, per-edge
 /// metrics). Every floating-point field is written with
 /// `format_double` (max_digits10) and parsed with `from_chars`, so a
-/// round trip is bit-exact — the fork/exec backend's results are
+/// round trip is bit-exact — results computed in worker processes are
 /// bit-identical to the in-process backend's, as `tests/test_exec.cpp`
-/// asserts.
+/// asserts. Wire counts bound loops, never allocations, so malformed
+/// input throws a phonoc::Error rather than std::bad_alloc.
 ///
 /// Versioning: streams start with `phonoc-shard v1` / `phonoc-cell v1`
 /// magic; readers reject anything else, so protocol evolution is an
@@ -66,14 +67,15 @@ void write_cell_result(std::ostream& out, const CellResult& result);
 
 /// Read the next cell block. Returns nullopt on clean end-of-stream
 /// (EOF before a block starts); throws ParseError on a malformed or
-/// truncated block (e.g. the producer died mid-write).
+/// truncated block (e.g. the producer died mid-write) and
+/// InvalidArgument on a mapping that violates its invariants.
 [[nodiscard]] std::optional<CellResult> read_cell_result(std::istream& in);
 
 // --- framing ---------------------------------------------------------------
 //
-// When shard/cell payloads leave the parent/child pipe pair and travel
-// over an arbitrary byte stream (TCP, a socketpair, a file), each
-// payload is wrapped in a self-checking frame:
+// When shard/cell payloads travel over an arbitrary byte stream (TCP, a
+// socketpair, a file), each payload is wrapped in a self-checking
+// frame:
 //
 //     frame <payload-bytes> <fnv1a64-hex>\n
 //     <payload bytes, verbatim>\n

@@ -233,8 +233,15 @@ std::vector<std::size_t> HostPool::fail_unit(std::size_t host) {
   const std::size_t begin = first_unsettled(unit);
   if (begin >= unit.end) return abandoned;  // nothing left to recover
   if (unit.attempt + 1 < max_attempts_) {
-    retry_.push_back(WorkUnit{begin, unit.end, unit.attempt + 1});
+    // Quarantine: a worker that runs one cell at a time died on the
+    // first unsettled cell, so that cell retries alone and pays the
+    // attempt; the rest was never reached and retries free of charge.
+    retry_.push_back(WorkUnit{begin, begin + 1, unit.attempt + 1});
     ++stats_.retries;
+    if (begin + 1 < unit.end) {
+      retry_.push_back(WorkUnit{begin + 1, unit.end, unit.attempt});
+      ++stats_.retries;
+    }
     work_cv_.notify_all();
     return abandoned;
   }

@@ -19,8 +19,10 @@
 /// Completion is first-wins per cell: complete_cell() returns false for
 /// a late duplicate (a straggler that answered after its clone), so a
 /// retried cell can never double-count. A unit whose host dies is
-/// re-queued with attempt+1 until max_attempts, after which its
-/// unsettled cells are abandoned (the scheduler marks them Failed).
+/// quarantined: its first unsettled cell — the one a one-cell-at-a-time
+/// worker died on — is re-queued alone with attempt+1, the rest with
+/// the unit's attempt; a unit with no attempts left abandons its
+/// unsettled cells (the scheduler marks them Failed).
 /// Every cell ends settled — answered or abandoned — which is the
 /// pool's termination condition.
 
@@ -99,10 +101,10 @@ class HostPool {
   /// The host's in-flight unit ended cleanly (its "done" frame arrived).
   void finish_unit(std::size_t host);
 
-  /// The host died or timed out mid-unit: re-queue the unsettled
-  /// remainder for the surviving hosts, or — attempts exhausted —
-  /// abandon those cells. Returns the newly abandoned cell indices so
-  /// the caller can mark them Failed.
+  /// The host died or timed out mid-unit: re-queue the first unsettled
+  /// cell alone at attempt+1 and the rest at the unit's attempt, or —
+  /// attempts exhausted — abandon the unsettled cells. Returns the
+  /// newly abandoned cell indices so the caller can mark them Failed.
   [[nodiscard]] std::vector<std::size_t> fail_unit(std::size_t host);
 
   /// The host is gone for good: spill its queued units into the retry

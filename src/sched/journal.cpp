@@ -118,7 +118,8 @@ JournalReplay replay_journal(const std::string& path,
 JournalWriter::JournalWriter(std::string path, std::uint64_t spec_hash)
     : path_(std::move(path)) {
 #if PHONOC_JOURNAL_POSIX
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+               0644);
   if (fd_ < 0)
     fail(path_, std::string("cannot open for append: ") +
                     std::strerror(errno));

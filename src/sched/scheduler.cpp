@@ -38,6 +38,7 @@ struct DriverContext {
   /// computed once per sweep; complete_shard() finishes it per unit.
   const std::string& shard_prefix;
   HostPool& pool;
+  Transport& transport;  ///< redials spawn hosts that died
   std::vector<CellResult>& results;
   std::vector<int>& cell_host;
   /// Settled-cell journal, null when journaling is off. Appends happen
@@ -46,19 +47,14 @@ struct DriverContext {
   JournalWriter* journal = nullptr;
 };
 
-void mark_cell_failed(DriverContext& ctx, std::size_t index,
-                      const std::string& message) {
-  ctx.results[index] = make_failed_cell(ctx.spec, ctx.cells[index], message);
-}
-
 /// Abandon everything fail_unit() says is beyond retry.
 void abandon(DriverContext& ctx, std::size_t host,
              const std::string& reason) {
   for (const auto index : ctx.pool.fail_unit(host))
-    mark_cell_failed(ctx, index,
-                     "abandoned after " +
-                         std::to_string(ctx.options.max_attempts) +
-                         " attempt(s); last host error: " + reason);
+    ctx.results[index] = make_failed_cell(
+        ctx.spec, ctx.cells[index],
+        "abandoned after " + std::to_string(ctx.options.max_attempts) +
+            " attempt(s); last host error: " + reason);
 }
 
 /// Parse the worker's hello reply. Accepted shapes: the bare
@@ -235,6 +231,8 @@ std::unique_ptr<Connection> connect_and_handshake(
   if (!handshake(options, *conn, report)) {
     report.died = true;
     conn->close();
+    if (const auto exit = conn->exit_status(); !exit.empty())
+      report.error += " (worker " + exit + ")";
     log_warning("sched") << "sched: host '" << report.endpoint
                          << "' lost: " << report.error;
     return nullptr;
@@ -244,11 +242,14 @@ std::unique_ptr<Connection> connect_and_handshake(
 
 /// Phase 2: pull units off the pool and stream them down an
 /// already-handshaken connection until the sweep settles or the host
-/// dies.
-void drive_host(DriverContext ctx, std::size_t host, Connection& conn,
-                HostReport& report) {
-  const auto die = [&](const std::string& reason) {
-    report.died = true;
+/// is lost. A spawn host that dies is respawned while cells remain; any
+/// other host, or a failed respawn, retires.
+void drive_host(DriverContext ctx, std::size_t host,
+                std::unique_ptr<Connection>& conn, HostReport& report) {
+  const auto recover = [&](std::string reason) {  // true: respawned
+    conn->close();  // reaps a spawned worker, so its exit status is known
+    if (const auto exit = conn->exit_status(); !exit.empty())
+      reason += " (worker " + exit + ")";
     report.error = reason;
     obs::trace_instant("sched", "host_lost", {"host", std::uint64_t(host)});
     static obs::Counter& lost = obs::MetricsRegistry::global().counter(
@@ -256,10 +257,16 @@ void drive_host(DriverContext ctx, std::size_t host, Connection& conn,
         "Hosts that died mid-sweep (their work was recovered or abandoned).");
     lost.inc();
     abandon(ctx, host, reason);
-    ctx.pool.retire_host(host);
-    conn.close();
     log_warning("sched") << "sched: host '" << report.endpoint
                          << "' lost: " << reason;
+    if (is_spawn_endpoint(report.endpoint)) {
+      if (ctx.pool.all_settled()) return false;  // nothing left to serve
+      conn = connect_and_handshake(ctx.options, ctx.transport, report);
+      if (conn) return true;
+    }
+    report.died = true;
+    ctx.pool.retire_host(host);
+    return false;
   };
 
   while (auto unit = ctx.pool.acquire(host)) {
@@ -267,16 +274,16 @@ void drive_host(DriverContext ctx, std::size_t host, Connection& conn,
     unit_span.arg({"host", std::uint64_t(host)});
     unit_span.arg({"begin", std::uint64_t(unit->begin)});
     unit_span.arg({"end", std::uint64_t(unit->end)});
-    if (!conn.send(
+    if (!conn->send(
             complete_shard(ctx.shard_prefix, unit->begin, unit->end))) {
-      die("connection closed while sending a shard");
+      if (recover("connection closed while sending a shard")) continue;
       break;
     }
     std::string death;
     const auto outcome = receive_unit(ctx, host, unit->end - unit->begin,
-                                      conn, report, death);
+                                      *conn, report, death);
     if (outcome == UnitOutcome::HostDead) {
-      die(death);
+      if (recover(death)) continue;
       break;
     }
     if (outcome == UnitOutcome::SweepSettled) break;
@@ -284,8 +291,8 @@ void drive_host(DriverContext ctx, std::size_t host, Connection& conn,
     ++report.shards;
   }
   if (!report.died) {
-    (void)conn.send(kSchedQuit);  // let a daemon go back to accepting
-    conn.close();
+    (void)conn->send(kSchedQuit);  // let a daemon go back to accepting
+    conn->close();
   }
 }
 
@@ -332,6 +339,20 @@ ScheduleResult Scheduler::run(const SweepSpec& spec) const {
   if (cells.empty()) {
     for (const auto& slot : slots) outcome.hosts.push_back(slot.report);
     return outcome;
+  }
+  // A mistyped worker binary fails the sweep here, before any process
+  // is spawned, instead of failing every cell.
+  for (const auto& host : options_.hosts) check_spawn_endpoint(host);
+
+  // The admission listener binds before any thread starts, so a port
+  // that is taken throws out of run() with nothing left to join.
+  std::unique_ptr<TcpListener> listener;
+  if (options_.admit_port >= 0) {
+    listener = std::make_unique<TcpListener>(
+        static_cast<std::uint16_t>(options_.admit_port));
+    log_info("sched") << "sched: admitting late workers on port "
+                      << listener->port();
+    if (options_.on_admit_port) options_.on_admit_port(listener->port());
   }
 
   auto transport = options_.transport ? options_.transport : make_transport();
@@ -418,11 +439,12 @@ ScheduleResult Scheduler::run(const SweepSpec& spec) const {
                       cells,
                       prefix,
                       pool,
+                      *transport,
                       outcome.results,
                       outcome.cell_host,
                       journal.get()};
     try {
-      drive_host(ctx, h, *slot.conn, slot.report);
+      drive_host(ctx, h, slot.conn, slot.report);
     } catch (const std::exception& e) {
       // A driver must never take the process down or wedge the pool:
       // give its work back and record the host as lost.
@@ -447,15 +469,9 @@ ScheduleResult Scheduler::run(const SweepSpec& spec) const {
   // hand each a fresh pool slot — the joiner reaches work through the
   // retry queue, stealing and speculation, like any idle host.
   std::atomic<bool> admitting{false};
-  std::unique_ptr<TcpListener> listener;
   std::thread admitter;
-  if (options_.admit_port >= 0) {
-    listener = std::make_unique<TcpListener>(
-        static_cast<std::uint16_t>(options_.admit_port));
+  if (listener) {
     admitting.store(true);
-    log_info("sched") << "sched: admitting late workers on port "
-                      << listener->port();
-    if (options_.on_admit_port) options_.on_admit_port(listener->port());
     admitter = std::thread([&] {
       while (admitting.load()) {
         try {
@@ -550,17 +566,9 @@ ScheduleResult Scheduler::run(const SweepSpec& spec) const {
 
   // Cells no surviving host could take (e.g. the whole fleet died with
   // work still queued) must fail loudly, not vanish.
-  DriverContext cleanup{spec,
-                        options_,
-                        cells,
-                        prefix,
-                        pool,
-                        outcome.results,
-                        outcome.cell_host,
-                        nullptr};
   for (const auto index : pool.unsettled_cells())
-    mark_cell_failed(cleanup, index,
-                     "no live host was available to run this cell");
+    outcome.results[index] = make_failed_cell(
+        spec, cells[index], "no live host was available to run this cell");
 
   for (std::size_t h = 0; h < slots.size(); ++h) {
     HostReport report = slots[h].report;

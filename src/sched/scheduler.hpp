@@ -10,7 +10,9 @@
 /// dies mid-shard, a straggler that answers after its work was cloned
 /// elsewhere (first answer wins, the late one is deduplicated), and a
 /// fleet that loses every host (the unroutable cells come back as
-/// CellStatus::Failed, never silently dropped). The *scheduler's* own
+/// CellStatus::Failed, never silently dropped). A `spawn:PATH` host (a
+/// local worker process) that dies is respawned, and the cell it died
+/// on is quarantined (HostPool::fail_unit). The *scheduler's* own
 /// death is covered by the settled-cell journal (journal_path replays
 /// on restart, see sched/journal.hpp), and a shrinking fleet by dynamic
 /// admission (admit_port lets `phonoc_workerd --join` daemons enter a
@@ -44,11 +46,12 @@ inline constexpr int kCellHostUnanswered = -1;  ///< no host answered
 inline constexpr int kCellHostJournal = -2;     ///< settled by journal replay
 
 struct SchedulerOptions {
-  /// Worker endpoints, one per fleet host ("host:port" TCP daemons, or
-  /// "loopback" for in-process served connections). At least one.
+  /// Worker endpoints, one per fleet host ("host:port" TCP daemons,
+  /// "spawn:PATH" local worker processes, or "loopback" for in-process
+  /// served connections). At least one.
   std::vector<std::string> hosts;
-  /// Connection factory; null uses make_transport() (TCP + loopback
-  /// dispatch). Failure-path tests inject fakes here.
+  /// Connection factory; null uses make_transport() (spawn + TCP +
+  /// loopback dispatch). Failure-path tests inject fakes here.
   std::shared_ptr<Transport> transport;
   /// Per-cell Evaluator knobs, carried to the workers in each shard.
   EvaluatorOptions evaluator{};
@@ -85,7 +88,8 @@ struct SchedulerOptions {
   /// failing the unsettled cells.
   int admit_port = -1;
   /// Called once with the bound admission port (useful with
-  /// admit_port = 0); runs on the scheduling thread before any work.
+  /// admit_port = 0); runs on the scheduling thread before any thread
+  /// of the sweep starts.
   std::function<void(std::uint16_t)> on_admit_port;
   /// How long an otherwise-dead fleet waits for a late joiner (only
   /// with admit_port >= 0).
@@ -96,8 +100,11 @@ struct SchedulerOptions {
 struct HostReport {
   std::string endpoint;
   bool connected = false;    ///< dial + handshake succeeded
-  bool died = false;         ///< failed or timed out mid-sweep
-  std::string error;         ///< diagnostic when !connected or died
+  /// Lost mid-sweep for good (a spawn host that was respawned, or whose
+  /// last death settled the sweep, is not).
+  bool died = false;
+  std::string error;  ///< diagnostic when !connected or died, else the
+                      ///< last death of a respawned spawn host
   /// Worker-advertised capacity (hardware threads) from the hello
   /// reply's optional `capacity N` field; peers predating the field
   /// send a bare hello and count as 1. The scheduler handshakes the
@@ -144,8 +151,9 @@ class Scheduler {
  public:
   explicit Scheduler(SchedulerOptions options);
 
-  /// Execute the grid on the fleet. Throws ExecError when no host is
-  /// configured; per-host failures are reported, not thrown.
+  /// Execute the grid on the fleet. Throws ExecError, before any thread
+  /// or process starts, when a spawn binary is not executable or the
+  /// admission port cannot be bound; per-host failures are reported.
   [[nodiscard]] ScheduleResult run(const SweepSpec& spec) const;
 
  private:

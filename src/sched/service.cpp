@@ -94,16 +94,15 @@ struct SpecCache {
 };
 
 /// Streams settled cells to the peer from any exec thread: one mutex
-/// serializes the frame writes, the served-cell counter and the
-/// injected-crash hook, so concurrently settling cells leave as whole
-/// frames (in settle order, not slice order — the scheduler matches by
-/// cell index). Serialization happens outside the lock; only the send
-/// and the counters are held under it.
+/// serializes the frame writes and the served-cell counter, so
+/// concurrently settling cells leave as whole frames (in settle order,
+/// not slice order — the scheduler matches by cell index).
+/// Serialization happens outside the lock; only the send and the
+/// counter are held under it.
 class CellWriter {
  public:
-  CellWriter(Connection& conn, const ServiceOptions& options,
-             std::size_t& cells_served)
-      : conn_(conn), options_(options), cells_served_(cells_served) {}
+  CellWriter(Connection& conn, std::size_t& cells_served)
+      : conn_(conn), cells_served_(cells_served) {}
 
   /// False once the peer is gone (every later emit is a cheap no-op, so
   /// a dead connection drains the pool instead of wedging it).
@@ -117,15 +116,6 @@ class CellWriter {
       return false;
     }
     ++cells_served_;
-    if (options_.crash_after_cells >= 0 &&
-        cells_served_ >=
-            static_cast<std::size_t>(options_.crash_after_cells)) {
-      // Injected worker death: die the hard way, mid-sweep, with every
-      // already-sent frame intact on the wire.
-      log_warning("sched") << "sched service: injected crash after "
-                           << cells_served_ << " cell(s)";
-      std::abort();
-    }
     return true;
   }
 
@@ -136,7 +126,6 @@ class CellWriter {
 
  private:
   Connection& conn_;
-  const ServiceOptions& options_;
   std::size_t& cells_served_;
   mutable std::mutex mutex_;
   bool peer_gone_ = false;
@@ -226,8 +215,19 @@ std::size_t serve_connection(Connection& conn, const ServiceOptions& options) {
       cache.ensure_problems(shard.begin, shard.end);
 
       // run_sweep_cell_isolated: a throwing optimizer becomes a Failed
-      // cell, same semantics as the fork/exec worker — on either path.
-      CellWriter writer(conn, options, cells_served);
+      // cell instead of a dead worker.
+      const auto run_cell = [&](std::size_t i) {
+        if (options.crash_index >= 0 &&
+            i == static_cast<std::size_t>(options.crash_index)) {
+          // Injected poison cell: every frame already sent stays intact.
+          log_warning("sched") << "sched service: injected crash at cell "
+                               << i;
+          std::abort();
+        }
+        return run_sweep_cell_isolated(cache.spec, cache.cells[i],
+                                       cache.problems, shard.evaluator);
+      };
+      CellWriter writer(conn, cells_served);
       if (exec_threads > 1 && shard.end - shard.begin > 1) {
         if (!pool) pool = std::make_unique<ThreadPool>(exec_threads);
         std::vector<std::future<void>> settled;
@@ -235,9 +235,7 @@ std::size_t serve_connection(Connection& conn, const ServiceOptions& options) {
         for (std::size_t i = shard.begin; i < shard.end; ++i)
           settled.push_back(pool->submit([&, i] {
             if (writer.peer_gone()) return;  // drain cheaply after a death
-            (void)writer.emit(run_sweep_cell_isolated(
-                cache.spec, cache.cells[i], cache.problems,
-                shard.evaluator));
+            (void)writer.emit(run_cell(i));
           }));
         // Every future must be collected before anything can unwind the
         // stack the queued tasks point into; the first unexpected
@@ -253,10 +251,7 @@ std::size_t serve_connection(Connection& conn, const ServiceOptions& options) {
         if (first_failure) std::rethrow_exception(first_failure);
       } else {
         for (std::size_t i = shard.begin; i < shard.end; ++i)
-          if (!writer.emit(run_sweep_cell_isolated(
-                  cache.spec, cache.cells[i], cache.problems,
-                  shard.evaluator)))
-            break;
+          if (!writer.emit(run_cell(i))) break;
       }
       if (writer.peer_gone()) return cells_served;
       if (!conn.send(std::string(kSchedDonePrefix) + " " +

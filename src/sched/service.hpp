@@ -3,8 +3,9 @@
 /// \brief Worker-side serving loop of the distributed sweep scheduler.
 ///
 /// serve_connection() is the body shared by every worker surface: the
-/// `phonoc_workerd` TCP daemon runs it on each accepted socket, and
-/// LoopbackTransport runs it on an in-process thread. It speaks the
+/// `phonoc_workerd` TCP daemon runs it on each accepted socket, a
+/// spawned `phonoc_workerd --stdio` on its fd 0, and LoopbackTransport
+/// on an in-process thread. It speaks the
 /// framed scheduler protocol (see src/sched/README.md): handshake,
 /// then shard frames in / cell-result frames out until "quit" or the
 /// peer disconnects. Cells execute through the exact
@@ -32,10 +33,11 @@ struct ServiceOptions {
   /// How long to wait for the next shard before giving up on the peer;
   /// <= 0 waits forever (the daemon default — schedulers say "quit").
   double idle_timeout_seconds = 0.0;
-  /// Test/CI hook: abort() the process after emitting this many cell
-  /// results (counted across shards); < 0 disables. This is the
-  /// injected mid-sweep worker death the scheduler must recover from.
-  long crash_after_cells = -1;
+  /// Test/CI hook: abort() the process on reaching the cell with this
+  /// grid index (the injected poison cell); < 0 disables. Only
+  /// `phonoc_workerd` arms it, from PHONOC_WORKER_CRASH_INDEX, so an
+  /// in-process server (and the test running it) never aborts.
+  long crash_index = -1;
   /// Worker capacity advertised in the hello reply ("hello ... capacity
   /// N"): how many cells this worker could usefully run at once. 0 =
   /// the hardware thread count. Schedulers parse it into

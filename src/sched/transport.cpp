@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "exec/serialize.hpp"
+#include "exec/thread_pool.hpp"
 #include "sched/service.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -14,6 +15,8 @@
 #define PHONOC_HAS_SOCKETS 1
 #include <arpa/inet.h>
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstring>
 #include <fcntl.h>
 #include <mutex>
@@ -22,6 +25,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 #else
@@ -40,6 +44,19 @@ constexpr int kSendFlags = MSG_NOSIGNAL;
 constexpr int kSendFlags = 0;
 #endif
 
+#if defined(SOCK_CLOEXEC)
+constexpr int kSockCloexec = SOCK_CLOEXEC;  // atomic: no fork slips in
+#else
+constexpr int kSockCloexec = 0;
+#endif
+
+/// Close-on-exec where socket calls cannot set it at creation: a
+/// descriptor leaked into a spawned worker keeps its peer from EOF.
+int cloexec(int fd) {
+  if (fd >= 0 && kSockCloexec == 0) ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+  return fd;
+}
+
 /// A dead peer must surface as Closed, never as SIGPIPE.
 void disarm_sigpipe(int fd) {
 #if defined(SO_NOSIGPIPE)
@@ -50,7 +67,7 @@ void disarm_sigpipe(int fd) {
 #endif
 }
 
-class FdConnection final : public Connection {
+class FdConnection : public Connection {
  public:
   explicit FdConnection(int fd) : fd_(fd) { disarm_sigpipe(fd_); }
   ~FdConnection() override { close(); }
@@ -141,8 +158,9 @@ int dial_tcp(const std::string& endpoint, double timeout_seconds) {
 
   std::string last_error = "no addresses";
   for (auto* entry = info; entry != nullptr; entry = entry->ai_next) {
-    const int fd =
-        ::socket(entry->ai_family, entry->ai_socktype, entry->ai_protocol);
+    const int fd = cloexec(::socket(entry->ai_family,
+                                    entry->ai_socktype | kSockCloexec,
+                                    entry->ai_protocol));
     if (fd < 0) {
       last_error = std::strerror(errno);
       continue;
@@ -181,7 +199,101 @@ int dial_tcp(const std::string& endpoint, double timeout_seconds) {
                   "': " + last_error);
 }
 
+/// "exited with status N" or "killed by signal N (name)".
+std::string describe_exit(int status) {
+  if (WIFEXITED(status))
+    return "exited with status " + std::to_string(WEXITSTATUS(status));
+  return "killed by signal " + std::to_string(WTERMSIG(status)) + " (" +
+         ::strsignal(WTERMSIG(status)) + ")";
+}
+
+/// A spawned worker process behind its socketpair end. Closing reaps
+/// the child: a live worker reads EOF and exits within the grace period,
+/// one still running after it (mid-cell, wedged) is killed.
+class SpawnConnection final : public FdConnection {
+ public:
+  SpawnConnection(int fd, pid_t pid) : FdConnection(fd), pid_(pid) {}
+  ~SpawnConnection() override { close(); }
+  SpawnConnection(const SpawnConnection&) = delete;
+  SpawnConnection& operator=(const SpawnConnection&) = delete;
+
+  void close() override {
+    FdConnection::close();
+    if (pid_ < 0) return;
+    int status = 0;
+    pid_t reaped = reap(WNOHANG, status);
+    for (int ms = 0; reaped == 0 && ms < 100; ++ms) {  // the grace period
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      reaped = reap(WNOHANG, status);
+    }
+    if (reaped == 0) {
+      ::kill(pid_, SIGKILL);
+      reaped = reap(0, status);
+    }
+    if (reaped == pid_) exit_status_ = describe_exit(status);
+    pid_ = -1;
+  }
+
+  std::string exit_status() const override { return exit_status_; }
+
+ private:
+  pid_t reap(int flags, int& status) const {
+    pid_t reaped;
+    while ((reaped = ::waitpid(pid_, &status, flags)) < 0 && errno == EINTR) {
+    }
+    return reaped;
+  }
+
+  pid_t pid_;
+  std::string exit_status_;
+};
+
+/// fork/exec `PATH --stdio --threads=1` with the child's end of a
+/// socketpair as its fd 0.
+std::unique_ptr<Connection> spawn_worker(const std::string& endpoint) {
+  check_spawn_endpoint(endpoint);
+  const std::string path = endpoint.substr(kSpawnPrefix.size());
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | kSockCloexec, 0, fds) != 0)
+    throw ExecError(std::string("spawn: socketpair failed: ") +
+                    std::strerror(errno));
+  cloexec(fds[0]);
+  cloexec(fds[1]);
+  // Built before fork: the child may only make async-signal-safe calls.
+  char* const argv[] = {const_cast<char*>(path.c_str()),
+                        const_cast<char*>("--stdio"),
+                        const_cast<char*>("--threads=1"), nullptr};
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    const std::string detail = std::strerror(errno);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    throw ExecError("spawn: fork failed: " + detail);
+  }
+  if (pid == 0) {
+    // dup2 clears close-on-exec on the copy; all else closes at exec.
+    if (fds[1] == STDIN_FILENO)
+      ::fcntl(STDIN_FILENO, F_SETFD, 0);
+    else
+      ::dup2(fds[1], STDIN_FILENO);
+    ::execvp(argv[0], argv);
+    _exit(127);  // the conventional "could not exec" status
+  }
+  ::close(fds[1]);
+  return std::make_unique<SpawnConnection>(fds[0], pid);
+}
+
 }  // namespace
+
+void check_spawn_endpoint(const std::string& endpoint) {
+  if (!is_spawn_endpoint(endpoint)) return;
+  const std::string path = endpoint.substr(kSpawnPrefix.size());
+  if (path.empty() ||
+      (path.find('/') != std::string::npos &&
+       ::access(path.c_str(), X_OK) != 0))
+    throw ExecError("spawn endpoint '" + endpoint +
+                    "': the worker binary is not executable");
+}
 
 std::unique_ptr<Connection> make_fd_connection(int fd) {
   return std::make_unique<FdConnection>(fd);
@@ -227,9 +339,11 @@ std::unique_ptr<Connection> LoopbackTransport::connect(
     const std::string& endpoint) {
   (void)endpoint;  // every loopback endpoint is this process
   int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+  if (::socketpair(AF_UNIX, SOCK_STREAM | kSockCloexec, 0, fds) != 0)
     throw ExecError(std::string("LoopbackTransport: socketpair failed: ") +
                     std::strerror(errno));
+  cloexec(fds[0]);
+  cloexec(fds[1]);
   auto server_side = make_fd_connection(fds[0]);
   auto finished = std::make_shared<std::atomic<bool>>(false);
   {
@@ -261,7 +375,7 @@ std::unique_ptr<Connection> LoopbackTransport::connect(
 // --- TcpListener ------------------------------------------------------------
 
 TcpListener::TcpListener(std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  fd_ = cloexec(::socket(AF_INET, SOCK_STREAM | kSockCloexec, 0));
   if (fd_ < 0)
     throw ExecError(std::string("TcpListener: socket failed: ") +
                     std::strerror(errno));
@@ -294,15 +408,6 @@ TcpListener::~TcpListener() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::unique_ptr<Connection> TcpListener::accept() {
-  for (;;) {
-    const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) return make_fd_connection(fd);
-    if (errno == EINTR) continue;
-    return nullptr;
-  }
-}
-
 std::unique_ptr<Connection> TcpListener::accept_for(double timeout_seconds) {
   const int fd = accept_fd_for(timeout_seconds);
   if (fd < 0) return nullptr;
@@ -325,7 +430,11 @@ int TcpListener::accept_fd_for(double timeout_seconds) {
       return -1;
     }
     if (ready == 0) return -1;  // timeout
-    const int fd = ::accept(fd_, nullptr, nullptr);
+#if defined(SOCK_CLOEXEC)
+    const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
+#else
+    const int fd = cloexec(::accept(fd_, nullptr, nullptr));
+#endif
     if (fd >= 0) return fd;
     // A dial that vanished between poll and accept (ECONNABORTED and
     // friends) is not worth reporting; wait for the next one.
@@ -344,9 +453,13 @@ namespace {
       "the sched transports require a POSIX platform (sockets/socketpair); "
       "use BatchBackend::InProcess here");
 }
+std::unique_ptr<Connection> spawn_worker(const std::string&) { no_sockets(); }
 }  // namespace
 
 std::unique_ptr<Connection> make_fd_connection(int) { no_sockets(); }
+void check_spawn_endpoint(const std::string& endpoint) {
+  if (is_spawn_endpoint(endpoint)) no_sockets();
+}
 TcpTransport::TcpTransport(double connect_timeout_seconds)
     : connect_timeout_seconds_(connect_timeout_seconds) {}
 std::unique_ptr<Connection> TcpTransport::connect(const std::string&) {
@@ -361,7 +474,6 @@ std::unique_ptr<Connection> LoopbackTransport::connect(const std::string&) {
 }
 TcpListener::TcpListener(std::uint16_t) { no_sockets(); }
 TcpListener::~TcpListener() = default;
-std::unique_ptr<Connection> TcpListener::accept() { no_sockets(); }
 std::unique_ptr<Connection> TcpListener::accept_for(double) { no_sockets(); }
 int TcpListener::accept_fd_for(double) { no_sockets(); }
 
@@ -369,12 +481,24 @@ int TcpListener::accept_fd_for(double) { no_sockets(); }
 
 // --- endpoint dispatch ------------------------------------------------------
 
+std::vector<std::string> local_worker_endpoints(const std::string& argv0,
+                                                std::size_t count) {
+  const auto slash = argv0.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "" : argv0.substr(0, slash + 1);
+  return std::vector<std::string>(
+      count > 0 ? count : ThreadPool::default_worker_count(),
+      std::string(kSpawnPrefix) + dir + "phonoc_workerd");
+}
+
 namespace {
 
-/// Routes "loopback*" endpoints in-process and everything else to TCP.
+/// Routes "spawn:PATH" to a local worker process, "loopback*" in-process
+/// and everything else to TCP.
 class DispatchingTransport final : public Transport {
  public:
   std::unique_ptr<Connection> connect(const std::string& endpoint) override {
+    if (is_spawn_endpoint(endpoint)) return spawn_worker(endpoint);
     if (starts_with(endpoint, "loopback")) return loopback_.connect(endpoint);
     return tcp_.connect(endpoint);
   }

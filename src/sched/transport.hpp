@@ -13,19 +13,27 @@
 ///  - LoopbackTransport — serves each connection from an in-process
 ///    thread over a socketpair: the full framing + scheduler code path
 ///    with no daemon to start (tests and single-host use).
-///  - make_transport() — endpoint-dispatching default ("loopback*" goes
-///    to LoopbackTransport, anything else to TcpTransport).
+///  - make_transport() — endpoint-dispatching default ("spawn:PATH"
+///    spawns a crash-isolated local worker process, "loopback*" goes to
+///    LoopbackTransport, anything else to TcpTransport).
 ///
 /// Scheduler failure-path tests inject their own Transport (an
-/// in-memory fake with scripted deaths/delays); nothing in the
-/// scheduler knows which implementation it is driving.
+/// in-memory fake with scripted deaths/delays); the scheduler only
+/// tells endpoint kinds apart to respawn spawn hosts that died.
+///
+/// Every descriptor this layer opens (socket, socketpair, accept) is
+/// close-on-exec, so a spawned worker inherits nothing but its own
+/// socket end and sees EOF the moment its scheduler lets go.
 ///
 /// POSIX-only: on other platforms connect() throws ExecError.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace phonoc {
 
@@ -69,6 +77,11 @@ class Connection {
 
   /// Idempotent; recv() on a closed connection returns Closed.
   virtual void close() = 0;
+
+  /// How the peer process ended, once close() has reaped it (e.g.
+  /// "killed by signal 6 (Aborted)"); empty when the peer is not a
+  /// child process of this one (daemons, loopback threads, fakes).
+  [[nodiscard]] virtual std::string exit_status() const { return {}; }
 };
 
 /// Connection factory for one kind of endpoint.
@@ -119,13 +132,33 @@ class LoopbackTransport : public Transport {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The default endpoint-dispatching transport: endpoints starting with
-/// "loopback" are served in-process, everything else is dialed as TCP.
+/// Endpoint prefix of a local worker process. Connecting to
+/// "spawn:PATH" fork/execs `PATH --stdio --threads=1` (a
+/// `phonoc_workerd`) on a socketpair; closing the connection reaps the
+/// child (killing it if it still runs) and exit_status() names how it
+/// ended. The scheduler respawns spawn hosts that die.
+inline constexpr std::string_view kSpawnPrefix = "spawn:";
+[[nodiscard]] inline bool is_spawn_endpoint(std::string_view endpoint) {
+  return endpoint.substr(0, kSpawnPrefix.size()) == kSpawnPrefix;
+}
+
+/// Throws ExecError when a spawn endpoint's binary path (one with a
+/// '/') is not executable; other endpoints and bare names pass.
+void check_spawn_endpoint(const std::string& endpoint);
+
+/// `count` spawn endpoints (0 = one per hardware thread) for the
+/// `phonoc_workerd` in argv0's directory: the `--backend=fork` fleet.
+[[nodiscard]] std::vector<std::string> local_worker_endpoints(
+    const std::string& argv0, std::size_t count);
+
+/// The default endpoint-dispatching transport: spawn endpoints are
+/// local worker processes, "loopback*" is served in-process, everything
+/// else is dialed as TCP.
 [[nodiscard]] std::shared_ptr<Transport> make_transport();
 
 /// Listening side of TcpTransport, used by `phonoc_workerd`. Binds and
 /// listens on construction (port 0 picks an ephemeral port — read it
-/// back with port()); accept() blocks for the next scheduler dial.
+/// back with port()); accept_for() waits for the next scheduler dial.
 class TcpListener {
  public:
   explicit TcpListener(std::uint16_t port);
@@ -134,13 +167,10 @@ class TcpListener {
   TcpListener& operator=(const TcpListener&) = delete;
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-  /// Next inbound connection (blocking); nullptr when the listener was
-  /// interrupted by a fatal accept error.
-  [[nodiscard]] std::unique_ptr<Connection> accept();
-  /// Like accept() but gives up after `timeout_seconds` (<= 0 waits
-  /// forever). Returns nullptr on timeout as well as on a fatal error —
-  /// pollers that need to re-check a stop flag between dials use this
-  /// (the scheduler's dynamic-admission loop).
+  /// Next inbound connection, waiting at most `timeout_seconds` (<= 0
+  /// waits forever). Returns nullptr on timeout as well as on a fatal
+  /// error — pollers that need to re-check a stop flag between dials
+  /// pass a timeout (the scheduler's dynamic-admission loop).
   [[nodiscard]] std::unique_ptr<Connection> accept_for(
       double timeout_seconds);
   /// Like accept_for() but hands back the raw accepted descriptor

@@ -556,9 +556,9 @@ void RequestBroker::execute_in_process(Job& job, bool& canceled,
 
 void RequestBroker::execute_batch(Job& job, bool& canceled, std::size_t& ok,
                                   std::size_t& failed) {
-  // ForkExec/Remote delegate the whole request to BatchEngine: cells
-  // run in other processes (no cross-request cache there) and stream
-  // back in grid order once the batch returns. Each job owns its
+  // Remote delegates the whole request to BatchEngine: cells run in
+  // other processes (no cross-request cache there) and stream back in
+  // grid order once the batch returns. Each job owns its
   // engine, so concurrent requests never share backend state.
   const BatchEngine engine(options_.batch);
   const auto results = engine.run(job.request.spec);

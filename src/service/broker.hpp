@@ -21,7 +21,7 @@
 /// at a time, and a single client's requests execute in submission
 /// order with byte-identical streams (the pre-pool behavior, pinned by
 /// test). Within a request, cells fan out over the broker's persistent
-/// thread pool (InProcess) or the configured ForkExec/Remote backend.
+/// thread pool (InProcess) or the configured Remote fleet.
 ///
 /// Event contract, per submit() call:
 ///  * rejected at admission — submit() returns the rejection; no events

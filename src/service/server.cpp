@@ -279,7 +279,7 @@ void ServiceServer::reap_finished() {
 void ServiceServer::run(std::size_t max_connections) {
   std::size_t accepted = 0;
   while (max_connections == 0 || accepted < max_connections) {
-    auto conn = listener_.accept();
+    auto conn = listener_.accept_for(0.0);
     if (!conn) break;
     ++accepted;
     reap_finished();

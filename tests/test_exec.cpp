@@ -1,31 +1,37 @@
 // Tests of the parallel batch-exploration subsystem: thread pool
-// semantics, sweep grid expansion, aggregation, shard serialization,
-// the fork/exec worker backend (bit-identity + crash isolation), and —
-// the load-bearing property — bit-identical results across worker
-// counts.
+// semantics, sweep grid expansion, aggregation, shard serialization
+// (including seeded byte mutations the parsers must refuse cleanly),
+// crash-isolated local worker processes (spawn hosts: bit-identity,
+// poison-cell quarantine, no process left behind), and — the
+// load-bearing property — bit-identical results across worker counts.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <random>
 #include <set>
 #include <sstream>
+
+#include <sys/wait.h>
 
 #include "core/engine.hpp"
 #include "exec/aggregate.hpp"
 #include "exec/batch_engine.hpp"
-#include "exec/fork_exec.hpp"
 #include "exec/serialize.hpp"
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
+#include "sched/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "workloads/generator.hpp"
 
 #ifndef PHONOC_WORKER_PATH
-#define PHONOC_WORKER_PATH "phonoc_worker"
+#define PHONOC_WORKER_PATH "phonoc_workerd"
 #endif
 
 namespace phonoc {
@@ -482,9 +488,10 @@ TEST(BatchEngine, PinOneCellPerThreadCapsTheWorkerCount) {
     expect_identical(pinned_results[i].run, reference[i].run);
 }
 
-// --- fork/exec worker backend ----------------------------------------------
+// --- crash-isolated local workers (spawn hosts) -----------------------------
 
-/// Scoped PHONOC_WORKER_CRASH_INDEX (the worker's crash-injection hook).
+/// Scoped PHONOC_WORKER_CRASH_INDEX: spawned workers inherit it and
+/// abort() when they reach that grid index (a poison cell).
 class ScopedCrashIndex {
  public:
   explicit ScopedCrashIndex(std::size_t index) {
@@ -493,19 +500,38 @@ class ScopedCrashIndex {
   ~ScopedCrashIndex() { ::unsetenv("PHONOC_WORKER_CRASH_INDEX"); }
 };
 
+/// `workers` spawn endpoints for the freshly built `phonoc_workerd`, and
+/// the Remote backend over them.
+std::vector<std::string> spawn_hosts(std::size_t workers) {
+  return std::vector<std::string>(workers,
+                                  std::string("spawn:") + PHONOC_WORKER_PATH);
+}
+
+BatchOptions spawn_options(std::size_t workers) {
+  return {.backend = BatchBackend::Remote,
+          .remote_hosts = spawn_hosts(workers)};
+}
+
+/// Every spawned worker was reaped: this process has no child left,
+/// running or zombie.
+void expect_no_child_left() {
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
 void expect_identical(const RunResult& a, const RunResult& b);
 
-TEST(ForkExec, MatchesInProcessBitForBitOn64Cells) {
+TEST(SpawnHosts, MatchesInProcessBitForBitOn64Cells) {
   auto spec = wire_spec();  // 2^6 dimensions = 64 cells
   // Evaluation-count budgets only: the determinism contract excludes
   // wall-clock caps, and this test must never flake under load.
   spec.budgets[1].max_seconds = 0.0;
   ASSERT_GE(cell_count(spec), 64u);
   const auto reference = BatchEngine({.workers = 2}).run(spec);
-  const auto forked = BatchEngine({.workers = 4,
-                                   .backend = BatchBackend::ForkExec,
-                                   .worker_path = PHONOC_WORKER_PATH})
-                          .run(spec);
+  const auto forked = BatchEngine(spawn_options(4)).run(spec);
+  expect_no_child_left();
   ASSERT_EQ(forked.size(), reference.size());
   for (std::size_t i = 0; i < forked.size(); ++i) {
     ASSERT_EQ(forked[i].status, CellStatus::Ok) << forked[i].error;
@@ -535,16 +561,14 @@ TEST(ForkExec, MatchesInProcessBitForBitOn64Cells) {
   }
 }
 
-TEST(ForkExec, InjectedCrashFailsOnlyThatCell) {
+TEST(SpawnHosts, InjectedCrashFailsOnlyThatCell) {
   auto spec = wire_spec();
   spec.budgets[1].max_seconds = 0.0;  // keep the grid deterministic
   const std::size_t crash_index = 10;
   const auto reference = BatchEngine({.workers = 1}).run(spec);
   const ScopedCrashIndex scoped(crash_index);
-  const auto forked = BatchEngine({.workers = 4,
-                                   .backend = BatchBackend::ForkExec,
-                                   .worker_path = PHONOC_WORKER_PATH})
-                          .run(spec);
+  const auto forked = BatchEngine(spawn_options(4)).run(spec);
+  expect_no_child_left();
   ASSERT_EQ(forked.size(), reference.size());
   for (std::size_t i = 0; i < forked.size(); ++i) {
     if (i == crash_index) {
@@ -565,7 +589,7 @@ TEST(ForkExec, InjectedCrashFailsOnlyThatCell) {
   EXPECT_EQ(report.run_count, forked.size() - 1);
 }
 
-TEST(ForkExec, MissingWorkerBinaryFailsFast) {
+TEST(SpawnHosts, MissingWorkerBinaryFailsFast) {
   SweepSpec spec;
   spec.add_workload("w", pipeline_cg(4))
       .add_topology(TopologyKind::Mesh)
@@ -574,11 +598,45 @@ TEST(ForkExec, MissingWorkerBinaryFailsFast) {
       .add_budget(10)
       .add_seed(1);
   EXPECT_THROW((void)BatchEngine(
-                   {.workers = 1,
-                    .backend = BatchBackend::ForkExec,
-                    .worker_path = "/nonexistent/phonoc_worker"})
+                   {.backend = BatchBackend::Remote,
+                    .remote_hosts = {"spawn:/nonexistent/phonoc_workerd"}})
                    .run(spec),
                ExecError);
+  expect_no_child_left();  // thrown before any process was spawned
+}
+
+TEST(SpawnHosts, PoisonCellOnOneHostFailsAloneAndTheHostCarriesOn) {
+  // One spawn host, one poison cell: every death respawns the worker
+  // and quarantines the cell it died on, so after max_attempts deaths
+  // that cell alone fails and every other cell is bit-identical.
+  auto spec = wire_spec();
+  spec.budgets[1].max_seconds = 0.0;
+  const std::size_t poison = 10;
+  const auto reference = BatchEngine({.workers = 2}).run(spec);
+  const ScopedCrashIndex scoped(poison);
+  SchedulerOptions options;
+  options.hosts = spawn_hosts(1);
+  const auto outcome = Scheduler(options).run(spec);
+  expect_no_child_left();
+  ASSERT_EQ(outcome.results.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const auto& got = outcome.results[i];
+    if (i == poison) {
+      EXPECT_EQ(got.status, CellStatus::Failed);
+      EXPECT_NE(got.error.find("killed by signal"), std::string::npos)
+          << got.error;
+      EXPECT_EQ(got.cell.index, poison);
+      EXPECT_EQ(got.seed, reference[i].seed);
+    } else {
+      ASSERT_EQ(got.status, CellStatus::Ok) << "cell " << i << ": "
+                                            << got.error;
+      expect_identical(got.run, reference[i].run);
+    }
+  }
+  EXPECT_EQ(outcome.pool.abandoned, 1u);
+  ASSERT_EQ(outcome.hosts.size(), 1u);
+  EXPECT_FALSE(outcome.hosts[0].died);  // respawned every time
+  EXPECT_EQ(SweepReport::build(spec, outcome.results).failed_count, 1u);
 }
 
 // --- the Sample task kind ---------------------------------------------------
@@ -663,15 +721,14 @@ TEST(SampleKind, MergedDistributionsBitIdenticalAcrossWorkersAndBackends) {
 
   // The acceptance property: per-cell and merged distributions are
   // bit-identical for workers {1, 2, 8} on the in-process pool and
-  // through fork/exec worker processes.
+  // through 1 and 4 spawned worker processes.
   std::vector<std::vector<CellResult>> runs;
   for (const std::size_t workers : {2u, 8u})
     runs.push_back(BatchEngine({.workers = workers}).run(spec));
-  for (const std::size_t workers : {1u, 4u})
-    runs.push_back(BatchEngine({.workers = workers,
-                                .backend = BatchBackend::ForkExec,
-                                .worker_path = PHONOC_WORKER_PATH})
-                       .run(spec));
+  for (const std::size_t workers : {1u, 4u}) {
+    runs.push_back(BatchEngine(spawn_options(workers)).run(spec));
+    expect_no_child_left();
+  }
   for (const auto& run : runs) {
     ASSERT_EQ(run.size(), reference.size());
     for (std::size_t i = 0; i < run.size(); ++i) {
@@ -807,6 +864,111 @@ TEST(Serialize, DistributionResultRoundTripsBitForBitIncludingNonFinite) {
   const auto real = read_cell_result(real_in);
   ASSERT_TRUE(real.has_value());
   expect_identical_distribution(real->distribution, results[0].distribution);
+}
+
+// --- adversarial wire input ------------------------------------------------
+
+/// 1-4 seeded edits of `text`: overwrite a byte with anything or with a
+/// digit, insert a run of digits (so counts grow huge), delete a span,
+/// or truncate.
+std::string mutate(std::string text, std::mt19937_64& rng) {
+  const auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const auto digit = [&] { return static_cast<char>('0' + pick(10)); };
+  for (std::size_t edits = 1 + pick(4); edits > 0 && !text.empty(); --edits) {
+    const std::size_t at = pick(text.size());
+    switch (pick(5)) {
+      case 0: text[at] = static_cast<char>(pick(256)); break;
+      case 1: text[at] = digit(); break;
+      case 2:
+        for (std::size_t n = 1 + pick(12); n > 0; --n)
+          text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), digit());
+        break;
+      case 3: text.erase(at, 1 + pick(8)); break;
+      default: text.resize(at); break;
+    }
+  }
+  return text;
+}
+
+TEST(Serialize, SeededMutationsParseOrThrowPhonocErrors) {
+  // Real inputs: six cell blocks (Optimize rs and rpbla, a failed cell,
+  // two sampled cells, a non-finite distribution), one shard and one
+  // two-frame stream. Every mutation must parse or throw a
+  // phonoc::Error; anything else (std::bad_alloc from a count that
+  // sized an allocation, std::length_error) breaks a worker or a
+  // scheduler that only expects parse errors from its peers.
+  struct Input {
+    std::string text;
+    std::function<void(const std::string&)> parse;
+  };
+  const auto cells = [](const std::string& text) {
+    std::istringstream in(text);
+    while (read_cell_result(in)) {
+    }
+  };
+  const auto block = [](const CellResult& result) {
+    std::ostringstream out;
+    write_cell_result(out, result);
+    return out.str();
+  };
+  std::vector<Input> inputs;
+  const SweepSpec optimize = tiny_spec();
+  const auto optimized = BatchEngine({.workers = 1}).run(optimize);
+  inputs.push_back({block(optimized[0]), cells});
+  inputs.push_back({block(optimized.back()), cells});
+  inputs.push_back({block(make_failed_cell(optimize, optimized[0].cell,
+                                           "worker killed by signal 6")),
+                    cells});
+  const auto sampled = BatchEngine({.workers = 1}).run(sampling_spec());
+  inputs.push_back({block(sampled[0]), cells});
+  inputs.push_back({block(sampled.back()), cells});
+  CellResult nonfinite = sampled[0];
+  nonfinite.distribution.metrics[0].stats = RunningStats::from_parts(
+      5, std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(), -1.0, 2.0);
+  inputs.push_back({block(nonfinite), cells});
+  SweepShard shard;
+  shard.spec = wire_spec();
+  shard.end = 16;
+  std::ostringstream shard_text;
+  write_shard(shard_text, shard);
+  inputs.push_back({shard_text.str(), [](const std::string& text) {
+                      std::istringstream in(text);
+                      (void)read_shard(in);
+                    }});
+  inputs.push_back(
+      {encode_frame(shard_text.str()) + encode_frame(inputs[1].text),
+       [](const std::string& text) {
+         FrameDecoder decoder;
+         for (std::size_t at = 0; at < text.size(); at += 97) {
+           decoder.feed(std::string_view(text).substr(at, 97));
+           while (decoder.next()) {
+           }
+         }
+         std::istringstream in(text);
+         while (read_frame(in)) {
+         }
+       }});
+
+  std::mt19937_64 rng(20161017);
+  std::size_t foreign = 0;
+  std::string first;
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    for (int round = 0; round < 2500; ++round) {
+      const auto text = mutate(inputs[i].text, rng);
+      try {
+        inputs[i].parse(text);
+      } catch (const Error&) {
+        // The contract: a structured parse failure.
+      } catch (const std::exception& e) {
+        if (foreign++ == 0)
+          first = "input " + std::to_string(i) + ", round " +
+                  std::to_string(round) + ": " + e.what();
+      }
+    }
+  EXPECT_EQ(foreign, 0u) << "first: " << first;
 }
 
 // --- the network problem cache ---------------------------------------------

@@ -2,7 +2,7 @@
 // concurrent emitters render to valid Chrome trace_event JSON (parsed
 // by an in-test JSON parser), ring overflow drops the oldest events
 // and ticks dropped_events, a disabled tracer records nothing — the
-// tracing bit-identity contract (InProcess / ForkExec / Remote results
+// tracing bit-identity contract (InProcess / spawn-host / loopback results
 // are bitwise equal with tracing on vs off), fleet-sweep trace
 // coverage (a deal/steal/retry/speculate instant covers every cell and
 // a settle instant names every index), the MetricsRegistry Prometheus
@@ -49,7 +49,7 @@
 #endif
 
 #ifndef PHONOC_WORKER_PATH
-#define PHONOC_WORKER_PATH "phonoc_worker"
+#define PHONOC_WORKER_PATH "phonoc_workerd"
 #endif
 
 namespace phonoc {
@@ -385,7 +385,7 @@ TEST(Trace, RingOverflowDropsOldestAndCounts) {
 // --- bit-identity: tracing is read-only -------------------------------------
 
 /// 1 x 1 x 1 x 2 optimizers x 1 x 3 seeds = 6 cells; small enough for
-/// three backends x two runs each, big enough to cross every
+/// three execution paths x two runs each, big enough to cross every
 /// instrumented seam.
 SweepSpec tiny_spec() {
   SweepSpec spec;
@@ -434,12 +434,11 @@ TEST(Trace, BitIdentityInProcessTracingOnVsOff) {
   expect_bit_identical(traced, untraced);
 }
 
-TEST(Trace, BitIdentityForkExecTracingOnVsOff) {
+TEST(Trace, BitIdentitySpawnHostsTracingOnVsOff) {
   TracerReset reset;
   const auto spec = tiny_spec();
-  const BatchOptions options{.workers = 2,
-                             .backend = BatchBackend::ForkExec,
-                             .worker_path = PHONOC_WORKER_PATH};
+  BatchOptions options{.backend = BatchBackend::Remote};
+  options.remote_hosts.assign(2, std::string("spawn:") + PHONOC_WORKER_PATH);
   obs::stop_tracing();
   const auto untraced = run_backend(spec, options);
   obs::start_tracing();

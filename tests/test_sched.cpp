@@ -1,11 +1,12 @@
 // Tests of the distributed sweep scheduler (src/sched/): frame
 // encoding/corruption detection, the HostPool work ledger (stealing,
-// retry, straggler speculation, first-wins dedup), the loopback
-// transport end to end — bit-identity with the in-process backend on a
-// 64-cell grid and per-host report merging (wall = max, cpu = sum) —
-// and the fleet failure paths driven through a scripted in-memory
-// Transport: dead-host failover, straggler retry with late-answer
-// dedup, and timeouts accounted into failed_count.
+// poison-cell quarantine, straggler speculation, first-wins dedup), the
+// loopback transport end to end — bit-identity with the in-process
+// backend on a 64-cell grid and per-host report merging (wall = max,
+// cpu = sum) — and the fleet failure paths driven through a scripted
+// in-memory Transport: dead-host failover, spawn-host respawn,
+// straggler retry with late-answer dedup, timeouts accounted into
+// failed_count, and an admission port that cannot be bound.
 
 #include <gtest/gtest.h>
 
@@ -167,7 +168,7 @@ TEST(HostPool, CompleteCellIsFirstWins) {
   EXPECT_FALSE(pool.acquire(0).has_value());  // settled pool: drivers exit
 }
 
-TEST(HostPool, FailUnitRequeuesThenAbandonsAfterMaxAttempts) {
+TEST(HostPool, FailUnitQuarantinesThePoisonCellUntilMaxAttempts) {
   HostPool pool(2, 4, 4, 2, -1.0, /*allow_steal=*/false);
   // One unit only: the leftover goes to host 0 (lower index wins the
   // remainder tie), host 1 starts idle.
@@ -175,22 +176,43 @@ TEST(HostPool, FailUnitRequeuesThenAbandonsAfterMaxAttempts) {
   ASSERT_TRUE(unit);
   EXPECT_EQ(unit->attempt, 0u);
   EXPECT_TRUE(pool.complete_cell(0));  // one cell answered before death
-  EXPECT_TRUE(pool.fail_unit(0).empty());  // attempt 1 of 2: re-queued
-  EXPECT_EQ(pool.stats().retries, 1u);
+  // Attempts left: the unit splits at its first unsettled cell.
+  EXPECT_TRUE(pool.fail_unit(0).empty());
+  EXPECT_EQ(pool.stats().retries, 2u);  // the suspect cell + the rest
 
-  // The survivor picks the remainder out of the retry queue (stealing
-  // is off, so this is the retry path, not a steal).
-  auto retried = pool.acquire(1);
-  ASSERT_TRUE(retried);
-  EXPECT_EQ(retried->begin, 1u);  // the settled prefix is skipped
-  EXPECT_EQ(retried->end, 4u);
-  EXPECT_EQ(retried->attempt, 1u);
+  // The cell the worker died on comes back alone at attempt+1 (stealing
+  // is off, so this is the retry path, not a steal)...
+  auto suspect = pool.acquire(1);
+  ASSERT_TRUE(suspect);
+  EXPECT_EQ(suspect->begin, 1u);  // the settled prefix is skipped
+  EXPECT_EQ(suspect->end, 2u);
+  EXPECT_EQ(suspect->attempt, 1u);
+  // ...and the cells it never reached come back at the same attempt.
+  auto rest = pool.acquire(0);  // the respawned host
+  ASSERT_TRUE(rest);
+  EXPECT_EQ(rest->begin, 2u);
+  EXPECT_EQ(rest->end, 4u);
+  EXPECT_EQ(rest->attempt, 0u);
+  for (std::size_t i = rest->begin; i < rest->end; ++i)
+    EXPECT_TRUE(pool.complete_cell(i));
+  pool.finish_unit(0);
 
-  // Second death: attempts exhausted, the unsettled cells are abandoned.
-  const auto abandoned = pool.fail_unit(1);
-  EXPECT_EQ(abandoned, (std::vector<std::size_t>{1, 2, 3}));
-  EXPECT_EQ(pool.stats().abandoned, 3u);
+  // The poison cell kills its host again: attempts exhausted, it alone
+  // is abandoned.
+  EXPECT_EQ(pool.fail_unit(1), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(pool.stats().abandoned, 1u);
+  EXPECT_EQ(pool.stats().retries, 2u);
   EXPECT_TRUE(pool.all_settled());
+
+  // max_attempts = 1 still means no retry: a death abandons the whole
+  // unsettled remainder at once.
+  HostPool once(2, 4, 4, 1, -1.0, /*allow_steal=*/false);
+  ASSERT_TRUE(once.acquire(0));
+  EXPECT_TRUE(once.complete_cell(0));
+  EXPECT_EQ(once.fail_unit(0), (std::vector<std::size_t>{1, 2, 3}));
+  EXPECT_EQ(once.stats().retries, 0u);
+  EXPECT_EQ(once.stats().abandoned, 3u);
+  EXPECT_TRUE(once.all_settled());
 }
 
 TEST(HostPool, IdleHostStealsFromTheRichestQueue) {
@@ -659,6 +681,50 @@ TEST(Scheduler, InjectedWorkerDeathFailsOverToTheSurvivor) {
   EXPECT_EQ(merge_host_reports(spec, outcome).failed_count, 0u);
   // The dead host settled exactly what it emitted before dying.
   EXPECT_EQ(outcome.hosts[0].cells_ok + outcome.hosts[0].cells_failed, 5u);
+}
+
+TEST(Scheduler, DeadSpawnHostIsRespawnedAndFinishesTheSweep) {
+  // A spawn endpoint (here served by the scripted transport: every
+  // connection dies after 5 cells) is redialed after each death instead
+  // of retired. The lone host therefore finishes the whole grid:
+  // the first death splits its 8-cell unit into the suspect cell and
+  // the rest, and the respawned connections serve both.
+  const auto spec = spec8();
+  const auto reference = BatchEngine({.workers = 1}).run(spec);
+
+  SchedulerOptions options;
+  options.hosts = {"spawn:fake"};
+  options.transport = std::make_shared<FakeTransport>(
+      std::map<std::string, FakeBehavior>{
+          {"spawn:fake", {.die_after_cells = 5}}});
+  options.cells_per_shard = 8;
+  options.speculate_after_seconds = -1.0;
+  const auto outcome = Scheduler(options).run(spec);
+
+  expect_all_identical(spec, outcome.results, reference);
+  ASSERT_EQ(outcome.hosts.size(), 1u);
+  EXPECT_FALSE(outcome.hosts[0].died);
+  EXPECT_NE(outcome.hosts[0].error.find("closed mid-shard"),
+            std::string::npos)
+      << outcome.hosts[0].error;
+  EXPECT_EQ(outcome.pool.retries, 2u);
+  EXPECT_EQ(outcome.pool.abandoned, 0u);
+  EXPECT_EQ(outcome.hosts[0].cells_ok, cell_count(spec));
+}
+
+TEST(Scheduler, TakenAdmissionPortThrowsBeforeAnyThreadStarts) {
+  // Another listener holds the port: run() must throw ExecError from
+  // the scheduling thread, before any driver thread exists to unwind.
+  TcpListener held(0);
+  SchedulerOptions options;
+  options.hosts = {"healthy"};
+  options.transport = std::make_shared<FakeTransport>(
+      std::map<std::string, FakeBehavior>{});
+  options.admit_port = held.port();
+  bool announced = false;
+  options.on_admit_port = [&](std::uint16_t) { announced = true; };
+  EXPECT_THROW((void)Scheduler(options).run(spec8()), ExecError);
+  EXPECT_FALSE(announced);
 }
 
 TEST(Scheduler, UnreachableHostIsRetiredAndTheFleetCarriesOn) {
