@@ -223,9 +223,11 @@ BatchedHeadline report_batched_for(const char* label,
     mappings.push_back(
         Mapping::random(problem.task_count(), problem.tile_count(), rng));
 
+  // The scalar baseline is the reference loop the kernel must match.
   Timer scalar_timer;
   for (const auto& mapping : mappings) {
-    const auto result = evaluator.evaluate_raw(mapping);
+    const auto result = evaluate_mapping(problem.network(), problem.cg(),
+                                         mapping.assignment());
     benchmark::DoNotOptimize(result.worst_snr_db);
   }
   head.scalar_mps = total / scalar_timer.elapsed_seconds();

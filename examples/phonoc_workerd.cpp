@@ -54,6 +54,7 @@
 #include "sched/service.hpp"
 #include "sched/transport.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -81,7 +82,13 @@ int main(int argc, char** argv) {
   std::ostream& status = stdio ? std::cerr : std::cout;
   TraceFlusher trace{cli.get_or("trace", ""), status};
   if (!trace.path.empty()) obs::start_tracing();
-  const auto port = static_cast<std::uint16_t>(cli.get_int("port", 7401));
+  std::uint16_t port = 0;
+  try {
+    port = cli.get_port("port", 7401);
+  } catch (const InvalidArgument& e) {
+    std::cerr << "phonoc_workerd: " << e.what() << "\n";
+    return 1;
+  }
   const auto max_conns = cli.has("once")
                              ? 1
                              : cli.get_int("max-conns", 0);  // 0 = forever

@@ -67,7 +67,6 @@
 int main(int argc, char** argv) {
   using namespace phonoc;
   const CliOptions cli(argc, argv);
-  const auto port = static_cast<std::uint16_t>(cli.get_int("port", 7501));
   const auto max_conns = cli.has("once")
                              ? std::int64_t{1}
                              : cli.get_int("max-conns", 0);  // 0 = forever
@@ -128,6 +127,8 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) obs::start_tracing();
 
   try {
+    const auto port = cli.get_port("port", 7501);
+    const auto prom_port = cli.get_port("prom-port", 0);
     ServiceServer server(port, broker, server_options);
     std::cout << "phonocd: listening on 127.0.0.1:" << server.port()
               << " (backend=" << backend_name
@@ -136,10 +137,9 @@ int main(int argc, char** argv) {
               << server.broker().worker_count() << ")" << std::endl;
     std::optional<obs::PromHttpServer> prom;
     if (cli.has("prom-port")) {
-      prom.emplace(static_cast<std::uint16_t>(cli.get_int("prom-port", 0)),
-                   [&server] {
-                     return server.broker().scrape(StatsFormat::Prometheus);
-                   });
+      prom.emplace(prom_port, [&server] {
+        return server.broker().scrape(StatsFormat::Prometheus);
+      });
       std::cout << "phonocd: metrics on http://127.0.0.1:" << prom->port()
                 << "/metrics" << std::endl;
     }

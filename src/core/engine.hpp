@@ -23,9 +23,9 @@ struct RunResult {
 
 class Engine {
  public:
-  /// `evaluator_options` configure the per-run Evaluators (memo capacity,
-  /// incremental move path). Neither option can change a run's outcome —
-  /// only its physical cost (see core/evaluator.hpp).
+  /// `evaluator_options` configure the per-run Evaluators (memo
+  /// capacity). The memo cannot change a run's outcome — only its
+  /// physical cost (see core/evaluator.hpp).
   explicit Engine(const MappingProblem& problem,
                   EvaluatorOptions evaluator_options = {});
 

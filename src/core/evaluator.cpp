@@ -6,15 +6,27 @@
 
 namespace phonoc {
 
+namespace {
+
+EvaluationResult materialize(const EvaluationView& view) {
+  return EvaluationResult{view.worst_loss_db, view.worst_snr_db,
+                          {view.edges.begin(), view.edges.end()}};
+}
+
+}  // namespace
+
 Evaluator::Evaluator(const MappingProblem& problem, EvaluatorOptions options)
     : problem_(problem),
       options_(options),
-      needs_detail_(problem.objective().needs_detail()) {}
+      needs_detail_(problem.objective().needs_detail()),
+      batch_(problem.network(), problem.cg()) {}
 
-EvaluationResult Evaluator::run_evaluation(const Mapping& mapping,
-                                           bool detailed) const {
-  return evaluate_mapping(problem_.network(), problem_.cg(),
-                          mapping.assignment(), detailed);
+EvaluationView Evaluator::score(const Mapping& mapping, bool detailed) const {
+  edge_scratch_.resize(detailed ? batch_.plan().edge_count() : 0);
+  BatchPoint point;
+  batch_.evaluate(mapping.assignment(), 1, {&point, 1}, edge_scratch_);
+  return EvaluationView{point.worst_loss_db, point.worst_snr_db,
+                        edge_scratch_};
 }
 
 const double* Evaluator::cache_lookup(const Mapping& mapping,
@@ -90,9 +102,9 @@ double Evaluator::evaluate(const Mapping& mapping) {
     if (const double* cached = cache_lookup(mapping, hash)) return *cached;
     ++cache_misses_;
   }
-  const auto result = run_evaluation(mapping, needs_detail_);
+  const double fitness =
+      problem_.objective().fitness(score(mapping, needs_detail_));
   ++physical_count_;
-  const double fitness = problem_.objective().fitness(result);
   if (memoize) {
     const auto assignment = mapping.assignment();
     cache_insert(std::vector<TileId>(assignment.begin(), assignment.end()),
@@ -138,8 +150,6 @@ void Evaluator::sync_kernel_pre_swap(const Mapping& after, TileId a,
 }
 
 double Evaluator::propose_swap(const Mapping& after, TileId a, TileId b) {
-  if (!options_.incremental)
-    return FitnessFunction::propose_swap(after, a, b);
   sync_kernel_pre_swap(after, a, b);
   kernel_->propose_swap(a, b);
   ++count_;
@@ -155,7 +165,6 @@ void Evaluator::revert_move() {
 }
 
 void Evaluator::apply_move(const Mapping& after, TileId a, TileId b) {
-  if (!options_.incremental) return;  // whole-mapping path is state-free
   if (!kernel_)
     kernel_ = std::make_unique<IncrementalEvaluation>(problem_.network(),
                                                       problem_.cg());
@@ -168,18 +177,11 @@ void Evaluator::apply_move(const Mapping& after, TileId a, TileId b) {
 }
 
 EvaluationResult Evaluator::evaluate_detailed(const Mapping& mapping) const {
-  return run_evaluation(mapping, /*detailed=*/true);
+  return materialize(score(mapping, /*detailed=*/true));
 }
 
 EvaluationResult Evaluator::evaluate_raw(const Mapping& mapping) const {
-  return run_evaluation(mapping, needs_detail_);
-}
-
-BatchEvaluator& Evaluator::batch_kernel() const {
-  if (!batch_)
-    batch_ = std::make_unique<BatchEvaluator>(problem_.network(),
-                                              problem_.cg());
-  return *batch_;
+  return materialize(score(mapping, needs_detail_));
 }
 
 std::span<const TileId> Evaluator::flatten(
@@ -202,7 +204,7 @@ void Evaluator::evaluate_raw_batch(std::span<const Mapping> mappings,
   require(out.size() == mappings.size(),
           "Evaluator::evaluate_raw_batch: out size != mapping count");
   if (mappings.empty()) return;
-  batch_kernel().evaluate_trusted(flatten(mappings), mappings.size(), out);
+  batch_.evaluate_trusted(flatten(mappings), mappings.size(), out);
 }
 
 void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
@@ -254,15 +256,8 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
   std::vector<BatchPoint> points(scored.size());
   std::vector<EdgeMetrics> detail;
   const std::size_t edge_count = problem_.cg().edges().size();
-  if (!scored.empty()) {
-    auto& kernel = batch_kernel();
-    if (needs_detail_) {
-      detail.resize(scored.size() * edge_count);
-      kernel.evaluate_trusted(batch_scratch_, scored.size(), points, detail);
-    } else {
-      kernel.evaluate_trusted(batch_scratch_, scored.size(), points);
-    }
-  }
+  if (needs_detail_) detail.resize(scored.size() * edge_count);
+  batch_.evaluate_trusted(batch_scratch_, scored.size(), points, detail);
 
   // Pass 2 — sequential replay: real lookups, counters and inserts in
   // index order, so memo contents, recency and every counter match a
@@ -287,10 +282,9 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
           points[r].worst_loss_db, points[r].worst_snr_db, view_edges});
     } else {
       // Peek promised a hit (memo entry or earlier duplicate) that was
-      // evicted before this row's replay turn: one scalar evaluation,
-      // bit-identical to the kernel by contract.
+      // evicted before this row's replay turn: score it alone.
       fitness = problem_.objective().fitness(
-          run_evaluation(mappings[i], needs_detail_));
+          score(mappings[i], needs_detail_));
     }
     ++physical_count_;
     if (memoize) {

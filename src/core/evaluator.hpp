@@ -3,23 +3,27 @@
 /// \brief The Mapping Evaluator (paper Fig. 1, block 4): bridges the
 /// physical-layer evaluation and the optimizer's fitness interface.
 ///
-/// The Evaluator implements both fitness paths:
-///  * the whole-mapping path (`evaluate`), backed by `evaluate_mapping`
-///    and an assignment-keyed LRU memo — RS and GA re-sample duplicate
-///    mappings at small problem sizes, and a cache hit skips the
-///    physical evaluation entirely;
+/// The Evaluator scores every mapping through one evaluation kernel
+/// over the network's path store (model/batch_eval.hpp):
+///  * whole-mapping scoring (`evaluate`, `evaluate_batch`,
+///    `evaluate_raw`, `evaluate_detailed`, `evaluate_raw_batch`) runs
+///    the Evaluator's `BatchEvaluator` — a batch of one for the single
+///    entry points — behind an assignment-keyed LRU memo: RS and GA
+///    re-sample duplicate mappings at small problem sizes, and a cache
+///    hit skips the physical evaluation entirely;
 ///  * the transactional move path (`propose_swap` / `commit_move` /
-///    `revert_move` / `apply_move`), backed by the incremental kernel
-///    (model/incremental.hpp) — SA, tabu and R-PBLA score two-tile
-///    swaps in O(touched edges x |E|) instead of O(|E|^2).
+///    `revert_move` / `apply_move`) runs the delta kernel
+///    (model/incremental.hpp), which shares the batch kernel's pair
+///    routine — SA, tabu and R-PBLA score two-tile swaps in
+///    O(touched edges x |E|) instead of O(|E|^2).
 ///
 /// Counting contract: `evaluation_count` counts *logical* evaluations —
 /// one per `evaluate` or `propose_swap` call, whether it was served by
-/// the cache, the kernel, or a full computation. Budgets, traces and
-/// the exec subsystem's bit-identical determinism protocol observe
-/// logical counts only, so enabling the cache or the incremental path
-/// cannot change any optimizer's trajectory. `physical_evaluation_count`
-/// reports how many full `evaluate_mapping` runs actually happened.
+/// the cache, the delta kernel, or a full kernel pass. Budgets, traces
+/// and the exec subsystem's bit-identical determinism protocol observe
+/// logical counts only, so the memo cannot change any optimizer's
+/// trajectory. `physical_evaluation_count` reports how many
+/// whole-mapping kernel scorings the memo did not absorb.
 
 #include <cstdint>
 #include <list>
@@ -55,9 +59,6 @@ struct EvaluatorOptions {
   /// it. Keyed by the full assignment (hash-bucketed, equality-checked),
   /// so a hit is always exact.
   std::size_t cache_capacity = 1024;
-  /// Serve the move API with the incremental kernel; when false the
-  /// move API falls back to whole-mapping evaluation (A/B baseline).
-  bool incremental = true;
 };
 
 class Evaluator final : public FitnessFunction {
@@ -76,14 +77,12 @@ class Evaluator final : public FitnessFunction {
   /// to decide which rows need physical scoring, the kernel scores
   /// those in one pass, and a sequential replay then performs the real
   /// lookups/inserts in index order; a row whose peek promised a hit
-  /// that was evicted before its replay turn falls back to one scalar
-  /// evaluation (bit-identical by the kernel's contract).
+  /// that was evicted before its replay turn is scored alone (a batch
+  /// of one, bit-identical by the kernel's contract).
   void evaluate_batch(std::span<const Mapping> mappings,
                       std::span<double> out) override;
 
-  [[nodiscard]] bool supports_moves() const override {
-    return options_.incremental;
-  }
+  [[nodiscard]] bool supports_moves() const override { return true; }
   [[nodiscard]] double propose_swap(const Mapping& after, TileId a,
                                     TileId b) override;
   void commit_move() override;
@@ -114,7 +113,8 @@ class Evaluator final : public FitnessFunction {
   [[nodiscard]] std::uint64_t evaluation_count() const noexcept {
     return count_;
   }
-  /// Full evaluate_mapping runs performed by `evaluate` (cache misses).
+  /// Whole-mapping kernel scorings performed by `evaluate` and
+  /// `evaluate_batch` (cache misses).
   [[nodiscard]] std::uint64_t physical_evaluation_count() const noexcept {
     return physical_count_;
   }
@@ -161,12 +161,12 @@ class Evaluator final : public FitnessFunction {
   }
 
  private:
-  /// Single evaluation backend shared by every public entry point.
-  [[nodiscard]] EvaluationResult run_evaluation(const Mapping& mapping,
-                                                bool detailed) const;
-  /// Lazily built batched kernel (plan construction is O(tiles^2 x
-  /// hops), so it only happens once a batch entry point is used).
-  [[nodiscard]] BatchEvaluator& batch_kernel() const;
+  /// The one whole-mapping scorer behind every single entry point: a
+  /// batch of one through `batch_`, validated like a batch row, with
+  /// per-edge detail in `edge_scratch_` when `detailed` (the view
+  /// stays valid until the next scoring).
+  [[nodiscard]] EvaluationView score(const Mapping& mapping,
+                                     bool detailed) const;
   /// Flatten `mappings` row-major into `batch_scratch_`.
   std::span<const TileId> flatten(std::span<const Mapping> mappings) const;
   /// True when the kernel's committed state equals `after` with the
@@ -213,11 +213,13 @@ class Evaluator final : public FitnessFunction {
   std::unique_ptr<IncrementalEvaluation> kernel_;  ///< lazily constructed
   std::vector<TileId> base_scratch_;
 
-  // --- batched path ----------------------------------------------------------
-  /// Mutable: the batch kernel is pure scoring plus reusable scratch,
-  /// so the const `evaluate_raw_batch` may build and use it.
-  mutable std::unique_ptr<BatchEvaluator> batch_;
+  // --- whole-mapping kernel --------------------------------------------------
+  /// Mutable: the kernel is pure scoring plus reusable scratch, so the
+  /// const entry points may use it. Built with the Evaluator: its plan
+  /// is O(|E|) over the network's path store.
+  mutable BatchEvaluator batch_;
   mutable std::vector<TileId> batch_scratch_;
+  mutable std::vector<EdgeMetrics> edge_scratch_;
 };
 
 }  // namespace phonoc

@@ -284,9 +284,9 @@ std::vector<CellResult> BatchEngine::run(const SweepSpec& spec) const {
   futures.reserve(cells.size());
   for (const auto& cell : cells)
     futures.push_back(pool.submit([this, &spec, &results, &problem_of, cell] {
-      // Each cell owns its Evaluator (and through it any incremental
-      // kernel or memo) and RNG and writes only its slot: the outcome
-      // cannot depend on scheduling.
+      // Each cell owns its Evaluator (and through it its kernels and
+      // memo) and RNG and writes only its slot: the outcome cannot
+      // depend on scheduling.
       results[cell.index] =
           run_sweep_cell(spec, cell, problem_of(cell), options_.evaluator);
     }));

@@ -50,11 +50,11 @@ struct BatchOptions {
   /// Worker threads (InProcess); 0 = ThreadPool::default_worker_count().
   /// 1 runs inline on the calling thread (no pool).
   std::size_t workers = 0;
-  /// Per-cell Evaluator configuration (memo capacity, incremental move
-  /// path). Each cell constructs its own Evaluator from these, so the
-  /// determinism contract is unaffected: both knobs change only the
-  /// physical evaluation cost, never logical evaluation counts or
-  /// fitness values (see core/evaluator.hpp).
+  /// Per-cell Evaluator configuration (memo capacity). Each cell
+  /// constructs its own Evaluator from it, so the determinism contract
+  /// is unaffected: the memo changes only the physical evaluation cost,
+  /// never logical evaluation counts or fitness values (see
+  /// core/evaluator.hpp).
   EvaluatorOptions evaluator{};
   /// Execution backend (see BatchBackend).
   BatchBackend backend = BatchBackend::InProcess;

@@ -374,8 +374,7 @@ std::string shard_prefix(const SweepSpec& spec,
   std::ostringstream out;
   out << kShardMagic << '\n';
   write_spec(out, spec);
-  out << "evaluator " << evaluator.cache_capacity << ' '
-      << (evaluator.incremental ? 1 : 0) << '\n';
+  out << "evaluator " << evaluator.cache_capacity << '\n';
   return out.str();
 }
 
@@ -399,9 +398,8 @@ SweepShard read_shard(std::istream& in) {
   shard.spec = read_spec_body(reader);
 
   auto fields = reader.expect("evaluator");
-  check_arity(fields, 3, reader.line());
+  check_arity(fields, 2, reader.line());
   shard.evaluator.cache_capacity = parse_size(fields[1], reader.line());
-  shard.evaluator.incremental = parse_size(fields[2], reader.line()) != 0;
 
   fields = reader.expect("slice");
   check_arity(fields, 3, reader.line());

@@ -45,80 +45,17 @@ void sieve_row_wide(const std::uint64_t* PHONOC_RESTRICT masks,
 }  // namespace
 
 BatchEvalPlan::BatchEvalPlan(const NetworkModel& net, const CommGraph& cg)
-    : tiles_(net.tile_count()),
-      tasks_(cg.task_count()),
-      ceiling_db_(net.options().snr_ceiling_db),
-      conns_(net.router().connection_count()),
-      mask_words_((net.tile_count() + 63) / 64) {
-  require(tasks_ <= tiles_,
+    : net_(&net), tasks_(cg.task_count()), task_edges_(cg.task_count()) {
+  require(tasks_ <= net.tile_count(),
           "BatchEvalPlan: more tasks than tiles (violates Eq. 2)");
-
   const auto edges = cg.edges();
   edge_src_.reserve(edges.size());
   edge_dst_.reserve(edges.size());
-  for (const auto& e : edges) {
-    edge_src_.push_back(e.src);
-    edge_dst_.push_back(e.dst);
-  }
-
-  // Dense pair-gain table with the conflict policy and fidelity baked
-  // in. evaluate_mapping skips terms with k <= 0 before multiplying;
-  // clamping those entries to exactly 0.0 makes the multiplied-through
-  // term an exact +0.0 — the same identity on a non-negative
-  // accumulator, so the dense lookup needs no skip branch.
-  pair_gain_.resize(conns_ * conns_);
-  for (std::size_t v = 0; v < conns_; ++v)
-    for (std::size_t a = 0; a < conns_; ++a) {
-      const double k = net.pair_noise_gain(static_cast<std::uint16_t>(v),
-                                           static_cast<std::uint16_t>(a));
-      pair_gain_[v * conns_ + a] = k > 0.0 ? k : 0.0;
-    }
-
-  // Flatten every ordered tile pair's path. Diagonal rows stay empty
-  // (hop_begin == hop_end) and are never referenced: assignments are
-  // injective and the CG has no self-loops.
-  const std::size_t path_rows = tiles_ * tiles_;
-  hop_begin_.assign(path_rows, 0);
-  hop_end_.assign(path_rows, 0);
-  total_gain_.assign(path_rows, 1.0);
-  total_loss_db_.assign(path_rows, 0.0);
-  tile_mask_.assign(path_rows * mask_words_, 0);
-  victim_hop_.assign(path_rows * tiles_, std::int16_t{-1});
-
-  std::size_t total_hops = 0;
-  for (TileId s = 0; s < tiles_; ++s)
-    for (TileId d = 0; d < tiles_; ++d)
-      if (s != d) total_hops += net.path(s, d).hops.size();
-  hop_tile_.reserve(total_hops);
-  hop_conn_.reserve(total_hops);
-  hop_arrive_.reserve(total_hops);
-  hop_exit_.reserve(total_hops);
-
-  for (TileId s = 0; s < tiles_; ++s) {
-    for (TileId d = 0; d < tiles_; ++d) {
-      if (s == d) continue;
-      const PathData& p = net.path(s, d);
-      const std::size_t pid = path_id(s, d);
-      hop_begin_[pid] = static_cast<std::uint32_t>(hop_tile_.size());
-      for (std::size_t h = 0; h < p.hops.size(); ++h) {
-        hop_tile_.push_back(p.hops[h].tile);
-        hop_conn_.push_back(p.conn[h]);
-        hop_arrive_.push_back(p.arrive_gain[h]);
-        hop_exit_.push_back(p.exit_suffix[h]);
-      }
-      hop_end_[pid] = static_cast<std::uint32_t>(hop_tile_.size());
-      total_gain_[pid] = p.total_gain;
-      total_loss_db_[pid] = p.total_loss_db;
-      // The probe row and the mask both mirror hop_at_tile (not the hop
-      // list), so the kernel's visited test agrees with hop_index_at
-      // exactly.
-      for (TileId t = 0; t < tiles_; ++t) {
-        const int hi = p.hop_index_at(t);
-        if (hi < 0) continue;
-        victim_hop_[pid * tiles_ + t] = static_cast<std::int16_t>(hi);
-        tile_mask_[pid * mask_words_ + t / 64] |= std::uint64_t{1} << (t % 64);
-      }
-    }
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    edge_src_.push_back(edges[e].src);
+    edge_dst_.push_back(edges[e].dst);
+    task_edges_[edges[e].src].push_back(static_cast<std::uint32_t>(e));
+    task_edges_[edges[e].dst].push_back(static_cast<std::uint32_t>(e));
   }
 }
 
@@ -126,26 +63,19 @@ BatchEvaluator::BatchEvaluator(const NetworkModel& net, const CommGraph& cg)
     : BatchEvaluator(std::make_shared<const BatchEvalPlan>(net, cg)) {}
 
 BatchEvaluator::BatchEvaluator(std::shared_ptr<const BatchEvalPlan> plan)
-    : plan_(std::move(plan)) {
+    : plan_(std::move(plan)),
+      probe_(plan_ != nullptr ? plan_->tile_count() : 0) {
   require(plan_ != nullptr, "BatchEvaluator: null plan");
   const std::size_t edges = plan_->edge_count();
   path_of_edge_.resize(edges);
-  edge_mask_.resize(edges * plan_->mask_words_);
+  edge_mask_.resize(edges * plan_->network().store().mask_words);
   sieve_.resize(edges);
-  tile_used_.resize(plan_->tiles_);
+  tile_used_.resize(plan_->tile_count());
 }
 
 void BatchEvaluator::evaluate(std::span<const TileId> assignments,
-                              std::size_t batch, std::span<BatchPoint> out) {
-  run(assignments, batch, out, {}, /*validate=*/true);
-}
-
-void BatchEvaluator::evaluate_detailed(std::span<const TileId> assignments,
-                                       std::size_t batch,
-                                       std::span<BatchPoint> out,
-                                       std::span<EdgeMetrics> edges_out) {
-  require(edges_out.size() == batch * plan_->edge_count(),
-          "BatchEvaluator: edges_out size != batch * edge_count");
+                              std::size_t batch, std::span<BatchPoint> out,
+                              std::span<EdgeMetrics> edges_out) {
   run(assignments, batch, out, edges_out, /*validate=*/true);
 }
 
@@ -153,16 +83,13 @@ void BatchEvaluator::evaluate_trusted(std::span<const TileId> assignments,
                                       std::size_t batch,
                                       std::span<BatchPoint> out,
                                       std::span<EdgeMetrics> edges_out) {
-  if (!edges_out.empty())
-    require(edges_out.size() == batch * plan_->edge_count(),
-            "BatchEvaluator: edges_out size != batch * edge_count");
   run(assignments, batch, out, edges_out, /*validate=*/false);
 }
 
 void BatchEvaluator::validate_assignment(std::span<const TileId> assignment) {
   std::fill(tile_used_.begin(), tile_used_.end(), std::uint8_t{0});
   for (const auto tile : assignment) {
-    require(tile < plan_->tiles_,
+    require(tile < tile_used_.size(),
             "BatchEvaluator: assignment targets a tile out of range");
     require(!tile_used_[tile],
             "BatchEvaluator: two tasks mapped to the same tile");
@@ -174,19 +101,17 @@ void BatchEvaluator::run(std::span<const TileId> assignments,
                          std::size_t batch, std::span<BatchPoint> out,
                          std::span<EdgeMetrics> edges_out, bool validate) {
   const BatchEvalPlan& plan = *plan_;
-  const std::size_t tasks = plan.tasks_;
+  const PathStore& store = plan.network().store();
+  const std::size_t tasks = plan.task_count();
   const std::size_t edges = plan.edge_count();
   require(assignments.size() == batch * tasks,
           "BatchEvaluator: assignments size != batch * task_count");
   require(out.size() == batch, "BatchEvaluator: out size != batch");
+  require(edges_out.empty() || edges_out.size() == batch * edges,
+          "BatchEvaluator: edges_out size != batch * edge_count");
 
-  const std::size_t words = plan.mask_words_;
-  const std::size_t conns = plan.conns_;
-  const std::uint32_t* PHONOC_RESTRICT hop_tile = plan.hop_tile_.data();
-  const std::uint32_t* PHONOC_RESTRICT hop_conn = plan.hop_conn_.data();
-  const double* PHONOC_RESTRICT hop_arrive = plan.hop_arrive_.data();
-  const double* PHONOC_RESTRICT hop_exit = plan.hop_exit_.data();
-  const double* PHONOC_RESTRICT gain_table = plan.pair_gain_.data();
+  const std::size_t words = store.mask_words;
+  const double ceiling_db = plan.snr_ceiling_db();
 
   for (std::size_t b = 0; b < batch; ++b) {
     const std::span<const TileId> assignment =
@@ -194,7 +119,7 @@ void BatchEvaluator::run(std::span<const TileId> assignments,
     if (validate) validate_assignment(assignment);
 
     BatchPoint point;
-    point.worst_snr_db = plan.ceiling_db_;
+    point.worst_snr_db = ceiling_db;
     if (edges == 0) {
       out[b] = point;
       continue;
@@ -203,12 +128,10 @@ void BatchEvaluator::run(std::span<const TileId> assignments,
     // Resolve this mapping's edges to path ids once and gather their
     // tile masks into contiguous scratch (the sieve's operands).
     for (std::size_t e = 0; e < edges; ++e) {
-      const std::size_t pid =
-          plan.path_id(assignment[plan.edge_src_[e]],
-                       assignment[plan.edge_dst_[e]]);
+      const std::size_t pid = plan.edge_path(assignment, e);
       path_of_edge_[e] = static_cast<std::uint32_t>(pid);
       for (std::size_t w = 0; w < words; ++w)
-        edge_mask_[e * words + w] = plan.tile_mask_[pid * words + w];
+        edge_mask_[e * words + w] = store.tile_mask[pid * words + w];
     }
 
     EdgeMetrics* detail =
@@ -218,49 +141,35 @@ void BatchEvaluator::run(std::span<const TileId> assignments,
       const std::size_t pv = path_of_edge_[v];
 
       if (words == 1)
-        sieve_row(edge_mask_.data(), plan.tile_mask_[pv], sieve_.data(),
+        sieve_row(edge_mask_.data(), store.tile_mask[pv], sieve_.data(),
                   edges);
       else
-        sieve_row_wide(edge_mask_.data(), &plan.tile_mask_[pv * words],
+        sieve_row_wide(edge_mask_.data(), &store.tile_mask[pv * words],
                        sieve_.data(), edges, words);
       sieve_[v] = 0;  // a == v contributes nothing (self-pair)
-
-      const std::int16_t* PHONOC_RESTRICT victim_row =
-          &plan.victim_hop_[pv * plan.tiles_];
-      const std::size_t vbase = plan.hop_begin_[pv];
 
       // Ascending attacker order with per-attacker subtotals — the
       // exact addition sequence of evaluate_mapping's nested
       // noise_contribution calls (skipped pairs/hops add exact +0.0,
       // the identity on this non-negative accumulator).
+      probe_.load(store, pv);
       double noise = 0.0;
       for (std::size_t a = 0; a < edges; ++a) {
         if (sieve_[a] == 0) continue;
-        const std::size_t pa = path_of_edge_[a];
-        const std::size_t end = plan.hop_end_[pa];
-        double contribution = 0.0;
-        for (std::size_t h = plan.hop_begin_[pa]; h < end; ++h) {
-          const int vi = victim_row[hop_tile[h]];
-          if (vi < 0) continue;
-          const std::size_t vh = vbase + static_cast<std::size_t>(vi);
-          contribution += hop_arrive[h] *
-                          gain_table[hop_conn[vh] * conns + hop_conn[h]] *
-                          hop_exit[vh];
-        }
-        noise += contribution;
+        noise += pair_noise(store, probe_, path_of_edge_[a]);
       }
 
       const double snr =
-          std::min(snr_db(plan.total_gain_[pv], noise), plan.ceiling_db_);
+          std::min(snr_db(store.total_gain[pv], noise), ceiling_db);
       point.worst_loss_db =
-          std::min(point.worst_loss_db, plan.total_loss_db_[pv]);
+          std::min(point.worst_loss_db, store.total_loss_db[pv]);
       point.worst_snr_db = std::min(point.worst_snr_db, snr);
       if (detail != nullptr) {
         detail[v] = EdgeMetrics{static_cast<EdgeId>(v),
-                                assignment[plan.edge_src_[v]],
-                                assignment[plan.edge_dst_[v]],
-                                plan.total_loss_db_[pv],
-                                plan.total_gain_[pv],
+                                assignment[plan.edge_src(v)],
+                                assignment[plan.edge_dst(v)],
+                                store.total_loss_db[pv],
+                                store.total_gain[pv],
                                 noise,
                                 snr};
       }

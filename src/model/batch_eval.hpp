@@ -1,46 +1,21 @@
 #pragma once
 /// \file batch_eval.hpp
-/// \brief SoA batched mapping evaluation: score B assignments per pass,
-/// bit-identical (tolerance 0) to per-mapping `evaluate_mapping`.
+/// \brief The evaluation kernel over the NetworkModel's path store:
+/// batched whole-mapping scoring, plus the victim probe and the one
+/// pair routine that the delta kernel (incremental.hpp) shares.
 ///
-/// `evaluate_mapping` is an arrays-of-structs walk: every CG edge
-/// resolves a `PathData` whose per-hop state lives in five separate
-/// heap vectors, every (victim, attacker) pair calls the out-of-line
-/// `noise_contribution`, and every hop probes `hop_at_tile` and the
-/// router's conflict + crosstalk tables behind two more indirections.
-/// Bulk consumers — Sample cells evaluate 100k random mappings per
-/// cell, GA generations score whole populations — pay that layout tax
-/// per mapping.
+/// A `BatchEvalPlan` adds only the CG's shape to the store (edge
+/// endpoints and the task -> edge adjacency; O(|E|), no path data). A
+/// `BatchEvaluator` resolves each mapping's edges to path ids, runs a
+/// vectorized tile-mask sieve per victim edge (pairs sharing no tile
+/// contribute exactly +0.0 and are skipped), loads the victim's probe
+/// row and calls `pair_noise` on each surviving attacker.
 ///
-/// This kernel splits the work into a per-{NetworkModel, CommGraph}
-/// precompute (`BatchEvalPlan`) and a per-batch pass (`BatchEvaluator`):
-///
-///  * the plan flattens every path's per-hop {tile, connection,
-///    arrive_gain, exit_suffix} into one contiguous SoA arena, mirrors
-///    `hop_at_tile` as one dense contiguous int16 table (the victim-side
-///    probe), bakes the router's conflict policy + fidelity into one
-///    dense connection-pair gain table, and derives a tile-occupancy
-///    bitmask per path;
-///  * the pass resolves each mapping's edges to path ids once, then for
-///    each victim edge runs a vectorized bitmask sieve over all
-///    attacker masks — path pairs sharing no tile contribute exactly
-///    +0.0 and are skipped wholesale — and walks only the surviving
-///    attackers' flat hop arrays, branch-free on the gain lookups.
-///
-/// Bit-identity contract (the regression oracle): every metric equals a
-/// fresh `evaluate_mapping` of the same assignment bitwise. The same
-/// three properties as `incremental.hpp` carry the argument:
-///  1. each per-hop term `arrive * k * exit` is evaluated with the same
-///     operand values and association as `noise_contribution`;
-///  2. contributions are never negative and adding an exact +0.0 is the
-///     identity on a non-negative accumulator, so both skipping
-///     zero-mask pairs and multiplying through a baked-in zero gain
-///     reproduce the full ascending-order sums bitwise (per-attacker
-///     subtotals are kept: each attacker's hop-order sum is folded into
-///     the victim's noise in ascending edge order, exactly like the
-///     nested `noise_contribution` calls);
-///  3. the worst-case folds are the same `std::min` selections in the
-///     same ascending edge order.
+/// Bit-identity contract: every metric equals `evaluate_mapping` of the
+/// same assignment bitwise — the same per-term operands and
+/// association, per-attacker subtotals folded in ascending edge order
+/// (skipped terms are exact +0.0, the identity on a non-negative sum),
+/// and the same std::min folds (src/model/README.md has the argument).
 
 #include <cstdint>
 #include <memory>
@@ -59,63 +34,102 @@ struct BatchPoint {
   double worst_snr_db = 0.0;
 };
 
-/// Immutable SoA mirror of the evaluation state for one
-/// {NetworkModel, CommGraph} pair. Build once, share freely: the plan
-/// is read-only after construction, so any number of BatchEvaluators
-/// (one per thread) can score against it concurrently. The network and
-/// CG must outlive the plan.
+/// Per-thread victim-side probe over a path store: `row()[tile]` is the
+/// loaded victim path's hop index at `tile`, or -1. Loading a path
+/// clears the previous one, so a load costs O(hops), not O(tiles).
+class VictimProbe {
+ public:
+  explicit VictimProbe(std::size_t tiles) : row_(tiles, std::int16_t{-1}) {}
+
+  void load(const PathStore& store, std::size_t path) noexcept {
+    if (path == path_) return;
+    for (std::size_t h = begin_; h < end_; ++h) row_[store.hops[h].tile] = -1;
+    path_ = path;
+    begin_ = store.hop_begin[path];
+    end_ = store.hop_begin[path + 1];
+    for (std::size_t h = begin_; h < end_; ++h)
+      row_[store.hops[h].tile] = static_cast<std::int16_t>(h - begin_);
+  }
+
+  [[nodiscard]] const std::int16_t* row() const noexcept {
+    return row_.data();
+  }
+  /// First hop of the loaded victim in the store's per-hop arrays.
+  [[nodiscard]] std::size_t begin() const noexcept { return begin_; }
+
+ private:
+  std::vector<std::int16_t> row_;
+  std::size_t path_ = ~std::size_t{0};
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+};
+
+/// The one pair routine: noise (linear, per unit attacker injected
+/// power) that path `attacker` adds onto the victim loaded in `probe`.
+/// One term per attacker hop at a tile the victim visits, summed in
+/// ascending attacker-hop order from 0.0 — the operand values,
+/// association and order of `noise_contribution`.
+[[nodiscard]] inline double pair_noise(const PathStore& store,
+                                       const VictimProbe& probe,
+                                       std::size_t attacker) noexcept {
+  const std::int16_t* victim_row = probe.row();
+  const std::size_t vbase = probe.begin();
+  const std::size_t end = store.hop_begin[attacker + 1];
+  double contribution = 0.0;
+  for (std::size_t h = store.hop_begin[attacker]; h < end; ++h) {
+    const int vi = victim_row[store.hops[h].tile];
+    if (vi < 0) continue;
+    const std::size_t vh = vbase + static_cast<std::size_t>(vi);
+    contribution +=
+        store.arrive_gain[h] *
+        store.pair_gain[store.conn[vh] * store.conns + store.conn[h]] *
+        store.exit_suffix[vh];
+  }
+  return contribution;
+}
+
+/// The CG's shape over one NetworkModel's path store: edge endpoints
+/// and the task -> incident-edge adjacency, O(|E|) to build. It copies
+/// no path data. Immutable, so any number of kernels (one per thread)
+/// can share it. The network and CG must outlive the plan.
 class BatchEvalPlan {
  public:
   BatchEvalPlan(const NetworkModel& net, const CommGraph& cg);
 
-  [[nodiscard]] std::size_t tile_count() const noexcept { return tiles_; }
+  [[nodiscard]] const NetworkModel& network() const noexcept { return *net_; }
+  [[nodiscard]] std::size_t tile_count() const noexcept {
+    return net_->tile_count();
+  }
   [[nodiscard]] std::size_t task_count() const noexcept { return tasks_; }
   [[nodiscard]] std::size_t edge_count() const noexcept {
     return edge_src_.size();
   }
-  [[nodiscard]] double snr_ceiling_db() const noexcept { return ceiling_db_; }
-
- private:
-  friend class BatchEvaluator;
-
-  /// Row index of the (src, dst) path in the per-path tables.
-  [[nodiscard]] std::size_t path_id(TileId src, TileId dst) const noexcept {
-    return static_cast<std::size_t>(src) * tiles_ + dst;
+  [[nodiscard]] double snr_ceiling_db() const noexcept {
+    return net_->options().snr_ceiling_db;
+  }
+  [[nodiscard]] NodeId edge_src(std::size_t e) const noexcept {
+    return edge_src_[e];
+  }
+  [[nodiscard]] NodeId edge_dst(std::size_t e) const noexcept {
+    return edge_dst_[e];
+  }
+  /// Path id of edge `e` under `assignment` (task -> tile).
+  [[nodiscard]] std::size_t edge_path(std::span<const TileId> assignment,
+                                      std::size_t e) const noexcept {
+    return net_->path_id(assignment[edge_src_[e]], assignment[edge_dst_[e]]);
+  }
+  /// CG edges incident to `task` (as source or destination), ascending.
+  [[nodiscard]] std::span<const std::uint32_t> task_edges(
+      NodeId task) const noexcept {
+    return task_edges_[task];
   }
 
-  std::size_t tiles_ = 0;
-  std::size_t tasks_ = 0;
-  double ceiling_db_ = 0.0;
-  std::size_t conns_ = 0;       ///< router connection count (G row stride)
-  std::size_t mask_words_ = 0;  ///< uint64 words per tile-occupancy mask
-
-  // --- per CG edge -----------------------------------------------------------
+ private:
+  const NetworkModel* net_;
+  std::size_t tasks_;
   std::vector<NodeId> edge_src_;
   std::vector<NodeId> edge_dst_;
-
-  // --- per ordered tile pair (path id = src * tiles + dst) -------------------
-  std::vector<std::uint32_t> hop_begin_;  ///< offset into the flat hop arena
-  std::vector<std::uint32_t> hop_end_;
-  std::vector<double> total_gain_;
-  std::vector<double> total_loss_db_;
-  /// Tile-occupancy bitmask, `mask_words_` words per path.
-  std::vector<std::uint64_t> tile_mask_;
-  /// Dense victim-side probe, `tiles_` int16 entries per path: the
-  /// path's hop index at each tile, or -1 (PathData::hop_at_tile laid
-  /// out contiguously, so a victim's whole row sits in one or two
-  /// cache lines).
-  std::vector<std::int16_t> victim_hop_;
-
-  // --- flat per-hop arena (all paths back to back) ---------------------------
-  std::vector<std::uint32_t> hop_tile_;
-  std::vector<std::uint32_t> hop_conn_;
-  std::vector<double> hop_arrive_;
-  std::vector<double> hop_exit_;
-
-  /// Dense pair gain, conns_ x conns_: `pair_noise_gain` with the
-  /// conflict policy and fidelity baked in (conflicting or non-positive
-  /// pairs hold exactly 0.0, so the kernel needs no branch on them).
-  std::vector<double> pair_gain_;
+  std::vector<std::vector<std::uint32_t>> task_edges_;
 };
 
 /// Batched scorer over a shared plan. Owns reusable per-batch scratch,
@@ -133,23 +147,18 @@ class BatchEvaluator {
   /// Score `batch` assignments laid out row-major in `assignments`
   /// (`batch * task_count` tiles). Every assignment is validated
   /// exactly like `evaluate_mapping` (injective, every tile in range).
-  /// `out.size()` must equal `batch`.
+  /// `out.size()` must equal `batch`. A non-empty `edges_out` receives
+  /// `batch * edge_count` EdgeMetrics rows (mapping-major), each
+  /// bit-identical to `evaluate_mapping(..., detailed=true)`.
   void evaluate(std::span<const TileId> assignments, std::size_t batch,
-                std::span<BatchPoint> out);
-
-  /// Same, plus per-edge detail: `edges_out` receives `batch *
-  /// edge_count` EdgeMetrics rows (mapping-major), each bit-identical
-  /// to `evaluate_mapping(..., detailed=true)`.
-  void evaluate_detailed(std::span<const TileId> assignments,
-                         std::size_t batch, std::span<BatchPoint> out,
-                         std::span<EdgeMetrics> edges_out);
+                std::span<BatchPoint> out,
+                std::span<EdgeMetrics> edges_out = {});
 
   /// Trusted entry: skips the per-assignment injectivity/range scan.
   /// Only for assignments whose validity is already guaranteed by a
   /// checked invariant (e.g. they were lifted out of `Mapping`, whose
   /// constructor enforces Eq. 5/6) — this is the validation hoist for
-  /// bulk scoring, not a way to relax the public contract. Pass an
-  /// empty `edges_out` to skip detail.
+  /// bulk scoring, not a way to relax the public contract.
   void evaluate_trusted(std::span<const TileId> assignments,
                         std::size_t batch, std::span<BatchPoint> out,
                         std::span<EdgeMetrics> edges_out = {});
@@ -164,9 +173,10 @@ class BatchEvaluator {
 
   // --- per-batch scratch (reused across calls) -------------------------------
   std::vector<std::uint32_t> path_of_edge_;  ///< per edge
-  std::vector<std::uint64_t> edge_mask_;     ///< per edge, mask_words_ each
+  std::vector<std::uint64_t> edge_mask_;     ///< per edge, mask_words each
   std::vector<std::uint64_t> sieve_;         ///< per edge, intersection words
   std::vector<std::uint8_t> tile_used_;      ///< validation scratch
+  VictimProbe probe_;
 };
 
 }  // namespace phonoc

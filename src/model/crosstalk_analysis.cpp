@@ -14,22 +14,22 @@ std::vector<VictimReport> analyze_crosstalk(
           "analyze_crosstalk: assignment size != task count");
   const auto& edges = cg.graph().edges();
 
-  std::vector<const PathData*> paths;
+  std::vector<PathView> paths;
   paths.reserve(edges.size());
   for (const auto& e : edges)
-    paths.push_back(&net.path(assignment[e.src], assignment[e.dst]));
+    paths.push_back(net.path(assignment[e.src], assignment[e.dst]));
 
   std::vector<VictimReport> reports;
   reports.reserve(edges.size());
   for (std::size_t v = 0; v < edges.size(); ++v) {
-    const auto& victim = *paths[v];
+    const auto& victim = paths[v];
     VictimReport report;
     report.victim_edge = static_cast<EdgeId>(v);
     report.signal_gain = victim.total_gain;
 
     for (std::size_t a = 0; a < edges.size(); ++a) {
       if (a == v) continue;
-      const auto& attacker = *paths[a];
+      const auto& attacker = paths[a];
       for (std::size_t ai = 0; ai < attacker.hops.size(); ++ai) {
         const int vi = victim.hop_index_at(attacker.hops[ai].tile);
         if (vi < 0) continue;

@@ -25,8 +25,8 @@ void check_assignment(const NetworkModel& net, const CommGraph& cg,
 
 }  // namespace
 
-double noise_contribution(const NetworkModel& net, const PathData& victim,
-                          const PathData& attacker) {
+double noise_contribution(const NetworkModel& net, const PathView& victim,
+                          const PathView& attacker) {
   double noise = 0.0;
   const auto hops = attacker.hops.size();
   for (std::size_t ai = 0; ai < hops; ++ai) {
@@ -52,18 +52,18 @@ EvaluationResult evaluate_mapping(const NetworkModel& net, const CommGraph& cg,
   if (edges.empty()) return result;
 
   // Resolve each communication to its precomputed path once.
-  std::vector<const PathData*> paths;
+  std::vector<PathView> paths;
   paths.reserve(edges.size());
   for (const auto& e : edges)
-    paths.push_back(&net.path(assignment[e.src], assignment[e.dst]));
+    paths.push_back(net.path(assignment[e.src], assignment[e.dst]));
 
   if (detailed) result.edges.reserve(edges.size());
   for (std::size_t v = 0; v < edges.size(); ++v) {
-    const auto& victim = *paths[v];
+    const auto& victim = paths[v];
     double noise = 0.0;
     for (std::size_t a = 0; a < edges.size(); ++a) {
       if (a == v) continue;
-      noise += noise_contribution(net, victim, *paths[a]);
+      noise += noise_contribution(net, victim, paths[a]);
     }
     const double snr =
         std::min(snr_db(victim.total_gain, noise),

@@ -3,10 +3,11 @@
 /// \brief Mapping evaluation: worst-case insertion loss and worst-case
 /// SNR of a Communication Graph mapped onto a network (paper Eq. 3/4).
 ///
-/// This is the hot path of the design space exploration — the Fig. 3
-/// experiment alone evaluates 100 000 mappings per application — so the
-/// evaluation works exclusively on precomputed PathData and router
-/// matrices.
+/// `evaluate_mapping` and `noise_contribution` are the plain reference
+/// loops over `NetworkModel::path` views: the oracle every kernel is
+/// tested against bitwise. Production scoring runs the evaluation
+/// kernel (batch_eval.hpp, incremental.hpp), which computes the same
+/// sums over the network's flat path store.
 
 #include <span>
 #include <vector>
@@ -37,9 +38,9 @@ struct EvaluationResult {
 };
 
 /// Non-owning view of an evaluated mapping. Objectives fold over this so
-/// both evaluation paths — the whole-mapping `evaluate_mapping` and the
-/// incremental kernel, which keeps its per-edge metrics alive across
-/// moves — feed the same fitness code without copying the edge vector.
+/// every producer — the batch kernel, the incremental kernel (which
+/// keeps its per-edge metrics alive across moves) and the reference
+/// loop — feeds the same fitness code without copying the edge vector.
 struct EvaluationView {
   double worst_loss_db = 0.0;
   double worst_snr_db = 0.0;
@@ -47,19 +48,19 @@ struct EvaluationView {
   std::span<const EdgeMetrics> edges;
 };
 
-/// Evaluate a mapping. `assignment[task] = tile`; the assignment must be
-/// injective with every tile in range (checked). `detailed` additionally
-/// returns per-edge metrics. A CG without edges yields worst_loss = 0
-/// and worst_snr = ceiling.
+/// Evaluate a mapping (the reference loop). `assignment[task] = tile`;
+/// the assignment must be injective with every tile in range (checked).
+/// `detailed` additionally returns per-edge metrics. A CG without edges
+/// yields worst_loss = 0 and worst_snr = ceiling.
 [[nodiscard]] EvaluationResult evaluate_mapping(
     const NetworkModel& net, const CommGraph& cg,
     std::span<const TileId> assignment, bool detailed = false);
 
 /// Noise power (linear, per unit attacker injected power) that `attacker`
-/// adds onto `victim`'s detector; exposed for the detailed analyses and
-/// tests. Paths must come from the same NetworkModel.
+/// adds onto `victim`'s detector: the reference pair loop, also used by
+/// the detailed analyses. Paths must come from the same NetworkModel.
 [[nodiscard]] double noise_contribution(const NetworkModel& net,
-                                        const PathData& victim,
-                                        const PathData& attacker);
+                                        const PathView& victim,
+                                        const PathView& attacker);
 
 }  // namespace phonoc

@@ -9,20 +9,9 @@ namespace phonoc {
 
 IncrementalEvaluation::IncrementalEvaluation(const NetworkModel& net,
                                              const CommGraph& cg)
-    : net_(net),
-      tiles_(net.tile_count()),
-      tasks_(cg.task_count()),
-      ceiling_db_(net.options().snr_ceiling_db) {
-  const auto& edges = cg.graph().edges();
-  cg_edges_.reserve(edges.size());
-  task_edges_.resize(tasks_);
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    cg_edges_.emplace_back(edges[e].src, edges[e].dst);
-    task_edges_[edges[e].src].push_back(static_cast<std::uint32_t>(e));
-    task_edges_[edges[e].dst].push_back(static_cast<std::uint32_t>(e));
-  }
-  const auto count = cg_edges_.size();
-  paths_.resize(count, nullptr);
+    : plan_(net, cg), store_(net.store()), probe_(net.tile_count()) {
+  const auto count = plan_.edge_count();
+  paths_.resize(count, 0);
   contrib_.assign(count * count, 0.0);
   partners_.resize(count);
   metrics_.resize(count);
@@ -31,20 +20,28 @@ IncrementalEvaluation::IncrementalEvaluation(const NetworkModel& net,
   partners_saved_.assign(count, 0);
 }
 
-const PathData& IncrementalEvaluation::path_of_edge(std::uint32_t e) const {
-  const auto& [src, dst] = cg_edges_[e];
-  return net_.path(assignment_[src], assignment_[dst]);
+double IncrementalEvaluation::pair(std::uint32_t victim,
+                                   std::uint32_t attacker) {
+  // Paths whose tile masks do not intersect contribute exactly 0.0.
+  const std::size_t words = store_.mask_words;
+  const std::uint64_t* v = &store_.tile_mask[paths_[victim] * words];
+  const std::uint64_t* a = &store_.tile_mask[paths_[attacker] * words];
+  bool shared = false;
+  for (std::size_t w = 0; w < words && !shared; ++w) shared = v[w] & a[w];
+  if (!shared) return 0.0;
+  probe_.load(store_, paths_[victim]);
+  return pair_noise(store_, probe_, paths_[attacker]);
 }
 
 void IncrementalEvaluation::reset(std::span<const TileId> assignment) {
   require(!pending_,
           "IncrementalEvaluation::reset: a proposal is outstanding");
-  require(assignment.size() == tasks_,
+  require(assignment.size() == plan_.task_count(),
           "IncrementalEvaluation: assignment size != task count");
-  std::vector<int> tile_to_task(tiles_, -1);
+  std::vector<int> tile_to_task(plan_.tile_count(), -1);
   for (std::size_t task = 0; task < assignment.size(); ++task) {
     const auto tile = assignment[task];
-    require(tile < tiles_,
+    require(tile < plan_.tile_count(),
             "IncrementalEvaluation: assignment targets a tile out of range");
     require(tile_to_task[tile] < 0,
             "IncrementalEvaluation: two tasks mapped to the same tile");
@@ -53,25 +50,24 @@ void IncrementalEvaluation::reset(std::span<const TileId> assignment) {
   assignment_.assign(assignment.begin(), assignment.end());
   tile_to_task_ = std::move(tile_to_task);
 
-  const auto count = static_cast<std::uint32_t>(cg_edges_.size());
-  for (std::uint32_t e = 0; e < count; ++e) paths_[e] = &path_of_edge(e);
+  const auto count = static_cast<std::uint32_t>(plan_.edge_count());
+  for (std::uint32_t e = 0; e < count; ++e)
+    paths_[e] = static_cast<std::uint32_t>(plan_.edge_path(assignment_, e));
   for (std::uint32_t v = 0; v < count; ++v) {
     auto& partner_list = partners_[v];
     partner_list.clear();
     for (std::uint32_t a = 0; a < count; ++a) {
-      const double k = a == v ? 0.0
-                              : noise_contribution(net_, *paths_[v],
-                                                   *paths_[a]);
+      const double k = a == v ? 0.0 : pair(v, a);
       cell(v, a) = k;
       if (k != 0.0) partner_list.push_back(a);
     }
   }
   for (std::uint32_t v = 0; v < count; ++v) {
     metrics_[v].edge = v;
-    metrics_[v].src_tile = assignment_[cg_edges_[v].first];
-    metrics_[v].dst_tile = assignment_[cg_edges_[v].second];
-    metrics_[v].loss_db = paths_[v]->total_loss_db;
-    metrics_[v].signal_gain = paths_[v]->total_gain;
+    metrics_[v].src_tile = assignment_[plan_.edge_src(v)];
+    metrics_[v].dst_tile = assignment_[plan_.edge_dst(v)];
+    metrics_[v].loss_db = store_.total_loss_db[paths_[v]];
+    metrics_[v].signal_gain = store_.total_gain[paths_[v]];
     resum_victim(v);
   }
   worst_loss_ = fold_loss();
@@ -89,15 +85,16 @@ void IncrementalEvaluation::mark_changed(std::uint32_t victim) {
 
 /// Re-derive `victim`'s noise sum and SNR from the cached contributions,
 /// in ascending partner order (see the bit-identity contract: skipping
-/// the exact-zero terms of evaluate_mapping's full ascending sum is the
-/// identity, so this reproduces it bitwise).
+/// the exact-zero terms of the full ascending sum is the identity, so
+/// this reproduces it bitwise).
 void IncrementalEvaluation::resum_victim(std::uint32_t victim) {
   double noise = 0.0;
   for (const auto attacker : partners_[victim])
     noise += cell(victim, attacker);
   metrics_[victim].noise_gain = noise;
-  metrics_[victim].snr_db =
-      std::min(snr_db(paths_[victim]->total_gain, noise), ceiling_db_);
+  metrics_[victim].snr_db = std::min(
+      snr_db(store_.total_gain[paths_[victim]], noise),
+      plan_.snr_ceiling_db());
 }
 
 IncrementalEvaluation::MinFold IncrementalEvaluation::fold_loss() const {
@@ -112,7 +109,7 @@ IncrementalEvaluation::MinFold IncrementalEvaluation::fold_loss() const {
 }
 
 IncrementalEvaluation::MinFold IncrementalEvaluation::fold_snr() const {
-  MinFold fold{ceiling_db_, kNoArg};
+  MinFold fold{plan_.snr_ceiling_db(), kNoArg};
   for (std::uint32_t v = 0; v < metrics_.size(); ++v) {
     if (metrics_[v].snr_db < fold.value) {
       fold.value = metrics_[v].snr_db;
@@ -134,7 +131,7 @@ void IncrementalEvaluation::propose_swap(TileId a, TileId b) {
   require(has_state_, "IncrementalEvaluation::propose_swap: no base state");
   require(!pending_,
           "IncrementalEvaluation::propose_swap: proposal already pending");
-  require(a < tiles_ && b < tiles_,
+  require(a < plan_.tile_count() && b < plan_.tile_count(),
           "IncrementalEvaluation::propose_swap: tile out of range");
 
   undo_.tile_a = a;
@@ -159,7 +156,7 @@ void IncrementalEvaluation::propose_swap(TileId a, TileId b) {
   // Edges whose path changed: those incident to a moved task.
   for (const int task : {task_a, task_b}) {
     if (task < 0) continue;
-    for (const auto e : task_edges_[static_cast<std::size_t>(task)]) {
+    for (const auto e : plan_.task_edges(static_cast<NodeId>(task))) {
       if (touched_mark_[e]) continue;
       touched_mark_[e] = 1;
       touched_.push_back(e);
@@ -168,14 +165,14 @@ void IncrementalEvaluation::propose_swap(TileId a, TileId b) {
   for (const auto e : touched_) {
     mark_changed(e);
     undo_.paths.emplace_back(e, paths_[e]);
-    paths_[e] = &path_of_edge(e);
-    metrics_[e].src_tile = assignment_[cg_edges_[e].first];
-    metrics_[e].dst_tile = assignment_[cg_edges_[e].second];
-    metrics_[e].loss_db = paths_[e]->total_loss_db;
-    metrics_[e].signal_gain = paths_[e]->total_gain;
+    paths_[e] = static_cast<std::uint32_t>(plan_.edge_path(assignment_, e));
+    metrics_[e].src_tile = assignment_[plan_.edge_src(e)];
+    metrics_[e].dst_tile = assignment_[plan_.edge_dst(e)];
+    metrics_[e].loss_db = store_.total_loss_db[paths_[e]];
+    metrics_[e].signal_gain = store_.total_gain[paths_[e]];
   }
 
-  const auto count = static_cast<std::uint32_t>(cg_edges_.size());
+  const auto count = static_cast<std::uint32_t>(plan_.edge_count());
   for (const auto t : touched_) {
     // Row t: edge t as victim against every attacker's (new) path. The
     // partner list is rebuilt wholesale while the row is recomputed.
@@ -185,7 +182,7 @@ void IncrementalEvaluation::propose_swap(TileId a, TileId b) {
     partner_list.clear();
     for (std::uint32_t att = 0; att < count; ++att) {
       if (att == t) continue;
-      const double k = noise_contribution(net_, *paths_[t], *paths_[att]);
+      const double k = pair(t, att);
       double& slot = cell(t, att);
       if (k != slot) {
         undo_.cells.emplace_back(t, att, slot);
@@ -198,7 +195,7 @@ void IncrementalEvaluation::propose_swap(TileId a, TileId b) {
     for (std::uint32_t v = 0; v < count; ++v) {
       if (v == t || touched_mark_[v]) continue;
       double& slot = cell(v, t);
-      const double k = noise_contribution(net_, *paths_[v], *paths_[t]);
+      const double k = pair(v, t);
       if (k == slot) continue;
       mark_changed(v);
       undo_.cells.emplace_back(v, t, slot);

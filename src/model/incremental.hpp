@@ -2,26 +2,23 @@
 /// \file incremental.hpp
 /// \brief Incremental (delta) mapping evaluation for two-tile-swap moves.
 ///
-/// The SA / tabu / R-PBLA neighborhood move is a two-tile swap, yet
-/// `evaluate_mapping` re-derives loss and crosstalk noise for every CG
-/// edge on every call — O(|E|^2) noise_contribution evaluations per
-/// optimizer step. This kernel keeps the full per-edge state of the
-/// current mapping alive (paths, the |E|x|E| pairwise-contribution
-/// matrix, the per-victim crosstalk-partner adjacency, and per-edge
-/// metrics) and, on a swap, re-evaluates only the edges touching the
-/// swapped tiles plus the partner entries they invalidate.
+/// The SA / tabu / R-PBLA neighborhood move is a two-tile swap, yet a
+/// whole-mapping evaluation re-derives every CG edge on every call —
+/// O(|E|^2) pair evaluations per optimizer step. This kernel keeps the
+/// full per-edge state of the current mapping alive (path ids, the
+/// |E|x|E| pairwise-contribution matrix, the per-victim
+/// crosstalk-partner adjacency, and per-edge metrics) and, on a swap,
+/// re-evaluates only the edges touching the swapped tiles plus the
+/// partner entries they invalidate, each pair through the batch
+/// kernel's `pair_noise` (batch_eval.hpp).
 ///
 /// Bit-identity contract: every quantity this kernel exposes is
 /// bit-identical to a fresh `evaluate_mapping` of the same assignment,
-/// with zero tolerance. Three properties make that possible:
-///  1. each pairwise `noise_contribution` is a pure function of the two
-///     paths, so a cached value equals a recomputed one;
-///  2. a victim's noise is re-summed over its nonzero partners in
-///     ascending edge order — contributions are never negative and
-///     adding an exact +0.0 is the identity, so skipping the zero terms
-///     reproduces `evaluate_mapping`'s full ascending sum bitwise;
-///  3. the worst-case folds are pure selections (std::min), which are
-///     replayed in ascending edge order whenever they must be rebuilt.
+/// with zero tolerance: a cached pair value equals a recomputed one (the
+/// pair routine is a pure function of the two paths), re-summing a
+/// victim's nonzero partners in ascending edge order reproduces the
+/// full ascending sum (adding +0.0 is the identity), and the worst-case
+/// folds are std::min selections replayed in ascending edge order.
 ///
 /// Transactional protocol: `propose_swap` applies a move and updates
 /// the state in place while recording an undo log; `commit` keeps it,
@@ -34,6 +31,7 @@
 #include <vector>
 
 #include "graph/comm_graph.hpp"
+#include "model/batch_eval.hpp"
 #include "model/evaluation.hpp"
 #include "model/network_model.hpp"
 
@@ -41,8 +39,8 @@ namespace phonoc {
 
 class IncrementalEvaluation {
  public:
-  /// Precomputes the task -> incident-edge adjacency. The network and
-  /// the CG must outlive the kernel.
+  /// Builds the CG's plan (edge endpoints, task -> incident-edge
+  /// adjacency). The network and the CG must outlive the kernel.
   IncrementalEvaluation(const NetworkModel& net, const CommGraph& cg);
 
   /// Full rebuild from an arbitrary assignment (validated like
@@ -55,8 +53,7 @@ class IncrementalEvaluation {
   [[nodiscard]] bool pending() const noexcept { return pending_; }
 
   /// Apply the two-tile swap (a, b) and update all affected state.
-  /// O(touched edges x |E|) noise_contribution calls instead of
-  /// O(|E|^2). Requires a base state and no outstanding proposal.
+  /// O(touched edges x |E|) pair evaluations instead of O(|E|^2). Requires a base state and no outstanding proposal.
   void propose_swap(TileId a, TileId b);
   /// Keep the proposed move as the new base state.
   void commit();
@@ -74,7 +71,7 @@ class IncrementalEvaluation {
     return assignment_;
   }
   [[nodiscard]] std::size_t edge_count() const noexcept {
-    return cg_edges_.size();
+    return plan_.edge_count();
   }
 
   /// Number of full rebuilds / incremental proposals served (telemetry
@@ -98,22 +95,21 @@ class IncrementalEvaluation {
 
   [[nodiscard]] double& cell(std::uint32_t victim,
                              std::uint32_t attacker) noexcept {
-    return contrib_[static_cast<std::size_t>(victim) * cg_edges_.size() +
+    return contrib_[static_cast<std::size_t>(victim) * plan_.edge_count() +
                     attacker];
   }
-  [[nodiscard]] const PathData& path_of_edge(std::uint32_t e) const;
+  /// Noise edge `attacker` adds onto edge `victim` under their current
+  /// paths (the shared pair routine; 0.0 when they share no tile).
+  [[nodiscard]] double pair(std::uint32_t victim, std::uint32_t attacker);
   void mark_changed(std::uint32_t victim);
   void resum_victim(std::uint32_t victim);
   [[nodiscard]] MinFold fold_loss() const;
   [[nodiscard]] MinFold fold_snr() const;
   void apply_tile_swap(TileId a, TileId b);
 
-  const NetworkModel& net_;
-  std::vector<std::pair<NodeId, NodeId>> cg_edges_;  ///< (src, dst) per edge
-  std::vector<std::vector<std::uint32_t>> task_edges_;  ///< task -> edges
-  std::size_t tiles_;
-  std::size_t tasks_;
-  double ceiling_db_;
+  BatchEvalPlan plan_;
+  const PathStore& store_;
+  VictimProbe probe_;
 
   bool has_state_ = false;
   bool pending_ = false;
@@ -123,7 +119,7 @@ class IncrementalEvaluation {
   // --- committed/proposed state ---------------------------------------------
   std::vector<TileId> assignment_;       ///< task -> tile
   std::vector<int> tile_to_task_;        ///< tile -> task or -1
-  std::vector<const PathData*> paths_;   ///< per edge
+  std::vector<std::uint32_t> paths_;     ///< path id per edge
   std::vector<double> contrib_;          ///< |E|x|E| victim-major matrix
   /// Crosstalk-partner adjacency: per victim, the attackers with a
   /// nonzero contribution, ascending (the resum order).
@@ -137,7 +133,7 @@ class IncrementalEvaluation {
     TileId tile_a = 0;
     TileId tile_b = 0;
     bool swapped = false;  ///< the proposal moved at least one task
-    std::vector<std::pair<std::uint32_t, const PathData*>> paths;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> paths;
     std::vector<std::pair<std::uint32_t, EdgeMetrics>> metrics;
     /// (victim, attacker, previous contribution)
     std::vector<std::tuple<std::uint32_t, std::uint32_t, double>> cells;

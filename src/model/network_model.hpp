@@ -3,16 +3,18 @@
 /// \brief Composition of topology + router microarchitecture + routing
 /// into a fully precomputed photonic network model.
 ///
-/// For every ordered tile pair the model stores the route together with
-/// the per-hop quantities the analyses need in O(1): the connection
-/// index at each router, the attacker-side prefix gain (power arriving
-/// at each hop's router input) and the victim-side suffix gain (from
-/// each hop's router output to the destination detector). Building the
-/// model validates that the routing algorithm only requests connections
-/// the router actually supports.
+/// Every ordered tile pair's route is stored once, structure-of-arrays,
+/// in the model's `PathStore`, with the per-hop quantities the analyses
+/// need in O(1): the connection index at each router, the
+/// attacker-side prefix gain and the victim-side suffix gain. The
+/// analyses read a path through `path()`, a non-owning view; the
+/// scoring kernels (model/batch_eval.hpp) read the arrays directly.
+/// Building the model validates that the routing algorithm only
+/// requests connections the router actually supports.
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "router/router_model.hpp"
@@ -39,27 +41,57 @@ struct NetworkModelOptions {
   double snr_ceiling_db = 200.0;
 };
 
-/// Precomputed route data for one ordered tile pair.
-struct PathData {
-  std::vector<Hop> hops;
+/// Non-owning view of one ordered tile pair's path in the model's path
+/// store; valid as long as the NetworkModel lives.
+struct PathView {
+  std::span<const Hop> hops;
   /// Router connection index per hop (into the shared RouterModel).
-  std::vector<std::uint16_t> conn;
+  std::span<const std::uint16_t> conn;
   /// Linear gain from injected power to the input of hop i's router.
-  std::vector<double> arrive_gain;
+  std::span<const double> arrive_gain;
   /// Linear gain from hop i's router output to the destination detector.
-  std::vector<double> exit_suffix;
+  std::span<const double> exit_suffix;
   /// End-to-end linear gain and the same in dB.
   double total_gain = 1.0;
   double total_loss_db = 0.0;
   /// Total waveguide length over links, cm.
   double link_length_cm = 0.0;
-  /// hop_at_tile[tile] = hop index on this path, or -1.
-  std::vector<std::int16_t> hop_at_tile;
 
   /// Hop index at `tile`, or -1 when the path does not visit it.
   [[nodiscard]] int hop_index_at(TileId tile) const noexcept {
-    return hop_at_tile[tile];
+    for (std::size_t i = 0; i < hops.size(); ++i)
+      if (hops[i].tile == tile) return static_cast<int>(i);
+    return -1;
   }
+};
+
+/// Every path of a NetworkModel, stored once as flat arrays. Path id =
+/// src * tiles + dst; diagonal rows are empty and never referenced.
+struct PathStore {
+  // --- per path ---------------------------------------------------------------
+  /// Path p's hops are [hop_begin[p], hop_begin[p + 1]) in the per-hop
+  /// arrays.
+  std::vector<std::uint32_t> hop_begin;
+  std::vector<double> total_gain;
+  std::vector<double> total_loss_db;
+  std::vector<double> link_length_cm;
+  /// Tile-occupancy bitmask, `mask_words` uint64 words per path.
+  std::size_t mask_words = 0;
+  std::vector<std::uint64_t> tile_mask;
+
+  // --- per hop (all paths back to back) ---------------------------------------
+  std::vector<Hop> hops;
+  std::vector<std::uint16_t> conn;
+  std::vector<double> arrive_gain;
+  std::vector<double> exit_suffix;
+
+  // --- per (victim conn, attacker conn) ---------------------------------------
+  /// Router connection count (the pair table's row stride).
+  std::size_t conns = 0;
+  /// Dense pair gain, conns x conns: `NetworkModel::pair_noise_gain`
+  /// with the conflict policy and fidelity baked in; conflicting or
+  /// non-positive pairs hold exactly 0.0, so the kernels need no branch.
+  std::vector<double> pair_gain;
 };
 
 class NetworkModel {
@@ -84,7 +116,13 @@ class NetworkModel {
   }
 
   /// Path for src != dst (both in range).
-  [[nodiscard]] const PathData& path(TileId src, TileId dst) const;
+  [[nodiscard]] PathView path(TileId src, TileId dst) const;
+
+  /// Row of the (src, dst) path in the store's per-path arrays.
+  [[nodiscard]] std::size_t path_id(TileId src, TileId dst) const noexcept {
+    return static_cast<std::size_t>(src) * tile_count() + dst;
+  }
+  [[nodiscard]] const PathStore& store() const noexcept { return store_; }
 
   /// Insertion loss of the (src, dst) communication, dB (<= 0).
   [[nodiscard]] double path_loss_db(TileId src, TileId dst) const {
@@ -112,8 +150,7 @@ class NetworkModel {
   RouterModelPtr router_;
   std::shared_ptr<const RoutingAlgorithm> routing_;
   NetworkModelOptions options_;
-  /// paths_[src * tiles + dst]; diagonal entries unused.
-  std::vector<PathData> paths_;
+  PathStore store_;
 };
 
 }  // namespace phonoc

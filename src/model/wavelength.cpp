@@ -14,16 +14,16 @@ std::vector<std::vector<double>> interference_matrix(
   require(assignment.size() == cg.task_count(),
           "interference_matrix: assignment size != task count");
   const auto edges = cg.graph().edges();
-  std::vector<const PathData*> paths;
+  std::vector<PathView> paths;
   paths.reserve(edges.size());
   for (const auto& e : edges)
-    paths.push_back(&net.path(assignment[e.src], assignment[e.dst]));
+    paths.push_back(net.path(assignment[e.src], assignment[e.dst]));
 
   std::vector<std::vector<double>> w(
       edges.size(), std::vector<double>(edges.size(), 0.0));
   for (std::size_t v = 0; v < edges.size(); ++v)
     for (std::size_t a = 0; a < edges.size(); ++a)
-      if (v != a) w[v][a] = noise_contribution(net, *paths[v], *paths[a]);
+      if (v != a) w[v][a] = noise_contribution(net, paths[v], paths[a]);
   return w;
 }
 
@@ -91,17 +91,14 @@ EvaluationResult evaluate_mapping_wdm(const NetworkModel& net,
   const double isolation = db_to_linear(options.inter_channel_isolation_db);
   const auto w = interference_matrix(net, cg, assignment);
 
-  std::vector<const PathData*> paths;
-  paths.reserve(edges.size());
-  for (const auto& e : edges)
-    paths.push_back(&net.path(assignment[e.src], assignment[e.dst]));
-
   EvaluationResult result;
   result.worst_snr_db = net.options().snr_ceiling_db;
   if (edges.empty()) return result;
   if (detailed) result.edges.reserve(edges.size());
 
   for (std::size_t v = 0; v < edges.size(); ++v) {
+    const auto path =
+        net.path(assignment[edges[v].src], assignment[edges[v].dst]);
     double noise = 0.0;
     for (std::size_t a = 0; a < edges.size(); ++a) {
       if (a == v) continue;
@@ -109,16 +106,16 @@ EvaluationResult evaluate_mapping_wdm(const NetworkModel& net,
           wdm.channel[a] == wdm.channel[v] ? 1.0 : isolation;
       noise += w[v][a] * factor;
     }
-    const double snr = std::min(snr_db(paths[v]->total_gain, noise),
+    const double snr = std::min(snr_db(path.total_gain, noise),
                                 net.options().snr_ceiling_db);
     result.worst_loss_db =
-        std::min(result.worst_loss_db, paths[v]->total_loss_db);
+        std::min(result.worst_loss_db, path.total_loss_db);
     result.worst_snr_db = std::min(result.worst_snr_db, snr);
     if (detailed)
       result.edges.push_back(EdgeMetrics{
           static_cast<EdgeId>(v), assignment[edges[v].src],
-          assignment[edges[v].dst], paths[v]->total_loss_db,
-          paths[v]->total_gain, noise, snr});
+          assignment[edges[v].dst], path.total_loss_db, path.total_gain,
+          noise, snr});
   }
   return result;
 }

@@ -348,6 +348,10 @@ ScheduleResult Scheduler::run(const SweepSpec& spec) const {
   // that is taken throws out of run() with nothing left to join.
   std::unique_ptr<TcpListener> listener;
   if (options_.admit_port >= 0) {
+    if (options_.admit_port > 65535)
+      throw ExecError("sched: admit_port " +
+                      std::to_string(options_.admit_port) +
+                      " is not a TCP port (0-65535)");
     listener = std::make_unique<TcpListener>(
         static_cast<std::uint16_t>(options_.admit_port));
     log_info("sched") << "sched: admitting late workers on port "

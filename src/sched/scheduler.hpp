@@ -53,7 +53,8 @@ struct SchedulerOptions {
   /// Connection factory; null uses make_transport() (spawn + TCP +
   /// loopback dispatch). Failure-path tests inject fakes here.
   std::shared_ptr<Transport> transport;
-  /// Per-cell Evaluator knobs, carried to the workers in each shard.
+  /// Per-cell Evaluator options (memo capacity), carried to the workers
+  /// in each shard.
   EvaluatorOptions evaluator{};
   /// Cells per dispatched shard. Small units spread load and shrink
   /// the retry blast radius; larger ones amortize worker-side problem

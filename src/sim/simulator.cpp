@@ -23,8 +23,8 @@ struct Transmission {
 /// carries conflicting connections. Shared links imply a shared output
 /// (and input) port at the link's endpoints, so link exclusivity is
 /// subsumed by the router port-conflict rule.
-bool compatible(const NetworkModel& net, const PathData& a,
-                const PathData& b) {
+bool compatible(const NetworkModel& net, const PathView& a,
+                const PathView& b) {
   for (std::size_t i = 0; i < a.hops.size(); ++i) {
     const int j = b.hop_index_at(a.hops[i].tile);
     if (j < 0) continue;
@@ -56,11 +56,10 @@ SimulationResult simulate(const NetworkModel& net, const CommGraph& cg,
   }
 
   // Resolve paths once (also validates the mapping against the network).
-  std::vector<const PathData*> paths;
+  std::vector<PathView> paths;
   paths.reserve(edges.size());
   for (const auto& e : edges)
-    paths.push_back(
-        &net.path(mapping.tile_of(e.src), mapping.tile_of(e.dst)));
+    paths.push_back(net.path(mapping.tile_of(e.src), mapping.tile_of(e.dst)));
 
   // --- generate Poisson arrivals per edge ---------------------------------
   double mean_bw = 0.0;
@@ -108,7 +107,7 @@ SimulationResult simulate(const NetworkModel& net, const CommGraph& cg,
         const auto& other = transmissions[j];
         if (other.end_ns <= start || other.start_ns >= start + hold_ns)
           continue;  // no temporal overlap
-        if (compatible(net, *paths[tx.edge], *paths[other.edge])) continue;
+        if (compatible(net, paths[tx.edge], paths[other.edge])) continue;
         start = other.end_ns;  // wait for the conflicting circuit
         moved = true;
       }
@@ -163,7 +162,7 @@ SimulationResult simulate(const NetworkModel& net, const CommGraph& cg,
     const auto add_attacker = [&](const Transmission& other) {
       if (edge_counted[other.edge]) return;
       edge_counted[other.edge] = true;
-      noise += noise_contribution(net, *paths[tx.edge], *paths[other.edge]);
+      noise += noise_contribution(net, paths[tx.edge], paths[other.edge]);
     };
     // Scan neighbours in start order around idx; overlap window is hold_ns.
     for (std::size_t k = idx; k-- > 0;) {
@@ -180,7 +179,7 @@ SimulationResult simulate(const NetworkModel& net, const CommGraph& cg,
       if (other.start_ns >= tx.end_ns) break;
       add_attacker(other);
     }
-    const double snr = std::min(snr_db(paths[tx.edge]->total_gain, noise),
+    const double snr = std::min(snr_db(paths[tx.edge].total_gain, noise),
                                 net.options().snr_ceiling_db);
     result.snr_db.add(snr);
     result.worst_snr_db = std::min(result.worst_snr_db, snr);
@@ -191,7 +190,7 @@ SimulationResult simulate(const NetworkModel& net, const CommGraph& cg,
   // at least one circuit.
   for (EdgeId e = 0; e < edges.size(); ++e) {
     if (busy_per_edge[e] <= 0.0) continue;
-    const auto links_on_path = paths[e]->hops.size() - 1;
+    const auto links_on_path = paths[e].hops.size() - 1;
     total_busy_ns += busy_per_edge[e] * static_cast<double>(links_on_path);
     used_links += links_on_path;
   }

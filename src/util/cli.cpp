@@ -64,6 +64,15 @@ bool CliOptions::get_bool(const std::string& name, bool fallback) const {
            lowered.empty());
 }
 
+std::uint16_t CliOptions::get_port(const std::string& name,
+                                   std::uint16_t fallback) const {
+  const auto value = get_int(name, fallback);
+  require(value >= 0 && value <= 65535,
+          "--" + name + "=" + std::to_string(value) +
+              " is not a TCP port (0-65535)");
+  return static_cast<std::uint16_t>(value);
+}
+
 std::int64_t env_int(const char* name, std::int64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;

@@ -33,6 +33,11 @@ class CliOptions {
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+  /// `--name` as a TCP port (`fallback` when absent). Throws
+  /// InvalidArgument for a value outside 0-65535, which a narrowing
+  /// cast would silently wrap onto another port.
+  [[nodiscard]] std::uint16_t get_port(const std::string& name,
+                                       std::uint16_t fallback) const;
 
  private:
   std::map<std::string, std::string> options_;

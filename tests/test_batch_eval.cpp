@@ -103,7 +103,7 @@ TEST_P(BatchBitIdentity, MatchesEvaluateMappingBitwise) {
   const auto flat = random_batch(batch, tasks, net->tile_count(), rng);
   std::vector<BatchPoint> points(batch);
   std::vector<EdgeMetrics> detail(batch * cg.edges().size());
-  batched.evaluate_detailed(flat, batch, points, detail);
+  batched.evaluate(flat, batch, points, detail);
 
   for (std::size_t b = 0; b < batch; ++b) {
     const std::span<const TileId> row{flat.data() + b * tasks, tasks};

@@ -25,6 +25,7 @@
 #include "exec/serialize.hpp"
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
+#include "oracle.hpp"
 #include "sched/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -280,7 +281,7 @@ TEST(Serialize, ShardRoundTripsEveryField) {
   shard.spec = wire_spec();
   shard.begin = 7;
   shard.end = 23;
-  shard.evaluator = {.cache_capacity = 99, .incremental = false};
+  shard.evaluator = {.cache_capacity = 99};
   std::ostringstream out;
   write_shard(out, shard);
   std::istringstream in(out.str());
@@ -289,7 +290,6 @@ TEST(Serialize, ShardRoundTripsEveryField) {
   EXPECT_EQ(parsed.begin, 7u);
   EXPECT_EQ(parsed.end, 23u);
   EXPECT_EQ(parsed.evaluator.cache_capacity, 99u);
-  EXPECT_FALSE(parsed.evaluator.incremental);
   const auto& a = shard.spec;
   const auto& b = parsed.spec;
   EXPECT_EQ(b.router, a.router);
@@ -1107,10 +1107,10 @@ INSTANTIATE_TEST_SUITE_P(RandomProblems, DeterminismSweep,
                          ::testing::Values(3u, 29u, 404u));
 
 TEST(Determinism, EvaluatorOptionsCannotChangeBatchResults) {
-  // The evaluation memo and the incremental move path only change the
-  // physical cost of a cell, never its outcome: a grid run with the
-  // memo disabled and the move API on the whole-mapping fallback is
-  // bit-identical to the default (LRU + incremental kernel) run.
+  // The evaluation memo only changes the physical cost of a cell, never
+  // its outcome: a grid run with the memo on and one with it off are
+  // both bit-identical to the oracle (tests/oracle.hpp) run of each
+  // cell.
   SweepSpec spec;
   spec.add_workload("random", random_cg({.tasks = 8,
                                          .avg_out_degree = 1.6,
@@ -1123,12 +1123,19 @@ TEST(Determinism, EvaluatorOptionsCannotChangeBatchResults) {
       .add_seed(7);
   const auto defaults = BatchEngine({.workers = 2}).run(spec);
   const auto plain =
-      BatchEngine({.workers = 2,
-                   .evaluator = {.cache_capacity = 0, .incremental = false}})
+      BatchEngine({.workers = 2, .evaluator = {.cache_capacity = 0}})
           .run(spec);
-  ASSERT_EQ(defaults.size(), plain.size());
-  for (std::size_t i = 0; i < defaults.size(); ++i)
-    expect_identical(defaults[i].run, plain[i].run);
+  const auto cells = expand(spec);
+  ASSERT_EQ(defaults.size(), cells.size());
+  ASSERT_EQ(plain.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto problem = make_problem(spec, cells[i]);
+    const auto want = oracle_run(problem, spec.optimizers[cells[i].optimizer],
+                                 spec.budgets[cells[i].budget],
+                                 spec.seeds[cells[i].seed]);
+    expect_identical(defaults[i].run, want);
+    expect_identical(plain[i].run, want);
+  }
 }
 
 TEST(Determinism, ParallelCompareMatchesSequentialCompare) {

@@ -3,8 +3,8 @@
 // random propose/commit/revert swap sequences must stay bit-identical
 // (tolerance 0) to full `evaluate_mapping` re-evaluation — fitness and
 // per-edge metrics alike. Also covers the Evaluator's transactional
-// move API, the incremental-vs-whole-mapping equivalence of complete
-// optimizer runs, and the whole-mapping memo's counting contract
+// move API, the equivalence of complete optimizer runs with the oracle
+// (tests/oracle.hpp), and the whole-mapping memo's counting contract
 // (cache hits must never change the evaluation counts budgets observe).
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "mapping/mapping.hpp"
 #include "mapping/objective.hpp"
 #include "model/incremental.hpp"
+#include "oracle.hpp"
 #include "router/registry.hpp"
 #include "router/router_model.hpp"
 #include "routing/table_routing.hpp"
@@ -156,8 +157,7 @@ TEST_P(DeltaEqualsFullSweep, LongRandomSwapSequenceIsBitIdentical) {
   EXPECT_GT(reverts, 100);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Configs, DeltaEqualsFullSweep,
+const auto kSweepConfigs =
     ::testing::Values(SweepConfig{"mesh", "worst_loss"},
                       SweepConfig{"mesh", "worst_snr"},
                       SweepConfig{"mesh", "composite"},
@@ -169,8 +169,95 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepConfig{"torus", "worst_loss"},
                       SweepConfig{"torus", "worst_snr"},
                       SweepConfig{"torus", "composite"},
-                      SweepConfig{"torus", "bandwidth_weighted_loss"}),
-    PrintConfig);
+                      SweepConfig{"torus", "bandwidth_weighted_loss"});
+
+INSTANTIATE_TEST_SUITE_P(Configs, DeltaEqualsFullSweep, kSweepConfigs,
+                         PrintConfig);
+
+// --- every Evaluator entry point vs the oracle ------------------------------
+
+void expect_same_edges(std::span<const EdgeMetrics> got,
+                       std::span<const EdgeMetrics> want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    ASSERT_EQ(got[e].edge, want[e].edge) << where;
+    ASSERT_EQ(got[e].src_tile, want[e].src_tile) << where;
+    ASSERT_EQ(got[e].dst_tile, want[e].dst_tile) << where;
+    ASSERT_EQ(got[e].loss_db, want[e].loss_db) << where;
+    ASSERT_EQ(got[e].signal_gain, want[e].signal_gain) << where;
+    ASSERT_EQ(got[e].noise_gain, want[e].noise_gain) << where;
+    ASSERT_EQ(got[e].snr_db, want[e].snr_db) << where;
+  }
+}
+
+class EvaluatorEqualsOracle : public ::testing::TestWithParam<SweepConfig> {};
+
+TEST_P(EvaluatorEqualsOracle, EveryEntryPointIsBitIdentical) {
+  // Every whole-mapping entry point scores through the kernel; each
+  // must equal the reference loop bitwise, fitness and per-edge detail.
+  const auto [topology, objective] = GetParam();
+  const auto problem = make_test_problem(topology, objective, 41);
+  const auto& net = problem.network();
+  const auto& cg = problem.cg();
+  const bool needs_detail = problem.objective().needs_detail();
+  Rng rng(std::hash<std::string>{}(std::string(objective) + topology));
+  std::vector<Mapping> mappings;
+  for (int i = 0; i < 24; ++i)
+    mappings.push_back(
+        Mapping::random(problem.task_count(), problem.tile_count(), rng));
+  // Repeats exercise memo hits; with capacity 1, the repeat of row 0
+  // at row 2 is evicted before its replay and is scored alone.
+  mappings.push_back(mappings[0]);
+  mappings.push_back(mappings[1]);
+  mappings.insert(mappings.begin() + 2, mappings[0]);
+
+  Evaluator memo(problem, {.cache_capacity = 64});
+  Evaluator plain(problem, {.cache_capacity = 0});
+  Evaluator tiny(problem, {.cache_capacity = 1});
+  std::vector<double> want_fitness;
+  for (std::size_t i = 0; i < mappings.size(); ++i) {
+    const auto where = "mapping " + std::to_string(i);
+    const auto assignment = mappings[i].assignment();
+    const auto want_raw = evaluate_mapping(net, cg, assignment, needs_detail);
+    const auto want = evaluate_mapping(net, cg, assignment, true);
+    want_fitness.push_back(problem.objective().fitness(want_raw));
+
+    ASSERT_EQ(memo.evaluate(mappings[i]), want_fitness.back()) << where;
+    ASSERT_EQ(plain.evaluate(mappings[i]), want_fitness.back()) << where;
+
+    const auto raw = plain.evaluate_raw(mappings[i]);
+    ASSERT_EQ(raw.worst_loss_db, want_raw.worst_loss_db) << where;
+    ASSERT_EQ(raw.worst_snr_db, want_raw.worst_snr_db) << where;
+    ASSERT_NO_FATAL_FAILURE(expect_same_edges(raw.edges, want_raw.edges,
+                                              where + " raw"));
+
+    const auto detailed = plain.evaluate_detailed(mappings[i]);
+    ASSERT_EQ(detailed.worst_loss_db, want.worst_loss_db) << where;
+    ASSERT_EQ(detailed.worst_snr_db, want.worst_snr_db) << where;
+    ASSERT_NO_FATAL_FAILURE(expect_same_edges(detailed.edges, want.edges,
+                                              where + " detailed"));
+  }
+  EXPECT_GT(memo.cache_hit_count(), 0u);
+
+  for (Evaluator* evaluator : {&memo, &plain, &tiny}) {
+    std::vector<double> got(mappings.size());
+    evaluator->evaluate_batch(mappings, got);
+    for (std::size_t i = 0; i < mappings.size(); ++i)
+      ASSERT_EQ(got[i], want_fitness[i]) << "batch row " << i;
+  }
+
+  std::vector<BatchPoint> points(mappings.size());
+  plain.evaluate_raw_batch(mappings, points);
+  for (std::size_t i = 0; i < mappings.size(); ++i) {
+    const auto want = evaluate_mapping(net, cg, mappings[i].assignment());
+    ASSERT_EQ(points[i].worst_loss_db, want.worst_loss_db) << "raw row " << i;
+    ASSERT_EQ(points[i].worst_snr_db, want.worst_snr_db) << "raw row " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, EvaluatorEqualsOracle, kSweepConfigs,
+                         PrintConfig);
 
 // --- kernel protocol guards -------------------------------------------------
 
@@ -244,38 +331,37 @@ TEST(EvaluatorMoves, ProposalCountsOneLogicalEvaluation) {
   EXPECT_EQ(evaluator.evaluation_count(), 3u);
 }
 
-TEST(EvaluatorMoves, IncrementalOffFallsBackBitIdentically) {
+TEST(EvaluatorMoves, ProposalsMatchTheOracleBitIdentically) {
   const auto problem = make_test_problem("torus", "composite", 23);
-  Evaluator incremental(problem, {.cache_capacity = 0, .incremental = true});
-  Evaluator fallback(problem, {.cache_capacity = 0, .incremental = false});
-  EXPECT_FALSE(fallback.supports_moves());
+  Evaluator evaluator(problem, {.cache_capacity = 0});
+  OracleFitness oracle(problem);
   Rng rng(17);
   Mapping a = Mapping::random(problem.task_count(), problem.tile_count(),
                               rng);
   Mapping b = a;
-  EXPECT_EQ(incremental.evaluate(a), fallback.evaluate(b));
+  EXPECT_EQ(evaluator.evaluate(a), oracle.evaluate(b));
   for (int step = 0; step < 300; ++step) {
     const auto x = static_cast<TileId>(rng.next_below(problem.tile_count()));
     const auto y = static_cast<TileId>(rng.next_below(problem.tile_count()));
     a.swap_tiles(x, y);
     b.swap_tiles(x, y);
-    const double fi = incremental.propose_swap(a, x, y);
-    const double ff = fallback.propose_swap(b, x, y);
+    const double fi = evaluator.propose_swap(a, x, y);
+    const double ff = oracle.propose_swap(b, x, y);
     ASSERT_EQ(fi, ff) << "step " << step;
     if (step % 3 == 0) {
-      incremental.commit_move();
-      fallback.commit_move();
+      evaluator.commit_move();
+      oracle.commit_move();
     } else {
-      incremental.revert_move();
-      fallback.revert_move();
+      evaluator.revert_move();
+      oracle.revert_move();
       a.swap_tiles(x, y);
       b.swap_tiles(x, y);
     }
   }
-  EXPECT_EQ(incremental.evaluation_count(), fallback.evaluation_count());
+  EXPECT_EQ(evaluator.evaluation_count(), oracle.evaluation_count());
 }
 
-// --- complete optimizer runs: incremental on/off, cache on/off --------------
+// --- complete optimizer runs: Evaluator (memo on/off) vs the oracle ---------
 
 void expect_identical_runs(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.algorithm, b.algorithm);
@@ -293,21 +379,18 @@ void expect_identical_runs(const RunResult& a, const RunResult& b) {
 }
 
 TEST(EvaluatorEquivalence, OptimizerTrajectoriesMatchWholeMappingPath) {
-  // The load-bearing end-to-end property: for every move-based
-  // optimizer, the incremental path (and the memo) must reproduce the
+  // The load-bearing end-to-end property: for every optimizer, the
+  // Evaluator's kernels (and the memo) must reproduce the oracle's
   // whole-mapping sequential protocol bit for bit.
   ExperimentSpec spec;
   spec.benchmark = "mpeg4";
   const auto problem = make_experiment(spec);
   OptimizerBudget budget;
   budget.max_evaluations = 1500;
-  const Engine reference(problem, {.cache_capacity = 0,
-                                   .incremental = false});
-  const Engine delta(problem, {.cache_capacity = 0, .incremental = true});
-  const Engine delta_cached(problem,
-                            {.cache_capacity = 512, .incremental = true});
+  const Engine delta(problem, {.cache_capacity = 0});
+  const Engine delta_cached(problem, {.cache_capacity = 512});
   for (const auto* name : {"sa", "tabu", "rpbla", "rs", "ga"}) {
-    const auto want = reference.run(name, budget, 42);
+    const auto want = oracle_run(problem, name, budget, 42);
     expect_identical_runs(delta.run(name, budget, 42), want);
     expect_identical_runs(delta_cached.run(name, budget, 42), want);
   }
@@ -317,7 +400,7 @@ TEST(EvaluatorEquivalence, OptimizerTrajectoriesMatchWholeMappingPath) {
 
 TEST(EvaluatorMemo, CacheHitsDoNotChangeLogicalCounts) {
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator evaluator(problem, {.cache_capacity = 64, .incremental = true});
+  Evaluator evaluator(problem, {.cache_capacity = 64});
   Rng rng(4);
   const auto mapping = Mapping::random(problem.task_count(),
                                        problem.tile_count(), rng);
@@ -335,7 +418,7 @@ TEST(EvaluatorMemo, CacheHitsDoNotChangeLogicalCounts) {
 
 TEST(EvaluatorMemo, ZeroCapacityDisablesTheCache) {
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator evaluator(problem, {.cache_capacity = 0, .incremental = true});
+  Evaluator evaluator(problem, {.cache_capacity = 0});
   Rng rng(4);
   const auto mapping = Mapping::random(problem.task_count(),
                                        problem.tile_count(), rng);
@@ -354,7 +437,7 @@ TEST(EvaluatorMemo, DuplicateHeavySamplingKeepsBudgetSemantics) {
   auto network = make_network(TopologyKind::Mesh, 2, "crux");
   MappingProblem problem(std::move(cg), network,
                          make_objective(OptimizationGoal::InsertionLoss));
-  Evaluator evaluator(problem, {.cache_capacity = 64, .incremental = true});
+  Evaluator evaluator(problem, {.cache_capacity = 64});
   SearchState state(evaluator, 4, 4, OptimizerBudget{500, 0.0}, 9);
   while (!state.exhausted())
     state.evaluate(Mapping::random(4, 4, state.rng()));
@@ -371,7 +454,7 @@ TEST(EvaluatorMemo, HitsPlusMissesEqualsCallsAndEvictionsAreCounted) {
   // enabled, every evaluate() is either a hit or a miss, and misses
   // are exactly the physical evaluations.
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator evaluator(problem, {.cache_capacity = 2, .incremental = true});
+  Evaluator evaluator(problem, {.cache_capacity = 2});
   Rng rng(11);
   std::vector<Mapping> mappings;
   for (int i = 0; i < 4; ++i)
@@ -395,7 +478,7 @@ TEST(EvaluatorMemo, HitsPlusMissesEqualsCallsAndEvictionsAreCounted) {
 
 TEST(EvaluatorMemo, DisabledCacheCountsNothing) {
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator evaluator(problem, {.cache_capacity = 0, .incremental = true});
+  Evaluator evaluator(problem, {.cache_capacity = 0});
   Rng rng(12);
   const auto mapping = Mapping::random(problem.task_count(),
                                        problem.tile_count(), rng);
@@ -411,7 +494,7 @@ TEST(EvaluatorMemo, ExportPreloadShiftsCostWithoutCountingActivity) {
   // into a fresh one, and the repeat request pays zero physical
   // evaluations — while the preload itself counts as no activity.
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator donor(problem, {.cache_capacity = 64, .incremental = true});
+  Evaluator donor(problem, {.cache_capacity = 64});
   Rng rng(13);
   std::vector<Mapping> mappings;
   for (int i = 0; i < 3; ++i)
@@ -429,7 +512,7 @@ TEST(EvaluatorMemo, ExportPreloadShiftsCostWithoutCountingActivity) {
                          mappings[2].assignment().begin(),
                          mappings[2].assignment().end()));
 
-  Evaluator fresh(problem, {.cache_capacity = 64, .incremental = true});
+  Evaluator fresh(problem, {.cache_capacity = 64});
   fresh.preload_memo(snapshot);
   EXPECT_EQ(fresh.cache_hit_count(), 0u);
   EXPECT_EQ(fresh.cache_miss_count(), 0u);
@@ -443,7 +526,7 @@ TEST(EvaluatorMemo, ExportPreloadShiftsCostWithoutCountingActivity) {
 
 TEST(EvaluatorMemo, PreloadRespectsCapacityAndKeepsTheFreshest) {
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator donor(problem, {.cache_capacity = 64, .incremental = true});
+  Evaluator donor(problem, {.cache_capacity = 64});
   Rng rng(14);
   std::vector<Mapping> mappings;
   for (int i = 0; i < 4; ++i)
@@ -451,7 +534,7 @@ TEST(EvaluatorMemo, PreloadRespectsCapacityAndKeepsTheFreshest) {
                                        problem.tile_count(), rng));
   for (const auto& mapping : mappings) (void)donor.evaluate(mapping);
 
-  Evaluator tiny(problem, {.cache_capacity = 2, .incremental = true});
+  Evaluator tiny(problem, {.cache_capacity = 2});
   tiny.preload_memo(donor.export_memo());
   EXPECT_EQ(tiny.cache_eviction_count(), 0u);  // preload never evicts
   // Only the snapshot's two most recent entries fit.

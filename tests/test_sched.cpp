@@ -727,6 +727,19 @@ TEST(Scheduler, TakenAdmissionPortThrowsBeforeAnyThreadStarts) {
   EXPECT_FALSE(announced);
 }
 
+TEST(Scheduler, OutOfRangeAdmissionPortThrowsBeforeAnyThreadStarts) {
+  // Narrowed unchecked, 70000 would bind port 4464 and run the sweep.
+  SchedulerOptions options;
+  options.hosts = {"healthy"};
+  options.transport = std::make_shared<FakeTransport>(
+      std::map<std::string, FakeBehavior>{});
+  options.admit_port = 70000;
+  bool announced = false;
+  options.on_admit_port = [&](std::uint16_t) { announced = true; };
+  EXPECT_THROW((void)Scheduler(options).run(spec8()), ExecError);
+  EXPECT_FALSE(announced);
+}
+
 TEST(Scheduler, UnreachableHostIsRetiredAndTheFleetCarriesOn) {
   const auto spec = spec8();
   const auto reference = BatchEngine({.workers = 1}).run(spec);

@@ -463,6 +463,18 @@ TEST(Cli, ParsesAllForms) {
   EXPECT_EQ(cli.positional()[0], "pos1");
 }
 
+TEST(Cli, PortReaderRejectsValuesOutsideTheTcpRange) {
+  // An unchecked narrowing cast would wrap these onto other ports:
+  // 70000 onto 4464, -1 onto 65535.
+  const char* argv[] = {"prog", "--a=0", "--b=65535", "--c=70000", "--d=-1"};
+  CliOptions cli(5, argv);
+  EXPECT_EQ(cli.get_port("a", 1), 0);
+  EXPECT_EQ(cli.get_port("b", 1), 65535);
+  EXPECT_EQ(cli.get_port("missing", 7401), 7401);
+  EXPECT_THROW((void)cli.get_port("c", 1), InvalidArgument);
+  EXPECT_THROW((void)cli.get_port("d", 1), InvalidArgument);
+}
+
 TEST(Cli, TypedAccessorsAndFallbacks) {
   const char* argv[] = {"prog", "--n=42", "--x=2.5", "--no=false"};
   CliOptions cli(4, argv);
