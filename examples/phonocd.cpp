@@ -6,7 +6,7 @@
 /// frames out (see src/service/README.md for the protocol, the
 /// admission-control policy and the metrics catalog). All connections
 /// share one RequestBroker — one admission queue, one backend, one
-/// cross-request problem cache and evaluator memo bank.
+/// cross-request problem cache with the warm Evaluators of each problem.
 ///
 ///     phonocd --port=7501 &
 ///     phonoc_client --port=7501 --benchmarks=pip --optimizers=rs
@@ -34,9 +34,10 @@
 ///   --max-outstanding-cells=N  outstanding-cell cap (default 4096,
 ///                         0 = uncapped)
 ///   --max-cells=N         per-request grid cap (default 0 = uncapped)
-///   --evaluator-cache=N   per-cell evaluator memo capacity
-///   --memo-bank=N         cross-request memo bank entries per problem
-///   --max-problems=N      problems kept in the cross-request cache
+///   --evaluator-cache=N   memo entries per warm Evaluator (default
+///                         1024; 0 turns the memo off)
+///   --max-problems=N      problems kept in the cross-request cache,
+///                         each with its warm Evaluators (default 64)
 ///   --idle-timeout=SECS   drop clients idle this long (0 = never)
 ///   --stats-csv=FILE      write the final metrics snapshot as CSV on
 ///                         graceful exit (requires --once/--max-conns)
@@ -113,10 +114,6 @@ int main(int argc, char** argv) {
       cli.get_int("evaluator-cache",
                   static_cast<std::int64_t>(
                       EvaluatorOptions{}.cache_capacity)));
-  broker.cache.memo_capacity = static_cast<std::size_t>(
-      cli.get_int("memo-bank",
-                  static_cast<std::int64_t>(
-                      ServiceCache::Options{}.memo_capacity)));
   broker.cache.max_problems =
       static_cast<std::size_t>(cli.get_int("max-problems", 64));
 

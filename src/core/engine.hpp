@@ -44,8 +44,9 @@ class Engine {
   /// engine's problem). The outcome is identical to run() — memo state
   /// can shift cost between cache hits and physical evaluations but
   /// never a fitness value or a logical count — while the evaluator,
-  /// with its memo and counters, survives the call. This is how the
-  /// mapping service (src/service/) carries one memo across requests.
+  /// with its memo, kernels and counters, survives the call. This is
+  /// how the mapping service (src/service/) reuses warm Evaluators
+  /// across requests.
   [[nodiscard]] RunResult run_with(Evaluator& evaluator,
                                    const std::string& optimizer_name,
                                    const OptimizerBudget& budget,

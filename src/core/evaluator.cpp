@@ -46,8 +46,7 @@ const double* Evaluator::cache_lookup(const Mapping& mapping,
 }
 
 void Evaluator::cache_insert(std::vector<TileId> assignment,
-                             std::uint64_t hash, double fitness,
-                             bool count_evictions) {
+                             std::uint64_t hash, double fitness) {
   cache_order_.emplace_front(CacheNode{hash, std::move(assignment), fitness});
   cache_index_[hash].push_back(cache_order_.begin());
   if (cache_order_.size() <= options_.cache_capacity) return;
@@ -56,7 +55,7 @@ void Evaluator::cache_insert(std::vector<TileId> assignment,
   bucket.erase(std::find(bucket.begin(), bucket.end(), victim));
   if (bucket.empty()) cache_index_.erase(victim->hash);
   cache_order_.pop_back();
-  if (count_evictions) ++cache_evictions_;
+  ++cache_evictions_;
 }
 
 bool Evaluator::cache_contains(std::span<const TileId> assignment,
@@ -78,22 +77,6 @@ EvaluatorMemo Evaluator::export_memo() const {
   return memo;
 }
 
-void Evaluator::preload_memo(const EvaluatorMemo& memo) {
-  if (options_.cache_capacity == 0) return;
-  // Only the snapshot's most recent `capacity` entries can survive;
-  // insert that subset oldest-first so the memo's recency order matches
-  // the snapshot's and nothing needs evicting.
-  const std::size_t take =
-      std::min(memo.entries.size(), options_.cache_capacity);
-  for (std::size_t i = take; i-- > 0;) {
-    const auto& entry = memo.entries[i];
-    const std::uint64_t hash = assignment_hash(entry.assignment);
-    if (cache_contains(entry.assignment, hash)) continue;
-    cache_insert(entry.assignment, hash, entry.fitness,
-                 /*count_evictions=*/false);
-  }
-}
-
 double Evaluator::evaluate(const Mapping& mapping) {
   ++count_;
   const bool memoize = options_.cache_capacity > 0;
@@ -108,7 +91,7 @@ double Evaluator::evaluate(const Mapping& mapping) {
   if (memoize) {
     const auto assignment = mapping.assignment();
     cache_insert(std::vector<TileId>(assignment.begin(), assignment.end()),
-                 hash, fitness, /*count_evictions=*/true);
+                 hash, fitness);
   }
   return fitness;
 }
@@ -290,7 +273,7 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
     if (memoize) {
       const auto assignment = mappings[i].assignment();
       cache_insert(std::vector<TileId>(assignment.begin(), assignment.end()),
-                   hashes[i], fitness, /*count_evictions=*/true);
+                   hashes[i], fitness);
     }
     out[i] = fitness;
   }

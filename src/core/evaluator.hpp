@@ -24,6 +24,13 @@
 /// logical counts only, so the memo cannot change any optimizer's
 /// trajectory. `physical_evaluation_count` reports how many
 /// whole-mapping kernel scorings the memo did not absorb.
+///
+/// Reuse contract: one Evaluator may serve any number of optimizer runs
+/// on its problem, back to back, with results bit-identical to a fresh
+/// Evaluator per run. Memo entries are exact, the delta kernel is
+/// bit-identical to a fresh scoring (model/incremental.hpp) and rebuilds
+/// when a run starts elsewhere, and optimizers count their budgets in
+/// SearchState, not here. Every counter is cumulative across runs.
 
 #include <cstdint>
 #include <list>
@@ -39,13 +46,9 @@
 
 namespace phonoc {
 
-/// Portable snapshot of the whole-mapping fitness memo, most-recent
-/// first. The service layer (src/service/) exports a cell's memo after
-/// its run and preloads the next cell of the same problem with it, so
-/// repeated requests hit across Evaluator instances. Snapshot entries
-/// are exact (full assignment + fitness), so seeding a fresh Evaluator
-/// from one can never change a fitness value or a logical evaluation
-/// count — only how many physical evaluations the run costs.
+/// Copy of the whole-mapping fitness memo, most-recent first: exact
+/// {assignment, fitness} entries (`export_memo`, which tests use to
+/// observe the memo's contents and recency order).
 struct EvaluatorMemo {
   struct Entry {
     std::vector<TileId> assignment;
@@ -130,8 +133,7 @@ class Evaluator final : public FitnessFunction {
   [[nodiscard]] std::uint64_t cache_miss_count() const noexcept {
     return cache_misses_;
   }
-  /// Entries dropped from the memo's LRU tail to make room (preloading
-  /// never evicts and is not counted).
+  /// Entries dropped from the memo's LRU tail to make room.
   [[nodiscard]] std::uint64_t cache_eviction_count() const noexcept {
     return cache_evictions_;
   }
@@ -139,13 +141,6 @@ class Evaluator final : public FitnessFunction {
   /// Copy the memo's current contents, most-recent first. Counters are
   /// untouched; the snapshot is independent of this instance.
   [[nodiscard]] EvaluatorMemo export_memo() const;
-
-  /// Seed the memo from a snapshot: the snapshot's most recent
-  /// `cache_capacity` entries are adopted with their recency order
-  /// preserved; assignments already cached are skipped. Nothing is
-  /// counted as a hit, miss, or eviction — preloading is cost shifting,
-  /// not evaluation activity.
-  void preload_memo(const EvaluatorMemo& memo);
 
   /// Full O(|E|^2) rebuilds of the incremental kernel (base changes).
   [[nodiscard]] std::uint64_t kernel_rebuild_count() const noexcept {
@@ -180,7 +175,7 @@ class Evaluator final : public FitnessFunction {
   [[nodiscard]] const double* cache_lookup(const Mapping& mapping,
                                            std::uint64_t hash);
   void cache_insert(std::vector<TileId> assignment, std::uint64_t hash,
-                    double fitness, bool count_evictions);
+                    double fitness);
   [[nodiscard]] bool cache_contains(std::span<const TileId> assignment,
                                     std::uint64_t hash) const;
 

@@ -136,8 +136,7 @@ namespace {
 /// the per-sample O(tiles) validation now happens once, inside
 /// `Mapping::random`'s invariant.
 CellResult run_sample_cell(const SweepSpec& spec, const SweepCell& cell,
-                           const MappingProblem& problem,
-                           const EvaluatorOptions& evaluator_options) {
+                           const Evaluator& evaluator) {
   Timer timer;
   CellResult result;
   result.cell = cell;
@@ -150,7 +149,7 @@ CellResult run_sample_cell(const SweepSpec& spec, const SweepCell& cell,
   auto& snr = result.distribution.metrics[0];
   auto& loss = result.distribution.metrics[1];
 
-  const Evaluator evaluator(problem, evaluator_options);
+  const MappingProblem& problem = evaluator.problem();
   Rng rng(result.seed);
   constexpr std::uint64_t kChunk = 512;
   std::vector<Mapping> mappings;
@@ -182,21 +181,26 @@ CellResult run_sample_cell(const SweepSpec& spec, const SweepCell& cell,
 CellResult run_sweep_cell(const SweepSpec& spec, const SweepCell& cell,
                           const MappingProblem& problem,
                           const EvaluatorOptions& evaluator) {
+  Evaluator fresh(problem, evaluator);
+  return run_sweep_cell(spec, cell, fresh);
+}
+
+CellResult run_sweep_cell(const SweepSpec& spec, const SweepCell& cell,
+                          Evaluator& evaluator) {
   obs::TraceSpan span("exec", "cell");
   span.arg({"index", std::uint64_t(cell.index)});
   span.arg({"kind", std::string_view(spec.task_kind == SweepTaskKind::Sample
                                          ? "sample"
                                          : "optimize")});
   if (spec.task_kind == SweepTaskKind::Sample)
-    return run_sample_cell(spec, cell, problem, evaluator);
+    return run_sample_cell(spec, cell, evaluator);
   Timer timer;
   CellResult result;
   result.cell = cell;
   result.seed = spec.seeds[cell.seed];
-  result.run =
-      Engine(problem, evaluator)
-          .run(spec.optimizers[cell.optimizer], spec.budgets[cell.budget],
-               result.seed);
+  result.run = Engine(evaluator.problem(), evaluator.options())
+                   .run_with(evaluator, spec.optimizers[cell.optimizer],
+                             spec.budgets[cell.budget], result.seed);
   result.seconds = timer.elapsed_seconds();
   return result;
 }

@@ -174,6 +174,15 @@ build_sweep_problems(const SweepSpec& spec,
                                         const MappingProblem& problem,
                                         const EvaluatorOptions& evaluator);
 
+/// run_sweep_cell on a caller-owned Evaluator of the cell's problem,
+/// which may have served earlier cells: the outcome is the same as on a
+/// fresh one (see core/evaluator.hpp). The overload above builds a
+/// fresh Evaluator and delegates here; the mapping service passes warm
+/// ones from its problem cache.
+[[nodiscard]] CellResult run_sweep_cell(const SweepSpec& spec,
+                                        const SweepCell& cell,
+                                        Evaluator& evaluator);
+
 /// The Failed-cell constructor shared by every backend: coordinates
 /// and seed survive so the failure stays attributable.
 [[nodiscard]] CellResult make_failed_cell(const SweepSpec& spec,

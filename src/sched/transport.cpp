@@ -1,6 +1,8 @@
 #include "sched/transport.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -67,6 +69,21 @@ void disarm_sigpipe(int fd) {
 #endif
 }
 
+/// poll(2) timeout for `seconds`, rounded up to whole milliseconds and
+/// clamped to int: a timeout of weeks waits INT_MAX ms and loops again
+/// instead of overflowing the conversion.
+int poll_timeout_ms(double seconds) {
+  return static_cast<int>(std::min(
+      seconds * 1e3 + 1.0, double(std::numeric_limits<int>::max())));
+}
+
+/// Disable Nagle on a TCP socket: every frame is a complete message, and
+/// a small one must not wait behind the peer's delayed ACK.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
 class FdConnection : public Connection {
  public:
   explicit FdConnection(int fd) : fd_(fd) { disarm_sigpipe(fd_); }
@@ -98,7 +115,7 @@ class FdConnection : public Connection {
       if (timeout_seconds > 0.0) {
         const double remaining = timeout_seconds - timer.elapsed_seconds();
         if (remaining <= 0.0) return {RecvStatus::Timeout, {}};
-        poll_ms = static_cast<int>(remaining * 1e3) + 1;
+        poll_ms = poll_timeout_ms(remaining);
       }
       struct pollfd pfd {fd_, POLLIN, 0};
       const int ready = ::poll(&pfd, 1, poll_ms);
@@ -106,7 +123,7 @@ class FdConnection : public Connection {
         if (errno == EINTR) continue;
         return {RecvStatus::Closed, {}};
       }
-      if (ready == 0) return {RecvStatus::Timeout, {}};
+      if (ready == 0) continue;  // the remaining-time check decides
       char buffer[1 << 16];
       const ssize_t n = ::read(fd_, buffer, sizeof buffer);
       if (n < 0) {
@@ -176,7 +193,7 @@ int dial_tcp(const std::string& endpoint, double timeout_seconds) {
     }
     struct pollfd pfd {fd, POLLOUT, 0};
     const int poll_ms =
-        timeout_seconds > 0.0 ? static_cast<int>(timeout_seconds * 1e3) : -1;
+        timeout_seconds > 0.0 ? poll_timeout_ms(timeout_seconds) : -1;
     const int ready = ::poll(&pfd, 1, poll_ms);
     int so_error = 0;
     socklen_t len = sizeof so_error;
@@ -189,8 +206,7 @@ int dial_tcp(const std::string& endpoint, double timeout_seconds) {
       continue;
     }
     ::fcntl(fd, F_SETFL, flags);  // back to blocking
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    set_nodelay(fd);
     ::freeaddrinfo(info);
     return fd;
   }
@@ -418,30 +434,40 @@ int TcpListener::accept_fd_for(double timeout_seconds) {
   Timer timer;
   for (;;) {
     int poll_ms = -1;
+    double remaining = 0.0;
     if (timeout_seconds > 0.0) {
-      const double remaining = timeout_seconds - timer.elapsed_seconds();
+      remaining = timeout_seconds - timer.elapsed_seconds();
       if (remaining <= 0.0) return -1;
-      poll_ms = static_cast<int>(remaining * 1e3) + 1;
+      poll_ms = poll_timeout_ms(remaining);
     }
     struct pollfd pfd {fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, poll_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (ready == 0) return -1;  // timeout
+    if (ready == 0) continue;  // the remaining-time check decides
+    if (ready > 0) {
 #if defined(SOCK_CLOEXEC)
-    const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
+      const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
 #else
-    const int fd = cloexec(::accept(fd_, nullptr, nullptr));
+      const int fd = cloexec(::accept(fd_, nullptr, nullptr));
 #endif
-    if (fd >= 0) return fd;
-    // A dial that vanished between poll and accept (ECONNABORTED and
-    // friends) is not worth reporting; wait for the next one.
-    if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
-        errno == EWOULDBLOCK)
+      if (fd >= 0) {
+        set_nodelay(fd);
+        return fd;
+      }
+    }
+    // Only a broken listener ends the wait. An interrupted call or a
+    // dial that vanished between poll and accept retries at once. Any
+    // other failure is transient: out of descriptors or memory (EMFILE,
+    // ENFILE, ENOBUFS, ENOMEM), EPROTO, EPERM, and the pending network
+    // errors accept(2) says to retry. Back off briefly, since a dial
+    // left queued would make poll spin.
+    if (errno == EBADF || errno == EINVAL || errno == ENOTSOCK) return -1;
+    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
+        errno == ECONNABORTED)
       continue;
-    return -1;
+    constexpr double kBackoffSeconds = 0.01;
+    std::this_thread::sleep_for(std::chrono::duration<double>(
+        timeout_seconds > 0.0 ? std::min(kBackoffSeconds, remaining)
+                              : kBackoffSeconds));
   }
 }
 

@@ -168,9 +168,12 @@ class TcpListener {
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   /// Next inbound connection, waiting at most `timeout_seconds` (<= 0
-  /// waits forever). Returns nullptr on timeout as well as on a fatal
-  /// error — pollers that need to re-check a stop flag between dials
-  /// pass a timeout (the scheduler's dynamic-admission loop).
+  /// waits forever), with TCP_NODELAY set like the dialing side's.
+  /// Returns nullptr on timeout or when the listener itself is broken;
+  /// running out of descriptors or memory and pending network errors
+  /// back off and keep waiting. Pollers that need to re-check a stop
+  /// flag between dials pass a timeout (the scheduler's
+  /// dynamic-admission loop).
   [[nodiscard]] std::unique_ptr<Connection> accept_for(
       double timeout_seconds);
   /// Like accept_for() but hands back the raw accepted descriptor

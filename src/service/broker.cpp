@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/serialize.hpp"
 #include "mapping/mapping.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -19,6 +20,30 @@ namespace {
 /// Every broker metric is registered as `phonocd_<line>`: the prefixed
 /// name is its Prometheus family, the bare name its `stats` line.
 constexpr std::string_view kMetricPrefix = "phonocd_";
+
+/// The memo counters of an Evaluator at one instant. Warm Evaluators
+/// count cumulatively, so a run's share is the difference of two.
+struct MemoCounts {
+  explicit MemoCounts(const Evaluator& evaluator)
+      : hits(evaluator.cache_hit_count()),
+        misses(evaluator.cache_miss_count()),
+        evictions(evaluator.cache_eviction_count()) {}
+  std::uint64_t hits;
+  std::uint64_t misses;
+  std::uint64_t evictions;
+};
+
+/// The search a cell runs: optimizer, budget and seed. A warm Evaluator
+/// that recently ran the same search holds the mappings it will score
+/// in its memo, so ServiceCache::checkout prefers that one.
+std::uint64_t search_affinity(const SweepSpec& spec, const SweepCell& cell) {
+  return fnv1a64(spec.optimizers[cell.optimizer] + ' ' +
+                 budget_label(spec.budgets[cell.budget]) + ' ' +
+                 std::to_string(spec.seeds[cell.seed]));
+}
+
+/// Single-mapping `evaluate` requests share one affinity.
+constexpr std::uint64_t kEvaluateAffinity = 0;
 
 }  // namespace
 
@@ -41,8 +66,8 @@ struct RequestBroker::Metrics {
   /// The counter a rejection of `kind` bumps; Internal (an accepted
   /// request that died executing) counts as requests_failed.
   [[nodiscard]] obs::Counter& rejections(RejectKind kind) noexcept;
-  /// Fold one finished Evaluator's memo counters in.
-  void count_memo(const Evaluator& evaluator);
+  /// Fold in the memo activity of `evaluator` since `before`.
+  void count_memo(const Evaluator& evaluator, const MemoCounts& before);
 
   obs::Gauge& queue_depth;
   obs::Gauge& queue_depth_interactive;
@@ -167,16 +192,18 @@ obs::Counter& RequestBroker::Metrics::rejections(RejectKind kind) noexcept {
   return requests_failed;
 }
 
-void RequestBroker::Metrics::count_memo(const Evaluator& evaluator) {
-  evaluator_cache_hits.inc(evaluator.cache_hit_count());
-  evaluator_cache_misses.inc(evaluator.cache_miss_count());
-  evaluator_cache_evictions.inc(evaluator.cache_eviction_count());
+void RequestBroker::Metrics::count_memo(const Evaluator& evaluator,
+                                        const MemoCounts& before) {
+  const MemoCounts after(evaluator);
+  evaluator_cache_hits.inc(after.hits - before.hits);
+  evaluator_cache_misses.inc(after.misses - before.misses);
+  evaluator_cache_evictions.inc(after.evictions - before.evictions);
 }
 
 RequestBroker::RequestBroker(BrokerOptions options)
     : options_(std::move(options)),
       metrics_(std::make_unique<Metrics>(registry_)),
-      cache_(options_.cache, registry_),
+      cache_(options_.cache, options_.batch.evaluator, registry_),
       sched_(options_.drr_quantum_cells) {
   paused_ = options_.start_paused;
   if (options_.batch.backend == BatchBackend::InProcess) {
@@ -324,15 +351,16 @@ EvaluationAnswer RequestBroker::evaluate(const EvaluateRequest& request) {
               std::to_string(problem->task_count()));
   const auto mapping =
       Mapping::from_assignment(request.assignment, problem->tile_count());
-  Evaluator evaluator(*problem, options_.batch.evaluator);
-  cache_.seed_memo(key, evaluator);
+  auto lease = cache_.checkout(key, *problem, kEvaluateAffinity);
+  Evaluator& evaluator = *lease.evaluator;
+  const MemoCounts before(evaluator);
   EvaluationAnswer answer;
   answer.fitness = evaluator.evaluate(mapping);
   const auto raw = evaluator.evaluate_raw(mapping);
   answer.snr_db = raw.worst_snr_db;
   answer.loss_db = raw.worst_loss_db;
-  cache_.harvest_memo(key, evaluator);
-  metrics_->count_memo(evaluator);
+  metrics_->count_memo(evaluator, before);
+  cache_.checkin(key, std::move(lease), kEvaluateAffinity);
   metrics_->single_evaluations.inc();
   return answer;
 }
@@ -583,34 +611,16 @@ CellResult RequestBroker::run_cell(const SweepSpec& spec,
                                    const std::string& key) {
   obs::TraceSpan span("service", "cell");
   span.arg({"index", std::uint64_t(cell.index)});
-  if (spec.task_kind == SweepTaskKind::Sample) {
-    // Sampling scores through evaluate_raw, which bypasses the memo:
-    // nothing to seed or harvest, and the counters stay untouched.
-    try {
-      return run_sweep_cell(spec, cell, problem, options_.batch.evaluator);
-    } catch (const std::exception& e) {
-      return make_failed_cell(spec, cell, e.what());
-    }
-  }
   try {
-    const Timer timer;
-    CellResult result;
-    result.cell = cell;
-    result.seed = spec.seeds[cell.seed];
-    // The exact per-cell code of run_sweep_cell, with the Evaluator
-    // lifted out so the memo can be seeded from (and harvested into)
-    // the cross-request bank. Memo state shifts physical cost only —
-    // the RunResult is bit-identical either way.
-    Evaluator evaluator(problem, options_.batch.evaluator);
-    cache_.seed_memo(key, evaluator);
-    result.run = Engine(problem, options_.batch.evaluator)
-                     .run_with(evaluator, spec.optimizers[cell.optimizer],
-                               spec.budgets[cell.budget], result.seed);
-    cache_.harvest_memo(key, evaluator);
-    metrics_->count_memo(evaluator);
-    result.seconds = timer.elapsed_seconds();
+    const std::uint64_t affinity = search_affinity(spec, cell);
+    auto lease = cache_.checkout(key, problem, affinity);
+    const MemoCounts before(*lease.evaluator);
+    CellResult result = run_sweep_cell(spec, cell, *lease.evaluator);
+    metrics_->count_memo(*lease.evaluator, before);
+    cache_.checkin(key, std::move(lease), affinity);
     return result;
   } catch (const std::exception& e) {
+    // The Evaluator of a failed cell is dropped, not checked back in.
     return make_failed_cell(spec, cell, e.what());
   }
 }

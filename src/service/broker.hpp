@@ -34,13 +34,14 @@
 ///    queue on deadline/shutdown, or a request-level execution
 ///    failure).
 ///
-/// Bit-identity: the InProcess path runs the exact per-cell code of
-/// BatchEngine (same Engine/Evaluator construction, same seeds);
-/// concurrent requests share the problem cache and memo bank but never
-/// mutate each other's problems (problems are immutable, each cell
-/// owns its Evaluator, and the memo shifts physical cost only — see
-/// service/cache.hpp), so every request's streamed results are
-/// bit-identical to a solo run of the same spec at any concurrency.
+/// Bit-identity: the InProcess path runs BatchEngine's per-cell code
+/// (`run_sweep_cell`, same seeds) on a warm Evaluator checked out of
+/// the problem cache. Concurrent requests share the cache but never
+/// mutate each other's state: problems are immutable, a running cell
+/// holds its Evaluator exclusively, and a reused Evaluator scores
+/// exactly like a fresh one (see service/cache.hpp). So every
+/// request's streamed results are bit-identical to a solo run of the
+/// same spec at any concurrency.
 
 #include <condition_variable>
 #include <cstdint>
@@ -161,8 +162,8 @@ class RequestBroker {
                                   const std::string& client = {});
 
   /// Score one explicit mapping against the request's first
-  /// (workload, topology, goal) coordinate, synchronously, through the
-  /// shared problem cache and memo bank. Throws phonoc::Error on
+  /// (workload, topology, goal) coordinate, synchronously, on a warm
+  /// Evaluator of the shared problem cache. Throws phonoc::Error on
   /// invalid input (empty dimensions, non-injective assignment).
   [[nodiscard]] EvaluationAnswer evaluate(const EvaluateRequest& request);
 
@@ -226,8 +227,9 @@ class RequestBroker {
                           std::size_t& failed);
   void execute_batch(Job& job, bool& canceled, std::size_t& ok,
                      std::size_t& failed);
-  /// The shared per-cell body: BatchEngine's cell code plus memo
-  /// seeding/harvesting and metric accounting.
+  /// One cell on a warm Evaluator: check it out, run_sweep_cell, count
+  /// the run's memo activity, check it back in; a throwing cell becomes
+  /// a Failed result and its Evaluator is dropped.
   [[nodiscard]] CellResult run_cell(const SweepSpec& spec,
                                     const SweepCell& cell,
                                     const MappingProblem& problem,

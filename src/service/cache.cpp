@@ -1,16 +1,18 @@
 #include "service/cache.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "exec/serialize.hpp"
-#include "mapping/mapping.hpp"
 
 namespace phonoc {
 
-ServiceCache::ServiceCache(Options options, obs::MetricsRegistry& registry)
+ServiceCache::ServiceCache(Options options, EvaluatorOptions evaluator,
+                           obs::MetricsRegistry& registry)
     : options_(options),
+      evaluator_options_(evaluator),
       hits_(registry.counter("phonocd_problem_cache_hits",
                              "Parsed-problem cache hits.")),
       misses_(registry.counter("phonocd_problem_cache_misses",
@@ -71,7 +73,7 @@ std::shared_ptr<const MappingProblem> ServiceCache::problem(
     return it->second.problem;
   }
   lru_.push_front(key);
-  slots_.emplace(key, Slot{problem, EvaluatorMemo{}, lru_.begin()});
+  slots_.emplace(key, Slot{problem, {}, lru_.begin()});
   while (slots_.size() > options_.max_problems && !lru_.empty()) {
     slots_.erase(lru_.back());
     lru_.pop_back();
@@ -80,42 +82,40 @@ std::shared_ptr<const MappingProblem> ServiceCache::problem(
   return problem;
 }
 
-void ServiceCache::seed_memo(const std::string& key,
-                             Evaluator& evaluator) const {
-  if (options_.memo_capacity == 0) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = slots_.find(key);
-  if (it == slots_.end() || it->second.memo.entries.empty()) return;
-  evaluator.preload_memo(it->second.memo);
+ServiceCache::Lease ServiceCache::checkout(const std::string& key,
+                                           const MappingProblem& problem,
+                                           std::uint64_t affinity) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = slots_.find(key);
+    if (it != slots_.end() && it->second.problem.get() == &problem &&
+        !it->second.idle.empty()) {
+      auto& idle = it->second.idle;
+      auto pick = std::prev(idle.end());
+      for (auto i = idle.begin(); i != idle.end(); ++i)
+        if (std::find(i->searches.begin(), i->searches.end(), affinity) !=
+            i->searches.end())
+          pick = i;
+      Lease lease = std::move(*pick);
+      idle.erase(pick);
+      return lease;
+    }
+  }
+  return Lease{std::make_unique<Evaluator>(problem, evaluator_options_), {}};
 }
 
-void ServiceCache::harvest_memo(const std::string& key,
-                                const Evaluator& evaluator) {
-  if (options_.memo_capacity == 0) return;
-  auto fresh = evaluator.export_memo();
-  if (fresh.entries.empty()) return;
+void ServiceCache::checkin(const std::string& key, Lease lease,
+                           std::uint64_t affinity) {
+  auto& searches = lease.searches;
+  std::erase(searches, affinity);
+  searches.push_back(affinity);
+  if (searches.size() > kRecentSearches) searches.erase(searches.begin());
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = slots_.find(key);
-  if (it == slots_.end()) return;  // evicted meanwhile; drop the snapshot
-  EvaluatorMemo& bank = it->second.memo;
-  // Fresh entries first (they are the most recent activity), then the
-  // surviving old ones. Dedup by assignment hash — a collision merely
-  // drops one redundant snapshot entry, never a wrong fitness, since
-  // preload_memo re-checks full keys on insert.
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(fresh.entries.size() + bank.entries.size());
-  EvaluatorMemo merged;
-  merged.entries.reserve(
-      std::min(options_.memo_capacity,
-               fresh.entries.size() + bank.entries.size()));
-  const auto adopt = [&](EvaluatorMemo::Entry& entry) {
-    if (merged.entries.size() >= options_.memo_capacity) return;
-    if (!seen.insert(assignment_hash(entry.assignment)).second) return;
-    merged.entries.push_back(std::move(entry));
-  };
-  for (auto& entry : fresh.entries) adopt(entry);
-  for (auto& entry : bank.entries) adopt(entry);
-  bank = std::move(merged);
+  if (it == slots_.end() ||
+      it->second.problem.get() != &lease.evaluator->problem())
+    return;  // the slot's problem is gone: so is this Evaluator
+  it->second.idle.push_back(std::move(lease));
 }
 
 }  // namespace phonoc

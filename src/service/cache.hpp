@@ -2,18 +2,22 @@
 /// \file cache.hpp
 /// \brief Cross-request reuse state of the phonocd service.
 ///
-/// Two things survive between requests, both keyed by the canonical
-/// problem identity {resolved side, topology, workload, goal, shared
-/// architecture knobs}:
+/// One slot per canonical problem identity {resolved side, topology,
+/// workload, goal, shared architecture knobs}, LRU-capped at
+/// `max_problems`. A slot keeps two things alive between requests:
 ///  * the constructed MappingProblem (network construction dominates a
-///    small request's cost), LRU-capped at `max_problems`;
-///  * an EvaluatorMemo snapshot bank: after each Optimize cell runs,
-///    its evaluator memo is harvested and merged into the key's bank;
-///    the next cell of the same problem preloads it. Memo entries are
-///    exact {assignment, fitness} pairs, so preloading shifts physical
-///    cost only — fitness values and logical evaluation counts (and
-///    therefore the bit-identity contract against an in-process
-///    BatchEngine run) are untouched.
+///    small request's cost);
+///  * its idle warm Evaluators. A cell checks one out, runs on it and
+///    checks it back in, so the memo, the batch plan and the delta
+///    kernel carry from cell to cell with nothing copied. A checkout
+///    prefers an Evaluator that recently ran the same search (the
+///    broker's affinity: optimizer, budget, seed), whose memo holds
+///    that search's mappings, so a repeated request hits even when its
+///    cells run concurrently. Reuse is invisible in results: memo
+///    entries are exact, the delta kernel is bit-identical to a fresh
+///    scoring, and optimizers count their budgets in SearchState, never
+///    in the Evaluator (see core/evaluator.hpp). A slot holds at most as
+///    many Evaluators as cells of its problem ever ran at once.
 ///
 /// The canonical key is the write_spec serialization of a
 /// single-coordinate sub-spec with the resolved side pinned explicitly,
@@ -27,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "core/evaluator.hpp"
 #include "core/problem.hpp"
@@ -39,15 +44,16 @@ class ServiceCache {
  public:
   struct Options {
     /// Distinct problems kept alive (LRU beyond that). Evicting a
-    /// problem drops its memo bank with it.
+    /// problem drops its idle Evaluators with it.
     std::size_t max_problems = 64;
-    /// Memo snapshot entries kept per problem; 0 disables the bank.
-    std::size_t memo_capacity = 4096;
   };
 
-  /// Registers the problem_cache_{hits,misses,evictions} counters in
-  /// `registry` (the owning broker's), which must outlive the cache.
-  ServiceCache(Options options, obs::MetricsRegistry& registry);
+  /// Every Evaluator the cache builds uses `evaluator` (its memo
+  /// capacity; 0 turns the memo off). Registers the
+  /// problem_cache_{hits,misses,evictions} counters in `registry` (the
+  /// owning broker's), which must outlive the cache.
+  ServiceCache(Options options, EvaluatorOptions evaluator,
+               obs::MetricsRegistry& registry);
 
   /// Canonical problem identity of one grid coordinate (see file
   /// comment). Kind-independent: Optimize and Sample grids over the
@@ -56,31 +62,47 @@ class ServiceCache {
                                           const SweepCell& cell);
 
   /// The problem of `cell`, built on a miss and shared on a hit. The
-  /// construction happens under the cache lock (callers build problems
-  /// serially per request anyway); the returned pointer stays valid
-  /// after eviction for as long as the caller holds it.
+  /// returned pointer stays valid after eviction for as long as the
+  /// caller holds it.
   [[nodiscard]] std::shared_ptr<const MappingProblem> problem(
       const SweepSpec& spec, const SweepCell& cell, const std::string& key);
 
-  /// Preload `evaluator` with the key's memo bank (no-op for unknown
-  /// keys or a disabled bank).
-  void seed_memo(const std::string& key, Evaluator& evaluator) const;
+  /// An Evaluator lent out by checkout() and due back via checkin().
+  struct Lease {
+    std::unique_ptr<Evaluator> evaluator;
+    /// Affinities of the last searches it ran, newest last (at most
+    /// kRecentSearches): its memo most likely holds their mappings.
+    std::vector<std::uint64_t> searches;
+  };
+  static constexpr std::size_t kRecentSearches = 16;
 
-  /// Merge the evaluator's memo into the key's bank: fresh entries
-  /// first, then surviving old ones, deduplicated and truncated to
-  /// `memo_capacity`. No-op for unknown (evicted) keys.
-  void harvest_memo(const std::string& key, const Evaluator& evaluator);
+  /// An Evaluator of `problem` for the caller's exclusive use: an idle
+  /// one of the key's slot when the slot still holds this problem —
+  /// preferably the most recently returned one that ran the search
+  /// `affinity` names, else the most recently returned — or a fresh
+  /// one.
+  [[nodiscard]] Lease checkout(const std::string& key,
+                               const MappingProblem& problem,
+                               std::uint64_t affinity);
+
+  /// Hand a lease back after it ran the search `affinity` names. It is
+  /// dropped when the key's slot was evicted, or rebuilt around another
+  /// problem object than the one its Evaluator references.
+  void checkin(const std::string& key, Lease lease, std::uint64_t affinity);
 
  private:
   struct Slot {
     std::shared_ptr<const MappingProblem> problem;
-    EvaluatorMemo memo;
+    /// Declared after `problem`, so destroyed before the problem every
+    /// idle Evaluator references.
+    std::vector<Lease> idle;
     std::list<std::string>::iterator lru_it;
   };
 
   void touch(Slot& slot) const;
 
   Options options_;
+  EvaluatorOptions evaluator_options_;
   mutable std::mutex mutex_;
   mutable std::list<std::string> lru_;  ///< most-recent first
   std::map<std::string, Slot> slots_;

@@ -97,10 +97,15 @@ std::string format_double(double value) {
   // including NaN/±Inf metrics — round-trips through parse_double.
   if (std::isnan(value)) return std::signbit(value) ? "-nan" : "nan";
   if (std::isinf(value)) return std::signbit(value) ? "-inf" : "inf";
-  std::ostringstream out;
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << value;
-  return out.str();
+  // `general` at max_digits10 is printf's %.17g: the same bytes the
+  // ostream rendering produced, without building a stream per value.
+  char buffer[32];
+  const auto [end, ec] =
+      std::to_chars(buffer, buffer + sizeof buffer, value,
+                    std::chars_format::general,
+                    std::numeric_limits<double>::max_digits10);
+  (void)ec;  // 32 bytes hold any %.17g rendering (at most 24)
+  return std::string(buffer, end);
 }
 
 }  // namespace phonoc

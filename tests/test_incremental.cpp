@@ -4,8 +4,10 @@
 // (tolerance 0) to full `evaluate_mapping` re-evaluation — fitness and
 // per-edge metrics alike. Also covers the Evaluator's transactional
 // move API, the equivalence of complete optimizer runs with the oracle
-// (tests/oracle.hpp), and the whole-mapping memo's counting contract
-// (cache hits must never change the evaluation counts budgets observe).
+// (tests/oracle.hpp), the whole-mapping memo's counting contract
+// (cache hits must never change the evaluation counts budgets observe),
+// and the reuse contract: a warm Evaluator serving run after run
+// returns exactly what a fresh one does.
 
 #include <gtest/gtest.h>
 
@@ -489,60 +491,35 @@ TEST(EvaluatorMemo, DisabledCacheCountsNothing) {
   EXPECT_EQ(evaluator.cache_eviction_count(), 0u);
 }
 
-TEST(EvaluatorMemo, ExportPreloadShiftsCostWithoutCountingActivity) {
-  // The cross-request bank protocol: export from one evaluator, preload
-  // into a fresh one, and the repeat request pays zero physical
-  // evaluations — while the preload itself counts as no activity.
-  const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator donor(problem, {.cache_capacity = 64});
-  Rng rng(13);
-  std::vector<Mapping> mappings;
-  for (int i = 0; i < 3; ++i)
-    mappings.push_back(Mapping::random(problem.task_count(),
-                                       problem.tile_count(), rng));
-  std::vector<double> fitness;
-  for (const auto& mapping : mappings)
-    fitness.push_back(donor.evaluate(mapping));
-
-  const auto snapshot = donor.export_memo();
-  ASSERT_EQ(snapshot.entries.size(), 3u);
-  // Most-recent first: the head is the last mapping evaluated.
-  EXPECT_TRUE(std::equal(snapshot.entries[0].assignment.begin(),
-                         snapshot.entries[0].assignment.end(),
-                         mappings[2].assignment().begin(),
-                         mappings[2].assignment().end()));
-
-  Evaluator fresh(problem, {.cache_capacity = 64});
-  fresh.preload_memo(snapshot);
-  EXPECT_EQ(fresh.cache_hit_count(), 0u);
-  EXPECT_EQ(fresh.cache_miss_count(), 0u);
-  EXPECT_EQ(fresh.cache_eviction_count(), 0u);
-  EXPECT_EQ(fresh.physical_evaluation_count(), 0u);
-  for (std::size_t i = 0; i < mappings.size(); ++i)
-    EXPECT_EQ(fresh.evaluate(mappings[i]), fitness[i]);  // bitwise
-  EXPECT_EQ(fresh.cache_hit_count(), 3u);
-  EXPECT_EQ(fresh.physical_evaluation_count(), 0u);
-}
-
-TEST(EvaluatorMemo, PreloadRespectsCapacityAndKeepsTheFreshest) {
-  const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator donor(problem, {.cache_capacity = 64});
-  Rng rng(14);
-  std::vector<Mapping> mappings;
-  for (int i = 0; i < 4; ++i)
-    mappings.push_back(Mapping::random(problem.task_count(),
-                                       problem.tile_count(), rng));
-  for (const auto& mapping : mappings) (void)donor.evaluate(mapping);
-
-  Evaluator tiny(problem, {.cache_capacity = 2});
-  tiny.preload_memo(donor.export_memo());
-  EXPECT_EQ(tiny.cache_eviction_count(), 0u);  // preload never evicts
-  // Only the snapshot's two most recent entries fit.
-  (void)tiny.evaluate(mappings[3]);
-  (void)tiny.evaluate(mappings[2]);
-  EXPECT_EQ(tiny.cache_hit_count(), 2u);
-  (void)tiny.evaluate(mappings[0]);
-  EXPECT_EQ(tiny.cache_miss_count(), 1u);
+TEST(EvaluatorReuse, WarmEvaluatorRunsEqualFreshOnesBitForBit) {
+  // The service's warm-Evaluator contract: one Evaluator serving run
+  // after run — its memo holding earlier runs' mappings, its delta
+  // kernel sitting on an earlier run's state — returns exactly what a
+  // fresh Evaluator returns. The second pass repeats every run, so the
+  // memo answers most of its evaluations.
+  OptimizerBudget budget;
+  budget.max_evaluations = 600;
+  for (const auto topology : {TopologyKind::Mesh, TopologyKind::Torus}) {
+    ExperimentSpec spec;
+    spec.topology = topology;
+    const auto problem = make_experiment(spec);
+    const Engine engine(problem);
+    Evaluator warm(problem);
+    for (int pass = 0; pass < 2; ++pass)
+      for (const std::uint64_t seed : {1u, 2u})
+        for (const auto* name : {"rs", "ga", "sa", "tabu", "rpbla", "greedy"}) {
+          const std::string where = to_string(topology) + ' ' + name +
+                                    " seed " + std::to_string(seed) +
+                                    " pass " + std::to_string(pass);
+          const auto got = engine.run_with(warm, name, budget, seed);
+          const auto want = engine.run(name, budget, seed);
+          SCOPED_TRACE(where);
+          expect_identical_runs(got, want);
+          expect_same_edges(got.best_evaluation.edges,
+                            want.best_evaluation.edges, where);
+        }
+    EXPECT_GT(warm.cache_hit_count(), 0u);
+  }
 }
 
 TEST(EvaluatorRaw, HonorsObjectiveDetailNeeds) {

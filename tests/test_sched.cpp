@@ -6,10 +6,21 @@
 // cpu = sum) — and the fleet failure paths driven through a scripted
 // in-memory Transport: dead-host failover, spawn-host respawn,
 // straggler retry with late-answer dedup, timeouts accounted into
-// failed_count, and an admission port that cannot be bound.
+// failed_count, and an admission port that cannot be bound. The TCP
+// listener's accepted sockets disable Nagle, and running out of
+// descriptors makes it wait rather than fail.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -1202,6 +1213,110 @@ TEST(Scheduler, LateAdmittedWorkerAbsorbsAWedgedSweep) {
   // It reached the work through the ledger, not an initial deal.
   EXPECT_GT(joiner.steals + joiner.speculations + joiner.retries, 0u);
   for (const auto owner : outcome.cell_host) EXPECT_EQ(owner, 1);
+}
+
+// --- TcpListener --------------------------------------------------------------
+
+/// A blocking loopback dial with no framing: the peer of raw-socket checks.
+int dial_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  struct sockaddr_in addr {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// The port of `fd`'s own end (`peer` false) or of its peer's.
+int port_of(int fd, bool peer) {
+  struct sockaddr_in addr {};
+  socklen_t len = sizeof addr;
+  auto* raw = reinterpret_cast<struct sockaddr*>(&addr);
+  if ((peer ? ::getpeername(fd, raw, &len) : ::getsockname(fd, raw, &len)) !=
+          0 ||
+      addr.sin_family != AF_INET)
+    return -1;
+  return ntohs(addr.sin_port);
+}
+
+int nodelay_of(int fd) {
+  int value = -1;
+  socklen_t len = sizeof value;
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) return -1;
+  return value;
+}
+
+TEST(TcpListener, AcceptedSocketsHaveNagleDisabled) {
+  TcpListener listener(0);
+  // A timeout of decades is clamped, not overflowed; a queued dial
+  // returns at once.
+  const int client = dial_loopback(listener.port());
+  ASSERT_GE(client, 0);
+  const int fd = listener.accept_fd_for(1e9);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(nodelay_of(fd), 1);
+  ::close(fd);
+  ::close(client);
+
+  // accept_for wraps its descriptor in a Connection: find the socket
+  // among this process's descriptors by the dialing end's port.
+  const int second = dial_loopback(listener.port());
+  ASSERT_GE(second, 0);
+  const auto conn = listener.accept_for(5.0);
+  ASSERT_NE(conn, nullptr);
+  const int client_port = port_of(second, /*peer=*/false);
+  int accepted = -1;
+  for (int candidate = 0; candidate < 4096 && accepted < 0; ++candidate)
+    if (candidate != second && port_of(candidate, /*peer=*/true) ==
+                                   client_port &&
+        port_of(candidate, /*peer=*/false) == listener.port())
+      accepted = candidate;
+  ASSERT_GE(accepted, 0) << "the accepted socket was not found";
+  EXPECT_EQ(nodelay_of(accepted), 1);
+  ::close(second);
+}
+
+/// The forked child of the descriptor-exhaustion test. Returns 0 when
+/// every step held, else the number of the first step that failed.
+int accept_through_descriptor_exhaustion() {
+  TcpListener listener(0);
+  const int client = dial_loopback(listener.port());  // waits in the backlog
+  if (client < 0) return 1;
+  struct rlimit limit {};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return 2;
+  limit.rlim_cur = std::min<rlim_t>(limit.rlim_cur, 64);
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return 2;
+  std::vector<int> filler;
+  for (int fd; (fd = ::dup(client)) >= 0;) filler.push_back(fd);
+  if (errno != EMFILE) return 3;
+  // accept4 now fails with EMFILE. The listener must keep waiting for
+  // its timeout instead of reporting a dead listener at once.
+  const Timer waited;
+  const int none = listener.accept_fd_for(0.2);
+  if (none >= 0) return 4;
+  if (waited.elapsed_seconds() < 0.15) return 5;
+  for (const int fd : filler) ::close(fd);
+  const int accepted = listener.accept_fd_for(5.0);  // the queued dial
+  if (accepted < 0) return 6;
+  return 0;
+}
+
+TEST(TcpListener, RunningOutOfDescriptorsWaitsInsteadOfFailing) {
+  // Forked, so the lowered descriptor limit cannot leak into the suite.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) ::_exit(accept_through_descriptor_exhaustion());
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "step " << WEXITSTATUS(status) << " failed";
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // hook, FairScheduler lane + deficit-round-robin mechanics, broker
 // scheduling (per-client fairness, lane routing, per-client caps,
 // per-job in-flight accounting, bit-identity under a concurrent
-// request pool), cross-request evaluator-memo reuse, latency quantiles
+// request pool), warm Evaluators reused across requests (search
+// affinity, eviction with their slot), latency quantiles
 // that never exceed the slowest request, and serve_client()
 // end to end over real socketpairs: concurrent Optimize + Sample clients
 // bit-identical to an in-process BatchEngine run, and a vanished client
@@ -30,6 +31,8 @@
 #include "exec/batch_engine.hpp"
 #include "exec/serialize.hpp"
 #include "exec/sweep.hpp"
+#include "mapping/mapping.hpp"
+#include "obs/metrics.hpp"
 #include "sched/transport.hpp"
 #include "service/broker.hpp"
 #include "service/cache.hpp"
@@ -508,7 +511,7 @@ TEST(RequestBroker, StreamsBitIdenticalCellsAndReusesTheMemoBank) {
 
   // The identical repeat request hit the cross-request reuse state:
   // same problems (cache hits), and its evaluations were answered from
-  // the harvested memo bank.
+  // the memos of the problem's warm Evaluators.
   EXPECT_EQ(broker.stat("requests_completed"), 2);
   EXPECT_GT(broker.stat("problem_cache_hits"), 0);
   EXPECT_GT(broker.stat("evaluator_cache_hits"), 0);
@@ -541,7 +544,7 @@ TEST(RequestBroker, EvaluateScoresAMappingThroughTheSharedCache) {
   EXPECT_EQ(answer.snr_db, raw.worst_snr_db);
   EXPECT_EQ(answer.loss_db, raw.worst_loss_db);
 
-  // The repeat evaluation is answered from the harvested memo bank.
+  // The repeat evaluation is answered from the warm Evaluator's memo.
   const auto repeat = broker.evaluate(request);
   EXPECT_EQ(repeat.fitness, answer.fitness);
   EXPECT_EQ(broker.stat("single_evaluations"), 2);
@@ -550,6 +553,118 @@ TEST(RequestBroker, EvaluateScoresAMappingThroughTheSharedCache) {
   EvaluateRequest wrong = request;
   wrong.assignment = {0, 1};  // workload has 5 tasks
   EXPECT_THROW((void)broker.evaluate(wrong), Error);
+}
+
+// --- warm Evaluators ---------------------------------------------------------
+
+TEST(ServiceCache, CheckoutPrefersAnEvaluatorThatRanTheSameSearch) {
+  obs::MetricsRegistry registry;
+  ServiceCache cache({}, EvaluatorOptions{}, registry);
+  const auto spec = opt_spec();
+  const SweepCell cell{};
+  const auto key = ServiceCache::key_of(spec, cell);
+  const auto problem = cache.problem(spec, cell, key);
+
+  auto a = cache.checkout(key, *problem, 1);
+  auto b = cache.checkout(key, *problem, 2);
+  const Evaluator* first = a.evaluator.get();
+  const Evaluator* second = b.evaluator.get();
+  ASSERT_NE(first, second);  // both busy: the second one is fresh
+  cache.checkin(key, std::move(a), 1);
+  a = cache.checkout(key, *problem, 3);  // no match: the most recent
+  EXPECT_EQ(a.evaluator.get(), first);
+  cache.checkin(key, std::move(a), 3);
+  cache.checkin(key, std::move(b), 2);
+  // `first` ran searches 1 and 3: it is preferred for both, though
+  // `second` came back later.
+  auto again = cache.checkout(key, *problem, 1);
+  EXPECT_EQ(again.evaluator.get(), first);
+  EXPECT_EQ(again.searches, (std::vector<std::uint64_t>{1, 3}));
+  auto other = cache.checkout(key, *problem, 1);
+  EXPECT_EQ(other.evaluator.get(), second);
+  auto fresh = cache.checkout(key, *problem, 1);  // the slot is empty
+  EXPECT_TRUE(fresh.searches.empty());
+  EXPECT_EQ(&fresh.evaluator->problem(), problem.get());
+}
+
+TEST(ServiceCache, IdleEvaluatorsGoWithTheirEvictedSlot) {
+  obs::MetricsRegistry registry;
+  ServiceCache cache({.max_problems = 1}, EvaluatorOptions{}, registry);
+  const auto spec_a = opt_spec();
+  auto spec_b = opt_spec();
+  spec_b.workloads[0] = {"p6", pipeline_cg(6)};
+  const SweepCell cell{};
+  const auto key_a = ServiceCache::key_of(spec_a, cell);
+  const auto key_b = ServiceCache::key_of(spec_b, cell);
+  const auto problem_a = cache.problem(spec_a, cell, key_a);
+
+  auto warm = cache.checkout(key_a, *problem_a, 1);
+  (void)warm.evaluator->evaluate(
+      Mapping::from_assignment({0, 1, 2, 3, 4}, problem_a->tile_count()));
+  cache.checkin(key_a, std::move(warm), 1);
+  // B evicts A's slot, and A's idle Evaluator with it.
+  (void)cache.problem(spec_b, cell, key_b);
+  const auto rebuilt = cache.problem(spec_a, cell, key_a);
+  ASSERT_NE(rebuilt.get(), problem_a.get());
+  auto next = cache.checkout(key_a, *rebuilt, 1);
+  EXPECT_EQ(&next.evaluator->problem(), rebuilt.get());
+  EXPECT_TRUE(next.evaluator->export_memo().entries.empty());
+
+  // A caller still holding the evicted problem gets a fresh Evaluator
+  // of it, which the rebuilt slot refuses at check-in.
+  auto stale = cache.checkout(key_a, *problem_a, 1);
+  EXPECT_EQ(&stale.evaluator->problem(), problem_a.get());
+  cache.checkin(key_a, std::move(next), 1);
+  cache.checkin(key_a, std::move(stale), 1);
+  std::vector<ServiceCache::Lease> held;  // only `next` was kept
+  for (int i = 0; i < 2; ++i) {
+    held.push_back(cache.checkout(key_a, *rebuilt, 1));
+    EXPECT_EQ(&held.back().evaluator->problem(), rebuilt.get());
+  }
+}
+
+TEST(RequestBroker, AlternatingProblemsInOneSlotStayBitIdentical) {
+  // max_problems = 1: every switch evicts the other problem with its
+  // warm Evaluators. Each request still streams BatchEngine's bits, and
+  // a repeat on a kept slot answers from its warm memo.
+  const auto spec_a = opt_spec();
+  auto spec_b = opt_spec();
+  spec_b.workloads[0] = {"p6", pipeline_cg(6)};
+  const auto reference_a = BatchEngine(BatchOptions{}).run(spec_a);
+  const auto reference_b = BatchEngine(BatchOptions{}).run(spec_b);
+
+  BrokerOptions options;
+  options.batch.workers = 2;
+  options.cache.max_problems = 1;
+  RequestBroker broker(options);
+  int requests = 0;
+  const auto run = [&](const SweepSpec& spec,
+                       const std::vector<CellResult>& reference) {
+    Collected collected;
+    ASSERT_TRUE(broker
+                    .submit(make_request("r" + std::to_string(requests++),
+                                         spec),
+                            collected.events())
+                    .accepted);
+    collected.wait();
+    ASSERT_TRUE(collected.done);
+    ASSERT_EQ(collected.cells.size(), reference.size());
+    std::vector<CellResult> ordered(reference.size());
+    for (auto& cell : collected.cells)
+      ordered[cell.cell.index] = std::move(cell);
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      expect_identical_cell(ordered[i], reference[i], spec.task_kind);
+  };
+  for (int round = 0; round < 3; ++round) {
+    run(spec_a, reference_a);
+    run(spec_b, reference_b);
+  }
+  EXPECT_EQ(broker.stat("problem_cache_misses"), 6);
+  EXPECT_EQ(broker.stat("problem_cache_evictions"), 5);
+  const double hits = broker.stat("evaluator_cache_hits");
+  run(spec_b, reference_b);
+  EXPECT_GT(broker.stat("evaluator_cache_hits"), hits);
+  EXPECT_EQ(broker.stat("problem_cache_hits"), 1);
 }
 
 TEST(RequestBroker, WallQuantilesNeverExceedTheSlowestRequest) {
@@ -670,7 +785,7 @@ TEST(ServeClient, ConcurrentMixedKindClientsAreBitIdenticalToInProcess) {
   RequestBroker broker(options);
 
   // Two concurrent clients down one broker: one Optimize (submitted
-  // twice — the repeat must come from the memo bank, bit-identically),
+  // twice — the repeat must come from the warm memos, bit-identically),
   // one Sample.
   auto pair_a = make_connection_pair();
   auto pair_b = make_connection_pair();
@@ -734,7 +849,7 @@ TEST(ServeClient, ConcurrentMixedKindClientsAreBitIdenticalToInProcess) {
   EXPECT_EQ(broker.stat("requests_completed"), 3);
   EXPECT_EQ(broker.stat("stats_requests"), 1);
   EXPECT_EQ(broker.stat("single_evaluations"), 1);
-  // The repeated Optimize request reused the cross-request memo bank.
+  // The repeated Optimize request reused the warm Evaluators' memos.
   EXPECT_GT(broker.stat("evaluator_cache_hits"), 0);
   EXPECT_GT(broker.stat("problem_cache_hits"), 0);
 }
@@ -1193,9 +1308,9 @@ TEST(RequestBroker, ThreeConcurrentBusyClientsStayBitIdenticalToSolo) {
   ASSERT_EQ(broker.worker_count(), 3u);
 
   // Three clients hammer the broker at once: two Optimize streams (the
-  // second also exercises the shared memo bank) and one Sample stream.
+  // second also exercises the warm Evaluators) and one Sample stream.
   // Every result must match the solo in-process run bit for bit — the
-  // shared problem cache and memo shift cost only, never results.
+  // shared problem cache and warm memos shift cost only, never results.
   struct ClientRun {
     std::string client;
     const SweepSpec* spec;

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <tuple>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -445,6 +448,47 @@ TEST(Strings, ParseLong) {
 TEST(Strings, FormatFixed) {
   EXPECT_EQ(format_fixed(-1.525, 2), "-1.52");
   EXPECT_EQ(format_fixed(3.0, 1), "3.0");
+}
+
+TEST(Strings, FormatDoubleMatchesTheOstreamRenderingByteForByte) {
+  // Every wire, journal, CSV and cache-key double goes through
+  // format_double; its bytes must stay those of an ostream at
+  // max_digits10, the rendering it replaced.
+  const auto ostream_rendering = [](double value) {
+    std::ostringstream out;
+    out.precision(std::numeric_limits<double>::max_digits10);
+    out << value;
+    return out.str();
+  };
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                -1.0,
+                                0.1,
+                                1.0 / 3.0,
+                                limits::denorm_min(),
+                                -limits::denorm_min(),
+                                limits::min(),
+                                limits::max(),
+                                limits::lowest(),
+                                limits::epsilon()};
+  for (int e = -1074; e <= 1023; ++e) values.push_back(std::ldexp(1.0, e));
+  for (int e = -300; e <= 300; ++e) values.push_back(std::pow(10.0, e));
+  Rng rng(2024);
+  for (int i = 0; i < 100000; ++i) {
+    const double value = std::bit_cast<double>(rng());
+    if (std::isfinite(value)) values.push_back(value);
+    values.push_back(-200.0 + 400.0 * rng.next_double());
+  }
+  for (const double value : values)
+    ASSERT_EQ(format_double(value), ostream_rendering(value))
+        << "bits " << std::hex << std::bit_cast<std::uint64_t>(value);
+  // Non-finite values keep their canonical from_chars tokens.
+  EXPECT_EQ(format_double(limits::quiet_NaN()), "nan");
+  EXPECT_EQ(format_double(-limits::quiet_NaN()), "-nan");
+  EXPECT_EQ(format_double(limits::infinity()), "inf");
+  EXPECT_EQ(format_double(-limits::infinity()), "-inf");
 }
 
 // --- cli ----------------------------------------------------------------------
