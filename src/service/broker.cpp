@@ -351,7 +351,8 @@ EvaluationAnswer RequestBroker::evaluate(const EvaluateRequest& request) {
               std::to_string(problem->task_count()));
   const auto mapping =
       Mapping::from_assignment(request.assignment, problem->tile_count());
-  auto lease = cache_.checkout(key, *problem, kEvaluateAffinity);
+  auto lease = cache_.checkout(key, ServiceLane::Interactive, *problem,
+                               kEvaluateAffinity);
   Evaluator& evaluator = *lease.evaluator;
   const MemoCounts before(evaluator);
   EvaluationAnswer answer;
@@ -360,7 +361,8 @@ EvaluationAnswer RequestBroker::evaluate(const EvaluateRequest& request) {
   answer.snr_db = raw.worst_snr_db;
   answer.loss_db = raw.worst_loss_db;
   metrics_->count_memo(evaluator, before);
-  cache_.checkin(key, std::move(lease), kEvaluateAffinity);
+  cache_.checkin(key, ServiceLane::Interactive, std::move(lease),
+                 kEvaluateAffinity);
   metrics_->single_evaluations.inc();
   return answer;
 }
@@ -554,7 +556,7 @@ void RequestBroker::execute_in_process(Job& job, bool& canceled,
     if (!cancel.load(std::memory_order_relaxed)) {
       const auto& [key, problem] = problems.at(
           SweepProblemKey{cell.workload, cell.topology, cell.goal});
-      CellResult result = run_cell(spec, cell, *problem, key);
+      CellResult result = run_cell(spec, cell, *problem, key, job.lane);
       const std::lock_guard<std::mutex> lock(stream_mutex);
       if (!cancel.load(std::memory_order_relaxed)) {
         if (result.status == CellStatus::Ok) {
@@ -608,16 +610,17 @@ void RequestBroker::execute_batch(Job& job, bool& canceled, std::size_t& ok,
 CellResult RequestBroker::run_cell(const SweepSpec& spec,
                                    const SweepCell& cell,
                                    const MappingProblem& problem,
-                                   const std::string& key) {
+                                   const std::string& key,
+                                   ServiceLane lane) {
   obs::TraceSpan span("service", "cell");
   span.arg({"index", std::uint64_t(cell.index)});
   try {
     const std::uint64_t affinity = search_affinity(spec, cell);
-    auto lease = cache_.checkout(key, problem, affinity);
+    auto lease = cache_.checkout(key, lane, problem, affinity);
     const MemoCounts before(*lease.evaluator);
     CellResult result = run_sweep_cell(spec, cell, *lease.evaluator);
     metrics_->count_memo(*lease.evaluator, before);
-    cache_.checkin(key, std::move(lease), affinity);
+    cache_.checkin(key, lane, std::move(lease), affinity);
     return result;
   } catch (const std::exception& e) {
     // The Evaluator of a failed cell is dropped, not checked back in.

@@ -227,13 +227,14 @@ class RequestBroker {
                           std::size_t& failed);
   void execute_batch(Job& job, bool& canceled, std::size_t& ok,
                      std::size_t& failed);
-  /// One cell on a warm Evaluator: check it out, run_sweep_cell, count
-  /// the run's memo activity, check it back in; a throwing cell becomes
-  /// a Failed result and its Evaluator is dropped.
+  /// One cell on a warm Evaluator of the job's lane: check it out,
+  /// run_sweep_cell, count the run's memo activity, check it back in; a
+  /// throwing cell becomes a Failed result and its Evaluator is dropped.
   [[nodiscard]] CellResult run_cell(const SweepSpec& spec,
                                     const SweepCell& cell,
                                     const MappingProblem& problem,
-                                    const std::string& key);
+                                    const std::string& key,
+                                    ServiceLane lane);
   void finish_cell(Job& job);
   [[nodiscard]] ServiceLane route(const ServiceRequest& request,
                                   std::size_t cells) const noexcept;

@@ -83,14 +83,15 @@ std::shared_ptr<const MappingProblem> ServiceCache::problem(
 }
 
 ServiceCache::Lease ServiceCache::checkout(const std::string& key,
+                                           ServiceLane lane,
                                            const MappingProblem& problem,
                                            std::uint64_t affinity) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = slots_.find(key);
     if (it != slots_.end() && it->second.problem.get() == &problem &&
-        !it->second.idle.empty()) {
-      auto& idle = it->second.idle;
+        !it->second.idle_in(lane).empty()) {
+      auto& idle = it->second.idle_in(lane);
       auto pick = std::prev(idle.end());
       for (auto i = idle.begin(); i != idle.end(); ++i)
         if (std::find(i->searches.begin(), i->searches.end(), affinity) !=
@@ -104,8 +105,8 @@ ServiceCache::Lease ServiceCache::checkout(const std::string& key,
   return Lease{std::make_unique<Evaluator>(problem, evaluator_options_), {}};
 }
 
-void ServiceCache::checkin(const std::string& key, Lease lease,
-                           std::uint64_t affinity) {
+void ServiceCache::checkin(const std::string& key, ServiceLane lane,
+                           Lease lease, std::uint64_t affinity) {
   auto& searches = lease.searches;
   std::erase(searches, affinity);
   searches.push_back(affinity);
@@ -115,7 +116,7 @@ void ServiceCache::checkin(const std::string& key, Lease lease,
   if (it == slots_.end() ||
       it->second.problem.get() != &lease.evaluator->problem())
     return;  // the slot's problem is gone: so is this Evaluator
-  it->second.idle.push_back(std::move(lease));
+  it->second.idle_in(lane).push_back(std::move(lease));
 }
 
 }  // namespace phonoc

@@ -13,11 +13,15 @@
 ///    prefers an Evaluator that recently ran the same search (the
 ///    broker's affinity: optimizer, budget, seed), whose memo holds
 ///    that search's mappings, so a repeated request hits even when its
-///    cells run concurrently. Reuse is invisible in results: memo
-///    entries are exact, the delta kernel is bit-identical to a fresh
-///    scoring, and optimizers count their budgets in SearchState, never
-///    in the Evaluator (see core/evaluator.hpp). A slot holds at most as
-///    many Evaluators as cells of its problem ever ran at once.
+///    cells run concurrently. Each service lane keeps its own idle
+///    Evaluators: a bulk grid's long searches fill a memo with their
+///    own mappings, and lent an interactive Evaluator they would flush
+///    the ones small repeated requests hit. Reuse is invisible in
+///    results: memo entries are exact, the delta kernel is
+///    bit-identical to a fresh scoring, and optimizers count their
+///    budgets in SearchState, never in the Evaluator (see
+///    core/evaluator.hpp). A slot holds at most as many Evaluators per
+///    lane as cells of its problem ever ran at once in that lane.
 ///
 /// The canonical key is the write_spec serialization of a
 /// single-coordinate sub-spec with the resolved side pinned explicitly,
@@ -25,6 +29,7 @@
 /// and two requests that spell the same problem differently still share
 /// one slot.
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -37,6 +42,7 @@
 #include "core/problem.hpp"
 #include "exec/sweep.hpp"
 #include "obs/metrics.hpp"
+#include "service/scheduler.hpp"
 
 namespace phonoc {
 
@@ -77,26 +83,32 @@ class ServiceCache {
   static constexpr std::size_t kRecentSearches = 16;
 
   /// An Evaluator of `problem` for the caller's exclusive use: an idle
-  /// one of the key's slot when the slot still holds this problem —
-  /// preferably the most recently returned one that ran the search
-  /// `affinity` names, else the most recently returned — or a fresh
-  /// one.
-  [[nodiscard]] Lease checkout(const std::string& key,
+  /// one of the key's slot in `lane` when the slot still holds this
+  /// problem — preferably the most recently returned one that ran the
+  /// search `affinity` names, else the most recently returned — or a
+  /// fresh one.
+  [[nodiscard]] Lease checkout(const std::string& key, ServiceLane lane,
                                const MappingProblem& problem,
                                std::uint64_t affinity);
 
-  /// Hand a lease back after it ran the search `affinity` names. It is
-  /// dropped when the key's slot was evicted, or rebuilt around another
-  /// problem object than the one its Evaluator references.
-  void checkin(const std::string& key, Lease lease, std::uint64_t affinity);
+  /// Hand a lease back to `lane` after it ran the search `affinity`
+  /// names. It is dropped when the key's slot was evicted, or rebuilt
+  /// around another problem object than the one its Evaluator
+  /// references.
+  void checkin(const std::string& key, ServiceLane lane, Lease lease,
+               std::uint64_t affinity);
 
  private:
   struct Slot {
     std::shared_ptr<const MappingProblem> problem;
-    /// Declared after `problem`, so destroyed before the problem every
-    /// idle Evaluator references.
-    std::vector<Lease> idle;
+    /// Idle Evaluators per ServiceLane. Declared after `problem`, so
+    /// destroyed before the problem every one of them references.
+    std::array<std::vector<Lease>, 2> idle;
     std::list<std::string>::iterator lru_it;
+
+    std::vector<Lease>& idle_in(ServiceLane lane) {
+      return idle[static_cast<std::size_t>(lane)];
+    }
   };
 
   void touch(Slot& slot) const;

@@ -7,8 +7,8 @@
 // scheduling (per-client fairness, lane routing, per-client caps,
 // per-job in-flight accounting, bit-identity under a concurrent
 // request pool), warm Evaluators reused across requests (search
-// affinity, eviction with their slot), latency quantiles
-// that never exceed the slowest request, and serve_client()
+// affinity, one pool per lane, eviction with their slot), latency
+// quantiles that never exceed the slowest request, and serve_client()
 // end to end over real socketpairs: concurrent Optimize + Sample clients
 // bit-identical to an in-process BatchEngine run, and a vanished client
 // canceling its job instead of hanging the connection handler.
@@ -558,6 +558,7 @@ TEST(RequestBroker, EvaluateScoresAMappingThroughTheSharedCache) {
 // --- warm Evaluators ---------------------------------------------------------
 
 TEST(ServiceCache, CheckoutPrefersAnEvaluatorThatRanTheSameSearch) {
+  const auto lane = ServiceLane::Interactive;
   obs::MetricsRegistry registry;
   ServiceCache cache({}, EvaluatorOptions{}, registry);
   const auto spec = opt_spec();
@@ -565,29 +566,30 @@ TEST(ServiceCache, CheckoutPrefersAnEvaluatorThatRanTheSameSearch) {
   const auto key = ServiceCache::key_of(spec, cell);
   const auto problem = cache.problem(spec, cell, key);
 
-  auto a = cache.checkout(key, *problem, 1);
-  auto b = cache.checkout(key, *problem, 2);
+  auto a = cache.checkout(key, lane, *problem, 1);
+  auto b = cache.checkout(key, lane, *problem, 2);
   const Evaluator* first = a.evaluator.get();
   const Evaluator* second = b.evaluator.get();
   ASSERT_NE(first, second);  // both busy: the second one is fresh
-  cache.checkin(key, std::move(a), 1);
-  a = cache.checkout(key, *problem, 3);  // no match: the most recent
+  cache.checkin(key, lane, std::move(a), 1);
+  a = cache.checkout(key, lane, *problem, 3);  // no match: the most recent
   EXPECT_EQ(a.evaluator.get(), first);
-  cache.checkin(key, std::move(a), 3);
-  cache.checkin(key, std::move(b), 2);
+  cache.checkin(key, lane, std::move(a), 3);
+  cache.checkin(key, lane, std::move(b), 2);
   // `first` ran searches 1 and 3: it is preferred for both, though
   // `second` came back later.
-  auto again = cache.checkout(key, *problem, 1);
+  auto again = cache.checkout(key, lane, *problem, 1);
   EXPECT_EQ(again.evaluator.get(), first);
   EXPECT_EQ(again.searches, (std::vector<std::uint64_t>{1, 3}));
-  auto other = cache.checkout(key, *problem, 1);
+  auto other = cache.checkout(key, lane, *problem, 1);
   EXPECT_EQ(other.evaluator.get(), second);
-  auto fresh = cache.checkout(key, *problem, 1);  // the slot is empty
+  auto fresh = cache.checkout(key, lane, *problem, 1);  // the slot is empty
   EXPECT_TRUE(fresh.searches.empty());
   EXPECT_EQ(&fresh.evaluator->problem(), problem.get());
 }
 
 TEST(ServiceCache, IdleEvaluatorsGoWithTheirEvictedSlot) {
+  const auto lane = ServiceLane::Interactive;
   obs::MetricsRegistry registry;
   ServiceCache cache({.max_problems = 1}, EvaluatorOptions{}, registry);
   const auto spec_a = opt_spec();
@@ -598,29 +600,93 @@ TEST(ServiceCache, IdleEvaluatorsGoWithTheirEvictedSlot) {
   const auto key_b = ServiceCache::key_of(spec_b, cell);
   const auto problem_a = cache.problem(spec_a, cell, key_a);
 
-  auto warm = cache.checkout(key_a, *problem_a, 1);
+  auto warm = cache.checkout(key_a, lane, *problem_a, 1);
   (void)warm.evaluator->evaluate(
       Mapping::from_assignment({0, 1, 2, 3, 4}, problem_a->tile_count()));
-  cache.checkin(key_a, std::move(warm), 1);
+  cache.checkin(key_a, lane, std::move(warm), 1);
   // B evicts A's slot, and A's idle Evaluator with it.
   (void)cache.problem(spec_b, cell, key_b);
   const auto rebuilt = cache.problem(spec_a, cell, key_a);
   ASSERT_NE(rebuilt.get(), problem_a.get());
-  auto next = cache.checkout(key_a, *rebuilt, 1);
+  auto next = cache.checkout(key_a, lane, *rebuilt, 1);
   EXPECT_EQ(&next.evaluator->problem(), rebuilt.get());
   EXPECT_TRUE(next.evaluator->export_memo().entries.empty());
 
   // A caller still holding the evicted problem gets a fresh Evaluator
   // of it, which the rebuilt slot refuses at check-in.
-  auto stale = cache.checkout(key_a, *problem_a, 1);
+  auto stale = cache.checkout(key_a, lane, *problem_a, 1);
   EXPECT_EQ(&stale.evaluator->problem(), problem_a.get());
-  cache.checkin(key_a, std::move(next), 1);
-  cache.checkin(key_a, std::move(stale), 1);
+  cache.checkin(key_a, lane, std::move(next), 1);
+  cache.checkin(key_a, lane, std::move(stale), 1);
   std::vector<ServiceCache::Lease> held;  // only `next` was kept
   for (int i = 0; i < 2; ++i) {
-    held.push_back(cache.checkout(key_a, *rebuilt, 1));
+    held.push_back(cache.checkout(key_a, lane, *rebuilt, 1));
     EXPECT_EQ(&held.back().evaluator->problem(), rebuilt.get());
   }
+}
+
+TEST(ServiceCache, EachLaneKeepsItsOwnIdleEvaluators) {
+  obs::MetricsRegistry registry;
+  ServiceCache cache({}, EvaluatorOptions{}, registry);
+  const auto spec = opt_spec();
+  const SweepCell cell{};
+  const auto key = ServiceCache::key_of(spec, cell);
+  const auto problem = cache.problem(spec, cell, key);
+
+  auto lease = cache.checkout(key, ServiceLane::Interactive, *problem, 1);
+  const Evaluator* interactive = lease.evaluator.get();
+  cache.checkin(key, ServiceLane::Interactive, std::move(lease), 1);
+  // The bulk lane never borrows the interactive lane's idle Evaluator,
+  // not even for the search it ran.
+  auto bulk = cache.checkout(key, ServiceLane::Bulk, *problem, 1);
+  EXPECT_NE(bulk.evaluator.get(), interactive);
+  EXPECT_TRUE(bulk.searches.empty());
+  cache.checkin(key, ServiceLane::Bulk, std::move(bulk), 2);
+  auto again = cache.checkout(key, ServiceLane::Interactive, *problem, 2);
+  EXPECT_EQ(again.evaluator.get(), interactive);
+}
+
+TEST(RequestBroker, BulkSearchesLeaveTheInteractiveMemoWarm) {
+  // A 64-entry memo: the bulk search's 400 random mappings would flush
+  // it. The interactive repeat must still answer every evaluation from
+  // its warm Evaluator, and every request streams BatchEngine's bits.
+  SweepSpec small;
+  small.add_workload("p5", pipeline_cg(5))
+      .add_topology(TopologyKind::Mesh)
+      .add_goal(OptimizationGoal::Snr)
+      .add_optimizer("rs")
+      .add_budget(30)
+      .add_seed(1);
+  auto large = small;
+  large.budgets[0].max_evaluations = 400;
+  const auto reference_small = BatchEngine(BatchOptions{}).run(small);
+  const auto reference_large = BatchEngine(BatchOptions{}).run(large);
+
+  BrokerOptions options;
+  options.batch.workers = 1;
+  options.batch.evaluator.cache_capacity = 64;
+  RequestBroker broker(options);
+  const auto run = [&](const std::string& id, const SweepSpec& spec,
+                       RequestPriority priority,
+                       const std::vector<CellResult>& reference) {
+    auto request = make_request(id, spec);
+    request.priority = priority;
+    Collected collected;
+    ASSERT_TRUE(broker.submit(std::move(request), collected.events())
+                    .accepted);
+    collected.wait();
+    ASSERT_TRUE(collected.done);
+    ASSERT_EQ(collected.cells.size(), 1u);
+    expect_identical_cell(collected.cells[0], reference[0], spec.task_kind);
+  };
+  run("warm", small, RequestPriority::Interactive, reference_small);
+  run("bulk", large, RequestPriority::Bulk, reference_large);
+  EXPECT_EQ(broker.stat("requests_bulk"), 1);
+  const double hits = broker.stat("evaluator_cache_hits");
+  const double misses = broker.stat("evaluator_cache_misses");
+  run("repeat", small, RequestPriority::Interactive, reference_small);
+  EXPECT_GT(broker.stat("evaluator_cache_hits"), hits);
+  EXPECT_EQ(broker.stat("evaluator_cache_misses"), misses);
 }
 
 TEST(RequestBroker, AlternatingProblemsInOneSlotStayBitIdentical) {
