@@ -9,8 +9,10 @@
 /// sequence on the large workload, then reports ns/step and the
 /// full/delta speedup measured with a plain timer. A second report
 /// section does the same for the SoA batched kernel: bitwise agreement
-/// against per-mapping evaluation, then per-mapping throughput
-/// (mappings/sec) across batch sizes {1, 8, 64, 512} and CG sizes.
+/// against per-mapping evaluation — the loss-only pass included, on
+/// worst-case loss and every edge's loss and signal gain — then
+/// per-mapping throughput (mappings/sec) across batch sizes
+/// {1, 8, 64, 512} and CG sizes.
 /// --json=FILE dumps the batched section's headline numbers
 /// (bench/BENCH_batch_eval.json; regenerate with
 /// bench/update_snapshots.sh).
@@ -186,31 +188,46 @@ BatchedHeadline report_batched_for(const char* label,
                label, problem.task_count(), head.edges);
 
   // Agreement: one odd-sized batch, every mapping checked bitwise
-  // against evaluate_mapping.
+  // against evaluate_mapping, through the full pass and the loss-only
+  // pass (which must match on every loss field it scores).
   {
+    BatchEvaluator kernel(problem.network(), problem.cg());
     Rng rng(23);
     const std::size_t n = 101;
     std::vector<Mapping> mappings;
-    for (std::size_t i = 0; i < n; ++i)
+    std::vector<TileId> flat;
+    for (std::size_t i = 0; i < n; ++i) {
       mappings.push_back(
           Mapping::random(problem.task_count(), problem.tile_count(), rng));
+      const auto assignment = mappings.back().assignment();
+      flat.insert(flat.end(), assignment.begin(), assignment.end());
+    }
     std::vector<BatchPoint> points(n);
     evaluator.evaluate_raw_batch(mappings, points);
+    std::vector<BatchPoint> loss(n);
+    std::vector<EdgeMetrics> loss_edges(n * head.edges);
+    kernel.evaluate(flat, n, loss, loss_edges, /*noise=*/false);
     for (std::size_t i = 0; i < n; ++i) {
       const auto full = evaluate_mapping(problem.network(), problem.cg(),
-                                         mappings[i].assignment());
+                                         mappings[i].assignment(), true);
+      bool loss_agrees = full.worst_loss_db == loss[i].worst_loss_db;
+      for (std::size_t e = 0; e < head.edges; ++e) {
+        const auto& got = loss_edges[i * head.edges + e];
+        loss_agrees = loss_agrees && got.loss_db == full.edges[e].loss_db &&
+                      got.signal_gain == full.edges[e].signal_gain;
+      }
       if (full.worst_loss_db != points[i].worst_loss_db ||
-          full.worst_snr_db != points[i].worst_snr_db) {
+          full.worst_snr_db != points[i].worst_snr_db || !loss_agrees) {
         std::fprintf(stderr,
-                     "FATAL: batched and scalar evaluation disagree on %s "
+                     "FATAL: %s pass and scalar evaluation disagree on %s "
                      "at mapping %zu\n",
-                     label, i);
+                     loss_agrees ? "batched" : "loss-only", label, i);
         std::exit(1);
       }
     }
     std::fprintf(stderr,
                  "# agreement: %zu random mappings, batched == scalar "
-                 "bitwise\n",
+                 "bitwise, loss-only pass included\n",
                  n);
   }
 

@@ -19,12 +19,15 @@ Evaluator::Evaluator(const MappingProblem& problem, EvaluatorOptions options)
     : problem_(problem),
       options_(options),
       needs_detail_(problem.objective().needs_detail()),
+      needs_noise_(problem.objective().needs_noise()),
       batch_(problem.network(), problem.cg()) {}
 
-EvaluationView Evaluator::score(const Mapping& mapping, bool detailed) const {
+EvaluationView Evaluator::score(const Mapping& mapping, bool detailed,
+                                bool noise) const {
   edge_scratch_.resize(detailed ? batch_.plan().edge_count() : 0);
   BatchPoint point;
-  batch_.evaluate(mapping.assignment(), 1, {&point, 1}, edge_scratch_);
+  batch_.evaluate(mapping.assignment(), 1, {&point, 1}, edge_scratch_,
+                  noise);
   return EvaluationView{point.worst_loss_db, point.worst_snr_db,
                         edge_scratch_};
 }
@@ -85,8 +88,8 @@ double Evaluator::evaluate(const Mapping& mapping) {
     if (const double* cached = cache_lookup(mapping, hash)) return *cached;
     ++cache_misses_;
   }
-  const double fitness =
-      problem_.objective().fitness(score(mapping, needs_detail_));
+  const double fitness = problem_.objective().fitness(
+      score(mapping, needs_detail_, needs_noise_));
   ++physical_count_;
   if (memoize) {
     const auto assignment = mapping.assignment();
@@ -133,9 +136,14 @@ void Evaluator::sync_kernel_pre_swap(const Mapping& after, TileId a,
 }
 
 double Evaluator::propose_swap(const Mapping& after, TileId a, TileId b) {
+  ++count_;
+  // Loss-only fitness: a whole-mapping loss pass is O(|E|), cheaper
+  // than any delta update, and holds no state to commit or revert.
+  if (!needs_noise_)
+    return problem_.objective().fitness(
+        score(after, needs_detail_, /*noise=*/false));
   sync_kernel_pre_swap(after, a, b);
   kernel_->propose_swap(a, b);
-  ++count_;
   return problem_.objective().fitness(kernel_->view());
 }
 
@@ -148,6 +156,7 @@ void Evaluator::revert_move() {
 }
 
 void Evaluator::apply_move(const Mapping& after, TileId a, TileId b) {
+  if (!needs_noise_) return;  // no delta kernel to advance
   if (!kernel_)
     kernel_ = std::make_unique<IncrementalEvaluation>(problem_.network(),
                                                       problem_.cg());
@@ -160,11 +169,11 @@ void Evaluator::apply_move(const Mapping& after, TileId a, TileId b) {
 }
 
 EvaluationResult Evaluator::evaluate_detailed(const Mapping& mapping) const {
-  return materialize(score(mapping, /*detailed=*/true));
+  return materialize(score(mapping, /*detailed=*/true, /*noise=*/true));
 }
 
 EvaluationResult Evaluator::evaluate_raw(const Mapping& mapping) const {
-  return materialize(score(mapping, needs_detail_));
+  return materialize(score(mapping, needs_detail_, /*noise=*/true));
 }
 
 std::span<const TileId> Evaluator::flatten(
@@ -235,12 +244,14 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
   }
 
   // Kernel pass: one vectorized sweep over every row that needs it
-  // (with per-edge detail when the objective folds over it).
+  // (with per-edge detail when the objective folds over it, and
+  // without noise when it reads none).
   std::vector<BatchPoint> points(scored.size());
   std::vector<EdgeMetrics> detail;
   const std::size_t edge_count = problem_.cg().edges().size();
   if (needs_detail_) detail.resize(scored.size() * edge_count);
-  batch_.evaluate_trusted(batch_scratch_, scored.size(), points, detail);
+  batch_.evaluate_trusted(batch_scratch_, scored.size(), points, detail,
+                          needs_noise_);
 
   // Pass 2 — sequential replay: real lookups, counters and inserts in
   // index order, so memo contents, recency and every counter match a
@@ -267,7 +278,7 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
       // Peek promised a hit (memo entry or earlier duplicate) that was
       // evicted before this row's replay turn: score it alone.
       fitness = problem_.objective().fitness(
-          score(mappings[i], needs_detail_));
+          score(mappings[i], needs_detail_, needs_noise_));
     }
     ++physical_count_;
     if (memoize) {

@@ -17,6 +17,18 @@
 ///    routine — SA, tabu and R-PBLA score two-tile swaps in
 ///    O(touched edges x |E|) instead of O(|E|^2).
 ///
+/// Fitness scores only what the objective reads. When
+/// `Objective::needs_noise()` is false (worst-case or bandwidth-weighted
+/// insertion loss), `evaluate` and `evaluate_batch` run the kernel's
+/// loss-only pass, and the move path holds no state at all:
+/// `propose_swap` scores `after` as a loss-only batch of one, O(|E|),
+/// still one logical and no physical evaluation; `commit_move`,
+/// `revert_move` and `apply_move` do nothing, and the delta kernel is
+/// never built. Fitness stays bitwise what a full scoring gives, since
+/// the skipped fields are ones it never reads. The reporting entry
+/// points (`evaluate_detailed`, `evaluate_raw`, `evaluate_raw_batch`)
+/// always score noise.
+///
 /// Counting contract: `evaluation_count` counts *logical* evaluations —
 /// one per `evaluate` or `propose_swap` call, whether it was served by
 /// the cache, the delta kernel, or a full kernel pass. Budgets, traces
@@ -99,8 +111,9 @@ class Evaluator final : public FitnessFunction {
 
   /// Both worst-case metrics of a mapping (convenience for sampling
   /// experiments that record loss and SNR simultaneously, like Fig. 3).
-  /// Runs with per-edge detail whenever the problem objective needs it,
-  /// so `objective().fitness(evaluate_raw(m))` is always well-formed.
+  /// Always scores noise. Runs with per-edge detail whenever the
+  /// problem objective needs it, so `objective().fitness(evaluate_raw(m))`
+  /// is always well-formed.
   [[nodiscard]] EvaluationResult evaluate_raw(const Mapping& mapping) const;
 
   /// Batched `evaluate_raw` for consumers that only need the worst-case
@@ -142,7 +155,8 @@ class Evaluator final : public FitnessFunction {
   /// untouched; the snapshot is independent of this instance.
   [[nodiscard]] EvaluatorMemo export_memo() const;
 
-  /// Full O(|E|^2) rebuilds of the incremental kernel (base changes).
+  /// Full O(|E|^2) rebuilds of the incremental kernel (base changes);
+  /// always 0 for an objective that reads no noise.
   [[nodiscard]] std::uint64_t kernel_rebuild_count() const noexcept {
     return kernel_ ? kernel_->rebuild_count() : 0;
   }
@@ -158,10 +172,10 @@ class Evaluator final : public FitnessFunction {
  private:
   /// The one whole-mapping scorer behind every single entry point: a
   /// batch of one through `batch_`, validated like a batch row, with
-  /// per-edge detail in `edge_scratch_` when `detailed` (the view
-  /// stays valid until the next scoring).
-  [[nodiscard]] EvaluationView score(const Mapping& mapping,
-                                     bool detailed) const;
+  /// per-edge detail in `edge_scratch_` when `detailed` and crosstalk
+  /// when `noise` (the view stays valid until the next scoring).
+  [[nodiscard]] EvaluationView score(const Mapping& mapping, bool detailed,
+                                     bool noise) const;
   /// Flatten `mappings` row-major into `batch_scratch_`.
   std::span<const TileId> flatten(std::span<const Mapping> mappings) const;
   /// True when the kernel's committed state equals `after` with the
@@ -182,6 +196,7 @@ class Evaluator final : public FitnessFunction {
   const MappingProblem& problem_;
   EvaluatorOptions options_;
   bool needs_detail_;
+  bool needs_noise_;
   std::uint64_t count_ = 0;
   std::uint64_t physical_count_ = 0;
   std::uint64_t cache_hits_ = 0;

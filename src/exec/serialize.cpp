@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "io/cg_io.hpp"
+#include "model/network_model.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -323,8 +324,13 @@ SweepSpec read_spec_body(LineReader& reader) {
     check_arity(fields, 3, reader.line());
     SweepTopology topo;
     topo.kind = parse_topology_kind(fields[1], reader.line());
-    topo.side = static_cast<std::uint32_t>(parse_size(fields[2],
-                                                      reader.line()));
+    // Both kinds are side x side grids; 0 means auto-sized.
+    const auto side = parse_size(fields[2], reader.line());
+    if (side != 0 && side > NetworkModel::kMaxTiles / side)
+      throw ParseError("topology side " + fields[2] + " exceeds " +
+                           std::to_string(NetworkModel::kMaxTiles) + " tiles",
+                       reader.line());
+    topo.side = static_cast<std::uint32_t>(side);
     spec.topologies.push_back(topo);
   }
 

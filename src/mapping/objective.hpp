@@ -37,6 +37,14 @@ class Objective {
   /// True when fitness() reads the per-edge detail (the evaluator must
   /// then run with detail enabled).
   [[nodiscard]] virtual bool needs_detail() const { return false; }
+  /// True when fitness() reads crosstalk: `worst_snr_db`, or a per-edge
+  /// `noise_gain` / `snr_db`. When false, the Evaluator scores fitness
+  /// through the kernel's loss-only pass (no Eq. 4 pair walk, no delta
+  /// kernel), which leaves exactly those fields quiet NaN; the fitness
+  /// is bitwise what a full scoring gives. Derived from what the
+  /// objective reads — never a setting. Defaults to true, so a new
+  /// objective is scored in full unless it declares otherwise.
+  [[nodiscard]] virtual bool needs_noise() const { return true; }
 };
 
 /// Eq. (3): maximize the worst-case insertion loss (toward 0 dB).
@@ -44,6 +52,7 @@ class WorstLossObjective final : public Objective {
  public:
   using Objective::fitness;
   [[nodiscard]] std::string name() const override { return "worst_loss"; }
+  [[nodiscard]] bool needs_noise() const override { return false; }
   [[nodiscard]] double fitness(const EvaluationView& v) const override {
     return v.worst_loss_db;
   }
@@ -60,7 +69,9 @@ class WorstSnrObjective final : public Objective {
 };
 
 /// Extension: weighted sum of the two worst-case metrics (both in dB,
-/// so a plain linear combination is meaningful).
+/// so a plain linear combination is meaningful). Reads noise for any
+/// weights: a zero SNR weight still multiplies `worst_snr_db`, and
+/// `0 * NaN` is NaN.
 class CompositeObjective final : public Objective {
  public:
   using Objective::fitness;
@@ -75,12 +86,12 @@ class CompositeObjective final : public Objective {
 };
 
 /// Extension: maximize the bandwidth-weighted average of per-edge loss
-/// (heavier flows matter more). Needs per-edge detail. The weighted sum
-/// is re-folded over the (cached) per-edge values in edge order on
-/// every call rather than kept as a running delta-updated total: the
-/// ascending fold is what keeps incremental fitness bit-identical to a
-/// full re-evaluation, and it is O(|E|) against the evaluation's
-/// O(touched x |E|) noise work.
+/// (heavier flows matter more). Needs per-edge detail, but no noise.
+/// The weighted sum is re-folded over the per-edge values in edge
+/// order on every call rather than kept as a running delta-updated
+/// total: the ascending fold is what keeps every scoring path's fitness
+/// bit-identical to a full re-evaluation, and it costs O(|E|), like the
+/// loss-only pass that feeds it.
 class BandwidthWeightedLossObjective final : public Objective {
  public:
   using Objective::fitness;
@@ -89,6 +100,7 @@ class BandwidthWeightedLossObjective final : public Objective {
     return "bandwidth_weighted_loss";
   }
   [[nodiscard]] bool needs_detail() const override { return true; }
+  [[nodiscard]] bool needs_noise() const override { return false; }
   [[nodiscard]] double fitness(const EvaluationView& v) const override;
 
  private:

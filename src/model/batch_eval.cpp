@@ -1,6 +1,7 @@
 #include "model/batch_eval.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -14,6 +15,9 @@ namespace {
 #else
 #define PHONOC_RESTRICT
 #endif
+
+/// What a loss-only pass stores in the fields it does not score.
+constexpr double kUnscored = std::numeric_limits<double>::quiet_NaN();
 
 /// The vectorized sieve (single-mask-word fast path, tiles <= 64):
 /// intersect the victim's tile mask with every attacker's. A zero word
@@ -75,15 +79,16 @@ BatchEvaluator::BatchEvaluator(std::shared_ptr<const BatchEvalPlan> plan)
 
 void BatchEvaluator::evaluate(std::span<const TileId> assignments,
                               std::size_t batch, std::span<BatchPoint> out,
-                              std::span<EdgeMetrics> edges_out) {
-  run(assignments, batch, out, edges_out, /*validate=*/true);
+                              std::span<EdgeMetrics> edges_out, bool noise) {
+  run(assignments, batch, out, edges_out, /*validate=*/true, noise);
 }
 
 void BatchEvaluator::evaluate_trusted(std::span<const TileId> assignments,
                                       std::size_t batch,
                                       std::span<BatchPoint> out,
-                                      std::span<EdgeMetrics> edges_out) {
-  run(assignments, batch, out, edges_out, /*validate=*/false);
+                                      std::span<EdgeMetrics> edges_out,
+                                      bool noise) {
+  run(assignments, batch, out, edges_out, /*validate=*/false, noise);
 }
 
 void BatchEvaluator::validate_assignment(std::span<const TileId> assignment) {
@@ -99,7 +104,8 @@ void BatchEvaluator::validate_assignment(std::span<const TileId> assignment) {
 
 void BatchEvaluator::run(std::span<const TileId> assignments,
                          std::size_t batch, std::span<BatchPoint> out,
-                         std::span<EdgeMetrics> edges_out, bool validate) {
+                         std::span<EdgeMetrics> edges_out, bool validate,
+                         bool noise) {
   const BatchEvalPlan& plan = *plan_;
   const PathStore& store = plan.network().store();
   const std::size_t tasks = plan.task_count();
@@ -119,19 +125,21 @@ void BatchEvaluator::run(std::span<const TileId> assignments,
     if (validate) validate_assignment(assignment);
 
     BatchPoint point;
-    point.worst_snr_db = ceiling_db;
+    point.worst_snr_db = noise ? ceiling_db : kUnscored;
     if (edges == 0) {
       out[b] = point;
       continue;
     }
 
-    // Resolve this mapping's edges to path ids once and gather their
-    // tile masks into contiguous scratch (the sieve's operands).
+    // Resolve this mapping's edges to path ids once and, when scoring
+    // noise, gather their tile masks into contiguous scratch (the
+    // sieve's operands).
     for (std::size_t e = 0; e < edges; ++e) {
       const std::size_t pid = plan.edge_path(assignment, e);
       path_of_edge_[e] = static_cast<std::uint32_t>(pid);
-      for (std::size_t w = 0; w < words; ++w)
-        edge_mask_[e * words + w] = store.tile_mask[pid * words + w];
+      if (noise)
+        for (std::size_t w = 0; w < words; ++w)
+          edge_mask_[e * words + w] = store.tile_mask[pid * words + w];
     }
 
     EdgeMetrics* detail =
@@ -139,38 +147,42 @@ void BatchEvaluator::run(std::span<const TileId> assignments,
 
     for (std::size_t v = 0; v < edges; ++v) {
       const std::size_t pv = path_of_edge_[v];
+      double victim_noise = kUnscored;
+      double snr = kUnscored;
 
-      if (words == 1)
-        sieve_row(edge_mask_.data(), store.tile_mask[pv], sieve_.data(),
-                  edges);
-      else
-        sieve_row_wide(edge_mask_.data(), &store.tile_mask[pv * words],
-                       sieve_.data(), edges, words);
-      sieve_[v] = 0;  // a == v contributes nothing (self-pair)
+      if (noise) {
+        if (words == 1)
+          sieve_row(edge_mask_.data(), store.tile_mask[pv], sieve_.data(),
+                    edges);
+        else
+          sieve_row_wide(edge_mask_.data(), &store.tile_mask[pv * words],
+                         sieve_.data(), edges, words);
+        sieve_[v] = 0;  // a == v contributes nothing (self-pair)
 
-      // Ascending attacker order with per-attacker subtotals — the
-      // exact addition sequence of evaluate_mapping's nested
-      // noise_contribution calls (skipped pairs/hops add exact +0.0,
-      // the identity on this non-negative accumulator).
-      probe_.load(store, pv);
-      double noise = 0.0;
-      for (std::size_t a = 0; a < edges; ++a) {
-        if (sieve_[a] == 0) continue;
-        noise += pair_noise(store, probe_, path_of_edge_[a]);
+        // Ascending attacker order with per-attacker subtotals — the
+        // exact addition sequence of evaluate_mapping's nested
+        // noise_contribution calls (skipped pairs/hops add exact +0.0,
+        // the identity on this non-negative accumulator).
+        probe_.load(store, pv);
+        victim_noise = 0.0;
+        for (std::size_t a = 0; a < edges; ++a) {
+          if (sieve_[a] == 0) continue;
+          victim_noise += pair_noise(store, probe_, path_of_edge_[a]);
+        }
+        snr = std::min(snr_db(store.total_gain[pv], victim_noise),
+                       ceiling_db);
+        point.worst_snr_db = std::min(point.worst_snr_db, snr);
       }
 
-      const double snr =
-          std::min(snr_db(store.total_gain[pv], noise), ceiling_db);
       point.worst_loss_db =
           std::min(point.worst_loss_db, store.total_loss_db[pv]);
-      point.worst_snr_db = std::min(point.worst_snr_db, snr);
       if (detail != nullptr) {
         detail[v] = EdgeMetrics{static_cast<EdgeId>(v),
                                 assignment[plan.edge_src(v)],
                                 assignment[plan.edge_dst(v)],
                                 store.total_loss_db[pv],
                                 store.total_gain[pv],
-                                noise,
+                                victim_noise,
                                 snr};
       }
     }

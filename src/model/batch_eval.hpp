@@ -16,6 +16,8 @@
 /// association, per-attacker subtotals folded in ascending edge order
 /// (skipped terms are exact +0.0, the identity on a non-negative sum),
 /// and the same std::min folds (src/model/README.md has the argument).
+/// A loss-only pass (`noise == false`) scores the loss metrics the same
+/// way and skips the crosstalk walk, leaving every noise field NaN.
 
 #include <cstdint>
 #include <memory>
@@ -150,9 +152,16 @@ class BatchEvaluator {
   /// `out.size()` must equal `batch`. A non-empty `edges_out` receives
   /// `batch * edge_count` EdgeMetrics rows (mapping-major), each
   /// bit-identical to `evaluate_mapping(..., detailed=true)`.
+  ///
+  /// `noise == false` is the loss-only pass, for callers whose fitness
+  /// reads no crosstalk (`Objective::needs_noise`): `worst_loss_db` and
+  /// each row's endpoints, `loss_db` and `signal_gain` are still
+  /// bit-identical to `evaluate_mapping`, while the sieve, the probe and
+  /// `pair_noise` never run, and `worst_snr_db`, `noise_gain` and
+  /// `snr_db` hold quiet NaN. O(|E|) per mapping instead of O(|E|^2).
   void evaluate(std::span<const TileId> assignments, std::size_t batch,
                 std::span<BatchPoint> out,
-                std::span<EdgeMetrics> edges_out = {});
+                std::span<EdgeMetrics> edges_out = {}, bool noise = true);
 
   /// Trusted entry: skips the per-assignment injectivity/range scan.
   /// Only for assignments whose validity is already guaranteed by a
@@ -161,12 +170,13 @@ class BatchEvaluator {
   /// bulk scoring, not a way to relax the public contract.
   void evaluate_trusted(std::span<const TileId> assignments,
                         std::size_t batch, std::span<BatchPoint> out,
-                        std::span<EdgeMetrics> edges_out = {});
+                        std::span<EdgeMetrics> edges_out = {},
+                        bool noise = true);
 
  private:
   void run(std::span<const TileId> assignments, std::size_t batch,
            std::span<BatchPoint> out, std::span<EdgeMetrics> edges_out,
-           bool validate);
+           bool validate, bool noise);
   void validate_assignment(std::span<const TileId> assignment);
 
   std::shared_ptr<const BatchEvalPlan> plan_;

@@ -85,7 +85,7 @@ NetworkModel::NetworkModel(Topology topology, RouterModelPtr router,
           "NetworkModel: snr_ceiling_db must be positive");
 
   const auto tiles = topology_.tile_count();
-  require_model(tiles <= 32768,
+  require_model(tiles <= kMaxTiles,
                 "NetworkModel: tile count exceeds the hop index range");
 
   // The reference loop skips terms with k <= 0 before multiplying;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -136,6 +137,34 @@ TEST_P(BatchBitIdentity, MatchesEvaluateMappingBitwise) {
                    "trusted worst_loss_db", b);
     expect_bitwise(trusted[b].worst_snr_db, points[b].worst_snr_db,
                    "trusted worst_snr_db", b);
+  }
+
+  // The loss-only pass scores the loss fields bitwise like the full
+  // pass, through either entry, and leaves every noise field NaN.
+  std::vector<BatchPoint> loss(batch);
+  std::vector<EdgeMetrics> loss_detail(detail.size());
+  batched.evaluate(flat, batch, loss, loss_detail, /*noise=*/false);
+  std::vector<BatchPoint> loss_trusted(batch);
+  batched.evaluate_trusted(flat, batch, loss_trusted, {}, /*noise=*/false);
+  for (std::size_t b = 0; b < batch; ++b) {
+    expect_bitwise(loss[b].worst_loss_db, points[b].worst_loss_db,
+                   "loss-only worst_loss_db", b);
+    expect_bitwise(loss_trusted[b].worst_loss_db, points[b].worst_loss_db,
+                   "trusted loss-only worst_loss_db", b);
+    EXPECT_TRUE(std::isnan(loss[b].worst_snr_db)) << "row " << b;
+    EXPECT_TRUE(std::isnan(loss_trusted[b].worst_snr_db)) << "row " << b;
+    for (std::size_t e = 0; e < cg.edges().size(); ++e) {
+      const auto& got = loss_detail[b * cg.edges().size() + e];
+      const auto& want = detail[b * cg.edges().size() + e];
+      EXPECT_EQ(got.edge, want.edge);
+      EXPECT_EQ(got.src_tile, want.src_tile);
+      EXPECT_EQ(got.dst_tile, want.dst_tile);
+      expect_bitwise(got.loss_db, want.loss_db, "loss-only edge loss_db", b);
+      expect_bitwise(got.signal_gain, want.signal_gain,
+                     "loss-only edge signal_gain", b);
+      EXPECT_TRUE(std::isnan(got.noise_gain)) << "row " << b;
+      EXPECT_TRUE(std::isnan(got.snr_db)) << "row " << b;
+    }
   }
 }
 

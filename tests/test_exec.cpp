@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <random>
@@ -25,8 +26,11 @@
 #include "exec/serialize.hpp"
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
+#include "mutate.hpp"
 #include "oracle.hpp"
+#include "sched/journal.hpp"
 #include "sched/scheduler.hpp"
+#include "service/protocol.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "workloads/generator.hpp"
@@ -868,37 +872,15 @@ TEST(Serialize, DistributionResultRoundTripsBitForBitIncludingNonFinite) {
 
 // --- adversarial wire input ------------------------------------------------
 
-/// 1-4 seeded edits of `text`: overwrite a byte with anything or with a
-/// digit, insert a run of digits (so counts grow huge), delete a span,
-/// or truncate.
-std::string mutate(std::string text, std::mt19937_64& rng) {
-  const auto pick = [&](std::size_t n) {
-    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
-  };
-  const auto digit = [&] { return static_cast<char>('0' + pick(10)); };
-  for (std::size_t edits = 1 + pick(4); edits > 0 && !text.empty(); --edits) {
-    const std::size_t at = pick(text.size());
-    switch (pick(5)) {
-      case 0: text[at] = static_cast<char>(pick(256)); break;
-      case 1: text[at] = digit(); break;
-      case 2:
-        for (std::size_t n = 1 + pick(12); n > 0; --n)
-          text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), digit());
-        break;
-      case 3: text.erase(at, 1 + pick(8)); break;
-      default: text.resize(at); break;
-    }
-  }
-  return text;
-}
-
 TEST(Serialize, SeededMutationsParseOrThrowPhonocErrors) {
   // Real inputs: six cell blocks (Optimize rs and rpbla, a failed cell,
-  // two sampled cells, a non-finite distribution), one shard and one
-  // two-frame stream. Every mutation must parse or throw a
+  // two sampled cells, a non-finite distribution), one shard, one
+  // two-frame stream, phonocd's request, evaluate and reply payloads,
+  // and a settled-cell journal. Every mutation must parse or throw a
   // phonoc::Error; anything else (std::bad_alloc from a count that
-  // sized an allocation, std::length_error) breaks a worker or a
-  // scheduler that only expects parse errors from its peers.
+  // sized an allocation, std::length_error) breaks a worker, a
+  // scheduler or the daemon, which only expect parse errors from their
+  // peers and their own files.
   struct Input {
     std::string text;
     std::function<void(const std::string&)> parse;
@@ -952,6 +934,57 @@ TEST(Serialize, SeededMutationsParseOrThrowPhonocErrors) {
          }
        }});
 
+  // phonocd's wire: a request, an evaluate and the reply kinds a client
+  // parses, the cell reply carrying a real settled cell.
+  ServiceRequest request;
+  request.id = "mut-1";
+  request.deadline_seconds = 1.5;
+  request.max_cells = 12;
+  request.priority = RequestPriority::Interactive;
+  request.spec = optimize;
+  inputs.push_back({write_request(request), [](const std::string& text) {
+                      (void)parse_request(text);
+                    }});
+  EvaluateRequest evaluate;
+  evaluate.id = "mut-2";
+  evaluate.assignment = {3, 0, 1, 2};
+  evaluate.spec = optimize;
+  inputs.push_back({write_evaluate(evaluate), [](const std::string& text) {
+                      (void)parse_evaluate(text);
+                    }});
+  const auto reply = [](const std::string& text) { (void)parse_reply(text); };
+  inputs.push_back({cell_reply("mut-1", optimized[1]), reply});
+  inputs.push_back({evaluation_reply("mut-2", -3.25, 18.5, 2.125), reply});
+  inputs.push_back(
+      {rejected_reply("mut-3", RejectKind::Budget, "over 12 cells"), reply});
+  inputs.push_back({done_reply("mut-1", 11, 1), reply});
+
+  // A settled-cell journal: header plus three records, replayed from a
+  // file as a restarted scheduler does.
+  const std::uint64_t journal_hash =
+      journal_spec_hash(optimize, EvaluatorOptions{});
+  const std::string journal_path =
+      ::testing::TempDir() + "/mutated_settled.journal";
+  std::remove(journal_path.c_str());
+  {
+    JournalWriter writer(journal_path, journal_hash);
+    writer.append(block(optimized[0]));
+    writer.append(block(optimized.back()));
+    writer.append(
+        block(make_failed_cell(optimize, optimized[1].cell, "worker lost")));
+  }
+  std::ostringstream journal_text;
+  journal_text << std::ifstream(journal_path, std::ios::binary).rdbuf();
+  inputs.push_back(
+      {journal_text.str(), [&](const std::string& text) {
+         std::ofstream(journal_path, std::ios::binary | std::ios::trunc)
+             << text;
+         (void)replay_journal(journal_path, journal_hash, optimized.size());
+       }});
+
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    ASSERT_NO_THROW(inputs[i].parse(inputs[i].text)) << "input " << i;
+
   std::mt19937_64 rng(20161017);
   std::size_t foreign = 0;
   std::string first;
@@ -969,6 +1002,29 @@ TEST(Serialize, SeededMutationsParseOrThrowPhonocErrors) {
       }
     }
   EXPECT_EQ(foreign, 0u) << "first: " << first;
+}
+
+TEST(Serialize, TopologySidesBeyondTheTileLimitAreRejected) {
+  // A grid side is only sound while side * side fits NetworkModel's
+  // 32768-tile limit: 181 does, 182 does not. The check must come before
+  // the side is narrowed to 32 bits, or 4294967300 reads as side 4.
+  SweepShard shard;
+  shard.spec = wire_spec();
+  shard.end = 1;
+  std::ostringstream out;
+  write_shard(out, shard);
+  const auto read_with_side = [&](const std::string& side) {
+    std::string text = out.str();
+    const std::string line = "topology torus 3\n";
+    const auto at = text.find(line);
+    EXPECT_NE(at, std::string::npos);
+    text.replace(at, line.size(), "topology torus " + side + "\n");
+    std::istringstream in(text);
+    return read_shard(in);
+  };
+  EXPECT_THROW((void)read_with_side("4294967300"), ParseError);
+  EXPECT_THROW((void)read_with_side("182"), ParseError);
+  EXPECT_EQ(read_with_side("181").spec.topologies[1].side, 181u);
 }
 
 // --- the network problem cache ---------------------------------------------

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -334,33 +335,65 @@ TEST(EvaluatorMoves, ProposalCountsOneLogicalEvaluation) {
 }
 
 TEST(EvaluatorMoves, ProposalsMatchTheOracleBitIdentically) {
-  const auto problem = make_test_problem("torus", "composite", 23);
-  Evaluator evaluator(problem, {.cache_capacity = 0});
-  OracleFitness oracle(problem);
-  Rng rng(17);
-  Mapping a = Mapping::random(problem.task_count(), problem.tile_count(),
-                              rng);
-  Mapping b = a;
-  EXPECT_EQ(evaluator.evaluate(a), oracle.evaluate(b));
-  for (int step = 0; step < 300; ++step) {
-    const auto x = static_cast<TileId>(rng.next_below(problem.tile_count()));
-    const auto y = static_cast<TileId>(rng.next_below(problem.tile_count()));
-    a.swap_tiles(x, y);
-    b.swap_tiles(x, y);
-    const double fi = evaluator.propose_swap(a, x, y);
-    const double ff = oracle.propose_swap(b, x, y);
-    ASSERT_EQ(fi, ff) << "step " << step;
-    if (step % 3 == 0) {
-      evaluator.commit_move();
-      oracle.commit_move();
-    } else {
-      evaluator.revert_move();
-      oracle.revert_move();
+  // The composite's moves run the delta kernel; the loss-only
+  // objectives' moves are loss-only batches of one. Both equal the
+  // oracle's whole-mapping fallback bitwise.
+  for (const auto* objective :
+       {"composite", "worst_loss", "bandwidth_weighted_loss"}) {
+    SCOPED_TRACE(objective);
+    const auto problem = make_test_problem("torus", objective, 23);
+    Evaluator evaluator(problem, {.cache_capacity = 0});
+    OracleFitness oracle(problem);
+    Rng rng(17);
+    Mapping a = Mapping::random(problem.task_count(), problem.tile_count(),
+                                rng);
+    Mapping b = a;
+    EXPECT_EQ(evaluator.evaluate(a), oracle.evaluate(b));
+    for (int step = 0; step < 300; ++step) {
+      const auto x =
+          static_cast<TileId>(rng.next_below(problem.tile_count()));
+      const auto y =
+          static_cast<TileId>(rng.next_below(problem.tile_count()));
       a.swap_tiles(x, y);
       b.swap_tiles(x, y);
+      const double fi = evaluator.propose_swap(a, x, y);
+      const double ff = oracle.propose_swap(b, x, y);
+      ASSERT_EQ(fi, ff) << "step " << step;
+      if (step % 3 == 0) {
+        evaluator.commit_move();
+        oracle.commit_move();
+      } else {
+        evaluator.revert_move();
+        oracle.revert_move();
+        a.swap_tiles(x, y);
+        b.swap_tiles(x, y);
+      }
     }
+    EXPECT_EQ(evaluator.evaluation_count(), oracle.evaluation_count());
+    EXPECT_EQ(evaluator.physical_evaluation_count(), 1u);
   }
-  EXPECT_EQ(evaluator.evaluation_count(), oracle.evaluation_count());
+}
+
+TEST(EvaluatorMoves, LossOnlyObjectivesNeverBuildTheDeltaKernel) {
+  // An objective that reads no crosstalk has its moves scored as
+  // loss-only batches of one: whole move-based runs never build the
+  // O(|E|^2) delta kernel, which the SNR objective's runs do.
+  OptimizerBudget budget;
+  budget.max_evaluations = 600;
+  for (const auto* objective :
+       {"worst_loss", "bandwidth_weighted_loss", "worst_snr"}) {
+    SCOPED_TRACE(objective);
+    const auto problem = make_test_problem("mesh", objective, 51);
+    const Engine engine(problem);
+    Evaluator evaluator(problem);
+    for (const auto* name : {"sa", "tabu", "rpbla"})
+      (void)engine.run_with(evaluator, name, budget, 3);
+    EXPECT_GT(evaluator.evaluation_count(), 1000u);
+    if (problem.objective().needs_noise())
+      EXPECT_GT(evaluator.kernel_rebuild_count(), 0u);
+    else
+      EXPECT_EQ(evaluator.kernel_rebuild_count(), 0u);
+  }
 }
 
 // --- complete optimizer runs: Evaluator (memo on/off) vs the oracle ---------
@@ -383,18 +416,29 @@ void expect_identical_runs(const RunResult& a, const RunResult& b) {
 TEST(EvaluatorEquivalence, OptimizerTrajectoriesMatchWholeMappingPath) {
   // The load-bearing end-to-end property: for every optimizer, the
   // Evaluator's kernels (and the memo) must reproduce the oracle's
-  // whole-mapping sequential protocol bit for bit.
+  // whole-mapping sequential protocol bit for bit. Three objectives:
+  // SNR runs the full and delta kernels, the insertion-loss goal and the
+  // bandwidth-weighted loss (per-edge detail) run the loss-only pass.
   ExperimentSpec spec;
   spec.benchmark = "mpeg4";
-  const auto problem = make_experiment(spec);
+  const auto snr = make_experiment(spec);
+  spec.goal = OptimizationGoal::InsertionLoss;
+  const auto loss = make_experiment(spec);
+  const MappingProblem weighted(
+      snr.cg(), snr.network_ptr(),
+      std::make_shared<BandwidthWeightedLossObjective>(snr.cg()));
   OptimizerBudget budget;
   budget.max_evaluations = 1500;
-  const Engine delta(problem, {.cache_capacity = 0});
-  const Engine delta_cached(problem, {.cache_capacity = 512});
-  for (const auto* name : {"sa", "tabu", "rpbla", "rs", "ga"}) {
-    const auto want = oracle_run(problem, name, budget, 42);
-    expect_identical_runs(delta.run(name, budget, 42), want);
-    expect_identical_runs(delta_cached.run(name, budget, 42), want);
+  for (const MappingProblem* problem : {&snr, &loss, &weighted}) {
+    SCOPED_TRACE(problem->objective().name());
+    const Engine delta(*problem, {.cache_capacity = 0});
+    const Engine delta_cached(*problem, {.cache_capacity = 512});
+    for (const auto* name : {"sa", "tabu", "rpbla", "rs", "ga"}) {
+      SCOPED_TRACE(name);
+      const auto want = oracle_run(*problem, name, budget, 42);
+      expect_identical_runs(delta.run(name, budget, 42), want);
+      expect_identical_runs(delta_cached.run(name, budget, 42), want);
+    }
   }
 }
 
@@ -538,6 +582,44 @@ TEST(EvaluatorRaw, HonorsObjectiveDetailNeeds) {
   EXPECT_EQ(raw.edges.size(), detail_problem.cg().communication_count());
   EXPECT_NO_THROW((void)detail_problem.objective().fitness(raw));
   EXPECT_TRUE(without_detail.evaluate_raw(mapping).edges.empty());
+}
+
+TEST(EvaluatorRaw, LossOnlyProblemsStillReportTheOracleSnr) {
+  // Fitness of a loss-only objective skips crosstalk, but the reporting
+  // entry points always score it: their SNR is the oracle's bitwise,
+  // never the loss-only pass's NaN, even right after a loss-only
+  // scoring reused the same scratch.
+  for (const auto* objective : {"worst_loss", "bandwidth_weighted_loss"}) {
+    SCOPED_TRACE(objective);
+    const auto problem = make_test_problem("torus", objective, 57);
+    Evaluator evaluator(problem, {.cache_capacity = 0});
+    Rng rng(8);
+    std::vector<Mapping> mappings;
+    for (int i = 0; i < 8; ++i)
+      mappings.push_back(Mapping::random(problem.task_count(),
+                                         problem.tile_count(), rng));
+    std::vector<BatchPoint> points(mappings.size());
+    evaluator.evaluate_raw_batch(mappings, points);
+    for (std::size_t i = 0; i < mappings.size(); ++i) {
+      const auto where = "mapping " + std::to_string(i);
+      const auto want = evaluate_mapping(problem.network(), problem.cg(),
+                                         mappings[i].assignment(), true);
+      (void)evaluator.evaluate(mappings[i]);
+      const auto raw = evaluator.evaluate_raw(mappings[i]);
+      (void)evaluator.evaluate(mappings[i]);
+      const auto detailed = evaluator.evaluate_detailed(mappings[i]);
+      for (const double got :
+           {raw.worst_snr_db, detailed.worst_snr_db, points[i].worst_snr_db}) {
+        EXPECT_FALSE(std::isnan(got)) << where;
+        EXPECT_EQ(got, want.worst_snr_db) << where;
+      }
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_edges(detailed.edges, want.edges, where + " detailed"));
+      if (problem.objective().needs_detail())
+        ASSERT_NO_FATAL_FAILURE(
+            expect_same_edges(raw.edges, want.edges, where + " raw"));
+    }
+  }
 }
 
 TEST(MappingHash, SensitiveToOrderAndContents) {

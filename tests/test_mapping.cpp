@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "graph/comm_graph.hpp"
 #include "mapping/mapping.hpp"
 #include "mapping/objective.hpp"
@@ -114,6 +117,7 @@ TEST(Objective, WorstLossFitness) {
   const WorstLossObjective objective;
   EXPECT_DOUBLE_EQ(objective.fitness(sample_result()), -2.5);
   EXPECT_FALSE(objective.needs_detail());
+  EXPECT_FALSE(objective.needs_noise());
   EXPECT_EQ(objective.name(), "worst_loss");
   // A mapping with less loss must score higher.
   auto better = sample_result();
@@ -146,6 +150,7 @@ TEST(Objective, BandwidthWeightedLoss) {
   cg.add_communication("b", "c", 100.0);  // weight 0.25
   const BandwidthWeightedLossObjective objective(cg);
   EXPECT_TRUE(objective.needs_detail());
+  EXPECT_FALSE(objective.needs_noise());
   EvaluationResult r;
   r.edges.resize(2);
   r.edges[0].loss_db = -2.0;
@@ -153,6 +158,28 @@ TEST(Objective, BandwidthWeightedLoss) {
   EXPECT_NEAR(objective.fitness(r), 0.75 * -2.0 + 0.25 * -4.0, 1e-12);
   // Missing detail is an error, not a silent 0.
   EXPECT_THROW((void)objective.fitness(sample_result()), InvalidArgument);
+}
+
+TEST(Objective, NeedsNoiseExactlyWhenFitnessReadsCrosstalk) {
+  // The Evaluator skips the crosstalk walk for objectives answering
+  // false, so a true answer must stand for every objective whose
+  // fitness could read an SNR field. A composite with a zero SNR weight
+  // still reads one: 0 * NaN is NaN.
+  CommGraph cg("w");
+  cg.add_task("a");
+  cg.add_task("b");
+  cg.add_communication("a", "b", 100.0);
+  EXPECT_FALSE(WorstLossObjective().needs_noise());
+  EXPECT_FALSE(BandwidthWeightedLossObjective(cg).needs_noise());
+  EXPECT_TRUE(WorstSnrObjective().needs_noise());
+  EXPECT_TRUE(CompositeObjective(2.0, 0.5).needs_noise());
+  EXPECT_TRUE(CompositeObjective(1.0, 0.0).needs_noise());
+  EXPECT_TRUE(CompositeObjective(0.0, 1.0).needs_noise());
+  EXPECT_FALSE(make_objective(OptimizationGoal::InsertionLoss)->needs_noise());
+  EXPECT_TRUE(make_objective(OptimizationGoal::Snr)->needs_noise());
+  auto unscored = sample_result();
+  unscored.worst_snr_db = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(CompositeObjective(1.0, 0.0).fitness(unscored)));
 }
 
 TEST(Objective, FactoryMatchesGoals) {

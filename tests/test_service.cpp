@@ -228,6 +228,26 @@ TEST(ServiceProtocol, MalformedPayloadsThrowStructuredErrors) {
   EXPECT_THROW((void)parse_reply(""), ParseError);
 }
 
+TEST(ServiceProtocol, RequestSidesBeyondTheTileLimitAreRejected) {
+  // The spec body parses through read_spec: a side whose grid exceeds
+  // NetworkModel's 32768 tiles is a parse error before anything is
+  // built, never a wrapped index or an unbounded network build.
+  ServiceRequest request;
+  request.id = "side";
+  request.spec = opt_spec();
+  request.spec.add_topology(TopologyKind::Torus, 3);
+  const auto with_side = [&](const std::string& side) {
+    std::string wire = write_request(request);
+    const std::string line = "topology torus 3\n";
+    const auto at = wire.find(line);
+    EXPECT_NE(at, std::string::npos);
+    return wire.replace(at, line.size(), "topology torus " + side + "\n");
+  };
+  EXPECT_THROW((void)parse_request(with_side("4294967300")), ParseError);
+  EXPECT_THROW((void)parse_request(with_side("182")), ParseError);
+  EXPECT_EQ(parse_request(with_side("181")).spec.topologies[1].side, 181u);
+}
+
 // --- FrameDecoder on adversarial input --------------------------------------
 
 TEST(ServiceFraming, TruncatedLengthPrefixStaysPendingThenFailsLoudly) {
