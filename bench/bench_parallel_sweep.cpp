@@ -35,8 +35,8 @@
 #include "exec/batch_engine.hpp"
 #include "exec/sweep.hpp"
 #include "sched/scheduler.hpp"
-#include "sched/service.hpp"
 #include "sched/transport.hpp"
+#include "sched/worker.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
@@ -162,10 +162,7 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(std::max<long>(parse_long(text), 1));
     const auto transport =
         std::make_shared<LoopbackTransport>([threads](Connection& conn) {
-          ServiceOptions service;
-          service.exec_threads = threads;
-          service.advertised_capacity = threads;
-          return serve_connection(conn, service);
+          return serve_connection(conn, {.threads = threads});
         });
     SchedulerOptions sched;
     sched.hosts = {"loopback"};

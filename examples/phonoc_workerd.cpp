@@ -51,8 +51,8 @@
 #include <iostream>
 
 #include "obs/trace.hpp"
-#include "sched/service.hpp"
 #include "sched/transport.hpp"
+#include "sched/worker.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -92,15 +92,12 @@ int main(int argc, char** argv) {
   const auto max_conns = cli.has("once")
                              ? 1
                              : cli.get_int("max-conns", 0);  // 0 = forever
-  ServiceOptions service;
+  WorkerOptions worker;
   if (const char* crash = std::getenv("PHONOC_WORKER_CRASH_INDEX");
       crash && *crash)
-    service.crash_index = parse_long(crash);
+    worker.crash_index = parse_long(crash);
   const auto threads = cli.get_int("threads", 0);
-  if (threads > 0) {
-    service.exec_threads = static_cast<std::size_t>(threads);
-    service.advertised_capacity = static_cast<std::size_t>(threads);
-  }
+  if (threads > 0) worker.threads = static_cast<std::size_t>(threads);
 
   // --stdio (a spawned worker) and --join (a late joiner dialing a
   // scheduler's admission port) serve one connection and exit. The
@@ -117,7 +114,7 @@ int main(int argc, char** argv) {
     }
     if (!stdio)
       status << "phonoc_workerd: joined scheduler at " << join << std::endl;
-    const auto cells = serve_connection(*conn, service);
+    const auto cells = serve_connection(*conn, worker);
     conn->close();
     // One write: sibling workers share the scheduler's stderr.
     status << "phonoc_workerd: " + std::string(stdio ? "stdio" : "sweep") +
@@ -129,7 +126,7 @@ int main(int argc, char** argv) {
 
   TcpListener listener(port);
   status << "phonoc_workerd: listening on 127.0.0.1:" << listener.port()
-         << (service.crash_index >= 0 ? " (crash injection armed)" : "")
+         << (worker.crash_index >= 0 ? " (crash injection armed)" : "")
          << std::endl;
 
   std::int64_t served = 0;
@@ -139,7 +136,7 @@ int main(int argc, char** argv) {
       std::cerr << "phonoc_workerd: accept failed\n";
       return 1;
     }
-    const auto cells = serve_connection(*conn, service);
+    const auto cells = serve_connection(*conn, worker);
     conn->close();
     ++served;
     status << "phonoc_workerd: connection " << served << " done, " << cells

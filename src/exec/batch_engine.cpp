@@ -1,8 +1,11 @@
 #include "exec/batch_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
 #include <future>
+#include <mutex>
 #include <utility>
 
 #include "core/evaluator.hpp"
@@ -21,27 +24,8 @@ std::map<SweepProblemKey, std::shared_ptr<const MappingProblem>>
 build_sweep_problems(const SweepSpec& spec,
                      const std::vector<SweepCell>& cells) {
   std::map<SweepProblemKey, std::shared_ptr<const MappingProblem>> problems;
-  // Networks are shared one level further: goals reuse the same network.
-  // The cache key {resolved side, topology index} is exhaustive: a
-  // network is built from the topology's kind (determined by the
-  // topology index), the resolved side, and spec-global knobs (router,
-  // tile_pitch_mm, parameters, model_options) — never from the workload
-  // itself, whose only influence is the resolved side already in the
-  // key. tests/test_exec.cpp (NetworkCacheIsWorkloadIndependent) pins
-  // this down against per-cell fresh networks.
-  std::map<std::pair<std::uint32_t, std::size_t>,
-           std::shared_ptr<const NetworkModel>>
-      networks;
-  for (const auto& cell : cells) {
-    const SweepProblemKey key{cell.workload, cell.topology, cell.goal};
-    if (problems.count(key)) continue;
-    const auto side = resolved_side(spec, cell.workload, cell.topology);
-    auto& network = networks[{side, cell.topology}];
-    if (!network)
-      network = make_cell_network(spec, cell.workload, cell.topology);
-    problems.emplace(key, std::make_shared<const MappingProblem>(
-                              make_problem(spec, cell, network)));
-  }
+  for (auto& [coordinate, entry] : ProblemCache().problems(spec, cells))
+    problems.emplace(coordinate, std::move(entry.problem));
   return problems;
 }
 
@@ -221,18 +205,45 @@ CellResult make_failed_cell(const SweepSpec& spec, const SweepCell& cell,
   return failed;
 }
 
-CellResult run_sweep_cell_isolated(
-    const SweepSpec& spec, const SweepCell& cell,
-    const std::map<SweepProblemKey,
-                   std::shared_ptr<const MappingProblem>>& problems,
-    const EvaluatorOptions& evaluator) {
-  try {
-    const auto& problem =
-        *problems.at(SweepProblemKey{cell.workload, cell.topology, cell.goal});
-    return run_sweep_cell(spec, cell, problem, evaluator);
-  } catch (const std::exception& e) {
-    return make_failed_cell(spec, cell, e.what());
+void run_cells(const SweepSpec& spec, std::span<const SweepCell> cells,
+               ThreadPool* pool, const CellBody& body,
+               const CellSink& on_cell) {
+  const auto settle = [&](const SweepCell& cell) {
+    try {
+      return body(cell);
+    } catch (const std::exception& e) {
+      return make_failed_cell(spec, cell, e.what());
+    }
+  };
+  if (!pool || cells.size() <= 1) {
+    for (const auto& cell : cells)
+      if (!on_cell(settle(cell))) break;
+    return;
   }
+  std::mutex sink;  // serializes on_cell
+  std::atomic<bool> skip{false};
+  std::vector<std::future<void>> settled;
+  settled.reserve(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    settled.push_back(pool->submit([&, i] {
+      if (skip.load(std::memory_order_relaxed)) return;
+      CellResult result = settle(cells[i]);
+      const std::lock_guard<std::mutex> lock(sink);
+      if (!on_cell(std::move(result))) skip.store(true);
+    }));
+  // Every future is collected before anything can unwind the stack the
+  // queued tasks point into; the first exception out of on_cell is
+  // rethrown only after the rest has drained.
+  std::exception_ptr failure;
+  for (auto& cell : settled) {
+    try {
+      cell.get();
+    } catch (...) {
+      skip.store(true);
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
 }
 
 BatchEngine::BatchEngine(BatchOptions options)
@@ -270,58 +281,24 @@ std::vector<CellResult> BatchEngine::run(const SweepSpec& spec) const {
   log_info("exec") << "BatchEngine: " << cells.size() << " cells on "
                    << workers_ << " worker(s), " << problems.size()
                    << " shared problem(s)";
-
-  const auto problem_of = [&](const SweepCell& cell) -> const MappingProblem& {
-    return *problems.at(
-        SweepProblemKey{cell.workload, cell.topology, cell.goal});
-  };
-
-  if (workers_ <= 1 || cells.size() <= 1) {
-    for (const auto& cell : cells)
-      results[cell.index] =
-          run_sweep_cell(spec, cell, problem_of(cell), options_.evaluator);
-    return results;
-  }
-
-  ThreadPool pool(std::min(workers_, cells.size()));
-  std::vector<std::future<void>> futures;
-  futures.reserve(cells.size());
-  for (const auto& cell : cells)
-    futures.push_back(pool.submit([this, &spec, &results, &problem_of, cell] {
-      // Each cell owns its Evaluator (and through it its kernels and
-      // memo) and RNG and writes only its slot: the outcome cannot
-      // depend on scheduling.
-      results[cell.index] =
-          run_sweep_cell(spec, cell, problem_of(cell), options_.evaluator);
-    }));
-  // Abort path: the first real task failure cancels the queue (don't
-  // let the pool's graceful-drain destructor run the possibly hours of
-  // remaining cells first) and is rethrown once every in-flight future
-  // has settled. cancel_pending() breaks the promises of the discarded
-  // cells; those std::future_errors are a consequence of the abort, not
-  // a cause, so they are swallowed — unless one somehow arrives first,
-  // in which case it is translated into a descriptive ExecError instead
-  // of escaping as a raw std::future_error.
-  std::exception_ptr failure;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    try {
-      futures[i].get();
-    } catch (const std::future_error& e) {
-      if (!failure) {
-        failure = std::make_exception_ptr(ExecError(
-            "BatchEngine: cell " + std::to_string(i) +
-            " was discarded before it ran (broken promise: " + e.what() +
-            ")"));
-        pool.cancel_pending();
-      }
-    } catch (...) {
-      if (!failure) {
-        failure = std::current_exception();
-        pool.cancel_pending();
-      }
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
+  std::unique_ptr<ThreadPool> pool;
+  if (workers_ > 1 && cells.size() > 1)
+    pool = std::make_unique<ThreadPool>(std::min(workers_, cells.size()));
+  // Each cell owns its Evaluator (and through it its kernels and memo)
+  // and RNG and writes only its slot: the outcome cannot depend on
+  // scheduling.
+  run_cells(
+      spec, cells, pool.get(),
+      [&](const SweepCell& cell) {
+        return run_sweep_cell(
+            spec, cell,
+            *problems.at({cell.workload, cell.topology, cell.goal}),
+            options_.evaluator);
+      },
+      [&](CellResult result) {
+        results[result.cell.index] = std::move(result);
+        return true;
+      });
   return results;
 }
 

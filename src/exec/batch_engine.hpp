@@ -15,16 +15,22 @@
 /// random mappings from a per-cell Rng seeded by the cell's seed value,
 /// so a sampling grid's merged distributions are bit-identical across
 /// worker counts and backends too.
+///
+/// Failure contract, the same on every backend: a cell that throws
+/// comes back CellStatus::Failed with the exception's message, and
+/// every other cell still runs (run_cells below is where the in-process
+/// executors catch it; a Remote worker does the same before it answers).
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "exec/problem_cache.hpp"
 #include "exec/sweep.hpp"
 #include "util/stats.hpp"
 
@@ -32,8 +38,9 @@ namespace phonoc {
 
 /// How BatchEngine executes the expanded grid.
 enum class BatchBackend {
-  /// Worker threads in this process (fastest; a crashing optimizer
-  /// takes the whole batch down).
+  /// Worker threads in this process (fastest). A throwing cell fails
+  /// alone, as on every backend; a crashing optimizer takes the whole
+  /// batch down.
   InProcess,
   /// The distributed sweep scheduler (src/sched/): framed shards go to
   /// BatchOptions::remote_hosts — TCP `phonoc_workerd` daemons, or
@@ -87,7 +94,7 @@ struct BatchOptions {
 /// Terminal state of one grid cell.
 enum class CellStatus {
   Ok,      ///< the cell ran to completion; its kind's payload is valid
-  Failed,  ///< the cell's worker died (or never ran); see `error`
+  Failed,  ///< the cell threw, or its worker died (or never ran); see `error`
 };
 
 /// Distribution of one metric over a cell's random-mapping samples:
@@ -152,12 +159,12 @@ struct CellResult {
     std::size_t count);
 
 /// Problems shared by cells that differ only in optimizer/budget/seed,
-/// keyed by (workload, topology, goal). Built sequentially before a
-/// grid runs (network construction is the expensive, allocation-heavy
-/// part); immutable afterwards, so sharing across workers is safe. The
-/// sched worker service uses the same builder so both backends
-/// construct bit-identical problems.
-using SweepProblemKey = std::tuple<std::size_t, std::size_t, std::size_t>;
+/// keyed by (workload, topology, goal): ProblemCache::problems on a
+/// cache of its own. Built sequentially before a grid runs (network
+/// construction is the expensive, allocation-heavy part); immutable
+/// afterwards, so sharing across workers is safe. Every backend builds
+/// its problems through a ProblemCache, so all of them construct
+/// bit-identical problems.
 [[nodiscard]] std::map<SweepProblemKey,
                        std::shared_ptr<const MappingProblem>>
 build_sweep_problems(const SweepSpec& spec,
@@ -189,21 +196,40 @@ build_sweep_problems(const SweepSpec& spec,
                                           const SweepCell& cell,
                                           std::string error);
 
-/// run_sweep_cell with per-cell exception isolation: a throwing
-/// optimizer becomes a Failed cell instead of a lost slice. The sched
-/// worker service runs every cell through it.
-[[nodiscard]] CellResult run_sweep_cell_isolated(
-    const SweepSpec& spec, const SweepCell& cell,
-    const std::map<SweepProblemKey,
-                   std::shared_ptr<const MappingProblem>>& problems,
-    const EvaluatorOptions& evaluator);
+class ThreadPool;
+
+/// What run_cells computes for one cell.
+using CellBody = std::function<CellResult(const SweepCell& cell)>;
+/// Where run_cells reports one settled cell; false skips the cells not
+/// yet started.
+using CellSink = std::function<bool(CellResult result)>;
+
+/// The one fan-out loop of every in-process cell executor:
+/// BatchEngine::run collects into slots, the workerd loop writes
+/// frames, the phonocd broker fires its events.
+///  * runs `body(cell)` for each of `cells` on `pool`, or inline on the
+///    calling thread when `pool` is null or there is only one cell;
+///  * a throwing body becomes make_failed_cell(spec, cell, what()), so
+///    one bad cell fails alone on every backend;
+///  * `on_cell` is called once per cell that ran, in settle order, never
+///    concurrently. Once it returns false the cells not yet started are
+///    skipped; cells already running still settle through it;
+///  * returns only after every started cell has settled, so nothing the
+///    callbacks reference is in use afterwards. An exception out of
+///    `on_cell` skips the rest too and is rethrown after that drain.
+void run_cells(const SweepSpec& spec, std::span<const SweepCell> cells,
+               ThreadPool* pool, const CellBody& body,
+               const CellSink& on_cell);
 
 class BatchEngine {
  public:
   explicit BatchEngine(BatchOptions options = {});
 
   /// Execute every cell of the expanded grid; results come back in grid
-  /// order (results[i].cell.index == i).
+  /// order (results[i].cell.index == i). A cell whose run throws (an
+  /// unknown optimizer name, say) comes back Failed with the message,
+  /// and the other cells still run; only a grid whose problems cannot
+  /// be built throws.
   [[nodiscard]] std::vector<CellResult> run(const SweepSpec& spec) const;
 
   /// Parallel analogue of Engine::compare: the paper's fair-comparison

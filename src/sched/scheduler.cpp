@@ -27,6 +27,23 @@ namespace {
 /// finished sweep for its whole hard timeout.
 constexpr double kRecvTickSeconds = 0.25;
 
+/// Hands each settled cell to the caller's Scheduler::run callback, one
+/// at a time: host drivers settle cells concurrently.
+class SettleStream {
+ public:
+  explicit SettleStream(const SettledCell& on_cell) : on_cell_(on_cell) {}
+
+  void operator()(const CellResult& result) {
+    if (!on_cell_) return;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    on_cell_(result);
+  }
+
+ private:
+  const SettledCell& on_cell_;
+  std::mutex mutex_;
+};
+
 /// Everything one host-driver thread needs to touch. `results` and
 /// `cell_host` slots are written only after HostPool::complete_cell
 /// accepted the cell (first-wins), so writers never overlap.
@@ -45,16 +62,19 @@ struct DriverContext {
   /// only for *accepted* answers (post-dedup), so replaying the journal
   /// reproduces exactly the first-wins outcome.
   JournalWriter* journal = nullptr;
+  SettleStream& settled;
 };
 
 /// Abandon everything fail_unit() says is beyond retry.
 void abandon(DriverContext& ctx, std::size_t host,
              const std::string& reason) {
-  for (const auto index : ctx.pool.fail_unit(host))
+  for (const auto index : ctx.pool.fail_unit(host)) {
     ctx.results[index] = make_failed_cell(
         ctx.spec, ctx.cells[index],
         "abandoned after " + std::to_string(ctx.options.max_attempts) +
             " attempt(s); last host error: " + reason);
+    ctx.settled(ctx.results[index]);
+  }
 }
 
 /// Parse the worker's hello reply. Accepted shapes: the bare
@@ -172,8 +192,10 @@ UnitOutcome receive_unit(DriverContext& ctx, std::size_t host,
     } else {
       ++report.cells_failed;
     }
-    ctx.cell_host[result.cell.index] = static_cast<int>(host);
-    ctx.results[result.cell.index] = std::move(result);
+    const std::size_t index = result.cell.index;
+    ctx.cell_host[index] = static_cast<int>(host);
+    ctx.results[index] = std::move(result);
+    ctx.settled(ctx.results[index]);
   }
 }
 
@@ -303,9 +325,11 @@ Scheduler::Scheduler(SchedulerOptions options) : options_(std::move(options)) {
           "Scheduler: at least one host endpoint is required");
 }
 
-ScheduleResult Scheduler::run(const SweepSpec& spec) const {
+ScheduleResult Scheduler::run(const SweepSpec& spec,
+                             const SettledCell& on_cell) const {
   Timer wall;
   ScheduleResult outcome;
+  SettleStream settled(on_cell);
 
   const auto cells = expand(spec);
   obs::TraceSpan sweep_span("sched", "sweep");
@@ -423,6 +447,7 @@ ScheduleResult Scheduler::run(const SweepSpec& spec) const {
     (void)pool.complete_cell(index);
     outcome.cell_host[index] = kCellHostJournal;
     outcome.results[index] = std::move(cell);
+    settled(outcome.results[index]);
   }
   outcome.journaled = replayed.cells.size();
   if (outcome.journaled > 0)
@@ -446,7 +471,8 @@ ScheduleResult Scheduler::run(const SweepSpec& spec) const {
                       *transport,
                       outcome.results,
                       outcome.cell_host,
-                      journal.get()};
+                      journal.get(),
+                      settled};
     try {
       drive_host(ctx, h, slot.conn, slot.report);
     } catch (const std::exception& e) {
@@ -570,9 +596,11 @@ ScheduleResult Scheduler::run(const SweepSpec& spec) const {
 
   // Cells no surviving host could take (e.g. the whole fleet died with
   // work still queued) must fail loudly, not vanish.
-  for (const auto index : pool.unsettled_cells())
+  for (const auto index : pool.unsettled_cells()) {
     outcome.results[index] = make_failed_cell(
         spec, cells[index], "no live host was available to run this cell");
+    settled(outcome.results[index]);
+  }
 
   for (std::size_t h = 0; h < slots.size(); ++h) {
     HostReport report = slots[h].report;
@@ -666,7 +694,8 @@ SweepReport merge_host_reports(const SweepSpec& spec,
 }
 
 std::vector<CellResult> run_remote(const SweepSpec& spec,
-                                   const BatchOptions& options) {
+                                   const BatchOptions& options,
+                                   const SettledCell& on_cell) {
   if (options.remote_hosts.empty())
     throw ExecError(
         "BatchBackend::Remote requires BatchOptions::remote_hosts (endpoints "
@@ -677,7 +706,7 @@ std::vector<CellResult> run_remote(const SweepSpec& spec,
   sched.journal_path = options.journal_path;
   if (options.cells_per_shard > 0)
     sched.cells_per_shard = options.cells_per_shard;
-  return Scheduler(std::move(sched)).run(spec).results;
+  return Scheduler(std::move(sched)).run(spec, on_cell).results;
 }
 
 }  // namespace phonoc

@@ -19,8 +19,8 @@
 /// sweep already in flight and absorb queued, stolen or speculated
 /// units).
 ///
-/// Determinism: cells execute through the same build_sweep_problems()
-/// + run_sweep_cell() path as the in-process backend and the wire
+/// Determinism: cells execute through the same ProblemCache +
+/// run_cells() + run_sweep_cell() path as the in-process backend and the wire
 /// format round-trips doubles bit-exactly, so — for evaluation-count
 /// budgets — the per-cell results are bit-identical to
 /// BatchBackend::InProcess whatever the fleet size, failure pattern or
@@ -148,6 +148,9 @@ struct ScheduleResult {
   double wall_seconds = 0.0;   ///< scheduler-observed elapsed time
 };
 
+/// Receives one settled cell of a distributed sweep (see Scheduler::run).
+using SettledCell = std::function<void(const CellResult& result)>;
+
 class Scheduler {
  public:
   explicit Scheduler(SchedulerOptions options);
@@ -155,7 +158,13 @@ class Scheduler {
   /// Execute the grid on the fleet. Throws ExecError, before any thread
   /// or process starts, when a spawn binary is not executable or the
   /// admission port cannot be bound; per-host failures are reported.
-  [[nodiscard]] ScheduleResult run(const SweepSpec& spec) const;
+  /// `on_cell`, when set, is called once per cell as it settles, never
+  /// concurrently: an accepted live answer, a journal replay, or a cell
+  /// abandoned after its last attempt or left unrouted by a dead fleet.
+  /// It runs on a host driver (or the calling) thread while the sweep
+  /// is still in flight, so a caller can stream cells as they land.
+  [[nodiscard]] ScheduleResult run(const SweepSpec& spec,
+                                   const SettledCell& on_cell = {}) const;
 
  private:
   SchedulerOptions options_;
@@ -176,8 +185,10 @@ class Scheduler {
 
 /// BatchEngine's BatchBackend::Remote entry point: a Scheduler built
 /// from BatchOptions (endpoints from remote_hosts, default transport),
-/// returning grid-ordered results like every other backend.
-[[nodiscard]] std::vector<CellResult> run_remote(const SweepSpec& spec,
-                                                 const BatchOptions& options);
+/// returning grid-ordered results like every other backend. `on_cell`
+/// is passed through to Scheduler::run.
+[[nodiscard]] std::vector<CellResult> run_remote(
+    const SweepSpec& spec, const BatchOptions& options,
+    const SettledCell& on_cell = {});
 
 }  // namespace phonoc

@@ -8,7 +8,7 @@
 
 #include "exec/serialize.hpp"
 #include "exec/thread_pool.hpp"
-#include "sched/service.hpp"
+#include "sched/worker.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"

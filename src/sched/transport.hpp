@@ -117,7 +117,7 @@ class LoopbackTransport : public Transport {
  public:
   /// The worker body run for each served connection. The default is
   /// `serve_connection(conn, {})`; tests and benches inject a body with
-  /// non-default ServiceOptions (e.g. a fixed exec-pool width) to pin
+  /// non-default WorkerOptions (e.g. a fixed exec-pool width) to pin
   /// worker-side behaviour without a daemon process.
   using Server = std::function<std::size_t(Connection&)>;
 

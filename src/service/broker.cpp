@@ -1,14 +1,13 @@
 #include "service/broker.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <future>
 #include <utility>
 #include <vector>
 
 #include "exec/serialize.hpp"
 #include "mapping/mapping.hpp"
 #include "obs/trace.hpp"
+#include "sched/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -35,7 +34,7 @@ struct MemoCounts {
 
 /// The search a cell runs: optimizer, budget and seed. A warm Evaluator
 /// that recently ran the same search holds the mappings it will score
-/// in its memo, so ServiceCache::checkout prefers that one.
+/// in its memo, so ProblemCache::checkout prefers that one.
 std::uint64_t search_affinity(const SweepSpec& spec, const SweepCell& cell) {
   return fnv1a64(spec.optimizers[cell.optimizer] + ' ' +
                  budget_label(spec.budgets[cell.budget]) + ' ' +
@@ -58,7 +57,7 @@ std::vector<double> latency_buckets() {
 }
 
 /// The broker's metric handles, registered in catalog order: the order
-/// of the `stats` lines (ServiceCache registers the problem_cache_*
+/// of the `stats` lines (ProblemCache registers the problem_cache_*
 /// counters right after these).
 struct RequestBroker::Metrics {
   explicit Metrics(obs::MetricsRegistry& r);
@@ -342,7 +341,7 @@ EvaluationAnswer RequestBroker::evaluate(const EvaluateRequest& request) {
           "evaluate: the spec needs at least one workload, topology and "
           "goal");
   const SweepCell cell{};
-  const auto key = ServiceCache::key_of(request.spec, cell);
+  const auto key = ProblemCache::key_of(request.spec, cell);
   const auto problem = cache_.problem(request.spec, cell, key);
   require(request.assignment.size() == problem->task_count(),
           "evaluate: the assignment maps " +
@@ -508,10 +507,7 @@ void RequestBroker::execute(Job& job) {
   std::size_t ok = 0;
   std::size_t failed = 0;
   try {
-    if (options_.batch.backend == BatchBackend::InProcess)
-      execute_in_process(job, canceled, ok, failed);
-    else
-      execute_batch(job, canceled, ok, failed);
+    run_job(job, canceled, ok, failed);
   } catch (const std::exception& e) {
     // Request-level failure (problem construction, a dead backend):
     // answer it; the daemon and the other requests keep going.
@@ -533,66 +529,11 @@ void RequestBroker::execute(Job& job) {
   if (job.events.on_done) job.events.on_done(ok, failed);
 }
 
-void RequestBroker::execute_in_process(Job& job, bool& canceled,
-                                       std::size_t& ok, std::size_t& failed) {
-  const auto& spec = job.request.spec;
-  const auto cells = expand(spec);
-  // Problems come from the cross-request cache, built here before the
-  // fan-out (construction is the expensive part; cells only read them).
-  std::map<SweepProblemKey,
-           std::pair<std::string, std::shared_ptr<const MappingProblem>>>
-      problems;
-  for (const auto& cell : cells) {
-    const SweepProblemKey coord{cell.workload, cell.topology, cell.goal};
-    if (problems.count(coord)) continue;
-    auto key = ServiceCache::key_of(spec, cell);
-    auto problem = cache_.problem(spec, cell, key);
-    problems.emplace(coord, std::make_pair(std::move(key),
-                                           std::move(problem)));
-  }
-  std::atomic<bool> cancel{false};
-  std::mutex stream_mutex;  // serializes on_cell and the ok/failed tally
-  const auto run_one = [&](const SweepCell& cell) {
-    if (!cancel.load(std::memory_order_relaxed)) {
-      const auto& [key, problem] = problems.at(
-          SweepProblemKey{cell.workload, cell.topology, cell.goal});
-      CellResult result = run_cell(spec, cell, *problem, key, job.lane);
-      const std::lock_guard<std::mutex> lock(stream_mutex);
-      if (!cancel.load(std::memory_order_relaxed)) {
-        if (result.status == CellStatus::Ok) {
-          ++ok;
-          metrics_->cells_ok.inc();
-        } else {
-          ++failed;
-          metrics_->cells_failed.inc();
-        }
-        if (job.events.on_cell && !job.events.on_cell(result))
-          cancel.store(true);
-      }
-    }
-    finish_cell(job);
-  };
-  if (!pool_ || cells.size() <= 1) {
-    for (const auto& cell : cells) run_one(cell);
-  } else {
-    std::vector<std::future<void>> futures;
-    futures.reserve(cells.size());
-    for (const auto& cell : cells)
-      futures.push_back(pool_->submit([&run_one, cell] { run_one(cell); }));
-    for (auto& future : futures) future.get();
-  }
-  canceled = cancel.load();
-}
-
-void RequestBroker::execute_batch(Job& job, bool& canceled, std::size_t& ok,
-                                  std::size_t& failed) {
-  // Remote delegates the whole request to BatchEngine: cells run in
-  // other processes (no cross-request cache there) and stream back in
-  // grid order once the batch returns. Each job owns its
-  // engine, so concurrent requests never share backend state.
-  const BatchEngine engine(options_.batch);
-  const auto results = engine.run(job.request.spec);
-  for (const auto& result : results) {
+void RequestBroker::run_job(Job& job, bool& canceled, std::size_t& ok,
+                            std::size_t& failed) {
+  // One stream for both backends, called once per settled cell and
+  // never concurrently (run_cells and Scheduler::run both serialize it).
+  const auto stream = [&](const CellResult& result) {
     if (!canceled) {
       if (result.status == CellStatus::Ok) {
         ++ok;
@@ -604,28 +545,37 @@ void RequestBroker::execute_batch(Job& job, bool& canceled, std::size_t& ok,
       if (job.events.on_cell && !job.events.on_cell(result)) canceled = true;
     }
     finish_cell(job);
+    return !canceled;
+  };
+  const auto& spec = job.request.spec;
+  if (options_.batch.backend == BatchBackend::Remote) {
+    // Cells run in other processes (no cross-request cache there) and
+    // stream as the fleet settles them.
+    (void)run_remote(spec, options_.batch, stream);
+    return;
   }
-}
-
-CellResult RequestBroker::run_cell(const SweepSpec& spec,
-                                   const SweepCell& cell,
-                                   const MappingProblem& problem,
-                                   const std::string& key,
-                                   ServiceLane lane) {
-  obs::TraceSpan span("service", "cell");
-  span.arg({"index", std::uint64_t(cell.index)});
-  try {
-    const std::uint64_t affinity = search_affinity(spec, cell);
-    auto lease = cache_.checkout(key, lane, problem, affinity);
-    const MemoCounts before(*lease.evaluator);
-    CellResult result = run_sweep_cell(spec, cell, *lease.evaluator);
-    metrics_->count_memo(*lease.evaluator, before);
-    cache_.checkin(key, lane, std::move(lease), affinity);
-    return result;
-  } catch (const std::exception& e) {
-    // The Evaluator of a failed cell is dropped, not checked back in.
-    return make_failed_cell(spec, cell, e.what());
-  }
+  const auto cells = expand(spec);
+  // Problems come from the cross-request cache, built here before the
+  // fan-out (construction is the expensive part; cells only read them).
+  const auto problems = cache_.problems(spec, cells);
+  run_cells(
+      spec, cells, pool_.get(),
+      [&](const SweepCell& cell) {
+        // A warm Evaluator of the job's lane. A throwing cell unwinds
+        // past the check-in: its Evaluator is dropped, not reused.
+        obs::TraceSpan span("service", "cell");
+        span.arg({"index", std::uint64_t(cell.index)});
+        const auto& [key, problem] =
+            problems.at({cell.workload, cell.topology, cell.goal});
+        const std::uint64_t affinity = search_affinity(spec, cell);
+        auto lease = cache_.checkout(key, job.lane, *problem, affinity);
+        const MemoCounts before(*lease.evaluator);
+        CellResult result = run_sweep_cell(spec, cell, *lease.evaluator);
+        metrics_->count_memo(*lease.evaluator, before);
+        cache_.checkin(key, job.lane, std::move(lease), affinity);
+        return result;
+      },
+      stream);
 }
 
 void RequestBroker::finish_cell(Job& job) {

@@ -21,7 +21,9 @@
 /// at a time, and a single client's requests execute in submission
 /// order with byte-identical streams (the pre-pool behavior, pinned by
 /// test). Within a request, cells fan out over the broker's persistent
-/// thread pool (InProcess) or the configured Remote fleet.
+/// thread pool (InProcess, through run_cells) or the configured Remote
+/// fleet (Scheduler::run), and either way stream to the client as they
+/// settle.
 ///
 /// Event contract, per submit() call:
 ///  * rejected at admission — submit() returns the rejection; no events
@@ -39,7 +41,7 @@
 /// the problem cache. Concurrent requests share the cache but never
 /// mutate each other's state: problems are immutable, a running cell
 /// holds its Evaluator exclusively, and a reused Evaluator scores
-/// exactly like a fresh one (see service/cache.hpp). So every
+/// exactly like a fresh one (see exec/problem_cache.hpp). So every
 /// request's streamed results are bit-identical to a solo run of the
 /// same spec at any concurrency.
 
@@ -55,9 +57,9 @@
 #include <vector>
 
 #include "exec/batch_engine.hpp"
+#include "exec/problem_cache.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "service/cache.hpp"
 #include "service/protocol.hpp"
 #include "service/scheduler.hpp"
 #include "util/timer.hpp"
@@ -96,8 +98,8 @@ struct BrokerOptions {
   /// Deficit-round-robin quantum in cells: the service one client may
   /// consume per scheduler round before the pick moves on.
   std::size_t drr_quantum_cells = 32;
-  /// Cross-request reuse (see ServiceCache::Options).
-  ServiceCache::Options cache{};
+  /// Cross-request reuse (see ProblemCache::Options).
+  ProblemCache::Options cache{};
   /// Construct paused (test hook): jobs queue but never start until
   /// resume() — admission decisions become deterministic.
   bool start_paused = false;
@@ -223,18 +225,13 @@ class RequestBroker {
 
   void worker_loop();
   void execute(Job& job);
-  void execute_in_process(Job& job, bool& canceled, std::size_t& ok,
-                          std::size_t& failed);
-  void execute_batch(Job& job, bool& canceled, std::size_t& ok,
-                     std::size_t& failed);
-  /// One cell on a warm Evaluator of the job's lane: check it out,
-  /// run_sweep_cell, count the run's memo activity, check it back in; a
-  /// throwing cell becomes a Failed result and its Evaluator is dropped.
-  [[nodiscard]] CellResult run_cell(const SweepSpec& spec,
-                                    const SweepCell& cell,
-                                    const MappingProblem& problem,
-                                    const std::string& key,
-                                    ServiceLane lane);
+  /// Run the job's cells and stream each as it settles. InProcess: each
+  /// cell on a warm Evaluator of the job's lane (check it out,
+  /// run_sweep_cell, count the run's memo activity, check it back in)
+  /// through run_cells on the broker pool. Remote: the fleet's
+  /// Scheduler::run, streaming through the same callback.
+  void run_job(Job& job, bool& canceled, std::size_t& ok,
+               std::size_t& failed);
   void finish_cell(Job& job);
   [[nodiscard]] ServiceLane route(const ServiceRequest& request,
                                   std::size_t cells) const noexcept;
@@ -245,7 +242,7 @@ class RequestBroker {
   BrokerOptions options_;
   obs::MetricsRegistry registry_;     ///< one per broker: counts are its own
   std::unique_ptr<Metrics> metrics_;  ///< registered in catalog order
-  ServiceCache cache_;                ///< adds problem_cache_* to registry_
+  ProblemCache cache_;                ///< adds problem_cache_* to registry_
   Timer uptime_;
   std::unique_ptr<ThreadPool> pool_;  ///< InProcess cell fan-out
 

@@ -42,10 +42,9 @@
 #include <utility>
 #include <vector>
 
-namespace phonoc {
+#include "exec/problem_cache.hpp"  // ServiceLane
 
-/// Priority lane of a queued request (see lane routing in broker.hpp).
-enum class ServiceLane { Interactive, Bulk };
+namespace phonoc {
 
 template <typename JobT>
 class FairScheduler {

@@ -1,5 +1,6 @@
 // Tests of the parallel batch-exploration subsystem: thread pool
-// semantics, sweep grid expansion, aggregation, shard serialization
+// semantics, the one cell loop (run_cells: stop and drain rules),
+// sweep grid expansion, aggregation, shard serialization
 // (including seeded byte mutations the parsers must refuse cleanly),
 // crash-isolated local worker processes (spawn hosts: bit-identity,
 // poison-cell quarantine, no process left behind), and — the
@@ -490,6 +491,70 @@ TEST(BatchEngine, PinOneCellPerThreadCapsTheWorkerCount) {
   ASSERT_EQ(pinned_results.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i)
     expect_identical(pinned_results[i].run, reference[i].run);
+}
+
+// --- the one cell loop ------------------------------------------------------
+
+/// A stub cell body: no optimizer runs, cell 1 throws.
+CellResult stub_cell(const SweepCell& cell) {
+  if (cell.index == 1) throw InvalidArgument("stub failure");
+  CellResult result;
+  result.cell = cell;
+  return result;
+}
+
+TEST(RunCells, AFalseOnCellLeavesTheRestUnstartedInlineAndPooled) {
+  const auto spec = tiny_spec();
+  const auto cells = expand(spec);
+  ThreadPool pool(2);
+  for (ThreadPool* runner : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::atomic<std::size_t> ran{0};
+    std::vector<CellResult> seen;
+    run_cells(
+        spec, cells, runner,
+        [&](const SweepCell& cell) {
+          ++ran;
+          return stub_cell(cell);
+        },
+        [&](CellResult result) {
+          seen.push_back(std::move(result));
+          return seen.size() < 2;
+        });
+    // Every cell that ran settled through on_cell; the grid stopped.
+    EXPECT_EQ(seen.size(), ran.load());
+    EXPECT_LT(seen.size(), cells.size());
+    for (const auto& result : seen) {
+      EXPECT_EQ(result.status, result.cell.index == 1 ? CellStatus::Failed
+                                                      : CellStatus::Ok);
+      if (result.cell.index == 1) EXPECT_EQ(result.error, "stub failure");
+    }
+    if (!runner) {
+      ASSERT_EQ(seen.size(), 2u);  // inline: cells 0 and 1, in order
+      EXPECT_EQ(seen[1].cell.index, 1u);
+    }
+  }
+}
+
+TEST(RunCells, AnOnCellExceptionIsRethrownAfterStartedCellsSettle) {
+  const auto spec = tiny_spec();
+  const auto cells = expand(spec);
+  ThreadPool pool(2);
+  std::atomic<std::size_t> ran{0};
+  std::atomic<std::size_t> settled{0};
+  EXPECT_THROW(run_cells(
+                   spec, cells, &pool,
+                   [&](const SweepCell& cell) {
+                     ++ran;
+                     CellResult result;
+                     result.cell = cell;
+                     return result;
+                   },
+                   [&](CellResult) -> bool {
+                     ++settled;
+                     throw ExecError("sink failed");
+                   }),
+               ExecError);
+  EXPECT_EQ(settled.load(), ran.load());
 }
 
 // --- crash-isolated local workers (spawn hosts) -----------------------------

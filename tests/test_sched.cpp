@@ -6,7 +6,8 @@
 // cpu = sum) — and the fleet failure paths driven through a scripted
 // in-memory Transport: dead-host failover, spawn-host respawn,
 // straggler retry with late-answer dedup, timeouts accounted into
-// failed_count, and an admission port that cannot be bound. The TCP
+// failed_count, an admission port that cannot be bound, and settled
+// cells streamed while another host still holds its answers. The TCP
 // listener's accepted sockets disable Nagle, and running out of
 // descriptors makes it wait rather than fail.
 
@@ -20,6 +21,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstddef>
@@ -39,8 +41,8 @@
 #include "sched/host_pool.hpp"
 #include "sched/journal.hpp"
 #include "sched/scheduler.hpp"
-#include "sched/service.hpp"
 #include "sched/transport.hpp"
+#include "sched/worker.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 #include "workloads/generator.hpp"
@@ -360,7 +362,13 @@ struct FakeBehavior {
   /// Advertise `capacity N` in the hello reply; 0 sends the bare
   /// legacy hello (which the scheduler must read as capacity 1).
   std::size_t advertise_capacity = 0;
+  /// Hold every answer until this flag is set, or for at most
+  /// kHoldLimitSeconds, so a test waiting on it fails instead of
+  /// hanging.
+  std::shared_ptr<std::atomic<bool>> hold_until;
 };
+
+constexpr double kHoldLimitSeconds = 10.0;
 
 /// In-memory worker connection: send() executes the shard through the
 /// real run_sweep_cell path immediately and queues the reply frames
@@ -377,7 +385,8 @@ class FakeConnection final : public Connection {
           {0.0, behavior_.advertise_capacity > 0
                     ? std::string(kSchedHello) + " capacity " +
                           std::to_string(behavior_.advertise_capacity)
-                    : std::string(kSchedHello)});
+                    : std::string(kSchedHello),
+           false});
       return true;
     }
     if (payload == kSchedQuit) return true;
@@ -413,7 +422,8 @@ class FakeConnection final : public Connection {
     for (;;) {
       if (closed_) return {RecvStatus::Closed, {}};
       if (!outbox_.empty() &&
-          outbox_.front().visible_at <= clock_.elapsed_seconds()) {
+          outbox_.front().visible_at <= clock_.elapsed_seconds() &&
+          !(outbox_.front().answer && held())) {
         auto payload = std::move(outbox_.front().payload);
         outbox_.pop_front();
         return {RecvStatus::Ok, std::move(payload)};
@@ -429,9 +439,15 @@ class FakeConnection final : public Connection {
   void close() override { closed_ = true; }
 
  private:
+  [[nodiscard]] bool held() const {
+    return behavior_.hold_until && !behavior_.hold_until->load() &&
+           clock_.elapsed_seconds() < kHoldLimitSeconds;
+  }
+
   struct Pending {
     double visible_at = 0.0;
     std::string payload;
+    bool answer = true;  ///< false for the hello reply
   };
   FakeBehavior behavior_;
   Timer clock_;
@@ -565,6 +581,54 @@ TEST(Scheduler, LoopbackFleetRunsSampleKindBitIdenticalToInProcess) {
       EXPECT_TRUE(identical_distributions(merged_got, merged_want));
     }
   }
+}
+
+// --- streaming settled cells -------------------------------------------------
+
+TEST(Scheduler, OnCellStreamsWhileAnotherHostStillHoldsItsAnswers) {
+  // "held" answers nothing until on_cell has seen a cell, which only
+  // "prompt" can settle first: a scheduler that buffered its cells
+  // until the sweep ended would reach on_cell after the hold limit.
+  const auto spec = spec8();
+  const auto reference = BatchEngine({.workers = 1}).run(spec);
+  const auto seen = std::make_shared<std::atomic<bool>>(false);
+
+  SchedulerOptions options;
+  options.hosts = {"held", "prompt"};
+  options.transport = std::make_shared<FakeTransport>(
+      std::map<std::string, FakeBehavior>{{"held", {.hold_until = seen}}});
+  options.cells_per_shard = 2;
+  options.allow_steal = false;  // each host serves its own block
+  options.speculate_after_seconds = -1.0;
+  std::vector<CellResult> streamed;
+  std::atomic<int> inside{0};
+  bool overlapped = false;
+  double first_at = -1.0;
+  const Timer clock;
+  const auto outcome =
+      Scheduler(options).run(spec, [&](const CellResult& result) {
+        if (inside.fetch_add(1) != 0) overlapped = true;
+        if (streamed.empty()) first_at = clock.elapsed_seconds();
+        streamed.push_back(result);
+        seen->store(true);
+        inside.fetch_sub(1);
+      });
+
+  EXPECT_FALSE(overlapped);
+  ASSERT_EQ(streamed.size(), cell_count(spec));
+  EXPECT_EQ(outcome.cell_host[streamed.front().cell.index], 1);
+  EXPECT_LT(first_at, kHoldLimitSeconds);
+  EXPECT_EQ(outcome.hosts[0].cells_ok, cell_count(spec) / 2);
+  expect_all_identical(spec, outcome.results, reference);
+  std::vector<CellResult> ordered(streamed.size());
+  std::vector<int> times(streamed.size(), 0);
+  for (auto& cell : streamed) {
+    ASSERT_LT(cell.cell.index, ordered.size());
+    ++times[cell.cell.index];
+    ordered[cell.cell.index] = std::move(cell);
+  }
+  EXPECT_EQ(times, std::vector<int>(times.size(), 1));
+  expect_all_identical(spec, ordered, reference);
 }
 
 // --- the capacity handshake -------------------------------------------------
@@ -877,10 +941,7 @@ TEST(Scheduler, WorkerInternalPoolStaysBitIdenticalForBothTaskKinds) {
   // scheduler's index-matching and first-wins dedup must still produce
   // results bit-identical to the serial in-process backend.
   const auto pooled = std::make_shared<LoopbackTransport>([](Connection& conn) {
-    ServiceOptions service;
-    service.exec_threads = 8;
-    service.advertised_capacity = 8;
-    return serve_connection(conn, service);
+    return serve_connection(conn, {.threads = 8});
   });
 
   // Optimize kind, 64 cells in 16-cell slices (wide enough that the
@@ -1192,10 +1253,7 @@ TEST(Scheduler, LateAdmittedWorkerAbsorbsAWedgedSweep) {
   TcpTransport dialer;
   auto conn = dialer.connect("127.0.0.1:" + std::to_string(port));
   ASSERT_TRUE(conn);
-  ServiceOptions service;
-  service.exec_threads = 2;
-  service.advertised_capacity = 2;
-  const auto served = serve_connection(*conn, service);
+  const auto served = serve_connection(*conn, {.threads = 2});
   conn->close();
   sweep.join();
 

@@ -6,8 +6,11 @@
 // hook, FairScheduler lane + deficit-round-robin mechanics, broker
 // scheduling (per-client fairness, lane routing, per-client caps,
 // per-job in-flight accounting, bit-identity under a concurrent
-// request pool), warm Evaluators reused across requests (search
-// affinity, one pool per lane, eviction with their slot), latency
+// request pool), Remote requests streamed from a loopback fleet, one
+// bad cell failing alone on every backend, the problem cache (warm
+// Evaluators reused across requests: search affinity, one pool per
+// lane, eviction with their slot; one network shared by the problems
+// of an architecture and freed with the last of them), latency
 // quantiles that never exceed the slowest request, and serve_client()
 // end to end over real socketpairs: concurrent Optimize + Sample clients
 // bit-identical to an in-process BatchEngine run, and a vanished client
@@ -29,13 +32,13 @@
 
 #include "core/evaluator.hpp"
 #include "exec/batch_engine.hpp"
+#include "exec/problem_cache.hpp"
 #include "exec/serialize.hpp"
 #include "exec/sweep.hpp"
 #include "mapping/mapping.hpp"
 #include "obs/metrics.hpp"
 #include "sched/transport.hpp"
 #include "service/broker.hpp"
-#include "service/cache.hpp"
 #include "service/protocol.hpp"
 #include "service/scheduler.hpp"
 #include "service/server.hpp"
@@ -539,6 +542,91 @@ TEST(RequestBroker, StreamsBitIdenticalCellsAndReusesTheMemoBank) {
   EXPECT_GT(broker.stat("wall_max_seconds"), 0.0);
 }
 
+TEST(RequestBroker, RemoteBackendStreamsBitIdenticalCells) {
+  // The broker's Remote path streams each cell as the fleet settles it,
+  // through the same callback as the in-process path.
+  BrokerOptions options;
+  options.batch.backend = BatchBackend::Remote;
+  options.batch.remote_hosts = {"loopback", "loopback"};
+  RequestBroker broker(options);
+
+  std::size_t cells = 0;
+  for (const auto& spec : {opt_spec(), sample_spec()}) {
+    const auto reference = BatchEngine(BatchOptions{}).run(spec);
+    Collected collected;
+    ASSERT_TRUE(
+        broker.submit(make_request("remote", spec), collected.events())
+            .accepted);
+    collected.wait();
+    ASSERT_TRUE(collected.done);
+    EXPECT_EQ(collected.ok, reference.size());
+    EXPECT_EQ(collected.failed, 0u);
+    ASSERT_EQ(collected.cells.size(), reference.size());
+    std::vector<CellResult> ordered(reference.size());
+    for (auto& cell : collected.cells)
+      ordered[cell.cell.index] = std::move(cell);
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      expect_identical_cell(ordered[i], reference[i], spec.task_kind);
+    cells += reference.size();
+  }
+  EXPECT_EQ(broker.stat("requests_completed"), 2);
+  EXPECT_EQ(broker.stat("cells_ok"), static_cast<double>(cells));
+  EXPECT_EQ(broker.stat("cells_failed"), 0);
+}
+
+TEST(CellExecutors, OneBadCellFailsAloneOnEveryBackend) {
+  // Cell 1 names an optimizer the registry does not know. Every
+  // executor must fail that cell alone, with the registry's message,
+  // and run cell 0 to the same bits.
+  SweepSpec spec;
+  spec.add_benchmark("pip")
+      .add_topology(TopologyKind::Mesh)
+      .add_goal(OptimizationGoal::Snr)
+      .add_optimizers({"rs", "quantum"})
+      .add_budget(200)
+      .add_seed(1);
+  ASSERT_EQ(cell_count(spec), 2u);
+
+  std::vector<std::pair<std::string, std::vector<CellResult>>> runs;
+  for (const std::size_t workers : {1, 4})
+    runs.emplace_back("BatchEngine workers=" + std::to_string(workers),
+                      BatchEngine({.workers = workers}).run(spec));
+  const BatchOptions remote{.backend = BatchBackend::Remote,
+                            .remote_hosts = {"loopback", "loopback"}};
+  runs.emplace_back("BatchEngine Remote", BatchEngine(remote).run(spec));
+  for (const auto& [name, batch] :
+       {std::pair{std::string("broker InProcess"), BatchOptions{.workers = 2}},
+        std::pair{std::string("broker Remote"), remote}}) {
+    BrokerOptions options;
+    options.batch = batch;
+    RequestBroker broker(options);
+    Collected collected;
+    ASSERT_TRUE(broker.submit(make_request("bad", spec), collected.events())
+                    .accepted);
+    collected.wait();
+    ASSERT_TRUE(collected.done) << name << ": " << collected.reason;
+    EXPECT_EQ(collected.ok, 1u) << name;
+    EXPECT_EQ(collected.failed, 1u) << name;
+    ASSERT_EQ(collected.cells.size(), 2u) << name;
+    std::vector<CellResult> ordered(2);
+    for (auto& cell : collected.cells)
+      ordered[cell.cell.index] = std::move(cell);
+    runs.emplace_back(name, std::move(ordered));
+  }
+
+  const auto& want = runs.front().second[0];
+  for (const auto& [name, results] : runs) {
+    ASSERT_EQ(results.size(), 2u) << name;
+    EXPECT_EQ(results[1].status, CellStatus::Failed) << name;
+    EXPECT_EQ(results[1].cell.index, 1u) << name;
+    EXPECT_NE(results[1].error.find("unknown optimizer 'quantum'"),
+              std::string::npos)
+        << name << ": " << results[1].error;
+    SCOPED_TRACE(name);
+    expect_identical_cell(results[0], want, spec.task_kind);
+  }
+}
+
 TEST(RequestBroker, EvaluateScoresAMappingThroughTheSharedCache) {
   const auto spec = opt_spec();
   BrokerOptions options;
@@ -577,13 +665,13 @@ TEST(RequestBroker, EvaluateScoresAMappingThroughTheSharedCache) {
 
 // --- warm Evaluators ---------------------------------------------------------
 
-TEST(ServiceCache, CheckoutPrefersAnEvaluatorThatRanTheSameSearch) {
+TEST(ProblemCache, CheckoutPrefersAnEvaluatorThatRanTheSameSearch) {
   const auto lane = ServiceLane::Interactive;
   obs::MetricsRegistry registry;
-  ServiceCache cache({}, EvaluatorOptions{}, registry);
+  ProblemCache cache({}, EvaluatorOptions{}, registry);
   const auto spec = opt_spec();
   const SweepCell cell{};
-  const auto key = ServiceCache::key_of(spec, cell);
+  const auto key = ProblemCache::key_of(spec, cell);
   const auto problem = cache.problem(spec, cell, key);
 
   auto a = cache.checkout(key, lane, *problem, 1);
@@ -608,16 +696,16 @@ TEST(ServiceCache, CheckoutPrefersAnEvaluatorThatRanTheSameSearch) {
   EXPECT_EQ(&fresh.evaluator->problem(), problem.get());
 }
 
-TEST(ServiceCache, IdleEvaluatorsGoWithTheirEvictedSlot) {
+TEST(ProblemCache, IdleEvaluatorsGoWithTheirEvictedSlot) {
   const auto lane = ServiceLane::Interactive;
   obs::MetricsRegistry registry;
-  ServiceCache cache({.max_problems = 1}, EvaluatorOptions{}, registry);
+  ProblemCache cache({.max_problems = 1}, EvaluatorOptions{}, registry);
   const auto spec_a = opt_spec();
   auto spec_b = opt_spec();
   spec_b.workloads[0] = {"p6", pipeline_cg(6)};
   const SweepCell cell{};
-  const auto key_a = ServiceCache::key_of(spec_a, cell);
-  const auto key_b = ServiceCache::key_of(spec_b, cell);
+  const auto key_a = ProblemCache::key_of(spec_a, cell);
+  const auto key_b = ProblemCache::key_of(spec_b, cell);
   const auto problem_a = cache.problem(spec_a, cell, key_a);
 
   auto warm = cache.checkout(key_a, lane, *problem_a, 1);
@@ -638,19 +726,19 @@ TEST(ServiceCache, IdleEvaluatorsGoWithTheirEvictedSlot) {
   EXPECT_EQ(&stale.evaluator->problem(), problem_a.get());
   cache.checkin(key_a, lane, std::move(next), 1);
   cache.checkin(key_a, lane, std::move(stale), 1);
-  std::vector<ServiceCache::Lease> held;  // only `next` was kept
+  std::vector<ProblemCache::Lease> held;  // only `next` was kept
   for (int i = 0; i < 2; ++i) {
     held.push_back(cache.checkout(key_a, lane, *rebuilt, 1));
     EXPECT_EQ(&held.back().evaluator->problem(), rebuilt.get());
   }
 }
 
-TEST(ServiceCache, EachLaneKeepsItsOwnIdleEvaluators) {
+TEST(ProblemCache, EachLaneKeepsItsOwnIdleEvaluators) {
   obs::MetricsRegistry registry;
-  ServiceCache cache({}, EvaluatorOptions{}, registry);
+  ProblemCache cache({}, EvaluatorOptions{}, registry);
   const auto spec = opt_spec();
   const SweepCell cell{};
-  const auto key = ServiceCache::key_of(spec, cell);
+  const auto key = ProblemCache::key_of(spec, cell);
   const auto problem = cache.problem(spec, cell, key);
 
   auto lease = cache.checkout(key, ServiceLane::Interactive, *problem, 1);
@@ -664,6 +752,40 @@ TEST(ServiceCache, EachLaneKeepsItsOwnIdleEvaluators) {
   cache.checkin(key, ServiceLane::Bulk, std::move(bulk), 2);
   auto again = cache.checkout(key, ServiceLane::Interactive, *problem, 2);
   EXPECT_EQ(again.evaluator.get(), interactive);
+}
+
+TEST(ProblemCache, GoalsShareOneNetworkThatDiesWithItsLastProblem) {
+  obs::MetricsRegistry registry;
+  ProblemCache cache({.max_problems = 2}, EvaluatorOptions{}, registry);
+  auto spec = opt_spec();
+  spec.add_goal(OptimizationGoal::InsertionLoss);
+  const SweepCell snr_cell{};
+  const SweepCell loss_cell{.goal = 1};
+  auto snr = cache.problem(spec, snr_cell,
+                           ProblemCache::key_of(spec, snr_cell));
+  auto loss = cache.problem(spec, loss_cell,
+                            ProblemCache::key_of(spec, loss_cell));
+  ASSERT_NE(snr.get(), loss.get());
+  EXPECT_EQ(snr->network_ptr(), loss->network_ptr());
+  const std::weak_ptr<const NetworkModel> network = snr->network_ptr();
+  snr.reset();
+  loss.reset();
+  EXPECT_FALSE(network.expired());  // both slots still hold it
+
+  // Two problems on another side (4x4) evict both slots, and with them
+  // the last holders of the 3x3 network.
+  SweepSpec other = spec;
+  other.workloads[0] = {"p10", pipeline_cg(10)};
+  ASSERT_NE(resolved_side(other, 0, 0), resolved_side(spec, 0, 0));
+  const auto first = cache.problem(other, snr_cell,
+                                   ProblemCache::key_of(other, snr_cell));
+  EXPECT_FALSE(network.expired());
+  const auto second = cache.problem(other, loss_cell,
+                                    ProblemCache::key_of(other, loss_cell));
+  EXPECT_TRUE(network.expired());
+  EXPECT_EQ(first->network_ptr(), second->network_ptr());
+  EXPECT_EQ(registry.counter("phonocd_problem_cache_evictions", "").value(),
+            2u);
 }
 
 TEST(RequestBroker, BulkSearchesLeaveTheInteractiveMemoWarm) {
