@@ -6,13 +6,14 @@
 ///
 /// Before the benchmarks run, main() verifies that the full and the
 /// incremental evaluation paths agree bitwise over a random swap
-/// sequence on the large workload, then reports ns/step and the
-/// full/delta speedup measured with a plain timer. A second report
-/// section does the same for the SoA batched kernel: bitwise agreement
-/// against per-mapping evaluation — the loss-only pass included, on
-/// worst-case loss and every edge's loss and signal gain — then
-/// per-mapping throughput (mappings/sec) across batch sizes
-/// {1, 8, 64, 512} and CG sizes.
+/// sequence, on dvopd (the costliest problem of the fleet sweep grid)
+/// and on the large workload, then reports ns/step and the full/delta
+/// speedup measured with a plain timer. A second report section does
+/// the same for the SoA batched kernel: bitwise agreement against
+/// per-mapping evaluation — the loss-only pass included, on worst-case
+/// loss and every edge's loss and signal gain — then per-mapping
+/// throughput (mappings/sec) across batch sizes {1, 8, 64, 512} and
+/// CG sizes.
 /// --json=FILE dumps the batched section's headline numbers
 /// (bench/BENCH_batch_eval.json; regenerate with
 /// bench/update_snapshots.sh).
@@ -134,6 +135,15 @@ void BM_NoiseContribution(benchmark::State& state) {
 BENCHMARK(BM_NoiseContribution);
 
 // --- batched (SoA) vs scalar bulk evaluation --------------------------------
+
+/// dvopd on its auto-sized 6x6 mesh (32 tasks, 44 edges): the fleet
+/// sweep grid's costliest problem, so the agreement checks cover the
+/// sizes where that grid spends its kernel time.
+MappingProblem make_fleet_problem() {
+  ExperimentSpec spec;
+  spec.benchmark = "dvopd";
+  return make_experiment(spec);
+}
 
 /// A smaller CG on a 4x4 mesh for the CG-size axis of the batched
 /// section (the large problem above is the 8x8-torus reference).
@@ -274,6 +284,7 @@ BatchedHeadline report_batched_for(const char* label,
 void report_batched_vs_scalar(const std::optional<std::string>& json_path) {
   const auto small = make_small_problem();
   report_batched_for("small CG on 4x4 mesh", small);
+  report_batched_for("dvopd on 6x6 mesh", make_fleet_problem());
   const auto large = make_large_problem();
   const auto head = report_batched_for("reference CG on 8x8 torus", large);
 
@@ -343,16 +354,15 @@ void BM_DeltaEvalPerSwap(benchmark::State& state) {
 BENCHMARK(BM_DeltaEvalPerSwap)->Unit(benchmark::kMicrosecond);
 
 /// Assert full/delta agreement (bitwise) over a random committed swap
-/// walk, then report ns/step and the measured speedup. Writes to stderr
-/// so machine-readable benchmark output (--benchmark_format=json) on
-/// stdout stays parseable.
-void report_full_vs_delta() {
-  const auto problem = make_large_problem();
+/// walk on `problem`, then report ns/step and the measured speedup.
+/// Writes to stderr so machine-readable benchmark output
+/// (--benchmark_format=json) on stdout stays parseable.
+void report_full_vs_delta(const char* label, const MappingProblem& problem) {
   const auto tiles = problem.tile_count();
   std::fprintf(stderr,
-               "# full vs delta evaluation, dense CG on 8x8 torus: %zu "
-               "tasks, %zu edges\n",
-               problem.task_count(), problem.cg().communication_count());
+               "# full vs delta evaluation, %s: %zu tasks, %zu edges\n",
+               label, problem.task_count(),
+               problem.cg().communication_count());
 
   Rng rng(11);
   Mapping current = Mapping::random(problem.task_count(), tiles, rng);
@@ -371,8 +381,9 @@ void report_full_vs_delta() {
     if (full.worst_loss_db != delta.worst_loss_db ||
         full.worst_snr_db != delta.worst_snr_db) {
       std::fprintf(stderr,
-                   "FATAL: full and delta evaluation disagree at step %d\n",
-                   step);
+                   "FATAL: full and delta evaluation disagree on %s at step "
+                   "%d\n",
+                   label, step);
       std::exit(1);
     }
   }
@@ -426,7 +437,8 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  report_full_vs_delta();
+  report_full_vs_delta("dvopd on 6x6 mesh", make_fleet_problem());
+  report_full_vs_delta("dense CG on 8x8 torus", make_large_problem());
   report_batched_vs_scalar(json_path);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

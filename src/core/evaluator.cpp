@@ -13,6 +13,17 @@ EvaluationResult materialize(const EvaluationView& view) {
                           {view.edges.begin(), view.edges.end()}};
 }
 
+/// The batched entries score through the kernel's trusted pass, which
+/// skips its per-row scan on the strength of the `Mapping` invariant.
+/// That invariant bounds tiles by the mapping's own tile count, so a
+/// mapping built for a larger grid must be rejected here, in O(1).
+void check_batched(const MappingProblem& problem, const Mapping& mapping) {
+  require(mapping.task_count() == problem.task_count(),
+          "Evaluator: batched mapping has the wrong task count");
+  require(mapping.tile_count() <= problem.tile_count(),
+          "Evaluator: assignment targets a tile out of range");
+}
+
 }  // namespace
 
 Evaluator::Evaluator(const MappingProblem& problem, EvaluatorOptions options)
@@ -182,9 +193,8 @@ std::span<const TileId> Evaluator::flatten(
   batch_scratch_.clear();
   batch_scratch_.reserve(mappings.size() * tasks);
   for (const auto& mapping : mappings) {
+    check_batched(problem_, mapping);
     const auto assignment = mapping.assignment();
-    require(assignment.size() == tasks,
-            "Evaluator: batched mapping has the wrong task count");
     batch_scratch_.insert(batch_scratch_.end(), assignment.begin(),
                           assignment.end());
   }
@@ -206,7 +216,6 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
   const std::size_t n = mappings.size();
   if (n == 0) return;
   const bool memoize = options_.cache_capacity > 0;
-  const std::size_t tasks = problem_.cg().task_count();
 
   // Pass 1 — peek: pick the rows the kernel must score physically. A
   // row is skipped when the memo already holds it or an earlier batch
@@ -219,9 +228,8 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
   std::vector<std::size_t> scored;
   batch_scratch_.clear();
   for (std::size_t i = 0; i < n; ++i) {
+    check_batched(problem_, mappings[i]);
     const auto assignment = mappings[i].assignment();
-    require(assignment.size() == tasks,
-            "Evaluator: batched mapping has the wrong task count");
     if (memoize) {
       hashes[i] = mappings[i].hash();
       if (cache_contains(assignment, hashes[i])) continue;

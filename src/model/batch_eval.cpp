@@ -68,12 +68,14 @@ BatchEvaluator::BatchEvaluator(const NetworkModel& net, const CommGraph& cg)
 
 BatchEvaluator::BatchEvaluator(std::shared_ptr<const BatchEvalPlan> plan)
     : plan_(std::move(plan)),
-      probe_(plan_ != nullptr ? plan_->tile_count() : 0) {
+      rows_(plan_ != nullptr ? plan_->edge_count() : 0,
+            plan_ != nullptr ? plan_->tile_count() : 0) {
   require(plan_ != nullptr, "BatchEvaluator: null plan");
   const std::size_t edges = plan_->edge_count();
   path_of_edge_.resize(edges);
   edge_mask_.resize(edges * plan_->network().store().mask_words);
   sieve_.resize(edges);
+  survivors_.resize(edges);
   tile_used_.resize(plan_->tile_count());
 }
 
@@ -133,13 +135,14 @@ void BatchEvaluator::run(std::span<const TileId> assignments,
 
     // Resolve this mapping's edges to path ids once and, when scoring
     // noise, gather their tile masks into contiguous scratch (the
-    // sieve's operands).
+    // sieve's operands) and fill their hop rows (cleared below).
     for (std::size_t e = 0; e < edges; ++e) {
       const std::size_t pid = plan.edge_path(assignment, e);
       path_of_edge_[e] = static_cast<std::uint32_t>(pid);
-      if (noise)
-        for (std::size_t w = 0; w < words; ++w)
-          edge_mask_[e * words + w] = store.tile_mask[pid * words + w];
+      if (!noise) continue;
+      for (std::size_t w = 0; w < words; ++w)
+        edge_mask_[e * words + w] = store.tile_mask[pid * words + w];
+      rows_.set(store, e, pid);
     }
 
     EdgeMetrics* detail =
@@ -159,15 +162,24 @@ void BatchEvaluator::run(std::span<const TileId> assignments,
                          sieve_.data(), edges, words);
         sieve_[v] = 0;  // a == v contributes nothing (self-pair)
 
+        // Compact the survivors without a branch: the sieve words are
+        // data, and a branch on each mispredicts.
+        std::size_t survivors = 0;
+        for (std::size_t a = 0; a < edges; ++a) {
+          survivors_[survivors] = static_cast<std::uint32_t>(a);
+          survivors += sieve_[a] != 0;
+        }
+
         // Ascending attacker order with per-attacker subtotals — the
         // exact addition sequence of evaluate_mapping's nested
-        // noise_contribution calls (skipped pairs/hops add exact +0.0,
-        // the identity on this non-negative accumulator).
-        probe_.load(store, pv);
+        // noise_contribution calls (skipped pairs add exact +0.0, the
+        // identity on this non-negative accumulator).
+        const PairPath victim{pv, rows_.row(v)};
         victim_noise = 0.0;
-        for (std::size_t a = 0; a < edges; ++a) {
-          if (sieve_[a] == 0) continue;
-          victim_noise += pair_noise(store, probe_, path_of_edge_[a]);
+        for (std::size_t i = 0; i < survivors; ++i) {
+          const std::uint32_t a = survivors_[i];
+          victim_noise += pair_noise(
+              store, victim, {path_of_edge_[a], rows_.row(a)}, sieve_[a]);
         }
         snr = std::min(snr_db(store.total_gain[pv], victim_noise),
                        ceiling_db);
@@ -186,6 +198,9 @@ void BatchEvaluator::run(std::span<const TileId> assignments,
                                 snr};
       }
     }
+    if (noise)
+      for (std::size_t e = 0; e < edges; ++e)
+        rows_.clear(store, e, path_of_edge_[e]);
     out[b] = point;
   }
 }

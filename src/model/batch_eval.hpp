@@ -1,24 +1,28 @@
 #pragma once
 /// \file batch_eval.hpp
 /// \brief The evaluation kernel over the NetworkModel's path store:
-/// batched whole-mapping scoring, plus the victim probe and the one
+/// batched whole-mapping scoring, plus the per-edge hop rows and the one
 /// pair routine that the delta kernel (incremental.hpp) shares.
 ///
 /// A `BatchEvalPlan` adds only the CG's shape to the store (edge
 /// endpoints and the task -> edge adjacency; O(|E|), no path data). A
-/// `BatchEvaluator` resolves each mapping's edges to path ids, runs a
-/// vectorized tile-mask sieve per victim edge (pairs sharing no tile
-/// contribute exactly +0.0 and are skipped), loads the victim's probe
-/// row and calls `pair_noise` on each surviving attacker.
+/// `BatchEvaluator` resolves each mapping's edges to path ids and fills
+/// their hop rows, then per victim edge runs a vectorized tile-mask
+/// sieve (pairs sharing no tile contribute exactly +0.0 and are
+/// skipped), compacts the survivors without a branch and calls
+/// `pair_noise` on each with the tiles the pair shares.
 ///
 /// Bit-identity contract: every metric equals `evaluate_mapping` of the
 /// same assignment bitwise — the same per-term operands and
-/// association, per-attacker subtotals folded in ascending edge order
-/// (skipped terms are exact +0.0, the identity on a non-negative sum),
-/// and the same std::min folds (src/model/README.md has the argument).
+/// association, three or more terms of a pair in ascending attacker-hop
+/// order (one or two sum exactly in any order), per-attacker subtotals
+/// folded in ascending edge order (skipped terms are exact +0.0, the
+/// identity on a non-negative sum), and the same std::min folds
+/// (src/model/README.md has the argument).
 /// A loss-only pass (`noise == false`) scores the loss metrics the same
 /// way and skips the crosstalk walk, leaving every noise field NaN.
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -36,56 +40,87 @@ struct BatchPoint {
   double worst_snr_db = 0.0;
 };
 
-/// Per-thread victim-side probe over a path store: `row()[tile]` is the
-/// loaded victim path's hop index at `tile`, or -1. Loading a path
-/// clears the previous one, so a load costs O(hops), not O(tiles).
-class VictimProbe {
+/// Per-edge tile -> hop rows, a kernel's own per-thread scratch (the
+/// shared NetworkModel stays immutable): `row(e)[tile]` is the hop
+/// index at `tile` of the path last set for edge `e`, or -1. Setting or
+/// clearing a path costs O(hops), not O(tiles).
+class HopRows {
  public:
-  explicit VictimProbe(std::size_t tiles) : row_(tiles, std::int16_t{-1}) {}
+  HopRows(std::size_t edges, std::size_t tiles)
+      : tiles_(tiles), rows_(edges * tiles, std::int16_t{-1}) {}
 
-  void load(const PathStore& store, std::size_t path) noexcept {
-    if (path == path_) return;
-    for (std::size_t h = begin_; h < end_; ++h) row_[store.hops[h].tile] = -1;
-    path_ = path;
-    begin_ = store.hop_begin[path];
-    end_ = store.hop_begin[path + 1];
-    for (std::size_t h = begin_; h < end_; ++h)
-      row_[store.hops[h].tile] = static_cast<std::int16_t>(h - begin_);
+  void set(const PathStore& store, std::size_t e, std::size_t path) noexcept {
+    write(store, e, path, false);
   }
-
-  [[nodiscard]] const std::int16_t* row() const noexcept {
-    return row_.data();
+  /// Undo `set(store, e, path)`.
+  void clear(const PathStore& store, std::size_t e,
+             std::size_t path) noexcept {
+    write(store, e, path, true);
   }
-  /// First hop of the loaded victim in the store's per-hop arrays.
-  [[nodiscard]] std::size_t begin() const noexcept { return begin_; }
+  [[nodiscard]] const std::int16_t* row(std::size_t e) const noexcept {
+    return rows_.data() + e * tiles_;
+  }
 
  private:
-  std::vector<std::int16_t> row_;
-  std::size_t path_ = ~std::size_t{0};
-  std::size_t begin_ = 0;
-  std::size_t end_ = 0;
+  void write(const PathStore& store, std::size_t e, std::size_t path,
+             bool clear) noexcept {
+    std::int16_t* row = rows_.data() + e * tiles_;
+    const std::size_t begin = store.hop_begin[path];
+    for (std::size_t h = begin; h < store.hop_begin[path + 1]; ++h)
+      row[store.hops[h].tile] =
+          clear ? std::int16_t{-1} : static_cast<std::int16_t>(h - begin);
+  }
+
+  std::size_t tiles_;
+  std::vector<std::int16_t> rows_;
+};
+
+/// One side of a scored pair: a path id and its tile -> hop row.
+struct PairPath {
+  std::size_t path;
+  const std::int16_t* row;
 };
 
 /// The one pair routine: noise (linear, per unit attacker injected
-/// power) that path `attacker` adds onto the victim loaded in `probe`.
-/// One term per attacker hop at a tile the victim visits, summed in
-/// ascending attacker-hop order from 0.0 — the operand values,
-/// association and order of `noise_contribution`.
+/// power) that `attacker` adds onto `victim`, one term `arrive · k ·
+/// exit` per tile both paths visit. `shared` is the nonzero tile-mask
+/// intersection of the two paths (with several mask words, any nonzero
+/// value). With one mask word and one or two shared tiles, it reads both
+/// hop indices at those tiles; otherwise it walks the attacker's hops in
+/// order against the victim's row. Either way the sum is bitwise the
+/// oracle's `noise_contribution` (src/model/README.md has the argument).
 [[nodiscard]] inline double pair_noise(const PathStore& store,
-                                       const VictimProbe& probe,
-                                       std::size_t attacker) noexcept {
-  const std::int16_t* victim_row = probe.row();
-  const std::size_t vbase = probe.begin();
-  const std::size_t end = store.hop_begin[attacker + 1];
+                                       PairPath victim, PairPath attacker,
+                                       std::uint64_t shared) noexcept {
+  const std::size_t vbase = store.hop_begin[victim.path];
+  const std::size_t abase = store.hop_begin[attacker.path];
+  const auto term = [&store](std::size_t vh, std::size_t ah) {
+    return store.arrive_gain[ah] *
+           store.pair_gain[store.conn[vh] * store.conns + store.conn[ah]] *
+           store.exit_suffix[vh];
+  };
+  const auto at = [](PairPath side, std::size_t base, unsigned tile) {
+    return base + static_cast<std::size_t>(side.row[tile]);
+  };
+  const std::uint64_t rest = shared & (shared - 1);
+  if (store.mask_words == 1 && (rest & (rest - 1)) == 0) {
+    const unsigned first = static_cast<unsigned>(std::countr_zero(shared));
+    const unsigned second = static_cast<unsigned>(
+        std::countr_zero(rest != 0 ? rest : shared));
+    const double one = term(at(victim, vbase, first),
+                            at(attacker, abase, first));
+    const double two = term(at(victim, vbase, second),
+                            at(attacker, abase, second));
+    // A select, not a branch: the mask keeps `two` or makes it +0.0.
+    const std::uint64_t keep = -static_cast<std::uint64_t>(rest != 0);
+    return one + std::bit_cast<double>(std::bit_cast<std::uint64_t>(two) &
+                                       keep);
+  }
   double contribution = 0.0;
-  for (std::size_t h = store.hop_begin[attacker]; h < end; ++h) {
-    const int vi = victim_row[store.hops[h].tile];
+  for (std::size_t h = abase; h < store.hop_begin[attacker.path + 1]; ++h) {
+    const int vi = victim.row[store.hops[h].tile];
     if (vi < 0) continue;
-    const std::size_t vh = vbase + static_cast<std::size_t>(vi);
-    contribution +=
-        store.arrive_gain[h] *
-        store.pair_gain[store.conn[vh] * store.conns + store.conn[h]] *
-        store.exit_suffix[vh];
+    contribution += term(vbase + static_cast<std::size_t>(vi), h);
   }
   return contribution;
 }
@@ -156,9 +191,10 @@ class BatchEvaluator {
   /// `noise == false` is the loss-only pass, for callers whose fitness
   /// reads no crosstalk (`Objective::needs_noise`): `worst_loss_db` and
   /// each row's endpoints, `loss_db` and `signal_gain` are still
-  /// bit-identical to `evaluate_mapping`, while the sieve, the probe and
-  /// `pair_noise` never run, and `worst_snr_db`, `noise_gain` and
-  /// `snr_db` hold quiet NaN. O(|E|) per mapping instead of O(|E|^2).
+  /// bit-identical to `evaluate_mapping`, while the sieve, the hop rows
+  /// and `pair_noise` are never touched, and `worst_snr_db`,
+  /// `noise_gain` and `snr_db` hold quiet NaN. O(|E|) per mapping
+  /// instead of O(|E|^2).
   void evaluate(std::span<const TileId> assignments, std::size_t batch,
                 std::span<BatchPoint> out,
                 std::span<EdgeMetrics> edges_out = {}, bool noise = true);
@@ -185,8 +221,9 @@ class BatchEvaluator {
   std::vector<std::uint32_t> path_of_edge_;  ///< per edge
   std::vector<std::uint64_t> edge_mask_;     ///< per edge, mask_words each
   std::vector<std::uint64_t> sieve_;         ///< per edge, intersection words
+  std::vector<std::uint32_t> survivors_;     ///< attackers with a nonzero word
   std::vector<std::uint8_t> tile_used_;      ///< validation scratch
-  VictimProbe probe_;
+  HopRows rows_;  ///< the current row's paths; all -1 between calls
 };
 
 }  // namespace phonoc

@@ -9,7 +9,9 @@ namespace phonoc {
 
 IncrementalEvaluation::IncrementalEvaluation(const NetworkModel& net,
                                              const CommGraph& cg)
-    : plan_(net, cg), store_(net.store()), probe_(net.tile_count()) {
+    : plan_(net, cg),
+      store_(net.store()),
+      rows_(plan_.edge_count(), net.tile_count()) {
   const auto count = plan_.edge_count();
   paths_.resize(count, 0);
   contrib_.assign(count * count, 0.0);
@@ -21,16 +23,22 @@ IncrementalEvaluation::IncrementalEvaluation(const NetworkModel& net,
 }
 
 double IncrementalEvaluation::pair(std::uint32_t victim,
-                                   std::uint32_t attacker) {
+                                   std::uint32_t attacker) const {
   // Paths whose tile masks do not intersect contribute exactly 0.0.
   const std::size_t words = store_.mask_words;
   const std::uint64_t* v = &store_.tile_mask[paths_[victim] * words];
   const std::uint64_t* a = &store_.tile_mask[paths_[attacker] * words];
-  bool shared = false;
-  for (std::size_t w = 0; w < words && !shared; ++w) shared = v[w] & a[w];
-  if (!shared) return 0.0;
-  probe_.load(store_, paths_[victim]);
-  return pair_noise(store_, probe_, paths_[attacker]);
+  std::uint64_t shared = 0;
+  for (std::size_t w = 0; w < words; ++w) shared |= v[w] & a[w];
+  if (shared == 0) return 0.0;
+  return pair_noise(store_, {paths_[victim], rows_.row(victim)},
+                    {paths_[attacker], rows_.row(attacker)}, shared);
+}
+
+void IncrementalEvaluation::set_path(std::uint32_t e, std::uint32_t path) {
+  rows_.clear(store_, e, paths_[e]);
+  paths_[e] = path;
+  rows_.set(store_, e, path);
 }
 
 void IncrementalEvaluation::reset(std::span<const TileId> assignment) {
@@ -52,7 +60,7 @@ void IncrementalEvaluation::reset(std::span<const TileId> assignment) {
 
   const auto count = static_cast<std::uint32_t>(plan_.edge_count());
   for (std::uint32_t e = 0; e < count; ++e)
-    paths_[e] = static_cast<std::uint32_t>(plan_.edge_path(assignment_, e));
+    set_path(e, static_cast<std::uint32_t>(plan_.edge_path(assignment_, e)));
   for (std::uint32_t v = 0; v < count; ++v) {
     auto& partner_list = partners_[v];
     partner_list.clear();
@@ -165,7 +173,7 @@ void IncrementalEvaluation::propose_swap(TileId a, TileId b) {
   for (const auto e : touched_) {
     mark_changed(e);
     undo_.paths.emplace_back(e, paths_[e]);
-    paths_[e] = static_cast<std::uint32_t>(plan_.edge_path(assignment_, e));
+    set_path(e, static_cast<std::uint32_t>(plan_.edge_path(assignment_, e)));
     metrics_[e].src_tile = assignment_[plan_.edge_src(e)];
     metrics_[e].dst_tile = assignment_[plan_.edge_dst(e)];
     metrics_[e].loss_db = store_.total_loss_db[paths_[e]];
@@ -250,7 +258,7 @@ void IncrementalEvaluation::revert() {
   for (auto& [v, list] : undo_.partners) partners_[v] = std::move(list);
   for (const auto& [v, att, value] : undo_.cells) cell(v, att) = value;
   for (const auto& [e, metrics] : undo_.metrics) metrics_[e] = metrics;
-  for (const auto& [e, path] : undo_.paths) paths_[e] = path;
+  for (const auto& [e, path] : undo_.paths) set_path(e, path);
   // Re-swapping the same tile pair is its own inverse.
   if (undo_.swapped) apply_tile_swap(undo_.tile_a, undo_.tile_b);
   pending_ = false;

@@ -10,7 +10,8 @@
 /// crosstalk-partner adjacency, and per-edge metrics) and, on a swap,
 /// re-evaluates only the edges touching the swapped tiles plus the
 /// partner entries they invalidate, each pair through the batch
-/// kernel's `pair_noise` (batch_eval.hpp).
+/// kernel's `pair_noise` (batch_eval.hpp) over per-edge hop rows kept
+/// in step with the path ids.
 ///
 /// Bit-identity contract: every quantity this kernel exposes is
 /// bit-identical to a fresh `evaluate_mapping` of the same assignment,
@@ -100,7 +101,10 @@ class IncrementalEvaluation {
   }
   /// Noise edge `attacker` adds onto edge `victim` under their current
   /// paths (the shared pair routine; 0.0 when they share no tile).
-  [[nodiscard]] double pair(std::uint32_t victim, std::uint32_t attacker);
+  [[nodiscard]] double pair(std::uint32_t victim,
+                            std::uint32_t attacker) const;
+  /// Give edge `e` path `path`, keeping its hop row in step.
+  void set_path(std::uint32_t e, std::uint32_t path);
   void mark_changed(std::uint32_t victim);
   void resum_victim(std::uint32_t victim);
   [[nodiscard]] MinFold fold_loss() const;
@@ -109,7 +113,7 @@ class IncrementalEvaluation {
 
   BatchEvalPlan plan_;
   const PathStore& store_;
-  VictimProbe probe_;
+  HopRows rows_;  ///< per edge, the hop row of `paths_[e]`
 
   bool has_state_ = false;
   bool pending_ = false;

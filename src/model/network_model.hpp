@@ -96,9 +96,10 @@ struct PathStore {
 
 class NetworkModel {
  public:
-  /// Largest tile count a model accepts: the kernels index a path's
-  /// hops with int16 (`VictimProbe`). Parsers that read a grid side
-  /// reject anything larger before a network is built.
+  /// Largest tile count a model accepts: the kernels' per-edge tile ->
+  /// hop rows (`HopRows`) hold a path's hop index as int16. Parsers
+  /// that read a grid side reject anything larger before a network is
+  /// built.
   static constexpr std::size_t kMaxTiles = 32768;
 
   /// Builds and verifies all tile-pair paths. Throws ModelError when the

@@ -2,10 +2,12 @@
 // mesh/ring/torus topologies, random CGs and random batches (odd sizes,
 // B=1, B > |E|, duplicate assignments), every BatchPoint and every
 // EdgeMetrics row must equal a fresh per-mapping `evaluate_mapping`
-// bitwise (tolerance 0). Also covers the Evaluator's batched entry
+// bitwise (tolerance 0), on a 9x9 mesh (two mask words) too, and for a
+// pair sharing three tiles. Also covers the Evaluator's batched entry
 // points (memo/counting contracts vs a sequential loop, including the
-// peek-then-evicted fallback), GA batch-vs-sequential trajectory
-// equivalence, and the batched Sample-cell body.
+// peek-then-evicted fallback, and rejecting a mapping wider than the
+// network), GA batch-vs-sequential trajectory equivalence, and the
+// batched Sample-cell body.
 
 #include <gtest/gtest.h>
 
@@ -25,9 +27,12 @@
 #include "mapping/objective.hpp"
 #include "model/batch_eval.hpp"
 #include "model/evaluation.hpp"
+#include "model/incremental.hpp"
+#include "router/ports.hpp"
 #include "router/registry.hpp"
 #include "router/router_model.hpp"
 #include "routing/table_routing.hpp"
+#include "topology/mesh.hpp"
 #include "topology/ring.hpp"
 #include "util/rng.hpp"
 #include "workloads/generator.hpp"
@@ -89,26 +94,24 @@ void expect_bitwise(double actual, double expected, const char* what,
       << " vs " << expected;
 }
 
-class BatchBitIdentity
-    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {};
-
-TEST_P(BatchBitIdentity, MatchesEvaluateMappingBitwise) {
-  const auto& [topology, batch] = GetParam();
-  const auto net = make_net(topology, 4);
-  const auto cg = make_cg(12, 101 + batch);
-  BatchEvaluator batched(*net, cg);
+/// Score `batch` random rows (every third a duplicate) through the
+/// checked and trusted entries, with and without noise, and compare
+/// every BatchPoint and EdgeMetrics row with `evaluate_mapping`.
+void expect_batch_matches_oracle(const NetworkModel& net,
+                                 const CommGraph& cg, std::size_t batch,
+                                 Rng& rng) {
+  BatchEvaluator batched(net, cg);
   const std::size_t tasks = cg.task_count();
   ASSERT_EQ(batched.plan().edge_count(), cg.edges().size());
 
-  Rng rng(0x9e3779b9u + batch);
-  const auto flat = random_batch(batch, tasks, net->tile_count(), rng);
+  const auto flat = random_batch(batch, tasks, net.tile_count(), rng);
   std::vector<BatchPoint> points(batch);
   std::vector<EdgeMetrics> detail(batch * cg.edges().size());
   batched.evaluate(flat, batch, points, detail);
 
   for (std::size_t b = 0; b < batch; ++b) {
     const std::span<const TileId> row{flat.data() + b * tasks, tasks};
-    const auto full = evaluate_mapping(*net, cg, row, /*detailed=*/true);
+    const auto full = evaluate_mapping(net, cg, row, /*detailed=*/true);
     expect_bitwise(points[b].worst_loss_db, full.worst_loss_db,
                    "worst_loss_db", b);
     expect_bitwise(points[b].worst_snr_db, full.worst_snr_db, "worst_snr_db",
@@ -168,6 +171,17 @@ TEST_P(BatchBitIdentity, MatchesEvaluateMappingBitwise) {
   }
 }
 
+class BatchBitIdentity
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {};
+
+TEST_P(BatchBitIdentity, MatchesEvaluateMappingBitwise) {
+  const auto& [topology, batch] = GetParam();
+  const auto net = make_net(topology, 4);
+  const auto cg = make_cg(12, 101 + batch);
+  Rng rng(0x9e3779b9u + batch);
+  expect_batch_matches_oracle(*net, cg, batch, rng);
+}
+
 // Odd batch sizes on purpose: B=1 (degenerate), B=7 (< |E|), B=61
 // (> |E| for the 12-task CG). Torus side 4 exercises wraparound routes.
 INSTANTIATE_TEST_SUITE_P(
@@ -175,6 +189,86 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("mesh", "ring", "torus"),
                        ::testing::Values(std::size_t{1}, std::size_t{7},
                                          std::size_t{61})));
+
+// 81 tiles take two mask words: the wide sieve, and the ordered hop
+// walk on every surviving pair.
+TEST(BatchEval, TwoMaskWordsMatchOracle) {
+  const auto net = make_net("mesh", 9);
+  ASSERT_EQ(net->store().mask_words, 2u);
+  const auto cg = make_cg(40, 211);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7}}) {
+    Rng rng(311 + batch);
+    expect_batch_matches_oracle(*net, cg, batch, rng);
+  }
+}
+
+/// Two edges on a 4x4 mesh whose paths share three tiles, each with a
+/// nonzero term. The attacker 7 -> 4 runs west along row 1 (tiles 7, 6,
+/// 5, 4); the victim 5 -> 0 snakes N E S S W W N N (tiles 5, 1, 2, 6,
+/// 10, 9, 8, 4, 0) and crosses it at 6, 5 and 4. A crossbar router takes
+/// the snake's turns; the 2.4 mm pitch makes the three terms sum to a
+/// different double in tile order than in the attacker's hop order.
+TEST(BatchEval, PairSharingThreeTilesSumsInHopOrder) {
+  const auto topo = build_mesh(GridOptions{4, 4, 2.4});
+  auto routing = TableRouting::shortest_paths(topo);
+  routing.set_route(5, 0,
+                    {kPortNorth, kPortEast, kPortSouth, kPortSouth,
+                     kPortWest, kPortWest, kPortNorth, kPortNorth});
+  routing.set_route(7, 4, {kPortWest, kPortWest, kPortWest});
+  const NetworkModel net(
+      topo,
+      std::make_shared<const RouterModel>(
+          make_router_netlist("crossbar"),
+          PhysicalParameters::paper_defaults()),
+      std::make_shared<const TableRouting>(std::move(routing)));
+  CommGraph cg("three_shared_tiles");
+  for (int t = 0; t < 4; ++t) cg.add_task("t" + std::to_string(t));
+  cg.add_communication(NodeId{0}, NodeId{1}, 64.0);
+  cg.add_communication(NodeId{2}, NodeId{3}, 64.0);
+  const std::vector<TileId> assignment{5, 0, 7, 4};
+
+  // The case must tell the two orders apart, or it shows nothing.
+  const auto victim = net.path(5, 0);
+  const auto attacker = net.path(7, 4);
+  std::vector<std::pair<TileId, double>> terms;
+  double hop_order = 0.0;
+  for (std::size_t ai = 0; ai < attacker.hops.size(); ++ai) {
+    const int vi = victim.hop_index_at(attacker.hops[ai].tile);
+    if (vi < 0) continue;
+    const auto vh = static_cast<std::size_t>(vi);
+    const double term =
+        attacker.arrive_gain[ai] *
+        net.pair_noise_gain(victim.conn[vh], attacker.conn[ai]) *
+        victim.exit_suffix[vh];
+    ASSERT_GT(term, 0.0);
+    terms.emplace_back(attacker.hops[ai].tile, term);
+    hop_order += term;
+  }
+  ASSERT_EQ(terms.size(), 3u);
+  std::sort(terms.begin(), terms.end());
+  double tile_order = 0.0;
+  for (const auto& entry : terms) tile_order += entry.second;
+  ASSERT_NE(hop_order, tile_order);
+
+  const auto full = evaluate_mapping(net, cg, assignment, /*detailed=*/true);
+  expect_bitwise(full.edges[0].noise_gain, hop_order, "oracle noise", 0);
+  BatchEvaluator batched(net, cg);
+  BatchPoint point;
+  std::vector<EdgeMetrics> detail(2);
+  batched.evaluate(assignment, 1, {&point, 1}, detail);
+  IncrementalEvaluation kernel(net, cg);
+  kernel.reset(assignment);
+  const auto delta = kernel.result(/*detailed=*/true);
+  expect_bitwise(point.worst_snr_db, full.worst_snr_db, "worst_snr_db", 0);
+  expect_bitwise(delta.worst_snr_db, full.worst_snr_db, "delta worst_snr_db",
+                 0);
+  for (std::size_t e = 0; e < 2; ++e) {
+    expect_bitwise(detail[e].noise_gain, full.edges[e].noise_gain,
+                   "edge noise_gain", e);
+    expect_bitwise(delta.edges[e].noise_gain, full.edges[e].noise_gain,
+                   "delta edge noise_gain", e);
+  }
+}
 
 TEST(BatchEval, ZeroEdgeCgYieldsCeiling) {
   const auto net = make_net("mesh", 2);
@@ -311,6 +405,23 @@ TEST(EvaluatorBatch, PeekHitEvictedBeforeReplayFallsBack) {
   EXPECT_EQ(batched.cache_miss_count(), 4u);
   EXPECT_EQ(batched.physical_evaluation_count(), 4u);
   EXPECT_EQ(batched.cache_eviction_count(), 2u);
+}
+
+/// The batched entries skip the kernel's per-row scan on the strength of
+/// the Mapping invariant, which bounds tiles only by the mapping's own
+/// tile count: a mapping built for a larger grid must be rejected as
+/// `evaluate` rejects it, not read out of bounds.
+TEST(EvaluatorBatch, RejectsMappingsWiderThanTheNetwork) {
+  const auto problem = make_problem("mesh", 59);
+  Evaluator evaluator(problem, {});
+  Rng rng(12);
+  const std::vector<Mapping> wide{
+      Mapping::random(problem.task_count(), 400, rng)};
+  EXPECT_THROW((void)evaluator.evaluate(wide[0]), InvalidArgument);
+  std::vector<double> fitness(1);
+  EXPECT_THROW(evaluator.evaluate_batch(wide, fitness), InvalidArgument);
+  std::vector<BatchPoint> points(1);
+  EXPECT_THROW(evaluator.evaluate_raw_batch(wide, points), InvalidArgument);
 }
 
 /// Detail-folding objectives route through the kernel's EdgeMetrics

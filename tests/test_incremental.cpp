@@ -194,17 +194,13 @@ void expect_same_edges(std::span<const EdgeMetrics> got,
   }
 }
 
-class EvaluatorEqualsOracle : public ::testing::TestWithParam<SweepConfig> {};
-
-TEST_P(EvaluatorEqualsOracle, EveryEntryPointIsBitIdentical) {
-  // Every whole-mapping entry point scores through the kernel; each
-  // must equal the reference loop bitwise, fitness and per-edge detail.
-  const auto [topology, objective] = GetParam();
-  const auto problem = make_test_problem(topology, objective, 41);
+/// Every whole-mapping entry point scores through the kernel; each must
+/// equal the reference loop bitwise, fitness and per-edge detail.
+void expect_entry_points_match_oracle(const MappingProblem& problem,
+                                      Rng& rng) {
   const auto& net = problem.network();
   const auto& cg = problem.cg();
   const bool needs_detail = problem.objective().needs_detail();
-  Rng rng(std::hash<std::string>{}(std::string(objective) + topology));
   std::vector<Mapping> mappings;
   for (int i = 0; i < 24; ++i)
     mappings.push_back(
@@ -259,8 +255,71 @@ TEST_P(EvaluatorEqualsOracle, EveryEntryPointIsBitIdentical) {
   }
 }
 
+class EvaluatorEqualsOracle : public ::testing::TestWithParam<SweepConfig> {};
+
+TEST_P(EvaluatorEqualsOracle, EveryEntryPointIsBitIdentical) {
+  const auto [topology, objective] = GetParam();
+  const auto problem = make_test_problem(topology, objective, 41);
+  Rng rng(std::hash<std::string>{}(std::string(objective) + topology));
+  expect_entry_points_match_oracle(problem, rng);
+}
+
 INSTANTIATE_TEST_SUITE_P(Configs, EvaluatorEqualsOracle, kSweepConfigs,
                          PrintConfig);
+
+// --- two mask words ---------------------------------------------------------
+
+/// A 40-task CG on a 9x9 mesh. Its 81 tiles take two mask words, so every
+/// pair goes through the multi-word mask check and the ordered hop walk.
+MappingProblem make_wide_problem(const std::string& objective) {
+  auto cg = random_cg({.tasks = 40,
+                       .avg_out_degree = 2.0,
+                       .min_bandwidth = 8,
+                       .max_bandwidth = 256,
+                       .seed = 83,
+                       .acyclic = false});
+  auto obj = make_test_objective(objective, cg);
+  return MappingProblem(std::move(cg),
+                        make_network(TopologyKind::Mesh, 9, "crux"),
+                        std::move(obj));
+}
+
+TEST(IncrementalKernel, TwoMaskWordsWalkIsBitIdentical) {
+  const auto problem = make_wide_problem("worst_snr");
+  ASSERT_EQ(problem.network().store().mask_words, 2u);
+  const auto tiles = problem.tile_count();
+  IncrementalEvaluation kernel(problem.network(), problem.cg());
+  Rng rng(97);
+  Mapping current = Mapping::random(problem.task_count(), tiles, rng);
+  kernel.reset(current.assignment());
+  ASSERT_NO_FATAL_FAILURE(
+      expect_matches_full(problem, kernel, current, "after reset"));
+  for (int step = 0; step < 300; ++step) {
+    const auto where = "step " + std::to_string(step);
+    const auto a = static_cast<TileId>(rng.next_below(tiles));
+    const auto b = static_cast<TileId>(rng.next_below(tiles));
+    current.swap_tiles(a, b);
+    kernel.propose_swap(a, b);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_full(problem, kernel, current, where + " propose"));
+    if (rng.next_bool(0.6)) {
+      kernel.commit();
+      continue;
+    }
+    kernel.revert();
+    current.swap_tiles(a, b);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_full(problem, kernel, current, where + " revert"));
+  }
+}
+
+TEST(EvaluatorEqualsOracleWide, TwoMaskWordsAreBitIdentical) {
+  for (const char* objective : {"worst_snr", "composite"}) {
+    Rng rng(std::hash<std::string>{}(objective));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_entry_points_match_oracle(make_wide_problem(objective), rng));
+  }
+}
 
 // --- kernel protocol guards -------------------------------------------------
 
