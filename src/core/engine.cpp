@@ -1,9 +1,5 @@
 #include "core/engine.hpp"
 
-#include <algorithm>
-#include <future>
-
-#include "exec/thread_pool.hpp"
 #include "mapping/branch_and_bound.hpp"
 #include "mapping/greedy.hpp"
 #include "mapping/registry.hpp"
@@ -61,36 +57,6 @@ RunResult Engine::run_with(Evaluator& evaluator,
                                      problem_.tile_count(), budget, seed);
   result.best_evaluation = evaluator.evaluate_detailed(result.search.best);
   return result;
-}
-
-std::vector<RunResult> Engine::compare(
-    const std::vector<std::string>& optimizer_names,
-    const OptimizerBudget& budget, std::uint64_t seed,
-    std::size_t workers) const {
-  if (workers == 0) workers = optimizer_names.size();
-  if (workers <= 1 || optimizer_names.size() <= 1) {
-    std::vector<RunResult> results;
-    results.reserve(optimizer_names.size());
-    for (const auto& name : optimizer_names)
-      results.push_back(run(name, budget, seed));
-    return results;
-  }
-  std::vector<RunResult> results(optimizer_names.size());
-  ThreadPool pool(std::min(workers, optimizer_names.size()));
-  std::vector<std::future<void>> futures;
-  futures.reserve(optimizer_names.size());
-  for (std::size_t i = 0; i < optimizer_names.size(); ++i)
-    futures.push_back(pool.submit([this, &results, &optimizer_names, &budget,
-                                   seed, i] {
-      results[i] = run(optimizer_names[i], budget, seed);
-    }));
-  try {
-    for (auto& future : futures) future.get();
-  } catch (...) {
-    pool.cancel_pending();
-    throw;
-  }
-  return results;
 }
 
 }  // namespace phonoc

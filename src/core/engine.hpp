@@ -5,7 +5,6 @@
 /// paper's Table II).
 
 #include <string>
-#include <vector>
 
 #include "core/evaluator.hpp"
 #include "core/problem.hpp"
@@ -55,16 +54,6 @@ class Engine {
                                    const MappingOptimizer& optimizer,
                                    const OptimizerBudget& budget,
                                    std::uint64_t seed) const;
-
-  /// Run several optimizers with identical budgets and seed (the
-  /// paper's fair-comparison protocol). `workers > 1` runs them
-  /// concurrently on a thread pool; each run owns its Evaluator and RNG,
-  /// so for evaluation-count budgets the results are bit-identical to
-  /// the sequential path (0 = one worker per optimizer).
-  [[nodiscard]] std::vector<RunResult> compare(
-      const std::vector<std::string>& optimizer_names,
-      const OptimizerBudget& budget, std::uint64_t seed,
-      std::size_t workers = 1) const;
 
   [[nodiscard]] const MappingProblem& problem() const noexcept {
     return problem_;

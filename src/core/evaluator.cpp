@@ -29,7 +29,6 @@ void check_batched(const MappingProblem& problem, const Mapping& mapping) {
 Evaluator::Evaluator(const MappingProblem& problem, EvaluatorOptions options)
     : problem_(problem),
       options_(options),
-      needs_detail_(problem.objective().needs_detail()),
       needs_noise_(problem.objective().needs_noise()),
       batch_(problem.network(), problem.cg()) {}
 
@@ -100,7 +99,7 @@ double Evaluator::evaluate(const Mapping& mapping) {
     ++cache_misses_;
   }
   const double fitness = problem_.objective().fitness(
-      score(mapping, needs_detail_, needs_noise_));
+      score(mapping, /*detailed=*/false, needs_noise_));
   ++physical_count_;
   if (memoize) {
     const auto assignment = mapping.assignment();
@@ -152,7 +151,7 @@ double Evaluator::propose_swap(const Mapping& after, TileId a, TileId b) {
   // than any delta update, and holds no state to commit or revert.
   if (!needs_noise_)
     return problem_.objective().fitness(
-        score(after, needs_detail_, /*noise=*/false));
+        score(after, /*detailed=*/false, /*noise=*/false));
   sync_kernel_pre_swap(after, a, b);
   kernel_->propose_swap(a, b);
   return problem_.objective().fitness(kernel_->view());
@@ -184,7 +183,7 @@ EvaluationResult Evaluator::evaluate_detailed(const Mapping& mapping) const {
 }
 
 EvaluationResult Evaluator::evaluate_raw(const Mapping& mapping) const {
-  return materialize(score(mapping, needs_detail_, /*noise=*/true));
+  return materialize(score(mapping, /*detailed=*/false, /*noise=*/true));
 }
 
 std::span<const TileId> Evaluator::flatten(
@@ -252,13 +251,9 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
   }
 
   // Kernel pass: one vectorized sweep over every row that needs it
-  // (with per-edge detail when the objective folds over it, and
-  // without noise when it reads none).
+  // (without noise when the objective reads none).
   std::vector<BatchPoint> points(scored.size());
-  std::vector<EdgeMetrics> detail;
-  const std::size_t edge_count = problem_.cg().edges().size();
-  if (needs_detail_) detail.resize(scored.size() * edge_count);
-  batch_.evaluate_trusted(batch_scratch_, scored.size(), points, detail,
+  batch_.evaluate_trusted(batch_scratch_, scored.size(), points, {},
                           needs_noise_);
 
   // Pass 2 — sequential replay: real lookups, counters and inserts in
@@ -275,18 +270,14 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
     }
     double fitness;
     if (row_of[i] >= 0) {
-      const auto r = static_cast<std::size_t>(row_of[i]);
-      const std::span<const EdgeMetrics> view_edges =
-          needs_detail_ ? std::span<const EdgeMetrics>(
-                              detail.data() + r * edge_count, edge_count)
-                        : std::span<const EdgeMetrics>{};
-      fitness = problem_.objective().fitness(EvaluationView{
-          points[r].worst_loss_db, points[r].worst_snr_db, view_edges});
+      const auto& point = points[static_cast<std::size_t>(row_of[i])];
+      fitness = problem_.objective().fitness(
+          EvaluationView{point.worst_loss_db, point.worst_snr_db, {}});
     } else {
       // Peek promised a hit (memo entry or earlier duplicate) that was
       // evicted before this row's replay turn: score it alone.
       fitness = problem_.objective().fitness(
-          score(mappings[i], needs_detail_, needs_noise_));
+          score(mappings[i], /*detailed=*/false, needs_noise_));
     }
     ++physical_count_;
     if (memoize) {

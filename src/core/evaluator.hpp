@@ -18,9 +18,9 @@
 ///    O(touched edges x |E|) instead of O(|E|^2).
 ///
 /// Fitness scores only what the objective reads. When
-/// `Objective::needs_noise()` is false (worst-case or bandwidth-weighted
-/// insertion loss), `evaluate` and `evaluate_batch` run the kernel's
-/// loss-only pass, and the move path holds no state at all:
+/// `Objective::needs_noise()` is false (worst-case insertion loss),
+/// `evaluate` and `evaluate_batch` run the kernel's loss-only pass, and
+/// the move path holds no state at all:
 /// `propose_swap` scores `after` as a loss-only batch of one, O(|E|),
 /// still one logical and no physical evaluation; `commit_move`,
 /// `revert_move` and `apply_move` do nothing, and the delta kernel is
@@ -111,9 +111,7 @@ class Evaluator final : public FitnessFunction {
 
   /// Both worst-case metrics of a mapping (convenience for sampling
   /// experiments that record loss and SNR simultaneously, like Fig. 3).
-  /// Always scores noise. Runs with per-edge detail whenever the
-  /// problem objective needs it, so `objective().fitness(evaluate_raw(m))`
-  /// is always well-formed.
+  /// Always scores noise; no per-edge detail.
   [[nodiscard]] EvaluationResult evaluate_raw(const Mapping& mapping) const;
 
   /// Batched `evaluate_raw` for consumers that only need the worst-case
@@ -195,7 +193,6 @@ class Evaluator final : public FitnessFunction {
 
   const MappingProblem& problem_;
   EvaluatorOptions options_;
-  bool needs_detail_;
   bool needs_noise_;
   std::uint64_t count_ = 0;
   std::uint64_t physical_count_ = 0;

@@ -1,6 +1,5 @@
 #include "exec/aggregate.hpp"
 
-#include <algorithm>
 #include <map>
 #include <ostream>
 #include <tuple>
@@ -13,7 +12,7 @@ namespace phonoc {
 namespace {
 
 /// The collapsed-coordinate identity (everything but the seed). Keep
-/// the three overloads in sync when adding report dimensions.
+/// the two overloads in sync when adding report dimensions.
 using CoordinateKey =
     std::tuple<std::size_t, std::size_t, std::size_t, std::size_t,
                std::size_t>;
@@ -38,16 +37,6 @@ void AggregateCell::add(const CellResult& result) {
   worst_snr_db.add(result.run.best_evaluation.worst_snr_db);
   evaluations.add(static_cast<double>(result.run.search.evaluations));
   seconds.add(result.seconds);
-}
-
-void AggregateCell::merge(const AggregateCell& other) {
-  require(coordinate_key(other) == coordinate_key(*this),
-          "AggregateCell::merge: cells have different coordinates");
-  best_fitness.merge(other.best_fitness);
-  worst_loss_db.merge(other.worst_loss_db);
-  worst_snr_db.merge(other.worst_snr_db);
-  evaluations.merge(other.evaluations);
-  seconds.merge(other.seconds);
 }
 
 SweepReport SweepReport::build(const SweepSpec& spec,
@@ -88,29 +77,6 @@ SweepReport SweepReport::build(const SweepSpec& spec,
     report.cpu_seconds += result.seconds;
   }
   return report;
-}
-
-void SweepReport::merge(const SweepReport& other) {
-  std::map<CoordinateKey, std::size_t> slots;
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    slots.emplace(coordinate_key(cells[i]), i);
-  for (const auto& c : other.cells) {
-    const auto it = slots.find(coordinate_key(c));
-    if (it == slots.end())
-      cells.push_back(c);
-    else
-      cells[it->second].merge(c);
-  }
-  run_count += other.run_count;
-  failed_count += other.failed_count;
-  cpu_seconds += other.cpu_seconds;
-  wall_seconds += other.wall_seconds;
-}
-
-void SweepReport::merge_concurrent(const SweepReport& other) {
-  const double wall = std::max(wall_seconds, other.wall_seconds);
-  merge(other);
-  wall_seconds = wall;
 }
 
 namespace {

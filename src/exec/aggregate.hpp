@@ -5,10 +5,9 @@
 /// The seed dimension is collapsed: every (workload, topology, goal,
 /// optimizer, budget) coordinate becomes one AggregateCell whose
 /// RunningStats summarize the per-seed runs (best/mean fitness,
-/// worst-case metrics, evaluation counts, wall time). Cells merge via
-/// RunningStats::merge, so shards of a grid executed separately can be
-/// combined into one report. Output goes through the existing IO layer:
-/// TableWriter for terminal tables, CsvWriter for machine-readable rows.
+/// worst-case metrics, evaluation counts, wall time). Output goes
+/// through the existing IO layer: TableWriter for terminal tables,
+/// CsvWriter for machine-readable rows.
 
 #include <iosfwd>
 #include <string>
@@ -43,9 +42,6 @@ struct AggregateCell {
 
   /// Fold one run into the cell (coordinates must match).
   void add(const CellResult& result);
-
-  /// Merge another shard of the same coordinate (RunningStats::merge).
-  void merge(const AggregateCell& other);
 };
 
 /// Aggregated view of a sweep, in grid order with the seed dimension
@@ -58,9 +54,7 @@ struct SweepReport {
   /// run it exceeds the wall clock by roughly the worker count.
   double cpu_seconds = 0.0;
   /// True elapsed wall time of the batch, measured by the caller around
-  /// BatchEngine::run (0 when not supplied). Merging sums it, which is
-  /// exact for shards executed back to back; concurrent shards (e.g. on
-  /// different hosts) overstate it — take the max upstream instead.
+  /// BatchEngine::run (0 when not supplied).
   double wall_seconds = 0.0;
 
   /// Aggregate a batch of results against the spec that produced them.
@@ -70,17 +64,6 @@ struct SweepReport {
   [[nodiscard]] static SweepReport build(
       const SweepSpec& spec, const std::vector<CellResult>& results,
       double wall_seconds = 0.0);
-
-  /// Merge a report over the same spec (e.g. another shard of seeds).
-  void merge(const SweepReport& other);
-
-  /// Merge a report whose shard ran *concurrently* with this one (e.g.
-  /// on another host of a worker fleet): statistics and counters fold
-  /// exactly like merge(), cpu_seconds still sums, but wall_seconds
-  /// takes the max of the two clocks — concurrent wall time overlaps
-  /// instead of adding. The remote scheduler merges per-host reports
-  /// with this (see src/sched/).
-  void merge_concurrent(const SweepReport& other);
 
   /// Render through TableWriter (one row per cell).
   [[nodiscard]] TableWriter to_table() const;

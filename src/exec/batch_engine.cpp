@@ -14,7 +14,6 @@
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -278,9 +277,6 @@ std::vector<CellResult> BatchEngine::run(const SweepSpec& spec) const {
   const auto cells = expand(spec);
   const auto problems = build_sweep_problems(spec, cells);
   std::vector<CellResult> results(cells.size());
-  log_info("exec") << "BatchEngine: " << cells.size() << " cells on "
-                   << workers_ << " worker(s), " << problems.size()
-                   << " shared problem(s)";
   std::unique_ptr<ThreadPool> pool;
   if (workers_ > 1 && cells.size() > 1)
     pool = std::make_unique<ThreadPool>(std::min(workers_, cells.size()));
@@ -300,14 +296,6 @@ std::vector<CellResult> BatchEngine::run(const SweepSpec& spec) const {
         return true;
       });
   return results;
-}
-
-std::vector<RunResult> BatchEngine::compare(
-    const MappingProblem& problem,
-    const std::vector<std::string>& optimizer_names,
-    const OptimizerBudget& budget, std::uint64_t seed) const {
-  const Engine engine(problem, options_.evaluator);
-  return engine.compare(optimizer_names, budget, seed, workers_);
 }
 
 }  // namespace phonoc

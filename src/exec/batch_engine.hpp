@@ -232,13 +232,6 @@ class BatchEngine {
   /// be built throws.
   [[nodiscard]] std::vector<CellResult> run(const SweepSpec& spec) const;
 
-  /// Parallel analogue of Engine::compare: the paper's fair-comparison
-  /// protocol on one fixed problem, one run per optimizer name.
-  [[nodiscard]] std::vector<RunResult> compare(
-      const MappingProblem& problem,
-      const std::vector<std::string>& optimizer_names,
-      const OptimizerBudget& budget, std::uint64_t seed) const;
-
   [[nodiscard]] std::size_t worker_count() const noexcept { return workers_; }
   [[nodiscard]] BatchBackend backend() const noexcept {
     return options_.backend;

@@ -98,29 +98,6 @@ class LineReader {
   int line_no_ = 0;
 };
 
-std::size_t parse_size(const std::string& text, int line) {
-  const long value = parse_long(text, line);
-  if (value < 0) throw ParseError("expected a non-negative count", line);
-  return static_cast<std::size_t>(value);
-}
-
-std::uint64_t parse_u64(const std::string& text, int line) {
-  // parse_long is signed; seeds use the full 64-bit range, so parse
-  // unsigned by hand.
-  std::uint64_t value = 0;
-  const auto trimmed = trim(text);
-  if (trimmed.empty())
-    throw ParseError("expected an unsigned integer", line);
-  for (const char c : trimmed) {
-    if (c < '0' || c > '9')
-      throw ParseError("expected an unsigned integer, got '" +
-                           std::string(trimmed) + "'",
-                       line);
-    value = value * 10u + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
 void check_arity(const std::vector<std::string>& fields, std::size_t want,
                  int line) {
   if (fields.size() != want)
@@ -267,13 +244,14 @@ SweepSpec read_spec_body(LineReader& reader) {
         fields = reader.expect("sampling");
         check_arity(fields, 8, reader.line());
         auto& s = spec.sampling;
-        s.samples_per_cell = parse_u64(fields[1], reader.line());
+        s.samples_per_cell =
+            parse_uint<std::uint64_t>(fields[1], reader.line());
         s.snr_lo_db = parse_double(fields[2], reader.line());
         s.snr_hi_db = parse_double(fields[3], reader.line());
-        s.snr_bins = parse_size(fields[4], reader.line());
+        s.snr_bins = parse_uint<std::size_t>(fields[4], reader.line());
         s.loss_lo_db = parse_double(fields[5], reader.line());
         s.loss_hi_db = parse_double(fields[6], reader.line());
-        s.loss_bins = parse_size(fields[7], reader.line());
+        s.loss_bins = parse_uint<std::size_t>(fields[7], reader.line());
       }
     } else {
       reader.push_back(line);
@@ -283,7 +261,7 @@ SweepSpec read_spec_body(LineReader& reader) {
   fields = reader.expect("goals");
   if (fields.size() < 2)
     throw ParseError("goals directive expects a count", reader.line());
-  check_arity(fields, 2 + parse_size(fields[1], reader.line()),
+  check_arity(fields, 2 + parse_uint<std::size_t>(fields[1], reader.line()),
               reader.line());
   for (std::size_t i = 2; i < fields.size(); ++i)
     spec.goals.push_back(parse_goal(fields[i], reader.line()));
@@ -291,19 +269,20 @@ SweepSpec read_spec_body(LineReader& reader) {
   fields = reader.expect("optimizers");
   if (fields.size() < 2)
     throw ParseError("optimizers directive expects a count", reader.line());
-  check_arity(fields, 2 + parse_size(fields[1], reader.line()),
+  check_arity(fields, 2 + parse_uint<std::size_t>(fields[1], reader.line()),
               reader.line());
   for (std::size_t i = 2; i < fields.size(); ++i)
     spec.optimizers.push_back(fields[i]);
 
   fields = reader.expect("budgets");
   check_arity(fields, 2, reader.line());
-  const auto budget_count = parse_size(fields[1], reader.line());
+  const auto budget_count = parse_uint<std::size_t>(fields[1], reader.line());
   for (std::size_t i = 0; i < budget_count; ++i) {
     fields = reader.expect("budget");
     check_arity(fields, 3, reader.line());
     OptimizerBudget budget;
-    budget.max_evaluations = parse_u64(fields[1], reader.line());
+    budget.max_evaluations =
+        parse_uint<std::uint64_t>(fields[1], reader.line());
     budget.max_seconds = parse_double(fields[2], reader.line());
     spec.budgets.push_back(budget);
   }
@@ -311,21 +290,21 @@ SweepSpec read_spec_body(LineReader& reader) {
   fields = reader.expect("seeds");
   if (fields.size() < 2)
     throw ParseError("seeds directive expects a count", reader.line());
-  check_arity(fields, 2 + parse_size(fields[1], reader.line()),
+  check_arity(fields, 2 + parse_uint<std::size_t>(fields[1], reader.line()),
               reader.line());
   for (std::size_t i = 2; i < fields.size(); ++i)
-    spec.seeds.push_back(parse_u64(fields[i], reader.line()));
+    spec.seeds.push_back(parse_uint<std::uint64_t>(fields[i], reader.line()));
 
   fields = reader.expect("topologies");
   check_arity(fields, 2, reader.line());
-  const auto topology_count = parse_size(fields[1], reader.line());
+  const auto topology_count = parse_uint<std::size_t>(fields[1], reader.line());
   for (std::size_t i = 0; i < topology_count; ++i) {
     fields = reader.expect("topology");
     check_arity(fields, 3, reader.line());
     SweepTopology topo;
     topo.kind = parse_topology_kind(fields[1], reader.line());
     // Both kinds are side x side grids; 0 means auto-sized.
-    const auto side = parse_size(fields[2], reader.line());
+    const auto side = parse_uint<std::size_t>(fields[2], reader.line());
     if (side != 0 && side > NetworkModel::kMaxTiles / side)
       throw ParseError("topology side " + fields[2] + " exceeds " +
                            std::to_string(NetworkModel::kMaxTiles) + " tiles",
@@ -336,7 +315,7 @@ SweepSpec read_spec_body(LineReader& reader) {
 
   fields = reader.expect("workloads");
   check_arity(fields, 2, reader.line());
-  const auto workload_count = parse_size(fields[1], reader.line());
+  const auto workload_count = parse_uint<std::size_t>(fields[1], reader.line());
   for (std::size_t i = 0; i < workload_count; ++i) {
     const auto line = reader.require_line("workload", true);
     if (split_ws(line).empty() || split_ws(line)[0] != "workload")
@@ -405,12 +384,13 @@ SweepShard read_shard(std::istream& in) {
 
   auto fields = reader.expect("evaluator");
   check_arity(fields, 2, reader.line());
-  shard.evaluator.cache_capacity = parse_size(fields[1], reader.line());
+  shard.evaluator.cache_capacity =
+      parse_uint<std::size_t>(fields[1], reader.line());
 
   fields = reader.expect("slice");
   check_arity(fields, 3, reader.line());
-  shard.begin = parse_size(fields[1], reader.line());
-  shard.end = parse_size(fields[2], reader.line());
+  shard.begin = parse_uint<std::size_t>(fields[1], reader.line());
+  shard.end = parse_uint<std::size_t>(fields[2], reader.line());
   if (shard.begin > shard.end)
     throw ParseError("slice begin exceeds end", reader.line());
 
@@ -501,17 +481,17 @@ std::optional<CellResult> read_cell_result(std::istream& in) {
   CellResult result;
   auto fields = reader.expect("cell");
   check_arity(fields, 8, reader.line());
-  result.cell.index = parse_size(fields[1], reader.line());
-  result.cell.workload = parse_size(fields[2], reader.line());
-  result.cell.topology = parse_size(fields[3], reader.line());
-  result.cell.goal = parse_size(fields[4], reader.line());
-  result.cell.optimizer = parse_size(fields[5], reader.line());
-  result.cell.budget = parse_size(fields[6], reader.line());
-  result.cell.seed = parse_size(fields[7], reader.line());
+  result.cell.index = parse_uint<std::size_t>(fields[1], reader.line());
+  result.cell.workload = parse_uint<std::size_t>(fields[2], reader.line());
+  result.cell.topology = parse_uint<std::size_t>(fields[3], reader.line());
+  result.cell.goal = parse_uint<std::size_t>(fields[4], reader.line());
+  result.cell.optimizer = parse_uint<std::size_t>(fields[5], reader.line());
+  result.cell.budget = parse_uint<std::size_t>(fields[6], reader.line());
+  result.cell.seed = parse_uint<std::size_t>(fields[7], reader.line());
 
   fields = reader.expect("seed");
   check_arity(fields, 2, reader.line());
-  result.seed = parse_u64(fields[1], reader.line());
+  result.seed = parse_uint<std::uint64_t>(fields[1], reader.line());
 
   fields = reader.expect("seconds");
   check_arity(fields, 2, reader.line());
@@ -529,17 +509,18 @@ std::optional<CellResult> read_cell_result(std::istream& in) {
   if (status_fields[0] == "distribution") {
     check_arity(status_fields, 3, reader.line());
     auto& d = result.distribution;
-    d.samples = parse_u64(status_fields[1], reader.line());
+    d.samples = parse_uint<std::uint64_t>(status_fields[1], reader.line());
     // Wire counts bound loops, never allocations: a count the block
     // cannot hold runs out of lines and throws ParseError.
-    const auto metric_count = parse_size(status_fields[2], reader.line());
+    const auto metric_count =
+        parse_uint<std::size_t>(status_fields[2], reader.line());
     for (std::size_t m = 0; m < metric_count; ++m) {
       fields = reader.expect("metric");
       check_arity(fields, 7, reader.line());
       MetricDistribution metric;
       metric.metric = fields[1];
       metric.stats = RunningStats::from_parts(
-          parse_size(fields[2], reader.line()),
+          parse_uint<std::size_t>(fields[2], reader.line()),
           parse_double(fields[3], reader.line()),
           parse_double(fields[4], reader.line()),
           parse_double(fields[5], reader.line()),
@@ -548,15 +529,15 @@ std::optional<CellResult> read_cell_result(std::istream& in) {
       check_arity(fields, 6, reader.line());
       const double lo = parse_double(fields[1], reader.line());
       const double hi = parse_double(fields[2], reader.line());
-      const auto bins = parse_size(fields[3], reader.line());
-      const auto underflow = parse_size(fields[4], reader.line());
-      const auto overflow = parse_size(fields[5], reader.line());
+      const auto bins = parse_uint<std::size_t>(fields[3], reader.line());
+      const auto underflow = parse_uint<std::size_t>(fields[4], reader.line());
+      const auto overflow = parse_uint<std::size_t>(fields[5], reader.line());
       fields = reader.expect("counts");
       check_arity(fields, 1 + bins, reader.line());
       std::vector<std::size_t> counts;
       counts.reserve(bins);
       for (std::size_t b = 0; b < bins; ++b)
-        counts.push_back(parse_size(fields[1 + b], reader.line()));
+        counts.push_back(parse_uint<std::size_t>(fields[1 + b], reader.line()));
       metric.histogram = Histogram::from_parts(lo, hi, std::move(counts),
                                                underflow, overflow);
       d.metrics.push_back(std::move(metric));
@@ -575,37 +556,38 @@ std::optional<CellResult> read_cell_result(std::istream& in) {
   fields = reader.expect("mapping");
   if (fields.size() < 3)
     throw ParseError("mapping directive expects tiles + tasks", reader.line());
-  const auto tiles = parse_size(fields[1], reader.line());
+  const auto tiles = parse_uint<std::size_t>(fields[1], reader.line());
   if (tiles > kMaxWireTiles)
     throw ParseError("mapping tile count " + fields[1] +
                          " exceeds the wire bound of " +
                          std::to_string(kMaxWireTiles),
                      reader.line());
-  const auto tasks = parse_size(fields[2], reader.line());
+  const auto tasks = parse_uint<std::size_t>(fields[2], reader.line());
   check_arity(fields, 3 + tasks, reader.line());
   std::vector<TileId> assignment;
   assignment.reserve(tasks);
   for (std::size_t i = 0; i < tasks; ++i)
-    assignment.push_back(
-        static_cast<TileId>(parse_size(fields[3 + i], reader.line())));
+    assignment.push_back(parse_uint<TileId>(fields[3 + i], reader.line()));
   result.run.search.best = Mapping::from_assignment(std::move(assignment),
                                                     tiles);
 
   fields = reader.expect("search");
   check_arity(fields, 5, reader.line());
   result.run.search.best_fitness = parse_double(fields[1], reader.line());
-  result.run.search.evaluations = parse_u64(fields[2], reader.line());
-  result.run.search.iterations = parse_u64(fields[3], reader.line());
+  result.run.search.evaluations =
+      parse_uint<std::uint64_t>(fields[2], reader.line());
+  result.run.search.iterations =
+      parse_uint<std::uint64_t>(fields[3], reader.line());
   result.run.search.seconds = parse_double(fields[4], reader.line());
 
   fields = reader.expect("trace");
   check_arity(fields, 2, reader.line());
-  const auto trace_count = parse_size(fields[1], reader.line());
+  const auto trace_count = parse_uint<std::size_t>(fields[1], reader.line());
   for (std::size_t i = 0; i < trace_count; ++i) {
     fields = reader.expect("t");
     check_arity(fields, 3, reader.line());
     result.run.search.trace.push_back(
-        {parse_u64(fields[1], reader.line()),
+        {parse_uint<std::uint64_t>(fields[1], reader.line()),
          parse_double(fields[2], reader.line())});
   }
 
@@ -618,14 +600,14 @@ std::optional<CellResult> read_cell_result(std::istream& in) {
 
   fields = reader.expect("edges");
   check_arity(fields, 2, reader.line());
-  const auto edge_count = parse_size(fields[1], reader.line());
+  const auto edge_count = parse_uint<std::size_t>(fields[1], reader.line());
   for (std::size_t i = 0; i < edge_count; ++i) {
     fields = reader.expect("e");
     check_arity(fields, 8, reader.line());
     EdgeMetrics edge;
-    edge.edge = static_cast<EdgeId>(parse_size(fields[1], reader.line()));
-    edge.src_tile = static_cast<TileId>(parse_size(fields[2], reader.line()));
-    edge.dst_tile = static_cast<TileId>(parse_size(fields[3], reader.line()));
+    edge.edge = parse_uint<EdgeId>(fields[1], reader.line());
+    edge.src_tile = parse_uint<TileId>(fields[2], reader.line());
+    edge.dst_tile = parse_uint<TileId>(fields[3], reader.line());
     edge.loss_db = parse_double(fields[4], reader.line());
     edge.signal_gain = parse_double(fields[5], reader.line());
     edge.noise_gain = parse_double(fields[6], reader.line());
@@ -680,7 +662,7 @@ FrameHeader parse_frame_header(std::string_view line) {
     throw ParseError("expected a 'frame <length> <checksum>' header, got '" +
                      std::string(trim(line)) + "'");
   FrameHeader header;
-  header.length = parse_size(fields[1], -1);
+  header.length = parse_uint<std::size_t>(fields[1]);
   if (header.length > kMaxFramePayload)
     throw ParseError("frame length " + fields[1] +
                      " exceeds the 1 GiB payload bound: corrupt header");
@@ -735,27 +717,6 @@ std::optional<std::string> FrameDecoder::next() {
   std::string result(payload);
   buffer_.erase(0, body_begin + header.length + 1);
   return result;
-}
-
-void write_frame(std::ostream& out, std::string_view payload) {
-  out << encode_frame(payload);
-}
-
-std::optional<std::string> read_frame(std::istream& in) {
-  std::string header_line;
-  if (!std::getline(in, header_line)) return std::nullopt;  // clean EOF
-  const auto header = parse_frame_header(header_line);
-  std::string payload(header.length, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(header.length));
-  if (static_cast<std::size_t>(in.gcount()) != header.length)
-    throw ParseError("frame truncated: expected " +
-                     std::to_string(header.length) + " payload bytes, got " +
-                     std::to_string(in.gcount()));
-  if (in.get() != '\n')
-    throw ParseError("frame payload is not newline-terminated: "
-                     "length header and stream disagree");
-  verify_frame(payload, header);
-  return payload;
 }
 
 }  // namespace phonoc

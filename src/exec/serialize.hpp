@@ -108,10 +108,4 @@ class FrameDecoder {
   std::string buffer_;
 };
 
-/// Stream convenience wrappers over the same format. read_frame returns
-/// nullopt on clean end-of-stream (EOF before a header starts) and
-/// throws ParseError on a truncated or corrupt frame.
-void write_frame(std::ostream& out, std::string_view payload);
-[[nodiscard]] std::optional<std::string> read_frame(std::istream& in);
-
 }  // namespace phonoc

@@ -26,11 +26,6 @@ ThreadPool::ThreadPool(std::size_t workers) {
 
 ThreadPool::~ThreadPool() { shutdown(); }
 
-std::size_t ThreadPool::pending() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
 void ThreadPool::enqueue(std::function<void()> task) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -39,22 +34,6 @@ void ThreadPool::enqueue(std::function<void()> task) {
     queue_.push_back(std::move(task));
   }
   work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::cancel_pending() {
-  std::deque<std::function<void()>> discarded;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    discarded.swap(queue_);
-    if (active_ == 0) idle_cv_.notify_all();
-  }
-  // Dropped outside the lock: destroying the packaged_tasks breaks
-  // their promises, which may run arbitrary future-side code.
 }
 
 void ThreadPool::shutdown() {
@@ -88,14 +67,8 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();  // packaged_task captures any exception into the future
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

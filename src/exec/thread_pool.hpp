@@ -42,9 +42,6 @@ class ThreadPool {
     return workers_.size();
   }
 
-  /// Tasks queued but not yet picked up by a worker.
-  [[nodiscard]] std::size_t pending() const;
-
   /// Submit a nullary callable; the future carries its return value (or
   /// the exception it threw).
   template <typename F>
@@ -57,15 +54,6 @@ class ThreadPool {
     enqueue([packaged]() { (*packaged)(); });
     return future;
   }
-
-  /// Block until the queue is empty and every worker is idle.
-  void wait_idle();
-
-  /// Discard tasks that have not started yet (their futures report
-  /// std::future_error / broken_promise). In-flight tasks finish.
-  /// Callers use this to abort a batch early when one task failed,
-  /// instead of letting the destructor drain the whole queue.
-  void cancel_pending();
 
   /// Stop accepting work and join the workers after the queue drains.
   /// Safe to call repeatedly on a live pool (the destructor calls it
@@ -82,10 +70,8 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
-  std::size_t active_ = 0;  ///< tasks currently executing
   bool stopping_ = false;
 };
 

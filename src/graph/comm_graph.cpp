@@ -53,19 +53,6 @@ std::vector<CommGraph::EdgeView> CommGraph::edges() const {
   return out;
 }
 
-double CommGraph::total_bandwidth() const noexcept {
-  double sum = 0.0;
-  for (const auto& e : graph_.edges()) sum += e.data.bandwidth_mbps;
-  return sum;
-}
-
-std::size_t CommGraph::max_degree() const noexcept {
-  std::size_t best = 0;
-  for (NodeId n = 0; n < graph_.node_count(); ++n)
-    best = std::max(best, graph_.in_degree(n) + graph_.out_degree(n));
-  return best;
-}
-
 void CommGraph::validate() const {
   require(task_count() >= 1, "CommGraph: at least one task is required");
   for (const auto& e : graph_.edges())

@@ -61,12 +61,6 @@ class CommGraph {
   };
   [[nodiscard]] std::vector<EdgeView> edges() const;
 
-  /// Total bandwidth demand (sum over edges), MB/s.
-  [[nodiscard]] double total_bandwidth() const noexcept;
-
-  /// Highest in+out degree over all tasks.
-  [[nodiscard]] std::size_t max_degree() const noexcept;
-
   /// Validation used by the IO layer and the problem constructor: at
   /// least one task, no isolated-task requirement (isolated tasks are
   /// legal: they occupy a tile without communicating).

@@ -3,7 +3,6 @@
 #include <fstream>
 #include <istream>
 #include <map>
-#include <ostream>
 
 #include "router/registry.hpp"
 #include "router/router_model.hpp"
@@ -56,9 +55,9 @@ ArchitectureSpec read_architecture(std::istream& in) {
     if (key == "topology") {
       spec.topology = to_lower(value);
     } else if (key == "rows") {
-      spec.rows = static_cast<std::uint32_t>(parse_long(value, line_no));
+      spec.rows = parse_uint<std::uint32_t>(value, line_no);
     } else if (key == "cols") {
-      spec.cols = static_cast<std::uint32_t>(parse_long(value, line_no));
+      spec.cols = parse_uint<std::uint32_t>(value, line_no);
     } else if (key == "tile_pitch_mm") {
       spec.tile_pitch_mm = parse_double(value, line_no);
     } else if (key == "router") {
@@ -102,32 +101,6 @@ ArchitectureSpec read_architecture_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw ParseError("cannot open architecture file '" + path + "'");
   return read_architecture(in);
-}
-
-void write_architecture(std::ostream& out, const ArchitectureSpec& spec) {
-  out << "# PhoNoCMap architecture description\n";
-  out << "topology = " << spec.topology << '\n';
-  out << "rows = " << spec.rows << '\n';
-  out << "cols = " << spec.cols << '\n';
-  out << "tile_pitch_mm = " << spec.tile_pitch_mm << '\n';
-  out << "router = " << spec.router << '\n';
-  out << "routing = " << spec.routing << '\n';
-  out << "fidelity = "
-      << (spec.model_options.fidelity == ModelFidelity::Simplified
-              ? "simplified"
-              : "full")
-      << '\n';
-  out << "conflict_policy = "
-      << (spec.model_options.conflict_policy == ConflictPolicy::Exclude
-              ? "exclude"
-              : "ignore")
-      << '\n';
-  out << "snr_ceiling_db = " << spec.model_options.snr_ceiling_db << '\n';
-  const auto defaults = PhysicalParameters::paper_defaults();
-  for (const auto& [name, member] : parameter_fields()) {
-    if (spec.parameters.*member != defaults.*member)
-      out << "param." << name << " = " << spec.parameters.*member << '\n';
-  }
 }
 
 std::shared_ptr<const NetworkModel> build_network(

@@ -42,8 +42,6 @@ struct ArchitectureSpec {
 [[nodiscard]] ArchitectureSpec read_architecture(std::istream& in);
 [[nodiscard]] ArchitectureSpec read_architecture_file(const std::string& path);
 
-void write_architecture(std::ostream& out, const ArchitectureSpec& spec);
-
 /// Instantiate the full network model from a spec (uses the topology,
 /// router, and routing registries).
 [[nodiscard]] std::shared_ptr<const NetworkModel> build_network(

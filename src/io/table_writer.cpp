@@ -46,22 +46,4 @@ std::string TableWriter::to_ascii() const {
   return out.str();
 }
 
-std::string TableWriter::to_markdown() const {
-  std::ostringstream out;
-  const auto emit = [&](const std::vector<std::string>& cells) {
-    out << "| ";
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      out << cells[c];
-      out << (c + 1 < cells.size() ? " | " : " |");
-    }
-    out << '\n';
-  };
-  emit(headers_);
-  out << "|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) out << "---|";
-  out << '\n';
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 }  // namespace phonoc

@@ -17,9 +17,6 @@ class TableWriter {
   /// Aligned plain-text rendering (two-space column gap).
   [[nodiscard]] std::string to_ascii() const;
 
-  /// GitHub-flavoured Markdown rendering.
-  [[nodiscard]] std::string to_markdown() const;
-
   [[nodiscard]] std::size_t row_count() const noexcept {
     return rows_.size();
   }

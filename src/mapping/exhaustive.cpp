@@ -1,21 +1,6 @@
 #include "mapping/exhaustive.hpp"
 
-#include <limits>
-#include <numeric>
-
 namespace phonoc {
-
-std::uint64_t ExhaustiveSearch::search_space(std::size_t task_count,
-                                             std::size_t tile_count) {
-  std::uint64_t total = 1;
-  for (std::size_t i = 0; i < task_count; ++i) {
-    const auto factor = static_cast<std::uint64_t>(tile_count - i);
-    if (total > std::numeric_limits<std::uint64_t>::max() / factor)
-      return std::numeric_limits<std::uint64_t>::max();
-    total *= factor;
-  }
-  return total;
-}
 
 OptimizerResult ExhaustiveSearch::optimize(FitnessFunction& fitness,
                                            std::size_t task_count,

@@ -20,10 +20,6 @@ class ExhaustiveSearch final : public MappingOptimizer {
                                          std::size_t tile_count,
                                          const OptimizerBudget& budget,
                                          std::uint64_t seed) const override;
-
-  /// Number of injective assignments, saturating at UINT64_MAX.
-  [[nodiscard]] static std::uint64_t search_space(std::size_t task_count,
-                                                  std::size_t tile_count);
 };
 
 }  // namespace phonoc

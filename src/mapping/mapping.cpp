@@ -75,14 +75,4 @@ void Mapping::swap_tiles(TileId a, TileId b) {
   std::swap(tile_to_task_[a], tile_to_task_[b]);
 }
 
-void Mapping::move_task(NodeId task, TileId tile) {
-  require(task < assignment_.size(), "Mapping::move_task: task out of range");
-  require(tile < tile_to_task_.size(),
-          "Mapping::move_task: tile out of range");
-  require(tile_to_task_[tile] < 0, "Mapping::move_task: tile occupied");
-  tile_to_task_[assignment_[task]] = -1;
-  assignment_[task] = tile;
-  tile_to_task_[tile] = static_cast<int>(task);
-}
-
 }  // namespace phonoc

@@ -53,9 +53,6 @@ class Mapping {
   /// no-op for empty<->empty). This is the R-PBLA move.
   void swap_tiles(TileId a, TileId b);
 
-  /// Move `task` to `tile`; the tile must be empty.
-  void move_task(NodeId task, TileId tile);
-
   [[nodiscard]] bool operator==(const Mapping& other) const noexcept {
     return assignment_ == other.assignment_ &&
            tile_count() == other.tile_count();

@@ -1,41 +1,9 @@
 #include "mapping/objective.hpp"
 
-#include "util/error.hpp"
-
 namespace phonoc {
 
 std::string to_string(OptimizationGoal goal) {
   return goal == OptimizationGoal::InsertionLoss ? "insertion_loss" : "snr";
-}
-
-CompositeObjective::CompositeObjective(double loss_weight, double snr_weight)
-    : loss_weight_(loss_weight), snr_weight_(snr_weight) {
-  require(loss_weight >= 0.0 && snr_weight >= 0.0 &&
-              loss_weight + snr_weight > 0.0,
-          "CompositeObjective: weights must be non-negative, not both zero");
-}
-
-double CompositeObjective::fitness(const EvaluationView& v) const {
-  return loss_weight_ * v.worst_loss_db + snr_weight_ * v.worst_snr_db;
-}
-
-BandwidthWeightedLossObjective::BandwidthWeightedLossObjective(
-    const CommGraph& cg) {
-  const double total = cg.total_bandwidth();
-  require(total > 0.0,
-          "BandwidthWeightedLossObjective: CG has no bandwidth annotations");
-  weights_.reserve(cg.communication_count());
-  for (const auto& e : cg.edges())
-    weights_.push_back(e.bandwidth_mbps / total);
-}
-
-double BandwidthWeightedLossObjective::fitness(const EvaluationView& v) const {
-  require(v.edges.size() == weights_.size(),
-          "BandwidthWeightedLossObjective: evaluation lacks per-edge detail");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < weights_.size(); ++i)
-    sum += weights_[i] * v.edges[i].loss_db;
-  return sum;
 }
 
 std::unique_ptr<Objective> make_objective(OptimizationGoal goal) {

@@ -4,14 +4,11 @@
 ///
 /// Fitness is always maximized. The two paper objectives (Eq. 3/4) are
 /// worst-case insertion loss (dB values are negative, so maximizing
-/// pushes the worst edge toward 0 dB) and worst-case SNR. Extensions:
-/// a weighted composite of the two and a bandwidth-weighted average
-/// loss (uses the CG's bandwidth annotations).
+/// pushes the worst edge toward 0 dB) and worst-case SNR.
 
 #include <memory>
 #include <string>
 
-#include "graph/comm_graph.hpp"
 #include "model/evaluation.hpp"
 
 namespace phonoc {
@@ -28,15 +25,14 @@ class Objective {
   /// Higher is better. The view form is the primary interface so the
   /// incremental evaluation kernel can fold the cached per-edge state
   /// without materializing an EvaluationResult per move; both paths
-  /// run the same fold code, keeping fitness bit-identical.
+  /// run the same fold code, keeping fitness bit-identical. The
+  /// Evaluator's whole-mapping scorers pass no per-edge detail, so
+  /// fitness reads only the two worst-case fields.
   [[nodiscard]] virtual double fitness(const EvaluationView& view) const = 0;
   /// Convenience for whole-mapping evaluation results.
   [[nodiscard]] double fitness(const EvaluationResult& r) const {
     return fitness(EvaluationView{r.worst_loss_db, r.worst_snr_db, r.edges});
   }
-  /// True when fitness() reads the per-edge detail (the evaluator must
-  /// then run with detail enabled).
-  [[nodiscard]] virtual bool needs_detail() const { return false; }
   /// True when fitness() reads crosstalk: `worst_snr_db`, or a per-edge
   /// `noise_gain` / `snr_db`. When false, the Evaluator scores fitness
   /// through the kernel's loss-only pass (no Eq. 4 pair walk, no delta
@@ -66,45 +62,6 @@ class WorstSnrObjective final : public Objective {
   [[nodiscard]] double fitness(const EvaluationView& v) const override {
     return v.worst_snr_db;
   }
-};
-
-/// Extension: weighted sum of the two worst-case metrics (both in dB,
-/// so a plain linear combination is meaningful). Reads noise for any
-/// weights: a zero SNR weight still multiplies `worst_snr_db`, and
-/// `0 * NaN` is NaN.
-class CompositeObjective final : public Objective {
- public:
-  using Objective::fitness;
-  /// fitness = loss_weight * worst_loss_db + snr_weight * worst_snr_db.
-  CompositeObjective(double loss_weight, double snr_weight);
-  [[nodiscard]] std::string name() const override { return "composite"; }
-  [[nodiscard]] double fitness(const EvaluationView& v) const override;
-
- private:
-  double loss_weight_;
-  double snr_weight_;
-};
-
-/// Extension: maximize the bandwidth-weighted average of per-edge loss
-/// (heavier flows matter more). Needs per-edge detail, but no noise.
-/// The weighted sum is re-folded over the per-edge values in edge
-/// order on every call rather than kept as a running delta-updated
-/// total: the ascending fold is what keeps every scoring path's fitness
-/// bit-identical to a full re-evaluation, and it costs O(|E|), like the
-/// loss-only pass that feeds it.
-class BandwidthWeightedLossObjective final : public Objective {
- public:
-  using Objective::fitness;
-  explicit BandwidthWeightedLossObjective(const CommGraph& cg);
-  [[nodiscard]] std::string name() const override {
-    return "bandwidth_weighted_loss";
-  }
-  [[nodiscard]] bool needs_detail() const override { return true; }
-  [[nodiscard]] bool needs_noise() const override { return false; }
-  [[nodiscard]] double fitness(const EvaluationView& v) const override;
-
- private:
-  std::vector<double> weights_;  ///< per-edge bandwidth / total
 };
 
 /// The paper objective for a goal.

@@ -1,5 +1,6 @@
 #include "mapping/registry.hpp"
 
+#include <functional>
 #include <map>
 
 #include "mapping/annealing.hpp"
@@ -15,8 +16,10 @@ namespace phonoc {
 
 namespace {
 
-std::map<std::string, OptimizerFactory>& registry() {
-  static std::map<std::string, OptimizerFactory> instance = [] {
+using OptimizerFactory = std::function<std::unique_ptr<MappingOptimizer>()>;
+
+const std::map<std::string, OptimizerFactory>& registry() {
+  static const std::map<std::string, OptimizerFactory> instance = [] {
     std::map<std::string, OptimizerFactory> m;
     m["rs"] = [] { return std::make_unique<RandomSearch>(); };
     m["ga"] = [] { return std::make_unique<GeneticAlgorithm>(); };
@@ -31,12 +34,6 @@ std::map<std::string, OptimizerFactory>& registry() {
 
 }  // namespace
 
-void register_optimizer(const std::string& name, OptimizerFactory factory) {
-  require(!name.empty(), "register_optimizer: empty name");
-  require(factory != nullptr, "register_optimizer: null factory");
-  registry()[to_lower(name)] = std::move(factory);
-}
-
 std::unique_ptr<MappingOptimizer> make_optimizer(const std::string& name) {
   const auto it = registry().find(to_lower(name));
   if (it == registry().end()) {
@@ -49,13 +46,6 @@ std::unique_ptr<MappingOptimizer> make_optimizer(const std::string& name) {
                           known + ")");
   }
   return it->second();
-}
-
-std::vector<std::string> registered_optimizers() {
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [key, unused] : registry()) names.push_back(key);
-  return names;
 }
 
 }  // namespace phonoc

@@ -3,25 +3,17 @@
 /// \brief Name-based optimizer factory — the "mapping optimization
 /// strategies" extension point (paper Fig. 1, block 4).
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "mapping/optimizer.hpp"
 
 namespace phonoc {
-
-using OptimizerFactory = std::function<std::unique_ptr<MappingOptimizer>()>;
-
-void register_optimizer(const std::string& name, OptimizerFactory factory);
 
 /// Instantiate by name; built-ins: "rs", "ga", "rpbla", "sa", "tabu",
 /// "exhaustive". ("greedy" needs CG + topology context and is built by
 /// the core Engine instead.)
 [[nodiscard]] std::unique_ptr<MappingOptimizer> make_optimizer(
     const std::string& name);
-
-[[nodiscard]] std::vector<std::string> registered_optimizers();
 
 }  // namespace phonoc

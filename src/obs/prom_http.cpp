@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "sched/transport.hpp"
-#include "util/log.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define PHONOC_HAS_SOCKETS 1
@@ -73,7 +72,6 @@ struct PromHttpServer::Impl {
   TcpListener listener;
   Render render;
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> served{0};
   std::thread thread;
 
   Impl(std::uint16_t port, Render render_fn)
@@ -99,7 +97,6 @@ struct PromHttpServer::Impl {
             "Connection: close\r\n\r\n";
         response += body;
         write_all(fd, response);
-        served.fetch_add(1, std::memory_order_relaxed);
       }
       ::close(fd);
     }
@@ -109,8 +106,6 @@ struct PromHttpServer::Impl {
 PromHttpServer::PromHttpServer(std::uint16_t port, Render render)
     : impl_(std::make_unique<Impl>(port, std::move(render))) {
   impl_->thread = std::thread([impl = impl_.get()] { impl->run(); });
-  log_info("obs") << "prometheus scrape listener on 127.0.0.1:"
-                  << impl_->listener.port();
 }
 
 PromHttpServer::~PromHttpServer() {
@@ -122,10 +117,6 @@ std::uint16_t PromHttpServer::port() const noexcept {
   return impl_->listener.port();
 }
 
-std::uint64_t PromHttpServer::requests_served() const noexcept {
-  return impl_->served.load(std::memory_order_relaxed);
-}
-
 #else  // !PHONOC_HAS_SOCKETS
 
 struct PromHttpServer::Impl {};
@@ -135,7 +126,6 @@ PromHttpServer::PromHttpServer(std::uint16_t, Render) {
 }
 PromHttpServer::~PromHttpServer() = default;
 std::uint16_t PromHttpServer::port() const noexcept { return 0; }
-std::uint64_t PromHttpServer::requests_served() const noexcept { return 0; }
 
 #endif
 

@@ -38,8 +38,6 @@ class PromHttpServer {
 
   /// The bound port (useful with port 0).
   [[nodiscard]] std::uint16_t port() const noexcept;
-  /// Requests answered so far.
-  [[nodiscard]] std::uint64_t requests_served() const noexcept;
 
  private:
   struct Impl;

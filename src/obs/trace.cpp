@@ -24,14 +24,13 @@ constexpr std::size_t kDefaultRingCapacity = 1 << 16;
 /// One recorded event. Fixed size so the ring never allocates while
 /// recording; `args` copies short strings, everything else is POD.
 struct Event {
-  enum class Kind : std::uint8_t { Complete, Instant, Counter };
+  enum class Kind : std::uint8_t { Complete, Instant };
   Kind kind = Kind::Instant;
   std::uint8_t arg_count = 0;
   const char* category = nullptr;
   const char* name = nullptr;
   std::uint64_t ts_ns = 0;
   std::uint64_t dur_ns = 0;  ///< Complete spans only
-  double value = 0.0;        ///< Counter samples only
   TraceArg args[kMaxTraceArgs];
 };
 
@@ -185,7 +184,6 @@ void append_event(std::string& out, const Event& event, long pid,
   switch (event.kind) {
     case Event::Kind::Complete: out += 'X'; break;
     case Event::Kind::Instant: out += 'i'; break;
-    case Event::Kind::Counter: out += 'C'; break;
   }
   out += "\",\"cat\":\"";
   append_json_escaped(out, event.category ? event.category : "phonoc");
@@ -202,14 +200,8 @@ void append_event(std::string& out, const Event& event, long pid,
     out += buffer;
   }
   if (event.kind == Event::Kind::Instant) out += ",\"s\":\"t\"";
-  if (event.kind == Event::Kind::Counter) {
-    out += ",\"args\":{\"value\":";
-    append_json_number(out, event.value);
-    out += '}';
-  } else {
-    out += ',';
-    append_args(out, event);
-  }
+  out += ',';
+  append_args(out, event);
   out += '}';
 }
 
@@ -367,16 +359,6 @@ void trace_instant(const char* category, const char* name, TraceArg a0,
   event.args[0] = a0;
   event.args[1] = a1;
   event.args[2] = a2;
-  emit(event);
-}
-
-void trace_counter(const char* category, const char* name, double value) {
-  if (!trace_enabled()) return;
-  Event event;
-  event.kind = Event::Kind::Counter;
-  event.category = category;
-  event.name = name;
-  event.value = value;
   emit(event);
 }
 

@@ -17,8 +17,7 @@
 /// Event model (see src/obs/README.md):
 ///  - span: a named duration on one thread (TraceSpan RAII emits one
 ///    "X" complete event on destruction);
-///  - instant: a point event ("i");
-///  - counter: a sampled numeric series ("C").
+///  - instant: a point event ("i").
 /// Category and name must be string literals (their pointers are stored,
 /// not their bytes). Args are a small typed list — integers, doubles,
 /// or short strings truncated to fit the record — so a span can carry
@@ -106,9 +105,6 @@ void trace_instant(const char* category, const char* name, TraceArg a0,
                    TraceArg a1);
 void trace_instant(const char* category, const char* name, TraceArg a0,
                    TraceArg a1, TraceArg a2);
-
-/// Emit one sample of a counter series. No-op when tracing is off.
-void trace_counter(const char* category, const char* name, double value);
 
 /// RAII span: construction stamps the begin time, destruction emits one
 /// complete ("X") event covering the scope. When tracing is off the

@@ -4,17 +4,6 @@
 
 namespace phonoc {
 
-std::string to_string(ElementKind kind) {
-  switch (kind) {
-    case ElementKind::Crossing: return "crossing";
-    case ElementKind::Ppse: return "ppse";
-    case ElementKind::Cpse: return "cpse";
-  }
-  return "?";
-}
-
-std::string to_string(Rail rail) { return rail == Rail::A ? "A" : "B"; }
-
 ElementTransfer element_transfer(ElementKind kind, RingState state, Rail in,
                                  const LinearParameters& p) {
   const Rail bar = in;               // continue on own rail

@@ -21,7 +21,6 @@
 /// The behaviour is symmetric in A and B (reciprocal device).
 
 #include <cstdint>
-#include <string>
 
 #include "photonics/parameters.hpp"
 
@@ -43,9 +42,6 @@ enum class Rail : std::uint8_t { A = 0, B = 1 };
 [[nodiscard]] constexpr Rail other_rail(Rail r) noexcept {
   return r == Rail::A ? Rail::B : Rail::A;
 }
-
-[[nodiscard]] std::string to_string(ElementKind kind);
-[[nodiscard]] std::string to_string(Rail rail);
 
 /// Signal and first-order-leak response of an element for a signal
 /// entering on `in` with the element in `state`.

@@ -50,11 +50,4 @@ RouterNetlist make_router_netlist(const std::string& name) {
   return it->second();
 }
 
-std::vector<std::string> registered_routers() {
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [key, unused] : registry()) names.push_back(key);
-  return names;
-}
-
 }  // namespace phonoc

@@ -6,7 +6,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "router/netlist.hpp"
 
@@ -19,11 +18,8 @@ using RouterFactory = std::function<RouterNetlist()>;
 void register_router(const std::string& name, RouterFactory factory);
 
 /// Instantiate a registered router; throws InvalidArgument for unknown
-/// names (message lists the registered ones).
+/// names (message lists the registered ones). Built-ins: "crux",
+/// "crossbar", "xy_crossbar", "parallel".
 [[nodiscard]] RouterNetlist make_router_netlist(const std::string& name);
-
-/// Names currently registered (sorted). Built-ins: "crux", "crossbar",
-/// "xy_crossbar", "parallel".
-[[nodiscard]] std::vector<std::string> registered_routers();
 
 }  // namespace phonoc

@@ -1,5 +1,6 @@
 #include "routing/registry.hpp"
 
+#include <functional>
 #include <map>
 
 #include "routing/torus_dor.hpp"
@@ -12,8 +13,10 @@ namespace phonoc {
 
 namespace {
 
-std::map<std::string, RoutingFactory>& registry() {
-  static std::map<std::string, RoutingFactory> instance = [] {
+using RoutingFactory = std::function<std::unique_ptr<RoutingAlgorithm>()>;
+
+const std::map<std::string, RoutingFactory>& registry() {
+  static const std::map<std::string, RoutingFactory> instance = [] {
     std::map<std::string, RoutingFactory> m;
     m["xy"] = [] { return std::make_unique<XyRouting>(); };
     m["yx"] = [] { return std::make_unique<YxRouting>(); };
@@ -24,12 +27,6 @@ std::map<std::string, RoutingFactory>& registry() {
 }
 
 }  // namespace
-
-void register_routing(const std::string& name, RoutingFactory factory) {
-  require(!name.empty(), "register_routing: empty name");
-  require(factory != nullptr, "register_routing: null factory");
-  registry()[to_lower(name)] = std::move(factory);
-}
 
 std::unique_ptr<RoutingAlgorithm> make_routing(const std::string& name) {
   const auto it = registry().find(to_lower(name));
@@ -43,13 +40,6 @@ std::unique_ptr<RoutingAlgorithm> make_routing(const std::string& name) {
                           known + ")");
   }
   return it->second();
-}
-
-std::vector<std::string> registered_routings() {
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [key, unused] : registry()) names.push_back(key);
-  return names;
 }
 
 }  // namespace phonoc

@@ -2,23 +2,15 @@
 /// \file registry.hpp
 /// \brief Name-based routing-algorithm factory.
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "routing/route.hpp"
 
 namespace phonoc {
 
-using RoutingFactory = std::function<std::unique_ptr<RoutingAlgorithm>()>;
-
-void register_routing(const std::string& name, RoutingFactory factory);
-
 /// Instantiate by name; built-ins: "xy", "yx", "torus_dor".
 [[nodiscard]] std::unique_ptr<RoutingAlgorithm> make_routing(
     const std::string& name);
-
-[[nodiscard]] std::vector<std::string> registered_routings();
 
 }  // namespace phonoc

@@ -4,12 +4,6 @@
 
 namespace phonoc {
 
-double Route::total_link_length_cm(const Topology& topo) const {
-  double sum = 0.0;
-  for (const auto id : links) sum += topo.link(id).length_cm;
-  return sum;
-}
-
 void validate_route(const Topology& topo, const Route& route, TileId src,
                     TileId dst) {
   require_model(!route.hops.empty(), "route: empty hop list");

@@ -29,9 +29,6 @@ struct Route {
   std::vector<LinkId> links;
 
   [[nodiscard]] std::size_t hop_count() const noexcept { return hops.size(); }
-
-  /// Total link length in cm over the topology's links.
-  [[nodiscard]] double total_link_length_cm(const Topology& topo) const;
 };
 
 /// Verify structural consistency of a route on a topology: starts at

@@ -14,10 +14,6 @@ void TableRouting::set_route(TileId src, TileId dst,
   table_[{src, dst}] = std::move(directions);
 }
 
-bool TableRouting::has_route(TileId src, TileId dst) const noexcept {
-  return table_.count({src, dst}) > 0;
-}
-
 Route TableRouting::compute_route(const Topology& topo, TileId src,
                                   TileId dst) const {
   require(src != dst, "TableRouting: src == dst");

@@ -20,8 +20,6 @@ class TableRouting final : public RoutingAlgorithm {
   /// Define (or replace) the route for a pair.
   void set_route(TileId src, TileId dst, std::vector<PortId> directions);
 
-  [[nodiscard]] bool has_route(TileId src, TileId dst) const noexcept;
-
   [[nodiscard]] Route compute_route(const Topology& topo, TileId src,
                                     TileId dst) const override;
 

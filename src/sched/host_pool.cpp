@@ -72,12 +72,6 @@ HostPool::HostPool(std::vector<std::size_t> capacities, std::size_t cells,
           WorkUnit{begin, std::min(begin + unit, cells), 0});
 }
 
-HostPool::HostPool(std::size_t hosts, std::size_t cells,
-                   std::size_t cells_per_unit, std::size_t max_attempts,
-                   double speculate_after_seconds, bool allow_steal)
-    : HostPool(std::vector<std::size_t>(hosts, 1), cells, cells_per_unit,
-               max_attempts, speculate_after_seconds, allow_steal) {}
-
 double HostPool::now_seconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        epoch_)

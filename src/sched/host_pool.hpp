@@ -77,12 +77,6 @@ class HostPool {
            std::size_t cells_per_unit, std::size_t max_attempts,
            double speculate_after_seconds, bool allow_steal = true);
 
-  /// Equal-weight convenience: every host gets the same share (the
-  /// pre-capacity behaviour, still what unweighted callers want).
-  HostPool(std::size_t hosts, std::size_t cells, std::size_t cells_per_unit,
-           std::size_t max_attempts, double speculate_after_seconds,
-           bool allow_steal = true);
-
   /// Admit a host after construction (a late `--join` daemon): appends
   /// an empty queue — the newcomer reaches work through the retry
   /// queue, stealing and speculation, exactly like a capacity-0 host

@@ -42,11 +42,6 @@ std::string header_payload(std::uint64_t spec_hash) {
 
 }  // namespace
 
-std::uint64_t journal_spec_hash(const SweepSpec& spec,
-                                const EvaluatorOptions& evaluator) {
-  return fnv1a64(shard_prefix(spec, evaluator));
-}
-
 JournalReplay replay_journal(const std::string& path,
                              std::uint64_t spec_hash,
                              std::size_t cell_count) {
@@ -96,9 +91,9 @@ JournalReplay replay_journal(const std::string& path,
                      std::to_string(cell->cell.index) +
                      " outside this sweep's " + std::to_string(cell_count) +
                      "-cell grid");
-    if (settled[cell->cell.index]) {
-      ++replay.duplicates;  // first-wins, same as the live stream
-    } else {
+    // First-wins, same as the live stream: a record of an already
+    // settled cell (the tail of a sweep resumed twice) is dropped.
+    if (!settled[cell->cell.index]) {
       settled[cell->cell.index] = true;
       replay.cells.push_back(std::move(*cell));
     }

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "exec/batch_engine.hpp"
-#include "exec/sweep.hpp"
 #include "util/error.hpp"
 
 namespace phonoc {
@@ -48,21 +47,12 @@ class JournalError : public ExecError {
   explicit JournalError(const std::string& what) : ExecError(what) {}
 };
 
-/// The sweep identity a journal is keyed by: FNV-1a 64 of the
-/// slice-independent shard prefix (spec + evaluator options), the same
-/// bytes every dispatched unit of the sweep shares.
-[[nodiscard]] std::uint64_t journal_spec_hash(const SweepSpec& spec,
-                                              const EvaluatorOptions& evaluator);
-
 /// Outcome of replaying a journal.
 struct JournalReplay {
   /// Settled cells in journal order, first-wins on duplicates. Both Ok
   /// and worker-reported Failed cells replay (an uninterrupted run
   /// would not have re-executed either).
   std::vector<CellResult> cells;
-  /// Records whose cell was already settled earlier in the journal
-  /// (e.g. the tail of a sweep resumed twice), dropped first-wins.
-  std::size_t duplicates = 0;
 };
 
 /// Replay `path` against the sweep identified by `spec_hash` with

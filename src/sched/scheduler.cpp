@@ -7,7 +7,6 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "exec/serialize.hpp"
@@ -378,8 +377,6 @@ ScheduleResult Scheduler::run(const SweepSpec& spec,
                       " is not a TCP port (0-65535)");
     listener = std::make_unique<TcpListener>(
         static_cast<std::uint16_t>(options_.admit_port));
-    log_info("sched") << "sched: admitting late workers on port "
-                      << listener->port();
     if (options_.on_admit_port) options_.on_admit_port(listener->port());
   }
 
@@ -427,14 +424,9 @@ ScheduleResult Scheduler::run(const SweepSpec& spec,
   // Phase 2: deal contiguous unit blocks weighted by capacity (a host
   // that never handshook weighs nothing) and drive the survivors.
   std::vector<std::size_t> capacities(host_count, 0);
-  std::size_t connected = 0;
-  std::size_t total_capacity = 0;
   for (std::size_t h = 0; h < host_count; ++h)
-    if (slots[h].report.connected) {
+    if (slots[h].report.connected)
       capacities[h] = std::max<std::size_t>(slots[h].report.capacity, 1);
-      total_capacity += capacities[h];
-      ++connected;
-    }
   HostPool pool(capacities, cells.size(), options_.cells_per_shard,
                 options_.max_attempts, options_.speculate_after_seconds,
                 options_.allow_steal);
@@ -450,17 +442,6 @@ ScheduleResult Scheduler::run(const SweepSpec& spec,
     settled(outcome.results[index]);
   }
   outcome.journaled = replayed.cells.size();
-  if (outcome.journaled > 0)
-    log_info("sched") << "sched: journal '" << options_.journal_path
-                      << "' replayed " << outcome.journaled
-                      << " settled cell(s) (" << replayed.duplicates
-                      << " duplicate record(s) dropped)";
-
-  log_info("sched") << "sched: " << cells.size() << " cells over "
-                    << connected << " of " << host_count
-                    << " host(s) (total capacity " << total_capacity << "), "
-                    << options_.cells_per_shard << " cell(s)/shard, "
-                    << options_.max_attempts << " attempt(s)";
 
   const auto run_driver = [&](std::size_t h, HostSlot& slot) {
     DriverContext ctx{spec,
@@ -540,9 +521,6 @@ ScheduleResult Scheduler::run(const SweepSpec& spec,
                   "phonoc_sched_hosts_admitted_total",
                   "Late workers admitted mid-sweep.");
           admitted.inc();
-          log_info("sched") << "sched: admitted late worker '"
-                            << slot.report.endpoint << "' (capacity "
-                            << slot.report.capacity << ")";
           slot.driver =
               std::thread([&run_driver, h, &slot] { run_driver(h, slot); });
           slot.driver_started = true;
@@ -612,15 +590,6 @@ ScheduleResult Scheduler::run(const SweepSpec& spec,
   }
   outcome.pool = pool.stats();
   outcome.wall_seconds = wall.elapsed_seconds();
-  for (const auto& host : outcome.hosts)
-    log_info("sched")
-        << "sched: host '" << host.endpoint << "' "
-        << (host.connected ? (host.died ? "died" : "ok") : "unreachable")
-        << " (capacity " << host.capacity << "): " << host.shards
-        << " shard(s), " << host.cells_ok << " ok, " << host.cells_failed
-        << " failed, " << host.duplicates << " duplicate(s), "
-        << format_fixed(host.cpu_seconds, 2) << " s cpu / "
-        << format_fixed(host.wall_seconds, 2) << " s wall";
   return outcome;
 }
 
@@ -650,47 +619,6 @@ std::string host_report_csv(const ScheduleResult& outcome) {
         << format_double(host.wall_seconds) << ',' << quoted << '\n';
   }
   return out.str();
-}
-
-SweepReport merge_host_reports(const SweepSpec& spec,
-                               const ScheduleResult& outcome) {
-  SweepReport merged;
-  for (std::size_t h = 0; h < outcome.hosts.size(); ++h) {
-    std::vector<CellResult> subset;
-    for (std::size_t i = 0; i < outcome.results.size(); ++i)
-      if (outcome.cell_host[i] == static_cast<int>(h))
-        subset.push_back(outcome.results[i]);
-    merged.merge_concurrent(
-        SweepReport::build(spec, subset, outcome.hosts[h].wall_seconds));
-  }
-  // Cells replayed from the journal were paid for by the *previous*
-  // scheduler run: their cpu sums in, but they carry no wall clock of
-  // this run (max-merge with 0 changes nothing).
-  std::vector<CellResult> journaled;
-  for (std::size_t i = 0; i < outcome.results.size(); ++i)
-    if (outcome.cell_host[i] == kCellHostJournal)
-      journaled.push_back(outcome.results[i]);
-  if (!journaled.empty())
-    merged.merge_concurrent(SweepReport::build(spec, journaled, 0.0));
-  // Cells nobody answered (scheduler-side failures) still count toward
-  // failed_count; they carry no host clock.
-  std::vector<CellResult> unrouted;
-  for (std::size_t i = 0; i < outcome.results.size(); ++i)
-    if (outcome.cell_host[i] == kCellHostUnanswered &&
-        outcome.results[i].status == CellStatus::Failed)
-      unrouted.push_back(outcome.results[i]);
-  if (!unrouted.empty())
-    merged.merge_concurrent(SweepReport::build(spec, unrouted, 0.0));
-  // Hosts answer interleaved slices, so restore the grid's row-major
-  // report order.
-  std::sort(merged.cells.begin(), merged.cells.end(),
-            [](const AggregateCell& a, const AggregateCell& b) {
-              return std::tie(a.workload, a.topology, a.goal, a.optimizer,
-                              a.budget) < std::tie(b.workload, b.topology,
-                                                   b.goal, b.optimizer,
-                                                   b.budget);
-            });
-  return merged;
 }
 
 std::vector<CellResult> run_remote(const SweepSpec& spec,

@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/aggregate.hpp"
 #include "exec/batch_engine.hpp"
 #include "sched/host_pool.hpp"
 #include "sched/transport.hpp"
@@ -127,7 +126,7 @@ struct HostReport {
   std::size_t speculations = 0;  ///< straggler clones this host ran
   /// Host-observed clocks: wall from dial to drain; cpu = sum of the
   /// accepted *Ok* cells' per-cell seconds (failed cells are excluded,
-  /// matching SweepReport::build, so merged cpu == sum of host cpu).
+  /// matching SweepReport::build).
   double wall_seconds = 0.0;
   double cpu_seconds = 0.0;
 };
@@ -169,14 +168,6 @@ class Scheduler {
  private:
   SchedulerOptions options_;
 };
-
-/// Fold a fleet outcome into one SweepReport the way concurrent shards
-/// must be folded: per-host reports (each carrying that host's wall
-/// clock) merged with SweepReport::merge_concurrent, so cpu_seconds
-/// sums across the fleet while wall_seconds is the max per-host wall
-/// clock — hosts ran side by side, their elapsed time overlaps.
-[[nodiscard]] SweepReport merge_host_reports(const SweepSpec& spec,
-                                             const ScheduleResult& outcome);
 
 /// Render every HostReport of a fleet outcome as CSV (header row +
 /// one row per host, configured fleet first then late joiners) — the

@@ -26,14 +26,6 @@ SweepSpec parse_spec_body(std::string_view body, const char* what) {
   return read_spec(in);
 }
 
-std::uint64_t parse_u64(std::string_view text, const char* what) {
-  const long value = parse_long(text);
-  if (value < 0)
-    throw ParseError(std::string(what) + ": negative value '" +
-                     std::string(text) + "'");
-  return static_cast<std::uint64_t>(value);
-}
-
 /// read_spec expects the shard magic ahead of the spec body (write_spec
 /// itself is magic-less; see the spec-magic note in exec/serialize.cpp),
 /// so request writers emit it between the header line and the spec.
@@ -121,7 +113,7 @@ ServiceRequest parse_request(const std::string& payload) {
   request.deadline_seconds = parse_double(tokens[3]);
   if (request.deadline_seconds < 0.0)
     throw ParseError("request deadline is negative");
-  request.max_cells = parse_u64(tokens[5], "request max_cells");
+  request.max_cells = parse_uint<std::uint64_t>(tokens[5], 1);
   if (has_priority) request.priority = parse_priority(tokens[7]);
   request.spec = parse_spec_body(body, "request");
   return request;
@@ -148,8 +140,7 @@ EvaluateRequest parse_evaluate(const std::string& payload) {
   request.id = tokens[1];
   request.assignment.reserve(tokens.size() - 3);
   for (std::size_t i = 3; i < tokens.size(); ++i)
-    request.assignment.push_back(
-        static_cast<TileId>(parse_u64(tokens[i], "evaluate tile")));
+    request.assignment.push_back(parse_uint<TileId>(tokens[i], 1));
   request.spec = parse_spec_body(body, "evaluate");
   return request;
 }
@@ -210,7 +201,7 @@ ServiceReply parse_reply(const std::string& payload) {
       throw ParseError("malformed accepted reply: '" + payload + "'");
     reply.kind = ServiceReply::Kind::Accepted;
     reply.id = tokens[1];
-    reply.cells = parse_u64(tokens[3], "accepted cells");
+    reply.cells = parse_uint<std::size_t>(tokens[3], 1);
     return reply;
   }
   if (kind == "cell") {
@@ -230,8 +221,8 @@ ServiceReply parse_reply(const std::string& payload) {
       throw ParseError("malformed done reply: '" + payload + "'");
     reply.kind = ServiceReply::Kind::Done;
     reply.id = tokens[1];
-    reply.ok = parse_u64(tokens[3], "done ok");
-    reply.failed = parse_u64(tokens[5], "done failed");
+    reply.ok = parse_uint<std::size_t>(tokens[3], 1);
+    reply.failed = parse_uint<std::size_t>(tokens[5], 1);
     return reply;
   }
   if (kind == "rejected") {

@@ -56,11 +56,4 @@ Topology make_topology(const std::string& name, const GridOptions& options) {
   return it->second(options);
 }
 
-std::vector<std::string> registered_topologies() {
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [key, unused] : registry()) names.push_back(key);
-  return names;
-}
-
 }  // namespace phonoc

@@ -5,7 +5,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "topology/topology.hpp"
 
@@ -21,7 +20,5 @@ void register_topology(const std::string& name, TopologyFactory factory);
 /// Instantiate by name; built-ins: "mesh", "torus", "ring".
 [[nodiscard]] Topology make_topology(const std::string& name,
                                      const GridOptions& options);
-
-[[nodiscard]] std::vector<std::string> registered_topologies();
 
 }  // namespace phonoc

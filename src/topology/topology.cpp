@@ -55,12 +55,6 @@ LinkId Topology::link_from(TileId tile, PortId port) const {
   return out_links_[tile * router_ports_ + port];
 }
 
-LinkId Topology::link_into(TileId tile, PortId port) const {
-  require(tile < tile_count() && port < router_ports_,
-          "Topology::link_into: out of range");
-  return in_links_[tile * router_ports_ + port];
-}
-
 TileId Topology::tile_at(std::uint32_t row, std::uint32_t col) const {
   for (TileId t = 0; t < positions_.size(); ++t)
     if (positions_[t].row == row && positions_[t].col == col) return t;

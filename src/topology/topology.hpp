@@ -71,8 +71,6 @@ class Topology {
 
   /// Link leaving `tile` through output `port`, or kInvalidLink.
   [[nodiscard]] LinkId link_from(TileId tile, PortId port) const;
-  /// Link entering `tile` through input `port`, or kInvalidLink.
-  [[nodiscard]] LinkId link_into(TileId tile, PortId port) const;
 
   /// Tile at a grid position, or kInvalidTile (builders fill this map).
   [[nodiscard]] TileId tile_at(std::uint32_t row, std::uint32_t col) const;

@@ -83,16 +83,6 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   }
 }
 
-double env_double(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  try {
-    return parse_double(raw);
-  } catch (const ParseError&) {
-    return fallback;
-  }
-}
-
 bool full_scale_requested() { return env_int("PHONOC_FULL", 0) != 0; }
 
 }  // namespace phonoc

@@ -47,9 +47,6 @@ class CliOptions {
 /// Read an environment variable as integer with fallback.
 [[nodiscard]] std::int64_t env_int(const char* name, std::int64_t fallback);
 
-/// Read an environment variable as double with fallback.
-[[nodiscard]] double env_double(const char* name, double fallback);
-
 /// True when PHONOC_FULL is set to a non-zero / non-empty value; the bench
 /// harness uses this to switch to paper-scale sample counts.
 [[nodiscard]] bool full_scale_requested();

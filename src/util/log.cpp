@@ -1,91 +1,18 @@
 #include "util/log.hpp"
 
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <ctime>
 #include <iostream>
-#include <thread>
 
 namespace phonoc {
 
-namespace {
-std::atomic<LogLevel> g_level{LogLevel::Warning};
-std::atomic<LogFormat> g_format{LogFormat::Plain};
-
-const char* level_tag(LogLevel level) noexcept {
-  switch (level) {
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO ";
-    case LogLevel::Warning: return "WARN ";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF  ";
-  }
-  return "?";
-}
-
-/// `2026-08-08T12:34:56.789Z` — UTC wall clock with milliseconds.
-std::string iso8601_now() {
-  const auto now = std::chrono::system_clock::now();
-  const std::time_t seconds = std::chrono::system_clock::to_time_t(now);
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      now.time_since_epoch())
-                      .count() %
-                  1000;
-  std::tm utc{};
-#if defined(_WIN32)
-  gmtime_s(&utc, &seconds);
-#else
-  gmtime_r(&seconds, &utc);
-#endif
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer,
-                "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", utc.tm_year + 1900,
-                utc.tm_mon + 1, utc.tm_mday, utc.tm_hour, utc.tm_min,
-                utc.tm_sec, static_cast<int>(ms));
-  return buffer;
-}
-
-std::string thread_tag() {
-  std::ostringstream out;
-  out << std::this_thread::get_id();
-  return out.str();
-}
-}  // namespace
-
-void set_log_level(LogLevel level) noexcept {
-  g_level.store(level, std::memory_order_relaxed);
-}
-LogLevel log_level() noexcept {
-  return g_level.load(std::memory_order_relaxed);
-}
-
-void set_log_format(LogFormat format) noexcept {
-  g_format.store(format, std::memory_order_relaxed);
-}
-LogFormat log_format() noexcept {
-  return g_format.load(std::memory_order_relaxed);
-}
-
-void log_message(LogLevel level, const std::string& message) {
-  log_message(level, "", message);
-}
-
 void log_message(LogLevel level, const char* subsystem,
                  const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(log_level())) return;
-  if (level == LogLevel::Off) return;
-  std::string line;
-  const bool tagged = subsystem != nullptr && subsystem[0] != '\0';
-  if (log_format() == LogFormat::Detailed) {
-    line = iso8601_now() + " [phonoc " + level_tag(level);
-    if (tagged) line += std::string(" ") + subsystem;
-    line += " tid=" + thread_tag() + "] " + message + '\n';
-  } else {
-    line = "[phonoc " + std::string(level_tag(level));
-    if (tagged) line += std::string(" ") + subsystem;
-    line += "] " + message + '\n';
+  std::string line = "[phonoc ";
+  line += level == LogLevel::Warning ? "WARN " : "ERROR";
+  if (subsystem != nullptr && subsystem[0] != '\0') {
+    line += ' ';
+    line += subsystem;
   }
+  line += "] " + message + '\n';
   // One insertion per line so concurrent worker-thread logs cannot
   // interleave mid-line.
   std::cerr << line;

@@ -1,44 +1,24 @@
 #pragma once
 /// \file log.hpp
-/// \brief Minimal leveled logger (stderr). Default level is Warning so the
-/// library is silent in normal operation; examples and benches raise it.
+/// \brief Warning and error lines on stderr.
 ///
-/// Call sites may name their subsystem — `log_info("sched") << ...` —
-/// and every exec/sched/service line does, so a daemon's interleaved
-/// stderr can be filtered by layer. Line shape is opt-in via
-/// set_log_format():
-///  - LogFormat::Plain (default):  `[phonoc INFO  sched] message`
-///  - LogFormat::Detailed:
-///    `2026-08-08T12:34:56.789Z [phonoc INFO  sched tid=1234] message`
-///    (ISO-8601 UTC timestamp with milliseconds plus the emitting
-///    thread id — what a long-lived phonocd or phonoc_workerd wants).
+/// The library is silent in normal operation: it logs only what an
+/// operator must see, a warning (a host died, a late joiner was refused)
+/// or an error. Call sites may name their subsystem —
+/// `log_warning("sched") << ...` — and every sched and service line
+/// does, so a daemon's interleaved stderr can be filtered by layer. One
+/// line per message: `[phonoc WARN  sched] message`, or
+/// `[phonoc WARN ] message` untagged.
 
 #include <sstream>
 #include <string>
 
 namespace phonoc {
 
-enum class LogLevel { Debug = 0, Info = 1, Warning = 2, Error = 3, Off = 4 };
+enum class LogLevel { Warning, Error };
 
-/// Per-line shape of the emitted log (see file comment). The format is
-/// an atomic like the level: worker threads log while the hosting
-/// binary flips it.
-enum class LogFormat { Plain = 0, Detailed = 1 };
-
-/// Set / query the global log threshold. The threshold is an atomic:
-/// worker threads of the exec subsystem may log while the hosting
-/// binary adjusts the level.
-void set_log_level(LogLevel level) noexcept;
-[[nodiscard]] LogLevel log_level() noexcept;
-
-/// Set / query the global line format (default LogFormat::Plain).
-void set_log_format(LogFormat format) noexcept;
-[[nodiscard]] LogFormat log_format() noexcept;
-
-/// Emit a single log line when `level` passes the threshold.
-/// `subsystem` is a short static tag ("exec", "sched", "service", ...);
-/// empty means untagged.
-void log_message(LogLevel level, const std::string& message);
+/// Emit a single log line. `subsystem` is a short static tag ("exec",
+/// "sched", "service", ...); empty means untagged.
 void log_message(LogLevel level, const char* subsystem,
                  const std::string& message);
 
@@ -64,12 +44,6 @@ class LogStream {
 };
 }  // namespace detail
 
-[[nodiscard]] inline detail::LogStream log_debug(const char* subsystem = "") {
-  return detail::LogStream(LogLevel::Debug, subsystem);
-}
-[[nodiscard]] inline detail::LogStream log_info(const char* subsystem = "") {
-  return detail::LogStream(LogLevel::Info, subsystem);
-}
 [[nodiscard]] inline detail::LogStream log_warning(
     const char* subsystem = "") {
   return detail::LogStream(LogLevel::Warning, subsystem);

@@ -53,12 +53,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) noexcept {
-  if (hi <= lo) return lo;
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::next_double() noexcept {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }

@@ -36,9 +36,6 @@ class Rng {
   /// Uniform integer in [0, bound). `bound` must be > 0.
   [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive.
-  [[nodiscard]] std::int64_t next_in(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   [[nodiscard]] double next_double() noexcept;
 

@@ -109,19 +109,9 @@ double Histogram::bin_high(std::size_t i) const noexcept {
   return bin_low(i) + bin_width_;
 }
 
-double Histogram::bin_center(std::size_t i) const noexcept {
-  return bin_low(i) + bin_width_ / 2.0;
-}
-
 double Histogram::probability(std::size_t i) const noexcept {
   return total_ ? static_cast<double>(counts_[i]) / static_cast<double>(total_)
                 : 0.0;
-}
-
-double Histogram::cumulative(std::size_t i) const noexcept {
-  std::size_t acc = underflow_;
-  for (std::size_t b = 0; b <= i && b < counts_.size(); ++b) acc += counts_[b];
-  return total_ ? static_cast<double>(acc) / static_cast<double>(total_) : 0.0;
 }
 
 double Histogram::quantile(double q) const noexcept {

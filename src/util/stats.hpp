@@ -76,7 +76,6 @@ class Histogram {
   [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
   [[nodiscard]] double bin_low(std::size_t i) const noexcept;
   [[nodiscard]] double bin_high(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_center(std::size_t i) const noexcept;
   [[nodiscard]] std::size_t count(std::size_t i) const noexcept { return counts_[i]; }
   [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }
   [[nodiscard]] std::size_t overflow() const noexcept { return overflow_; }
@@ -84,9 +83,6 @@ class Histogram {
 
   /// Probability mass of bin i (count / total samples), 0 when empty.
   [[nodiscard]] double probability(std::size_t i) const noexcept;
-
-  /// Cumulative probability up to and including bin i.
-  [[nodiscard]] double cumulative(std::size_t i) const noexcept;
 
   /// Approximate quantile from the binned counts (linear interpolation
   /// inside the bin where the cumulative mass crosses `q`). Mass in the

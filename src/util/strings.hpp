@@ -2,9 +2,15 @@
 /// \file strings.hpp
 /// \brief Small string helpers shared by the IO and reporting layers.
 
+#include <charconv>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
+
+#include "util/error.hpp"
 
 namespace phonoc {
 
@@ -27,6 +33,26 @@ namespace phonoc {
 /// Parse helpers that throw phonoc::ParseError on malformed input.
 [[nodiscard]] double parse_double(std::string_view text, int line = -1);
 [[nodiscard]] long parse_long(std::string_view text, int line = -1);
+
+/// The one parser of unsigned wire and file integers: decimal digits
+/// only, read straight into `T`, so a sign, a stray character or a value
+/// `T` cannot hold throws ParseError instead of wrapping or narrowing.
+template <typename T>
+[[nodiscard]] T parse_uint(std::string_view text, int line = -1) {
+  static_assert(std::is_unsigned_v<T>, "parse_uint: T must be unsigned");
+  text = trim(text);
+  T value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc::result_out_of_range)
+    throw ParseError("'" + std::string(text) + "' exceeds the maximum " +
+                         std::to_string(std::numeric_limits<T>::max()),
+                     line);
+  if (ec != std::errc{} || ptr != text.data() + text.size())
+    throw ParseError(
+        "expected an unsigned integer, got '" + std::string(text) + "'", line);
+  return value;
+}
 
 /// Format a double with fixed precision (reporting convenience).
 [[nodiscard]] std::string format_fixed(double value, int digits);

@@ -269,11 +269,4 @@ CommGraph make_benchmark(const std::string& name) {
                         "mpeg4, mwd, pip, vopd, wavelet)");
 }
 
-std::vector<CommGraph> all_benchmarks() {
-  std::vector<CommGraph> out;
-  for (const auto& name : benchmark_names())
-    out.push_back(make_benchmark(name));
-  return out;
-}
-
 }  // namespace phonoc

@@ -29,7 +29,4 @@ namespace phonoc {
 /// InvalidArgument for unknown names.
 [[nodiscard]] CommGraph make_benchmark(const std::string& name);
 
-/// All eight benchmarks in Table II order.
-[[nodiscard]] std::vector<CommGraph> all_benchmarks();
-
 }  // namespace phonoc

@@ -57,23 +57,4 @@ CommGraph pipeline_cg(std::size_t tasks, double bandwidth) {
   return cg;
 }
 
-CommGraph tree_cg(std::size_t tasks, std::size_t fanout, double bandwidth) {
-  require(fanout >= 1, "tree_cg: fanout must be >= 1");
-  auto cg = with_tasks("tree" + std::to_string(tasks), tasks);
-  for (NodeId child = 1; child < tasks; ++child) {
-    const auto parent = static_cast<NodeId>((child - 1) / fanout);
-    cg.add_communication(parent, child, bandwidth);
-  }
-  return cg;
-}
-
-CommGraph hotspot_cg(std::size_t tasks, double bandwidth) {
-  auto cg = with_tasks("hotspot" + std::to_string(tasks), tasks);
-  for (NodeId i = 1; i < tasks; ++i) {
-    cg.add_communication(i, 0u, bandwidth);
-    cg.add_communication(0u, i, bandwidth);
-  }
-  return cg;
-}
-
 }  // namespace phonoc

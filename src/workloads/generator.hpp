@@ -1,8 +1,8 @@
 #pragma once
 /// \file generator.hpp
-/// \brief Synthetic Communication Graph generators (random / pipeline /
-/// tree / hotspot), used by the scalability bench, the property tests,
-/// and as TGFF-style stand-ins for applications beyond the built-ins.
+/// \brief Synthetic Communication Graph generators (random and
+/// pipeline), used by the scalability bench, the property tests, and as
+/// TGFF-style stand-ins for applications beyond the built-ins.
 
 #include <cstdint>
 
@@ -29,14 +29,5 @@ struct RandomCgOptions {
 /// Linear pipeline t0 -> t1 -> ... -> t(n-1).
 [[nodiscard]] CommGraph pipeline_cg(std::size_t tasks,
                                     double bandwidth = 64.0);
-
-/// Complete `fanout`-ary out-tree with `tasks` nodes (root = t0).
-[[nodiscard]] CommGraph tree_cg(std::size_t tasks, std::size_t fanout = 2,
-                                double bandwidth = 64.0);
-
-/// Hotspot/hub graph: every other task sends to t0 and receives from it
-/// (memory-controller pattern, the crosstalk-heaviest structure).
-[[nodiscard]] CommGraph hotspot_cg(std::size_t tasks,
-                                   double bandwidth = 64.0);
 
 }  // namespace phonoc

@@ -21,8 +21,7 @@ class OracleFitness final : public FitnessFunction {
   double evaluate(const Mapping& mapping) override {
     ++count_;
     return problem_.objective().fitness(evaluate_mapping(
-        problem_.network(), problem_.cg(), mapping.assignment(),
-        problem_.objective().needs_detail()));
+        problem_.network(), problem_.cg(), mapping.assignment()));
   }
 
   /// Logical evaluations: one per evaluate/propose_swap call.

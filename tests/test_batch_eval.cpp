@@ -424,25 +424,6 @@ TEST(EvaluatorBatch, RejectsMappingsWiderThanTheNetwork) {
   EXPECT_THROW(evaluator.evaluate_raw_batch(wide, points), InvalidArgument);
 }
 
-/// Detail-folding objectives route through the kernel's EdgeMetrics
-/// rows; the fitness must still match the sequential loop bitwise.
-TEST(EvaluatorBatch, DetailObjectiveMatchesSequential) {
-  auto cg = make_cg(10, 47);
-  auto obj = std::make_shared<BandwidthWeightedLossObjective>(cg);
-  ASSERT_TRUE(obj->needs_detail());
-  const MappingProblem problem(std::move(cg), make_net("torus", 4),
-                               std::move(obj));
-  Evaluator batched(problem, {});
-  Evaluator sequential(problem, {});
-  Rng rng(3);
-  const auto batch = make_mapping_batch(problem, 9, rng);
-  std::vector<double> got(batch.size());
-  batched.evaluate_batch(batch, got);
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    EXPECT_EQ(got[i], sequential.evaluate(batch[i])) << "row " << i;
-  expect_same_counters(batched, sequential);
-}
-
 /// GA through the Evaluator's batched override vs GA through a wrapper
 /// that hides it (forcing the sequential default): identical
 /// trajectories — best mapping, fitness, evaluation count and trace.

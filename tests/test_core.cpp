@@ -124,33 +124,34 @@ TEST(Engine, GreedyIsConstructedFromProblem) {
   EXPECT_GT(result.best_evaluation.worst_snr_db, 0.0);
 }
 
-TEST(Engine, CompareHandlesContextDependentStrategies) {
-  // compare() resolves "greedy" and "bnb" through the same construction
-  // path as run(), so mixed lists work.
+TEST(Engine, RunHandlesContextDependentStrategies) {
+  // run() resolves "greedy" and "bnb" by construction from the problem
+  // and everything else through the registry, so mixed lists work.
   const auto problem = small_problem(OptimizationGoal::InsertionLoss);
   const Engine engine(problem);
   OptimizerBudget budget;
   budget.max_evaluations = 400;
-  const auto results = engine.compare({"rs", "greedy", "bnb"}, budget, 2);
-  ASSERT_EQ(results.size(), 3u);
+  std::vector<RunResult> results;
+  for (const char* name : {"rs", "greedy", "bnb"})
+    results.push_back(engine.run(name, budget, 2));
   EXPECT_EQ(results[1].algorithm, "greedy");
   EXPECT_EQ(results[2].algorithm, "bnb");
   for (const auto& r : results)
     EXPECT_LT(r.best_evaluation.worst_loss_db, 0.0);
 }
 
-TEST(Engine, CompareRunsAllWithSameBudget) {
+TEST(Engine, RunsAllWithSameBudget) {
   const auto problem = small_problem();
   const Engine engine(problem);
   OptimizerBudget budget;
   budget.max_evaluations = 200;
-  const auto results = engine.compare({"rs", "rpbla"}, budget, 5);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].algorithm, "rs");
-  EXPECT_EQ(results[1].algorithm, "rpbla");
+  const auto rs = engine.run("rs", budget, 5);
+  const auto rpbla = engine.run("rpbla", budget, 5);
+  EXPECT_EQ(rs.algorithm, "rs");
+  EXPECT_EQ(rpbla.algorithm, "rpbla");
   // Identical budgets: the paper's fair-comparison protocol.
-  EXPECT_LE(results[0].search.evaluations, 220u);
-  EXPECT_LE(results[1].search.evaluations, 220u);
+  EXPECT_LE(rs.search.evaluations, 220u);
+  EXPECT_LE(rpbla.search.evaluations, 220u);
 }
 
 TEST(Engine, BranchAndBoundIsConstructedFromProblem) {

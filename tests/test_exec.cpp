@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cmath>
@@ -75,35 +76,6 @@ TEST(ThreadPool, SubmitAfterShutdownThrows) {
   ThreadPool pool(1);
   pool.shutdown();
   EXPECT_THROW((void)pool.submit([] { return 1; }), ExecError);
-}
-
-TEST(ThreadPool, CancelPendingBreaksQueuedPromisesButFinishesInFlight) {
-  ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  auto blocker = pool.submit([&started, &release] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-    return 1;
-  });
-  // Only cancel once the blocker is in flight, so it is not discarded.
-  while (!started.load()) std::this_thread::yield();
-  std::vector<std::future<int>> queued;
-  for (int i = 0; i < 8; ++i) queued.push_back(pool.submit([] { return 2; }));
-  pool.cancel_pending();
-  release.store(true);
-  EXPECT_EQ(blocker.get(), 1);  // in-flight task still completes
-  for (auto& future : queued)
-    EXPECT_THROW((void)future.get(), std::future_error);
-}
-
-TEST(ThreadPool, WaitIdleObservesAnEmptyQueue) {
-  ThreadPool pool(3);
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 50; ++i) (void)pool.submit([&executed] { ++executed; });
-  pool.wait_idle();
-  EXPECT_EQ(executed.load(), 50);
-  EXPECT_EQ(pool.pending(), 0u);
 }
 
 // --- sweep grid expansion --------------------------------------------------
@@ -203,35 +175,6 @@ TEST(Aggregate, CollapsesSeedsIntoOneCell) {
     EXPECT_EQ(cell.evaluations.mean(), 50.0);  // budget is exact for rs
   }
   EXPECT_EQ(report.to_table().row_count(), report.cells.size());
-}
-
-TEST(Aggregate, MergeOfShardsEqualsTheWholeGrid) {
-  const auto spec = tiny_spec();
-  const auto results = BatchEngine({.workers = 1}).run(spec);
-  // Shard by parity of the grid index, aggregate separately, merge.
-  std::vector<CellResult> even, odd;
-  for (const auto& result : results)
-    (result.cell.index % 2 == 0 ? even : odd).push_back(result);
-  auto merged = SweepReport::build(spec, even);
-  merged.merge(SweepReport::build(spec, odd));
-  const auto whole = SweepReport::build(spec, results);
-  ASSERT_EQ(merged.cells.size(), whole.cells.size());
-  EXPECT_EQ(merged.run_count, whole.run_count);
-  for (const auto& want : whole.cells) {
-    const AggregateCell* got = nullptr;
-    for (const auto& cell : merged.cells)
-      if (cell.workload == want.workload && cell.topology == want.topology &&
-          cell.goal == want.goal && cell.optimizer == want.optimizer &&
-          cell.budget == want.budget)
-        got = &cell;
-    ASSERT_NE(got, nullptr);
-    EXPECT_EQ(got->best_fitness.count(), want.best_fitness.count());
-    EXPECT_NEAR(got->best_fitness.mean(), want.best_fitness.mean(), 1e-12);
-    EXPECT_NEAR(got->best_fitness.stddev(), want.best_fitness.stddev(),
-                1e-9);
-    EXPECT_EQ(got->worst_loss_db.min(), want.worst_loss_db.min());
-    EXPECT_EQ(got->worst_loss_db.max(), want.worst_loss_db.max());
-  }
 }
 
 TEST(Aggregate, AddRejectsForeignCellsAndCsvHasHeaderAndRows) {
@@ -994,9 +937,6 @@ TEST(Serialize, SeededMutationsParseOrThrowPhonocErrors) {
            while (decoder.next()) {
            }
          }
-         std::istringstream in(text);
-         while (read_frame(in)) {
-         }
        }});
 
   // phonocd's wire: a request, an evaluate and the reply kinds a client
@@ -1027,7 +967,7 @@ TEST(Serialize, SeededMutationsParseOrThrowPhonocErrors) {
   // A settled-cell journal: header plus three records, replayed from a
   // file as a restarted scheduler does.
   const std::uint64_t journal_hash =
-      journal_spec_hash(optimize, EvaluatorOptions{});
+      fnv1a64(shard_prefix(optimize, EvaluatorOptions{}));
   const std::string journal_path =
       ::testing::TempDir() + "/mutated_settled.journal";
   std::remove(journal_path.c_str());
@@ -1092,6 +1032,70 @@ TEST(Serialize, TopologySidesBeyondTheTileLimitAreRejected) {
   EXPECT_EQ(read_with_side("181").spec.topologies[1].side, 181u);
 }
 
+TEST(Serialize, SeedsBeyond64BitsAreRejectedNotWrapped) {
+  // Seeds use the whole unsigned 64-bit range. One past it is a
+  // ParseError naming its line: wrapped, 2^64 + 7 would read as seed 7
+  // and rerun another cell.
+  const std::string text = shard_prefix(wire_spec(), EvaluatorOptions{});
+  const std::string line = "seeds 2 3 21\n";
+  const auto at = text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  const int line_no =
+      1 + static_cast<int>(std::count(text.begin(), text.begin() + at, '\n'));
+  const auto read_with_seed = [&](const std::string& seed) {
+    std::string edited = text;
+    edited.replace(at, line.size(), "seeds 2 3 " + seed + "\n");
+    std::istringstream in(edited);
+    return read_spec(in);
+  };
+  try {
+    (void)read_with_seed("18446744073709551623");
+    ADD_FAILURE() << "seed 2^64 + 7 was accepted";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), line_no);
+  }
+  EXPECT_THROW((void)read_with_seed("-7"), ParseError);
+  EXPECT_EQ(read_with_seed("18446744073709551615").seeds[1],
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(Serialize, CellTilesBeyond32BitsAreRejectedNotNarrowed) {
+  // A TileId is 32 bits wide. A mapping or per-edge tile of 2^32 + 2 is
+  // a ParseError, never tile 2.
+  SweepSpec spec;
+  spec.add_workload("w", pipeline_cg(4))
+      .add_topology(TopologyKind::Mesh)
+      .add_goal(OptimizationGoal::Snr)
+      .add_optimizer("rs")
+      .add_budget(20)
+      .add_seed(5);
+  const auto results = BatchEngine({.workers = 1}).run(spec);
+  ASSERT_EQ(results.size(), 1u);
+  std::ostringstream out;
+  write_cell_result(out, results[0]);
+  const std::string text = out.str();
+  // Replace field `field` of the first line starting with `directive`.
+  const auto with_field = [&](const std::string& directive,
+                              std::size_t field, const std::string& value) {
+    const auto begin = text.find("\n" + directive + " ") + 1;
+    const auto end = text.find('\n', begin);
+    auto fields = split_ws(text.substr(begin, end - begin));
+    EXPECT_LT(field, fields.size());
+    fields[field] = value;
+    std::string line;
+    for (const auto& f : fields) line += (line.empty() ? "" : " ") + f;
+    std::istringstream in(text.substr(0, begin) + line + text.substr(end));
+    return read_cell_result(in);
+  };
+  EXPECT_THROW((void)with_field("mapping", 3, "4294967298"), ParseError);
+  EXPECT_THROW((void)with_field("e", 2, "4294967298"), ParseError);
+  EXPECT_THROW((void)with_field("e", 3, "4294967298"), ParseError);
+  EXPECT_THROW((void)with_field("e", 1, "4294967296"), ParseError);
+  const auto edited = with_field("e", 2, "4294967295");
+  ASSERT_TRUE(edited.has_value());
+  EXPECT_EQ(edited->run.best_evaluation.edges[0].src_tile, 4294967295u);
+}
+
 // --- the network problem cache ---------------------------------------------
 
 TEST(BatchEngine, NetworkCacheIsWorkloadIndependent) {
@@ -1144,12 +1148,6 @@ TEST(Aggregate, FailedCellsAreCountedButExcludedFromStats) {
   EXPECT_NEAR(report.cpu_seconds + results[0].seconds, clean.cpu_seconds,
               1e-12);
 
-  // Merge accumulates both counters and both clocks.
-  auto merged = SweepReport::build(spec, results, 2.0);
-  merged.merge(report);
-  EXPECT_EQ(merged.failed_count, 2u);
-  EXPECT_EQ(merged.wall_seconds, 3.5);
-
   // A coordinate whose every seed failed still gets a report row (0
   // runs), so rows stay aligned with the grid.
   for (std::size_t s = 0; s < spec.seeds.size(); ++s) {
@@ -1166,8 +1164,8 @@ TEST(Aggregate, FailedCellsAreCountedButExcludedFromStats) {
 // --- the determinism property ---------------------------------------------
 //
 // For random problems, BatchEngine with 1, 2 and 8 workers produces
-// bit-identical RunResults to sequential Engine::compare with the same
-// seeds. (Timing fields are the only allowed difference.)
+// bit-identical RunResults to sequential Engine::run calls with the
+// same seeds. (Timing fields are the only allowed difference.)
 
 void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.algorithm, b.algorithm);
@@ -1186,7 +1184,7 @@ void expect_identical(const RunResult& a, const RunResult& b) {
 
 class DeterminismSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(DeterminismSweep, BatchEngineMatchesSequentialCompareBitForBit) {
+TEST_P(DeterminismSweep, BatchEngineMatchesSequentialRunsBitForBit) {
   const auto problem_seed = GetParam();
   SweepSpec spec;
   spec.add_workload("random", random_cg({.tasks = 9,
@@ -1202,14 +1200,17 @@ TEST_P(DeterminismSweep, BatchEngineMatchesSequentialCompareBitForBit) {
       .add_seed(problem_seed)
       .add_seed(problem_seed + 17);
 
-  // Sequential reference: the engine's fair-comparison protocol.
+  // Sequential reference: one Engine::run per optimizer and seed.
   const auto problem = make_problem(spec, expand(spec)[0]);
   const Engine engine(problem);
   OptimizerBudget budget;
   budget.max_evaluations = 400;
   std::vector<std::vector<RunResult>> reference;  // [seed][optimizer]
-  for (const auto seed : spec.seeds)
-    reference.push_back(engine.compare(spec.optimizers, budget, seed));
+  for (const auto seed : spec.seeds) {
+    auto& runs = reference.emplace_back();
+    for (const auto& name : spec.optimizers)
+      runs.push_back(engine.run(name, budget, seed));
+  }
 
   for (const std::size_t workers : {1u, 2u, 8u}) {
     const auto results = BatchEngine({.workers = workers}).run(spec);
@@ -1256,27 +1257,6 @@ TEST(Determinism, EvaluatorOptionsCannotChangeBatchResults) {
                                  spec.seeds[cells[i].seed]);
     expect_identical(defaults[i].run, want);
     expect_identical(plain[i].run, want);
-  }
-}
-
-TEST(Determinism, ParallelCompareMatchesSequentialCompare) {
-  auto cg = random_cg({.tasks = 8, .avg_out_degree = 1.5, .seed = 5});
-  MappingProblem problem(std::move(cg),
-                         make_network(TopologyKind::Torus, 3, "crux"),
-                         make_objective(OptimizationGoal::InsertionLoss));
-  const Engine engine(problem);
-  OptimizerBudget budget;
-  budget.max_evaluations = 300;
-  const std::vector<std::string> names{"rs", "ga", "rpbla", "tabu"};
-  const auto sequential = engine.compare(names, budget, 99);
-  const auto pooled = engine.compare(names, budget, 99, 4);
-  const auto batch =
-      BatchEngine({.workers = 4}).compare(problem, names, budget, 99);
-  ASSERT_EQ(pooled.size(), sequential.size());
-  ASSERT_EQ(batch.size(), sequential.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    expect_identical(pooled[i], sequential[i]);
-    expect_identical(batch[i], sequential[i]);
   }
 }
 

@@ -114,8 +114,6 @@ TEST(CommGraph, BuildAndQuery) {
   EXPECT_EQ(cg.task_name(a), "a");
   EXPECT_EQ(cg.find_task("c"), 2u);
   EXPECT_EQ(cg.find_task("zz"), kInvalidNode);
-  EXPECT_DOUBLE_EQ(cg.total_bandwidth(), 96.0);
-  EXPECT_EQ(cg.max_degree(), 2u);  // b has in+out
   EXPECT_NO_THROW(cg.validate());
 }
 

@@ -1,5 +1,5 @@
 // Property tests of the incremental (delta) evaluation layer: across
-// random CGs, mesh/ring/torus topologies and all four objectives, long
+// random CGs, mesh/ring/torus topologies and both paper objectives, long
 // random propose/commit/revert swap sequences must stay bit-identical
 // (tolerance 0) to full `evaluate_mapping` re-evaluation — fitness and
 // per-edge metrics alike. Also covers the Evaluator's transactional
@@ -53,13 +53,9 @@ std::shared_ptr<const NetworkModel> make_test_network(
   return make_network(kind, 4, "crux");
 }
 
-std::shared_ptr<const Objective> make_test_objective(const std::string& name,
-                                                     const CommGraph& cg) {
+std::shared_ptr<const Objective> make_test_objective(const std::string& name) {
   if (name == "worst_loss") return std::make_shared<WorstLossObjective>();
-  if (name == "worst_snr") return std::make_shared<WorstSnrObjective>();
-  if (name == "composite")
-    return std::make_shared<CompositeObjective>(0.6, 0.4);
-  return std::make_shared<BandwidthWeightedLossObjective>(cg);
+  return std::make_shared<WorstSnrObjective>();
 }
 
 MappingProblem make_test_problem(const std::string& topology,
@@ -71,7 +67,7 @@ MappingProblem make_test_problem(const std::string& topology,
                        .max_bandwidth = 256,
                        .seed = cg_seed,
                        .acyclic = false});
-  auto obj = make_test_objective(objective, cg);
+  auto obj = make_test_objective(objective);
   return MappingProblem(std::move(cg), make_test_network(topology),
                         std::move(obj));
 }
@@ -163,16 +159,10 @@ TEST_P(DeltaEqualsFullSweep, LongRandomSwapSequenceIsBitIdentical) {
 const auto kSweepConfigs =
     ::testing::Values(SweepConfig{"mesh", "worst_loss"},
                       SweepConfig{"mesh", "worst_snr"},
-                      SweepConfig{"mesh", "composite"},
-                      SweepConfig{"mesh", "bandwidth_weighted_loss"},
                       SweepConfig{"ring", "worst_loss"},
                       SweepConfig{"ring", "worst_snr"},
-                      SweepConfig{"ring", "composite"},
-                      SweepConfig{"ring", "bandwidth_weighted_loss"},
                       SweepConfig{"torus", "worst_loss"},
-                      SweepConfig{"torus", "worst_snr"},
-                      SweepConfig{"torus", "composite"},
-                      SweepConfig{"torus", "bandwidth_weighted_loss"});
+                      SweepConfig{"torus", "worst_snr"});
 
 INSTANTIATE_TEST_SUITE_P(Configs, DeltaEqualsFullSweep, kSweepConfigs,
                          PrintConfig);
@@ -200,7 +190,6 @@ void expect_entry_points_match_oracle(const MappingProblem& problem,
                                       Rng& rng) {
   const auto& net = problem.network();
   const auto& cg = problem.cg();
-  const bool needs_detail = problem.objective().needs_detail();
   std::vector<Mapping> mappings;
   for (int i = 0; i < 24; ++i)
     mappings.push_back(
@@ -218,7 +207,7 @@ void expect_entry_points_match_oracle(const MappingProblem& problem,
   for (std::size_t i = 0; i < mappings.size(); ++i) {
     const auto where = "mapping " + std::to_string(i);
     const auto assignment = mappings[i].assignment();
-    const auto want_raw = evaluate_mapping(net, cg, assignment, needs_detail);
+    const auto want_raw = evaluate_mapping(net, cg, assignment);
     const auto want = evaluate_mapping(net, cg, assignment, true);
     want_fitness.push_back(problem.objective().fitness(want_raw));
 
@@ -278,7 +267,7 @@ MappingProblem make_wide_problem(const std::string& objective) {
                        .max_bandwidth = 256,
                        .seed = 83,
                        .acyclic = false});
-  auto obj = make_test_objective(objective, cg);
+  auto obj = make_test_objective(objective);
   return MappingProblem(std::move(cg),
                         make_network(TopologyKind::Mesh, 9, "crux"),
                         std::move(obj));
@@ -314,11 +303,9 @@ TEST(IncrementalKernel, TwoMaskWordsWalkIsBitIdentical) {
 }
 
 TEST(EvaluatorEqualsOracleWide, TwoMaskWordsAreBitIdentical) {
-  for (const char* objective : {"worst_snr", "composite"}) {
-    Rng rng(std::hash<std::string>{}(objective));
-    ASSERT_NO_FATAL_FAILURE(
-        expect_entry_points_match_oracle(make_wide_problem(objective), rng));
-  }
+  Rng rng(std::hash<std::string>{}("worst_snr"));
+  ASSERT_NO_FATAL_FAILURE(
+      expect_entry_points_match_oracle(make_wide_problem("worst_snr"), rng));
 }
 
 // --- kernel protocol guards -------------------------------------------------
@@ -394,11 +381,10 @@ TEST(EvaluatorMoves, ProposalCountsOneLogicalEvaluation) {
 }
 
 TEST(EvaluatorMoves, ProposalsMatchTheOracleBitIdentically) {
-  // The composite's moves run the delta kernel; the loss-only
-  // objectives' moves are loss-only batches of one. Both equal the
+  // The SNR objective's moves run the delta kernel; the loss-only
+  // objective's moves are loss-only batches of one. Both equal the
   // oracle's whole-mapping fallback bitwise.
-  for (const auto* objective :
-       {"composite", "worst_loss", "bandwidth_weighted_loss"}) {
+  for (const auto* objective : {"worst_snr", "worst_loss"}) {
     SCOPED_TRACE(objective);
     const auto problem = make_test_problem("torus", objective, 23);
     Evaluator evaluator(problem, {.cache_capacity = 0});
@@ -439,8 +425,7 @@ TEST(EvaluatorMoves, LossOnlyObjectivesNeverBuildTheDeltaKernel) {
   // O(|E|^2) delta kernel, which the SNR objective's runs do.
   OptimizerBudget budget;
   budget.max_evaluations = 600;
-  for (const auto* objective :
-       {"worst_loss", "bandwidth_weighted_loss", "worst_snr"}) {
+  for (const auto* objective : {"worst_loss", "worst_snr"}) {
     SCOPED_TRACE(objective);
     const auto problem = make_test_problem("mesh", objective, 51);
     const Engine engine(problem);
@@ -475,20 +460,17 @@ void expect_identical_runs(const RunResult& a, const RunResult& b) {
 TEST(EvaluatorEquivalence, OptimizerTrajectoriesMatchWholeMappingPath) {
   // The load-bearing end-to-end property: for every optimizer, the
   // Evaluator's kernels (and the memo) must reproduce the oracle's
-  // whole-mapping sequential protocol bit for bit. Three objectives:
-  // SNR runs the full and delta kernels, the insertion-loss goal and the
-  // bandwidth-weighted loss (per-edge detail) run the loss-only pass.
+  // whole-mapping sequential protocol bit for bit. Two objectives: SNR
+  // runs the full and delta kernels, the insertion-loss goal runs the
+  // loss-only pass.
   ExperimentSpec spec;
   spec.benchmark = "mpeg4";
   const auto snr = make_experiment(spec);
   spec.goal = OptimizationGoal::InsertionLoss;
   const auto loss = make_experiment(spec);
-  const MappingProblem weighted(
-      snr.cg(), snr.network_ptr(),
-      std::make_shared<BandwidthWeightedLossObjective>(snr.cg()));
   OptimizerBudget budget;
   budget.max_evaluations = 1500;
-  for (const MappingProblem* problem : {&snr, &loss, &weighted}) {
+  for (const MappingProblem* problem : {&snr, &loss}) {
     SCOPED_TRACE(problem->objective().name());
     const Engine delta(*problem, {.cache_capacity = 0});
     const Engine delta_cached(*problem, {.cache_capacity = 512});
@@ -625,59 +607,35 @@ TEST(EvaluatorReuse, WarmEvaluatorRunsEqualFreshOnesBitForBit) {
   }
 }
 
-TEST(EvaluatorRaw, HonorsObjectiveDetailNeeds) {
-  // evaluate_raw used to drop per-edge detail unconditionally, so
-  // objective().fitness(evaluate_raw(m)) threw for detail-needing
-  // objectives; it now mirrors the objective's needs.
-  const auto detail_problem =
-      make_test_problem("mesh", "bandwidth_weighted_loss", 13);
-  const auto scalar_problem = make_test_problem("mesh", "worst_snr", 13);
-  Rng rng(6);
-  const auto mapping = Mapping::random(detail_problem.task_count(),
-                                       detail_problem.tile_count(), rng);
-  const Evaluator with_detail(detail_problem);
-  const Evaluator without_detail(scalar_problem);
-  const auto raw = with_detail.evaluate_raw(mapping);
-  EXPECT_EQ(raw.edges.size(), detail_problem.cg().communication_count());
-  EXPECT_NO_THROW((void)detail_problem.objective().fitness(raw));
-  EXPECT_TRUE(without_detail.evaluate_raw(mapping).edges.empty());
-}
-
 TEST(EvaluatorRaw, LossOnlyProblemsStillReportTheOracleSnr) {
   // Fitness of a loss-only objective skips crosstalk, but the reporting
   // entry points always score it: their SNR is the oracle's bitwise,
   // never the loss-only pass's NaN, even right after a loss-only
   // scoring reused the same scratch.
-  for (const auto* objective : {"worst_loss", "bandwidth_weighted_loss"}) {
-    SCOPED_TRACE(objective);
-    const auto problem = make_test_problem("torus", objective, 57);
-    Evaluator evaluator(problem, {.cache_capacity = 0});
-    Rng rng(8);
-    std::vector<Mapping> mappings;
-    for (int i = 0; i < 8; ++i)
-      mappings.push_back(Mapping::random(problem.task_count(),
-                                         problem.tile_count(), rng));
-    std::vector<BatchPoint> points(mappings.size());
-    evaluator.evaluate_raw_batch(mappings, points);
-    for (std::size_t i = 0; i < mappings.size(); ++i) {
-      const auto where = "mapping " + std::to_string(i);
-      const auto want = evaluate_mapping(problem.network(), problem.cg(),
-                                         mappings[i].assignment(), true);
-      (void)evaluator.evaluate(mappings[i]);
-      const auto raw = evaluator.evaluate_raw(mappings[i]);
-      (void)evaluator.evaluate(mappings[i]);
-      const auto detailed = evaluator.evaluate_detailed(mappings[i]);
-      for (const double got :
-           {raw.worst_snr_db, detailed.worst_snr_db, points[i].worst_snr_db}) {
-        EXPECT_FALSE(std::isnan(got)) << where;
-        EXPECT_EQ(got, want.worst_snr_db) << where;
-      }
-      ASSERT_NO_FATAL_FAILURE(
-          expect_same_edges(detailed.edges, want.edges, where + " detailed"));
-      if (problem.objective().needs_detail())
-        ASSERT_NO_FATAL_FAILURE(
-            expect_same_edges(raw.edges, want.edges, where + " raw"));
+  const auto problem = make_test_problem("torus", "worst_loss", 57);
+  Evaluator evaluator(problem, {.cache_capacity = 0});
+  Rng rng(8);
+  std::vector<Mapping> mappings;
+  for (int i = 0; i < 8; ++i)
+    mappings.push_back(Mapping::random(problem.task_count(),
+                                       problem.tile_count(), rng));
+  std::vector<BatchPoint> points(mappings.size());
+  evaluator.evaluate_raw_batch(mappings, points);
+  for (std::size_t i = 0; i < mappings.size(); ++i) {
+    const auto where = "mapping " + std::to_string(i);
+    const auto want = evaluate_mapping(problem.network(), problem.cg(),
+                                       mappings[i].assignment(), true);
+    (void)evaluator.evaluate(mappings[i]);
+    const auto raw = evaluator.evaluate_raw(mappings[i]);
+    (void)evaluator.evaluate(mappings[i]);
+    const auto detailed = evaluator.evaluate_detailed(mappings[i]);
+    for (const double got :
+         {raw.worst_snr_db, detailed.worst_snr_db, points[i].worst_snr_db}) {
+      EXPECT_FALSE(std::isnan(got)) << where;
+      EXPECT_EQ(got, want.worst_snr_db) << where;
     }
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_edges(detailed.edges, want.edges, where + " detailed"));
   }
 }
 

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
+#include <vector>
 
-#include "graph/comm_graph.hpp"
 #include "mapping/mapping.hpp"
 #include "mapping/objective.hpp"
 #include "util/error.hpp"
@@ -80,14 +78,6 @@ TEST(Mapping, SwapTilesEmptyEmptyAndSelf) {
   EXPECT_TRUE(m == before);
 }
 
-TEST(Mapping, MoveTask) {
-  auto m = Mapping::identity(2, 4);
-  m.move_task(0, 3);
-  EXPECT_EQ(m.tile_of(0), 3u);
-  EXPECT_EQ(m.task_at(0), -1);
-  EXPECT_THROW(m.move_task(1, 3), InvalidArgument);  // occupied
-}
-
 TEST(Mapping, InverseStaysConsistentUnderManySwaps) {
   Rng rng(9);
   auto m = Mapping::random(5, 9, rng);
@@ -116,7 +106,6 @@ EvaluationResult sample_result() {
 TEST(Objective, WorstLossFitness) {
   const WorstLossObjective objective;
   EXPECT_DOUBLE_EQ(objective.fitness(sample_result()), -2.5);
-  EXPECT_FALSE(objective.needs_detail());
   EXPECT_FALSE(objective.needs_noise());
   EXPECT_EQ(objective.name(), "worst_loss");
   // A mapping with less loss must score higher.
@@ -133,53 +122,14 @@ TEST(Objective, WorstSnrFitness) {
   EXPECT_GT(objective.fitness(better), objective.fitness(sample_result()));
 }
 
-TEST(Objective, CompositeBlends) {
-  const CompositeObjective objective(2.0, 0.5);
-  EXPECT_DOUBLE_EQ(objective.fitness(sample_result()),
-                   2.0 * -2.5 + 0.5 * 18.0);
-  EXPECT_THROW(CompositeObjective(0.0, 0.0), InvalidArgument);
-  EXPECT_THROW(CompositeObjective(-1.0, 1.0), InvalidArgument);
-}
-
-TEST(Objective, BandwidthWeightedLoss) {
-  CommGraph cg("w");
-  cg.add_task("a");
-  cg.add_task("b");
-  cg.add_task("c");
-  cg.add_communication("a", "b", 300.0);  // weight 0.75
-  cg.add_communication("b", "c", 100.0);  // weight 0.25
-  const BandwidthWeightedLossObjective objective(cg);
-  EXPECT_TRUE(objective.needs_detail());
-  EXPECT_FALSE(objective.needs_noise());
-  EvaluationResult r;
-  r.edges.resize(2);
-  r.edges[0].loss_db = -2.0;
-  r.edges[1].loss_db = -4.0;
-  EXPECT_NEAR(objective.fitness(r), 0.75 * -2.0 + 0.25 * -4.0, 1e-12);
-  // Missing detail is an error, not a silent 0.
-  EXPECT_THROW((void)objective.fitness(sample_result()), InvalidArgument);
-}
-
 TEST(Objective, NeedsNoiseExactlyWhenFitnessReadsCrosstalk) {
   // The Evaluator skips the crosstalk walk for objectives answering
   // false, so a true answer must stand for every objective whose
-  // fitness could read an SNR field. A composite with a zero SNR weight
-  // still reads one: 0 * NaN is NaN.
-  CommGraph cg("w");
-  cg.add_task("a");
-  cg.add_task("b");
-  cg.add_communication("a", "b", 100.0);
+  // fitness could read an SNR field.
   EXPECT_FALSE(WorstLossObjective().needs_noise());
-  EXPECT_FALSE(BandwidthWeightedLossObjective(cg).needs_noise());
   EXPECT_TRUE(WorstSnrObjective().needs_noise());
-  EXPECT_TRUE(CompositeObjective(2.0, 0.5).needs_noise());
-  EXPECT_TRUE(CompositeObjective(1.0, 0.0).needs_noise());
-  EXPECT_TRUE(CompositeObjective(0.0, 1.0).needs_noise());
   EXPECT_FALSE(make_objective(OptimizationGoal::InsertionLoss)->needs_noise());
   EXPECT_TRUE(make_objective(OptimizationGoal::Snr)->needs_noise());
-  auto unscored = sample_result();
-  unscored.worst_snr_db = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_TRUE(std::isnan(CompositeObjective(1.0, 0.0).fitness(unscored)));
 }
 
 TEST(Objective, FactoryMatchesGoals) {

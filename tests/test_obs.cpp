@@ -285,7 +285,6 @@ TEST(Trace, DisabledTracerRecordsNothing) {
   obs::stop_tracing();  // rings now empty, recorder off
   ASSERT_FALSE(obs::trace_enabled());
   obs::trace_instant("test", "ghost");
-  obs::trace_counter("test", "ghost_counter", 1.0);
   {
     obs::TraceSpan span("test", "ghost_span");
     span.arg({"i", std::uint64_t{7}});
@@ -310,7 +309,7 @@ TEST(Trace, ConcurrentEmittersRenderValidJson) {
                            {"label", std::string_view("a \"quoted\"\nvalue")});
         obs::TraceSpan span("test", "work");
         span.arg({"thread", std::uint64_t(t)});
-        obs::trace_counter("test", "progress", double(i));
+        obs::trace_instant("test", "progress", {"value", double(i)});
       }
     });
   for (auto& thread : threads) thread.join();
@@ -327,7 +326,7 @@ TEST(Trace, ConcurrentEmittersRenderValidJson) {
   std::set<double> tids;
   for (const auto& event : events) {
     const std::string ph = str_field(event, "ph");
-    ASSERT_TRUE(ph == "i" || ph == "X" || ph == "C") << ph;
+    ASSERT_TRUE(ph == "i" || ph == "X") << ph;
     EXPECT_EQ(str_field(event, "cat"), "test");
     ASSERT_NE(event.find("ts"), nullptr);
     ASSERT_NE(event.find("pid"), nullptr);
@@ -762,7 +761,6 @@ TEST(PromHttp, ServesTheRenderOverLoopback) {
   const std::string again =
       http_get(server.port(), "GET / HTTP/1.0\r\n\r\n");
   EXPECT_NE(again.find("t_up 2\n"), std::string::npos);
-  EXPECT_GE(server.requests_served(), 2u);
 }
 
 TEST(PromHttp, EveryHttpScrapeCountsInStatsRequests) {

@@ -145,14 +145,6 @@ TEST(Elements, HasRing) {
   EXPECT_TRUE(has_ring(ElementKind::Cpse));
 }
 
-TEST(Elements, ToString) {
-  EXPECT_EQ(to_string(ElementKind::Crossing), "crossing");
-  EXPECT_EQ(to_string(ElementKind::Ppse), "ppse");
-  EXPECT_EQ(to_string(ElementKind::Cpse), "cpse");
-  EXPECT_EQ(to_string(Rail::A), "A");
-  EXPECT_EQ(to_string(Rail::B), "B");
-}
-
 /// Property sweep: signal gain <= 1 and leak gain < signal gain for all
 /// element kinds/states under a range of parameter scalings.
 class ElementPropertyTest : public ::testing::TestWithParam<double> {};

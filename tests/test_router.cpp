@@ -432,9 +432,8 @@ TEST(ParallelRouter, StraightLossMatchesCruxByConstruction) {
 // --- registry ----------------------------------------------------------------------
 
 TEST(RouterRegistry, BuiltinsPresent) {
-  const auto names = registered_routers();
   for (const auto* expected : {"crux", "crossbar", "xy_crossbar", "parallel"})
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end());
+    EXPECT_NO_THROW((void)make_router_netlist(expected)) << expected;
 }
 
 TEST(RouterRegistry, UnknownNameListsKnown) {

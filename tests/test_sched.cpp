@@ -2,8 +2,8 @@
 // encoding/corruption detection, the HostPool work ledger (stealing,
 // poison-cell quarantine, straggler speculation, first-wins dedup), the
 // loopback transport end to end — bit-identity with the in-process
-// backend on a 64-cell grid and per-host report merging (wall = max,
-// cpu = sum) — and the fleet failure paths driven through a scripted
+// backend on a 64-cell grid, with per-host cpu clocks that sum to the
+// report's — and the fleet failure paths driven through a scripted
 // in-memory Transport: dead-host failover, spawn-host respawn,
 // straggler retry with late-answer dedup, timeouts accounted into
 // failed_count, an admission port that cannot be bound, and settled
@@ -87,22 +87,24 @@ TEST(Framing, CorruptionAndTruncationAreExplicitErrors) {
   junk.feed("phonoc-shard v1\nrouter crux\n");
   EXPECT_THROW((void)junk.next(), ParseError);
 
-  // Truncation: the stream helpers see EOF mid-payload.
-  std::istringstream truncated(frame.substr(0, frame.size() - 5));
-  EXPECT_THROW((void)read_frame(truncated), ParseError);
+  // Truncation: a stream that ends mid-payload leaves a partial frame.
+  FrameDecoder truncated;
+  truncated.feed(frame.substr(0, frame.size() - 5));
+  EXPECT_FALSE(truncated.next().has_value());
+  EXPECT_TRUE(truncated.has_partial());
 
-  // Clean EOF before any header is a nullopt, not an error.
-  std::istringstream empty("");
-  EXPECT_FALSE(read_frame(empty).has_value());
+  // A stream that ends before any header holds nothing, not an error.
+  FrameDecoder empty;
+  EXPECT_FALSE(empty.next().has_value());
+  EXPECT_FALSE(empty.has_partial());
 
-  // And the stream round trip works.
-  std::ostringstream out;
-  write_frame(out, "alpha");
-  write_frame(out, "beta\nwith newline");
-  std::istringstream in(out.str());
-  EXPECT_EQ(read_frame(in).value(), "alpha");
-  EXPECT_EQ(read_frame(in).value(), "beta\nwith newline");
-  EXPECT_FALSE(read_frame(in).has_value());
+  // And the round trip works.
+  FrameDecoder stream;
+  stream.feed(encode_frame("alpha") + encode_frame("beta\nwith newline"));
+  EXPECT_EQ(stream.next().value(), "alpha");
+  EXPECT_EQ(stream.next().value(), "beta\nwith newline");
+  EXPECT_FALSE(stream.next().has_value());
+  EXPECT_FALSE(stream.has_partial());
 }
 
 // --- the HostPool work ledger ----------------------------------------------
@@ -110,7 +112,7 @@ TEST(Framing, CorruptionAndTruncationAreExplicitErrors) {
 TEST(HostPool, DealsContiguousBlocksAndOwnQueueFirst) {
   // Equal weights, 4 units of 2 over 2 hosts: host 0 owns the first
   // block {0,2},{2,4}, host 1 the second {4,6},{6,8}.
-  HostPool pool(2, 8, 2, 1, -1.0);
+  HostPool pool({1, 1}, 8, 2, 1, -1.0);
   const auto u0 = pool.acquire(0);
   const auto u1 = pool.acquire(1);
   ASSERT_TRUE(u0 && u1);
@@ -170,7 +172,7 @@ TEST(HostPool, AllZeroCapacitiesFallBackToAnEqualSplit) {
 }
 
 TEST(HostPool, CompleteCellIsFirstWins) {
-  HostPool pool(1, 4, 4, 1, -1.0);
+  HostPool pool({1}, 4, 4, 1, -1.0);
   (void)pool.acquire(0);
   EXPECT_TRUE(pool.complete_cell(1));
   EXPECT_FALSE(pool.complete_cell(1));  // late duplicate
@@ -182,7 +184,7 @@ TEST(HostPool, CompleteCellIsFirstWins) {
 }
 
 TEST(HostPool, FailUnitQuarantinesThePoisonCellUntilMaxAttempts) {
-  HostPool pool(2, 4, 4, 2, -1.0, /*allow_steal=*/false);
+  HostPool pool({1, 1}, 4, 4, 2, -1.0, /*allow_steal=*/false);
   // One unit only: the leftover goes to host 0 (lower index wins the
   // remainder tie), host 1 starts idle.
   auto unit = pool.acquire(0);
@@ -219,7 +221,7 @@ TEST(HostPool, FailUnitQuarantinesThePoisonCellUntilMaxAttempts) {
 
   // max_attempts = 1 still means no retry: a death abandons the whole
   // unsettled remainder at once.
-  HostPool once(2, 4, 4, 1, -1.0, /*allow_steal=*/false);
+  HostPool once({1, 1}, 4, 4, 1, -1.0, /*allow_steal=*/false);
   ASSERT_TRUE(once.acquire(0));
   EXPECT_TRUE(once.complete_cell(0));
   EXPECT_EQ(once.fail_unit(0), (std::vector<std::size_t>{1, 2, 3}));
@@ -232,7 +234,7 @@ TEST(HostPool, IdleHostStealsFromTheRichestQueue) {
   // 3 units, 2 hosts, equal weights: the remainder tie goes to host 0,
   // so host 0 owns {0,2},{2,4} and host 1 owns {4,6}. After finishing
   // its own unit host 1 steals host 0's *back* unit.
-  HostPool pool(2, 6, 2, 1, -1.0);
+  HostPool pool({1, 1}, 6, 2, 1, -1.0);
   const auto own = pool.acquire(1);
   ASSERT_TRUE(own);
   EXPECT_EQ(own->begin, 4u);
@@ -246,7 +248,7 @@ TEST(HostPool, IdleHostStealsFromTheRichestQueue) {
 }
 
 TEST(HostPool, RetiredHostsWorkMovesToTheRetryQueue) {
-  HostPool pool(2, 4, 2, 3, -1.0, /*allow_steal=*/false);
+  HostPool pool({1, 1}, 4, 2, 3, -1.0, /*allow_steal=*/false);
   pool.retire_host(0);  // host 0 never even connected
   // With stealing off, host 1 still reaches host 0's unit via retry.
   const auto own = pool.acquire(1);
@@ -261,7 +263,7 @@ TEST(HostPool, RetiredHostsWorkMovesToTheRetryQueue) {
 
 TEST(HostPool, StragglerSpeculationClonesAndDedups) {
   // speculate_after = 0: any in-flight unit is immediately cloneable.
-  HostPool pool(2, 4, 4, 3, 0.0);
+  HostPool pool({1, 1}, 4, 4, 3, 0.0);
   const auto original = pool.acquire(0);
   ASSERT_TRUE(original);
   const auto clone = pool.acquire(1);
@@ -499,29 +501,24 @@ TEST(Scheduler, LoopbackFleetMatchesInProcessBitForBitOn64Cells) {
   // Aggregate stats agree with the in-process report on every
   // non-timing statistic.
   const auto want = SweepReport::build(spec, reference);
-  const auto merged = merge_host_reports(spec, outcome);
-  EXPECT_EQ(merged.run_count, want.run_count);
-  EXPECT_EQ(merged.failed_count, 0u);
-  ASSERT_EQ(merged.cells.size(), want.cells.size());
-  for (std::size_t i = 0; i < merged.cells.size(); ++i) {
-    EXPECT_EQ(merged.cells[i].best_fitness.mean(),
+  const auto report = SweepReport::build(spec, outcome.results);
+  EXPECT_EQ(report.run_count, want.run_count);
+  EXPECT_EQ(report.failed_count, 0u);
+  ASSERT_EQ(report.cells.size(), want.cells.size());
+  for (std::size_t i = 0; i < report.cells.size(); ++i) {
+    EXPECT_EQ(report.cells[i].best_fitness.mean(),
               want.cells[i].best_fitness.mean());  // bitwise
-    EXPECT_EQ(merged.cells[i].worst_snr_db.max(),
+    EXPECT_EQ(report.cells[i].worst_snr_db.max(),
               want.cells[i].worst_snr_db.max());
-    EXPECT_EQ(merged.cells[i].evaluations.mean(),
+    EXPECT_EQ(report.cells[i].evaluations.mean(),
               want.cells[i].evaluations.mean());
   }
 
-  // The fleet merge rules: wall is the max across hosts (they ran side
-  // by side), cpu is the sum of what each host accepted.
-  double max_wall = 0.0;
+  // Each host's cpu is the sum of what it accepted, so the hosts
+  // together account for every cell's cpu.
   double cpu_sum = 0.0;
-  for (const auto& host : outcome.hosts) {
-    max_wall = std::max(max_wall, host.wall_seconds);
-    cpu_sum += host.cpu_seconds;
-  }
-  EXPECT_EQ(merged.wall_seconds, max_wall);
-  EXPECT_NEAR(merged.cpu_seconds, cpu_sum, 1e-9);
+  for (const auto& host : outcome.hosts) cpu_sum += host.cpu_seconds;
+  EXPECT_NEAR(report.cpu_seconds, cpu_sum, 1e-9);
 }
 
 TEST(Scheduler, LoopbackFleetRunsSampleKindBitIdenticalToInProcess) {
@@ -753,7 +750,7 @@ TEST(Scheduler, InjectedWorkerDeathFailsOverToTheSurvivor) {
   EXPECT_TRUE(outcome.hosts[0].died);
   EXPECT_FALSE(outcome.hosts[1].died);
   EXPECT_GE(outcome.pool.retries, 1u);
-  EXPECT_EQ(merge_host_reports(spec, outcome).failed_count, 0u);
+  EXPECT_EQ(SweepReport::build(spec, outcome.results).failed_count, 0u);
   // The dead host settled exactly what it emitted before dying.
   EXPECT_EQ(outcome.hosts[0].cells_ok + outcome.hosts[0].cells_failed, 5u);
 }
@@ -859,9 +856,9 @@ TEST(Scheduler, StragglerIsRetriedAndItsLateAnswersAreDeduplicated) {
   EXPECT_GE(outcome.pool.speculations, 1u);
   EXPECT_GE(outcome.pool.duplicates, 1u);
   EXPECT_FALSE(outcome.hosts[0].died);  // slow, not dead
-  const auto merged = merge_host_reports(spec, outcome);
-  EXPECT_EQ(merged.run_count, outcome.results.size());
-  EXPECT_EQ(merged.failed_count, 0u);
+  const auto report = SweepReport::build(spec, outcome.results);
+  EXPECT_EQ(report.run_count, outcome.results.size());
+  EXPECT_EQ(report.failed_count, 0u);
 }
 
 TEST(Scheduler, WedgedFleetTimesOutIntoFailedCount) {
@@ -890,7 +887,7 @@ TEST(Scheduler, WedgedFleetTimesOutIntoFailedCount) {
   EXPECT_TRUE(outcome.hosts[0].died);
   EXPECT_NE(outcome.hosts[0].error.find("timeout"), std::string::npos)
       << outcome.hosts[0].error;
-  const auto report = merge_host_reports(spec, outcome);
+  const auto report = SweepReport::build(spec, outcome.results);
   EXPECT_EQ(report.failed_count, outcome.results.size());
   EXPECT_EQ(report.run_count, 0u);
 }
@@ -909,28 +906,8 @@ TEST(Scheduler, WholeFleetDeadFailsEveryCellNotSilently) {
     EXPECT_EQ(result.status, CellStatus::Failed);
     EXPECT_NE(result.error.find("no live host"), std::string::npos);
   }
-  EXPECT_EQ(merge_host_reports(spec, outcome).failed_count,
+  EXPECT_EQ(SweepReport::build(spec, outcome.results).failed_count,
             outcome.results.size());
-}
-
-// --- report merging ---------------------------------------------------------
-
-TEST(Aggregate, MergeConcurrentTakesMaxWallAndSumsCpu) {
-  const auto spec = spec8();
-  const auto results = BatchEngine({.workers = 1}).run(spec);
-  std::vector<CellResult> even, odd;
-  for (const auto& result : results)
-    (result.cell.index % 2 == 0 ? even : odd).push_back(result);
-
-  auto concurrent = SweepReport::build(spec, even, 4.0);
-  concurrent.merge_concurrent(SweepReport::build(spec, odd, 2.5));
-  EXPECT_EQ(concurrent.wall_seconds, 4.0);  // max: the hosts overlapped
-  EXPECT_EQ(concurrent.run_count, results.size());
-
-  auto sequential = SweepReport::build(spec, even, 4.0);
-  sequential.merge(SweepReport::build(spec, odd, 2.5));
-  EXPECT_EQ(sequential.wall_seconds, 6.5);  // sum: back-to-back shards
-  EXPECT_NEAR(concurrent.cpu_seconds, sequential.cpu_seconds, 1e-12);
 }
 
 // --- the worker's internal exec pool ----------------------------------------
@@ -989,6 +966,12 @@ std::string temp_journal(const std::string& name) {
   return path;
 }
 
+/// The key the scheduler stamps on a sweep's journal: FNV-1a 64 of the
+/// slice-independent shard prefix every dispatched unit shares.
+std::uint64_t journal_key(const SweepSpec& spec) {
+  return fnv1a64(shard_prefix(spec, EvaluatorOptions{}));
+}
+
 TEST(Journal, MissingEmptyAndHeaderOnlyFilesReplayToNothing) {
   const std::string path = temp_journal("journal_fresh");
   EXPECT_TRUE(replay_journal(path, 0x1234u, 8).cells.empty());
@@ -1001,13 +984,12 @@ TEST(Journal, MissingEmptyAndHeaderOnlyFilesReplayToNothing) {
   { JournalWriter writer(path, 0x1234u); }
   const auto replay = replay_journal(path, 0x1234u, 8);
   EXPECT_TRUE(replay.cells.empty());
-  EXPECT_EQ(replay.duplicates, 0u);
 }
 
 TEST(Journal, AdversarialReplaysAreExplicitErrorsNeverSilentReuse) {
   const auto spec = spec8();
   const auto cells = expand(spec);
-  const std::uint64_t hash = journal_spec_hash(spec, EvaluatorOptions{});
+  const std::uint64_t hash = journal_key(spec);
   const std::string path = temp_journal("journal_adversarial");
 
   const auto write_journal = [&](const std::vector<std::size_t>& indices) {
@@ -1053,7 +1035,6 @@ TEST(Journal, AdversarialReplaysAreExplicitErrorsNeverSilentReuse) {
   write_journal({2, 2, 3});
   const auto replay = replay_journal(path, hash, cells.size());
   EXPECT_EQ(replay.cells.size(), 2u);
-  EXPECT_EQ(replay.duplicates, 1u);
   EXPECT_EQ(replay.cells[0].cell.index, 2u);
   EXPECT_EQ(replay.cells[1].cell.index, 3u);
 }
@@ -1097,9 +1078,9 @@ TEST(Scheduler, JournalResumeSkipsSettledCellsAndStaysIdentical) {
   // Only the unsettled remainder re-executed.
   EXPECT_EQ(resumed.hosts[0].cells_ok, cell_count(spec) - 5);
 
-  const auto merged = merge_host_reports(spec, resumed);
-  EXPECT_EQ(merged.run_count, cell_count(spec));
-  EXPECT_EQ(merged.failed_count, 0u);
+  const auto report = SweepReport::build(spec, resumed.results);
+  EXPECT_EQ(report.run_count, cell_count(spec));
+  EXPECT_EQ(report.failed_count, 0u);
 
   // Run 3: everything journaled now — a pure replay executes nothing.
   const auto pure = Scheduler(second).run(spec);
@@ -1118,7 +1099,7 @@ TEST(Scheduler, ReplayOverlapDuplicatesAreCountedExactlyOnce) {
   // and its wire answer collides with the replay — first-wins must
   // count it exactly once.
   {
-    JournalWriter writer(path, journal_spec_hash(spec, EvaluatorOptions{}));
+    JournalWriter writer(path, journal_key(spec));
     std::ostringstream block;
     write_cell_result(block, reference[1]);
     writer.append(block.str());
@@ -1134,9 +1115,9 @@ TEST(Scheduler, ReplayOverlapDuplicatesAreCountedExactlyOnce) {
   EXPECT_EQ(outcome.hosts[0].duplicates, 1u);
   expect_all_identical(spec, outcome.results, reference);
 
-  const auto merged = merge_host_reports(spec, outcome);
-  EXPECT_EQ(merged.run_count, cell_count(spec));  // counted once, not twice
-  EXPECT_EQ(merged.failed_count, 0u);
+  const auto report = SweepReport::build(spec, outcome.results);
+  EXPECT_EQ(report.run_count, cell_count(spec));  // counted once, not twice
+  EXPECT_EQ(report.failed_count, 0u);
 }
 
 TEST(Scheduler, AllHostsDeadStillKeepsJournaledCells) {
@@ -1144,7 +1125,7 @@ TEST(Scheduler, AllHostsDeadStillKeepsJournaledCells) {
   const auto reference = BatchEngine({.workers = 1}).run(spec);
   const std::string path = temp_journal("journal_dead_fleet");
   {
-    JournalWriter writer(path, journal_spec_hash(spec, EvaluatorOptions{}));
+    JournalWriter writer(path, journal_key(spec));
     for (const auto index : {2u, 6u}) {
       std::ostringstream block;
       write_cell_result(block, reference[index]);
@@ -1168,17 +1149,17 @@ TEST(Scheduler, AllHostsDeadStillKeepsJournaledCells) {
                 std::string::npos);
     }
   }
-  const auto merged = merge_host_reports(spec, outcome);
-  EXPECT_EQ(merged.run_count, 2u);
-  EXPECT_EQ(merged.failed_count, cell_count(spec) - 2);
-  EXPECT_EQ(merged.run_count + merged.failed_count, cell_count(spec));
+  const auto report = SweepReport::build(spec, outcome.results);
+  EXPECT_EQ(report.run_count, 2u);
+  EXPECT_EQ(report.failed_count, cell_count(spec) - 2);
+  EXPECT_EQ(report.run_count + report.failed_count, cell_count(spec));
 }
 
 TEST(Scheduler, JournalForADifferentSweepRefusesToRun) {
   const auto spec = spec8();
   const std::string path = temp_journal("journal_wrong_sweep");
   {
-    JournalWriter writer(path, journal_spec_hash(spec, EvaluatorOptions{}));
+    JournalWriter writer(path, journal_key(spec));
   }
   SchedulerOptions options;
   options.hosts = {"healthy"};
@@ -1193,7 +1174,7 @@ TEST(Scheduler, JournalForADifferentSweepRefusesToRun) {
 
 TEST(HostPool, AddHostJoinsTheLedgerAndPullsWorkThroughEveryPath) {
   // 1 initial host, 8 cells in units of 2, immediate speculation.
-  HostPool pool(1, 8, 2, 3, 0.0);
+  HostPool pool({1}, 8, 2, 3, 0.0);
   const auto straggler = pool.acquire(0);  // [0,2) in flight, never done
   ASSERT_TRUE(straggler);
 

@@ -125,6 +125,25 @@ TEST(ServiceProtocol, EvaluateRoundTripsWithItsAssignment) {
   EXPECT_EQ(cell_count(parsed.spec), cell_count(request.spec));
 }
 
+TEST(ServiceProtocol, EvaluateTilesBeyond32BitsAreRejectedNotNarrowed) {
+  // Narrowed to a 32-bit TileId, tile 2^32 would read as tile 0: the
+  // service would score a mapping the client never sent.
+  EvaluateRequest request;
+  request.id = "wide";
+  request.assignment = {4, 2, 0, 8, 6};
+  request.spec = opt_spec();
+  const std::string wire = write_evaluate(request);
+  const std::string head = "evaluate wide tiles 4 ";
+  ASSERT_EQ(wire.rfind(head, 0), 0u);
+  const auto with_first_tile = [&](const std::string& tile) {
+    return parse_evaluate("evaluate wide tiles " + tile + " " +
+                          wire.substr(head.size()));
+  };
+  EXPECT_THROW((void)with_first_tile("4294967296"), ParseError);
+  EXPECT_THROW((void)with_first_tile("-4"), ParseError);
+  EXPECT_EQ(with_first_tile("4294967295").assignment[0], 4294967295u);
+}
+
 TEST(ServiceProtocol, RepliesRoundTripThroughParseReply) {
   const auto accepted = parse_reply(accepted_reply("a1", 8));
   EXPECT_EQ(accepted.kind, ServiceReply::Kind::Accepted);

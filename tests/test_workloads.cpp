@@ -49,7 +49,6 @@ TEST(Benchmarks, Mpeg4HasSdramHub) {
   const auto sdram = cg.find_task("sdram");
   ASSERT_NE(sdram, kInvalidNode);
   EXPECT_EQ(cg.graph().in_degree(sdram) + cg.graph().out_degree(sdram), 16u);
-  EXPECT_EQ(cg.max_degree(), 16u);
   EXPECT_TRUE(is_weakly_connected(cg.graph()));
 }
 
@@ -64,7 +63,6 @@ TEST(Benchmarks, NamesRoundTripThroughFactory) {
   for (const auto& name : benchmark_names())
     EXPECT_EQ(make_benchmark(name).name(), name);
   EXPECT_EQ(benchmark_names().size(), 8u);
-  EXPECT_EQ(all_benchmarks().size(), 8u);
 }
 
 TEST(Benchmarks, CaseInsensitiveAndAlias) {
@@ -74,9 +72,9 @@ TEST(Benchmarks, CaseInsensitiveAndAlias) {
 }
 
 TEST(Benchmarks, AllBandwidthsPositive) {
-  for (const auto& cg : all_benchmarks())
-    for (const auto& e : cg.edges()) EXPECT_GT(e.bandwidth_mbps, 0.0) <<
-        cg.name();
+  for (const auto& name : benchmark_names())
+    for (const auto& e : make_benchmark(name).edges())
+      EXPECT_GT(e.bandwidth_mbps, 0.0) << name;
 }
 
 // --- generators -----------------------------------------------------------------
@@ -89,20 +87,6 @@ TEST(Generator, PipelineStructure) {
   ASSERT_TRUE(order.has_value());
   EXPECT_EQ(cg.graph().out_degree(0), 1u);
   EXPECT_EQ(cg.graph().in_degree(4), 1u);
-}
-
-TEST(Generator, TreeStructure) {
-  const auto cg = tree_cg(7, 2);
-  EXPECT_EQ(cg.communication_count(), 6u);
-  EXPECT_EQ(cg.graph().out_degree(0), 2u);  // root children 1, 2
-  EXPECT_FALSE(has_cycle(cg.graph()));
-}
-
-TEST(Generator, HotspotStructure) {
-  const auto cg = hotspot_cg(5);
-  EXPECT_EQ(cg.communication_count(), 8u);  // 4 in + 4 out on the hub
-  EXPECT_EQ(cg.graph().out_degree(0), 4u);
-  EXPECT_EQ(cg.graph().in_degree(0), 4u);
 }
 
 TEST(Generator, RandomDeterministicPerSeed) {
@@ -160,7 +144,6 @@ TEST(Generator, RandomBandwidthsInRange) {
 
 TEST(Generator, RejectsBadOptions) {
   EXPECT_THROW(pipeline_cg(1), InvalidArgument);
-  EXPECT_THROW(tree_cg(4, 0), InvalidArgument);
   RandomCgOptions bad;
   bad.avg_out_degree = 0.0;
   EXPECT_THROW(random_cg(bad), InvalidArgument);
