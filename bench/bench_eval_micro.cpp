@@ -1,19 +1,16 @@
 /// \file bench_eval_micro.cpp
 /// \brief P1 — google-benchmark microbenchmarks of the hot paths: the
 /// mapping evaluator (which the DSE calls tens of thousands of times),
-/// full vs delta (incremental) per-swap evaluation, router-model
-/// derivation, and network-model construction.
+/// the SoA batched kernel, router-model derivation, and network-model
+/// construction.
 ///
-/// Before the benchmarks run, main() verifies that the full and the
-/// incremental evaluation paths agree bitwise over a random swap
-/// sequence, on dvopd (the costliest problem of the fleet sweep grid)
-/// and on the large workload, then reports ns/step and the full/delta
-/// speedup measured with a plain timer. A second report section does
-/// the same for the SoA batched kernel: bitwise agreement against
-/// per-mapping evaluation — the loss-only pass included, on worst-case
-/// loss and every edge's loss and signal gain — then per-mapping
-/// throughput (mappings/sec) across batch sizes {1, 8, 64, 512} and
-/// CG sizes.
+/// Before the benchmarks run, main() checks the batched kernel for
+/// bitwise agreement against per-mapping evaluation — the loss-only
+/// pass included, on worst-case loss and every edge's loss and signal
+/// gain — on a 4x4 CG, on dvopd (the costliest problem of the fleet
+/// sweep grid) and on the reference CG, then reports per-mapping
+/// throughput (mappings/sec) across batch sizes {1, 8, 64, 512} and CG
+/// sizes.
 /// --json=FILE dumps the batched section's headline numbers
 /// (bench/BENCH_batch_eval.json; regenerate with
 /// bench/update_snapshots.sh).
@@ -32,7 +29,6 @@
 #include "core/experiment.hpp"
 #include "model/batch_eval.hpp"
 #include "model/evaluation.hpp"
-#include "model/incremental.hpp"
 #include "router/registry.hpp"
 #include "router/router_model.hpp"
 #include "util/rng.hpp"
@@ -45,8 +41,8 @@ namespace {
 
 using namespace phonoc;
 
-/// The large delta-vs-full workload: a dense random CG filling an
-/// 8x8 torus (64 tasks, ~190 edges — well past the >=64-edge bar).
+/// The reference CG: a dense random CG filling an 8x8 torus (64 tasks,
+/// 175 edges).
 MappingProblem make_large_problem() {
   auto cg = random_cg({.tasks = 64,
                        .avg_out_degree = 3.0,
@@ -316,111 +312,6 @@ void report_batched_vs_scalar(const std::optional<std::string>& json_path) {
   std::cout << "# snapshot written to " << *json_path << '\n';
 }
 
-// --- full vs delta evaluation per optimizer step ----------------------------
-
-void BM_FullEvalPerSwap(benchmark::State& state) {
-  const auto problem = make_large_problem();
-  Rng rng(3);
-  Mapping current =
-      Mapping::random(problem.task_count(), problem.tile_count(), rng);
-  for (auto _ : state) {
-    const auto a = static_cast<TileId>(rng.next_below(problem.tile_count()));
-    const auto b = static_cast<TileId>(rng.next_below(problem.tile_count()));
-    current.swap_tiles(a, b);
-    const auto result = evaluate_mapping(problem.network(), problem.cg(),
-                                         current.assignment());
-    benchmark::DoNotOptimize(result.worst_snr_db);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_FullEvalPerSwap)->Unit(benchmark::kMicrosecond);
-
-void BM_DeltaEvalPerSwap(benchmark::State& state) {
-  const auto problem = make_large_problem();
-  Rng rng(3);
-  const Mapping start =
-      Mapping::random(problem.task_count(), problem.tile_count(), rng);
-  IncrementalEvaluation kernel(problem.network(), problem.cg());
-  kernel.reset(start.assignment());
-  for (auto _ : state) {
-    const auto a = static_cast<TileId>(rng.next_below(problem.tile_count()));
-    const auto b = static_cast<TileId>(rng.next_below(problem.tile_count()));
-    kernel.propose_swap(a, b);
-    kernel.commit();
-    benchmark::DoNotOptimize(kernel.view().worst_snr_db);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_DeltaEvalPerSwap)->Unit(benchmark::kMicrosecond);
-
-/// Assert full/delta agreement (bitwise) over a random committed swap
-/// walk on `problem`, then report ns/step and the measured speedup.
-/// Writes to stderr so machine-readable benchmark output
-/// (--benchmark_format=json) on stdout stays parseable.
-void report_full_vs_delta(const char* label, const MappingProblem& problem) {
-  const auto tiles = problem.tile_count();
-  std::fprintf(stderr,
-               "# full vs delta evaluation, %s: %zu tasks, %zu edges\n",
-               label, problem.task_count(),
-               problem.cg().communication_count());
-
-  Rng rng(11);
-  Mapping current = Mapping::random(problem.task_count(), tiles, rng);
-  IncrementalEvaluation kernel(problem.network(), problem.cg());
-  kernel.reset(current.assignment());
-  for (int step = 0; step < 200; ++step) {
-    const auto a = static_cast<TileId>(rng.next_below(tiles));
-    const auto b = static_cast<TileId>(rng.next_below(tiles));
-    current.swap_tiles(a, b);
-    kernel.propose_swap(a, b);
-    kernel.commit();
-    const auto full =
-        evaluate_mapping(problem.network(), problem.cg(),
-                         current.assignment());
-    const auto delta = kernel.result(false);
-    if (full.worst_loss_db != delta.worst_loss_db ||
-        full.worst_snr_db != delta.worst_snr_db) {
-      std::fprintf(stderr,
-                   "FATAL: full and delta evaluation disagree on %s at step "
-                   "%d\n",
-                   label, step);
-      std::exit(1);
-    }
-  }
-  std::fprintf(stderr,
-               "# agreement: 200 random swaps, full == delta bitwise\n");
-
-  // Time both paths over the SAME swap sequence (identical RNG stream
-  // from identical start state) so the speedup compares like for like.
-  const int moves = 400;
-  Rng delta_rng = rng;
-  const Mapping timing_start = current;
-  Timer full_timer;
-  for (int step = 0; step < moves; ++step) {
-    const auto a = static_cast<TileId>(rng.next_below(tiles));
-    const auto b = static_cast<TileId>(rng.next_below(tiles));
-    current.swap_tiles(a, b);
-    const auto result = evaluate_mapping(problem.network(), problem.cg(),
-                                         current.assignment());
-    benchmark::DoNotOptimize(result.worst_snr_db);
-  }
-  const double full_ns = full_timer.elapsed_seconds() * 1e9 / moves;
-  kernel.reset(timing_start.assignment());
-  Timer delta_timer;
-  for (int step = 0; step < moves; ++step) {
-    const auto a = static_cast<TileId>(delta_rng.next_below(tiles));
-    const auto b = static_cast<TileId>(delta_rng.next_below(tiles));
-    kernel.propose_swap(a, b);
-    kernel.commit();
-    benchmark::DoNotOptimize(kernel.view().worst_snr_db);
-  }
-  const double delta_ns = delta_timer.elapsed_seconds() * 1e9 / moves;
-  std::fprintf(stderr,
-               "# full:  %12.0f ns/step\n# delta: %12.0f ns/step\n"
-               "# speedup: %.1fx\n\n",
-               full_ns, delta_ns, full_ns / delta_ns);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -437,8 +328,6 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  report_full_vs_delta("dvopd on 6x6 mesh", make_fleet_problem());
-  report_full_vs_delta("dense CG on 8x8 torus", make_large_problem());
   report_batched_vs_scalar(json_path);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -21,76 +21,12 @@
 #include "exec/batch_engine.hpp"
 #include "exec/sweep.hpp"
 #include "io/table_writer.hpp"
-#include "mapping/mapping.hpp"
-#include "model/incremental.hpp"
 #include "model/power_budget.hpp"
 #include "util/cli.hpp"
-#include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/generator.hpp"
-
-namespace {
-
-/// Part 0: the evaluation-layer scaling claim behind every sweep below —
-/// per-move cost of full re-evaluation vs the incremental kernel on
-/// dense full-occupancy workloads, after asserting bitwise agreement.
-void report_eval_scaling(std::uint32_t max_side) {
-  using namespace phonoc;
-  std::cout << "# E5 part 0: full vs delta evaluation cost per swap move "
-               "(mesh + Crux, dense random CG, bitwise agreement asserted)"
-               "\n\n";
-  TableWriter table({"grid", "edges", "full us/move", "delta us/move",
-                     "speedup"});
-  for (std::uint32_t side = 4; side <= max_side; side += 2) {
-    auto cg = random_cg({.tasks = static_cast<std::size_t>(side) * side,
-                         .avg_out_degree = 3.0,
-                         .min_bandwidth = 8,
-                         .max_bandwidth = 256,
-                         .seed = 23,
-                         .acyclic = false});
-    const auto edges = cg.communication_count();
-    MappingProblem problem(std::move(cg),
-                           make_network(TopologyKind::Mesh, side, "crux"),
-                           make_objective(OptimizationGoal::Snr));
-    const auto tiles = problem.tile_count();
-    Rng rng(5);
-    Mapping current = Mapping::random(problem.task_count(), tiles, rng);
-    IncrementalEvaluation kernel(problem.network(), problem.cg());
-    kernel.reset(current.assignment());
-
-    const int moves = 120;
-    double full_us = 0.0;
-    double delta_us = 0.0;
-    for (int step = 0; step < moves; ++step) {
-      const auto a = static_cast<TileId>(rng.next_below(tiles));
-      const auto b = static_cast<TileId>(rng.next_below(tiles));
-      current.swap_tiles(a, b);
-      Timer delta_timer;
-      kernel.propose_swap(a, b);
-      kernel.commit();
-      delta_us += delta_timer.elapsed_seconds() * 1e6;
-      Timer full_timer;
-      const auto full = evaluate_mapping(problem.network(), problem.cg(),
-                                         current.assignment());
-      full_us += full_timer.elapsed_seconds() * 1e6;
-      require(full.worst_snr_db == kernel.view().worst_snr_db &&
-                  full.worst_loss_db == kernel.view().worst_loss_db,
-              "bench_scalability: full and delta evaluation disagree");
-    }
-    table.add_row({std::to_string(side) + "x" + std::to_string(side),
-                   std::to_string(edges), format_fixed(full_us / moves, 1),
-                   format_fixed(delta_us / moves, 1),
-                   format_fixed(full_us / delta_us, 1) + "x"});
-  }
-  std::cout << table.to_ascii()
-            << "\n# the gap widens with |E|: full is O(|E|^2) noise pairs "
-               "per move, delta O(touched x |E|).\n\n";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace phonoc;
@@ -105,8 +41,6 @@ int main(int argc, char** argv) {
   const auto workers = static_cast<std::size_t>(cli.get_int("workers", 0));
   const BatchEngine engine({.workers = workers});
   Timer timer;
-
-  report_eval_scaling(max_side);
 
   std::cout << "# E5 part 1: optimized worst-case metrics vs application "
                "size/density (mesh + Crux, R-PBLA, "

@@ -3,9 +3,8 @@
 # BENCH_*.json so perf changes are visible in review):
 #
 #   bench/BENCH_eval_micro.json     google-benchmark JSON of the hot-path
-#                                   microbenchmarks (evaluator, delta
-#                                   evaluation, batched SoA kernel,
-#                                   router/network models)
+#                                   microbenchmarks (evaluator, batched
+#                                   SoA kernel, router/network models)
 #   bench/BENCH_batch_eval.json     headline numbers of the batched-vs-
 #                                   scalar section (mappings/sec per
 #                                   batch size + speedups)

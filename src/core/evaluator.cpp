@@ -109,73 +109,11 @@ double Evaluator::evaluate(const Mapping& mapping) {
   return fitness;
 }
 
-bool Evaluator::kernel_matches_pre_swap(const Mapping& after, TileId a,
-                                        TileId b) const {
-  if (!kernel_ || !kernel_->has_state() || kernel_->pending()) return false;
-  const auto base = kernel_->assignment();
-  const auto target = after.assignment();
-  if (base.size() != target.size()) return false;
-  for (std::size_t task = 0; task < target.size(); ++task) {
-    TileId expected = target[task];
-    if (expected == a)
-      expected = b;
-    else if (expected == b)
-      expected = a;
-    if (base[task] != expected) return false;
-  }
-  return true;
-}
-
-void Evaluator::sync_kernel_pre_swap(const Mapping& after, TileId a,
-                                     TileId b) {
-  if (!kernel_)
-    kernel_ = std::make_unique<IncrementalEvaluation>(problem_.network(),
-                                                      problem_.cg());
-  if (kernel_matches_pre_swap(after, a, b)) return;
-  // The optimizer re-based (restart, reheat, fresh start): rebuild the
-  // kernel on the pre-swap assignment so revert_move can restore it.
-  const auto target = after.assignment();
-  base_scratch_.assign(target.begin(), target.end());
-  for (auto& tile : base_scratch_) {
-    if (tile == a)
-      tile = b;
-    else if (tile == b)
-      tile = a;
-  }
-  kernel_->reset(base_scratch_);
-}
-
-double Evaluator::propose_swap(const Mapping& after, TileId a, TileId b) {
+double Evaluator::propose_swap(const Mapping& after, TileId /*a*/,
+                               TileId /*b*/) {
   ++count_;
-  // Loss-only fitness: a whole-mapping loss pass is O(|E|), cheaper
-  // than any delta update, and holds no state to commit or revert.
-  if (!needs_noise_)
-    return problem_.objective().fitness(
-        score(after, /*detailed=*/false, /*noise=*/false));
-  sync_kernel_pre_swap(after, a, b);
-  kernel_->propose_swap(a, b);
-  return problem_.objective().fitness(kernel_->view());
-}
-
-void Evaluator::commit_move() {
-  if (kernel_ && kernel_->pending()) kernel_->commit();
-}
-
-void Evaluator::revert_move() {
-  if (kernel_ && kernel_->pending()) kernel_->revert();
-}
-
-void Evaluator::apply_move(const Mapping& after, TileId a, TileId b) {
-  if (!needs_noise_) return;  // no delta kernel to advance
-  if (!kernel_)
-    kernel_ = std::make_unique<IncrementalEvaluation>(problem_.network(),
-                                                      problem_.cg());
-  if (kernel_matches_pre_swap(after, a, b)) {
-    kernel_->propose_swap(a, b);
-    kernel_->commit();
-  } else {
-    kernel_->reset(after.assignment());
-  }
+  return problem_.objective().fitness(
+      score(after, /*detailed=*/false, needs_noise_));
 }
 
 EvaluationResult Evaluator::evaluate_detailed(const Mapping& mapping) const {

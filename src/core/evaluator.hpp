@@ -3,50 +3,45 @@
 /// \brief The Mapping Evaluator (paper Fig. 1, block 4): bridges the
 /// physical-layer evaluation and the optimizer's fitness interface.
 ///
-/// The Evaluator scores every mapping through one evaluation kernel
-/// over the network's path store (model/batch_eval.hpp):
+/// The Evaluator scores every mapping through one evaluation kernel,
+/// its `BatchEvaluator` over the network's path store
+/// (model/batch_eval.hpp); the single entry points score a batch of one:
 ///  * whole-mapping scoring (`evaluate`, `evaluate_batch`,
 ///    `evaluate_raw`, `evaluate_detailed`, `evaluate_raw_batch`) runs
-///    the Evaluator's `BatchEvaluator` — a batch of one for the single
-///    entry points — behind an assignment-keyed LRU memo: RS and GA
-///    re-sample duplicate mappings at small problem sizes, and a cache
-///    hit skips the physical evaluation entirely;
-///  * the transactional move path (`propose_swap` / `commit_move` /
-///    `revert_move` / `apply_move`) runs the delta kernel
-///    (model/incremental.hpp), which shares the batch kernel's pair
-///    routine — SA, tabu and R-PBLA score two-tile swaps in
-///    O(touched edges x |E|) instead of O(|E|^2).
+///    behind an assignment-keyed LRU memo: RS and GA re-sample
+///    duplicate mappings at small problem sizes, and a cache hit skips
+///    the physical evaluation entirely;
+///  * the move path (`propose_swap`), which SA, tabu and R-PBLA use for
+///    their two-tile swaps, scores the swapped mapping whole and
+///    neither reads nor fills the memo. It holds no state, so
+///    `commit_move`, `revert_move` and `apply_move` keep the
+///    `FitnessFunction` no-op defaults.
 ///
 /// Fitness scores only what the objective reads. When
 /// `Objective::needs_noise()` is false (worst-case insertion loss),
-/// `evaluate` and `evaluate_batch` run the kernel's loss-only pass, and
-/// the move path holds no state at all:
-/// `propose_swap` scores `after` as a loss-only batch of one, O(|E|),
-/// still one logical and no physical evaluation; `commit_move`,
-/// `revert_move` and `apply_move` do nothing, and the delta kernel is
-/// never built. Fitness stays bitwise what a full scoring gives, since
-/// the skipped fields are ones it never reads. The reporting entry
-/// points (`evaluate_detailed`, `evaluate_raw`, `evaluate_raw_batch`)
-/// always score noise.
+/// `evaluate`, `evaluate_batch` and `propose_swap` run the kernel's
+/// loss-only pass, O(|E|). Fitness stays bitwise what a full scoring
+/// gives, since the skipped fields are ones it never reads. The
+/// reporting entry points (`evaluate_detailed`, `evaluate_raw`,
+/// `evaluate_raw_batch`) always score noise.
 ///
 /// Counting contract: `evaluation_count` counts *logical* evaluations —
 /// one per `evaluate` or `propose_swap` call, whether it was served by
-/// the cache, the delta kernel, or a full kernel pass. Budgets, traces
-/// and the exec subsystem's bit-identical determinism protocol observe
-/// logical counts only, so the memo cannot change any optimizer's
-/// trajectory. `physical_evaluation_count` reports how many
-/// whole-mapping kernel scorings the memo did not absorb.
+/// the cache or a kernel pass. Budgets, traces and the exec subsystem's
+/// bit-identical determinism protocol observe logical counts only, so
+/// the memo cannot change any optimizer's trajectory.
+/// `physical_evaluation_count` reports how many `evaluate` and
+/// `evaluate_batch` scorings the memo did not absorb; moves count in
+/// neither it nor the memo counters.
 ///
 /// Reuse contract: one Evaluator may serve any number of optimizer runs
 /// on its problem, back to back, with results bit-identical to a fresh
-/// Evaluator per run. Memo entries are exact, the delta kernel is
-/// bit-identical to a fresh scoring (model/incremental.hpp) and rebuilds
-/// when a run starts elsewhere, and optimizers count their budgets in
-/// SearchState, not here. Every counter is cumulative across runs.
+/// Evaluator per run. Memo entries are exact, the move path keeps no
+/// state, and optimizers count their budgets in SearchState, not here.
+/// Every counter is cumulative across runs.
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -54,7 +49,6 @@
 #include "core/problem.hpp"
 #include "mapping/optimizer.hpp"
 #include "model/batch_eval.hpp"
-#include "model/incremental.hpp"
 
 namespace phonoc {
 
@@ -98,11 +92,10 @@ class Evaluator final : public FitnessFunction {
                       std::span<double> out) override;
 
   [[nodiscard]] bool supports_moves() const override { return true; }
+  /// Fitness of `after` (the previous mapping with the (a, b) swap
+  /// applied), scored whole: one logical evaluation, no memo traffic.
   [[nodiscard]] double propose_swap(const Mapping& after, TileId a,
                                     TileId b) override;
-  void commit_move() override;
-  void revert_move() override;
-  void apply_move(const Mapping& after, TileId a, TileId b) override;
 
   /// Full evaluation with per-edge detail (reporting; not counted
   /// against the fitness statistics).
@@ -153,10 +146,10 @@ class Evaluator final : public FitnessFunction {
   /// untouched; the snapshot is independent of this instance.
   [[nodiscard]] EvaluatorMemo export_memo() const;
 
-  /// Full O(|E|^2) rebuilds of the incremental kernel (base changes);
-  /// always 0 for an objective that reads no noise.
+  /// Always 0: no scoring kernel is rebuilt. It stays for perfbench's
+  /// `model.kernel_rebuilds` until the benchmark's next change.
   [[nodiscard]] std::uint64_t kernel_rebuild_count() const noexcept {
-    return kernel_ ? kernel_->rebuild_count() : 0;
+    return 0;
   }
   void reset_count() noexcept { count_ = 0; }
 
@@ -176,14 +169,6 @@ class Evaluator final : public FitnessFunction {
                                      bool noise) const;
   /// Flatten `mappings` row-major into `batch_scratch_`.
   std::span<const TileId> flatten(std::span<const Mapping> mappings) const;
-  /// True when the kernel's committed state equals `after` with the
-  /// (a, b) swap undone — i.e. the kernel sits on the caller's pre-move
-  /// mapping and can score the move incrementally.
-  [[nodiscard]] bool kernel_matches_pre_swap(const Mapping& after, TileId a,
-                                             TileId b) const;
-  /// Ensure the kernel holds the pre-swap base, rebuilding if the
-  /// optimizer re-based (restart, reheat, arbitrary re-assignment).
-  void sync_kernel_pre_swap(const Mapping& after, TileId a, TileId b);
   [[nodiscard]] const double* cache_lookup(const Mapping& mapping,
                                            std::uint64_t hash);
   void cache_insert(std::vector<TileId> assignment, std::uint64_t hash,
@@ -215,10 +200,6 @@ class Evaluator final : public FitnessFunction {
   std::unordered_map<std::uint64_t,
                      std::vector<decltype(cache_order_)::iterator>>
       cache_index_;
-
-  // --- incremental move path -------------------------------------------------
-  std::unique_ptr<IncrementalEvaluation> kernel_;  ///< lazily constructed
-  std::vector<TileId> base_scratch_;
 
   // --- whole-mapping kernel --------------------------------------------------
   /// Mutable: the kernel is pure scoring plus reusable scratch, so the

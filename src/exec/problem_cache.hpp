@@ -20,16 +20,16 @@
 ///
 /// A slot also keeps its problem's idle warm Evaluators, which only the
 /// broker leases. A cell checks one out, runs on it and checks it back
-/// in, so the memo, the batch plan and the delta kernel carry from cell
-/// to cell with nothing copied. A checkout prefers an Evaluator that
-/// recently ran the same search (the broker's affinity: optimizer,
-/// budget, seed), whose memo holds that search's mappings, so a
-/// repeated request hits even when its cells run concurrently. Each
-/// service lane keeps its own idle Evaluators: a bulk grid's long
-/// searches fill a memo with their own mappings, and lent an
-/// interactive Evaluator they would flush the ones small repeated
-/// requests hit. Reuse is invisible in results: memo entries are exact,
-/// the delta kernel is bit-identical to a fresh scoring, and optimizers
+/// in, so the memo and the batch plan carry from cell to cell with
+/// nothing copied. A checkout prefers an Evaluator that recently ran
+/// the same search (the broker's affinity: optimizer, budget, seed),
+/// whose memo holds that search's whole-mapping evaluations (moves
+/// bypass it), so a repeated request hits even when its cells run
+/// concurrently. Each service lane keeps its own idle Evaluators: a
+/// bulk grid's long searches fill a memo with their own mappings, and
+/// lent an interactive Evaluator they would flush the ones small
+/// repeated requests hit. Reuse is invisible in results: memo entries
+/// are exact, moves are scored whole and keep no state, and optimizers
 /// count their budgets in SearchState, never in the Evaluator (see
 /// core/evaluator.hpp). A slot holds at most as many Evaluators per
 /// lane as cells of its problem ever ran at once in that lane.

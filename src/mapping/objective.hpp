@@ -23,11 +23,11 @@ class Objective {
   virtual ~Objective() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   /// Higher is better. The view form is the primary interface so the
-  /// incremental evaluation kernel can fold the cached per-edge state
-  /// without materializing an EvaluationResult per move; both paths
-  /// run the same fold code, keeping fitness bit-identical. The
-  /// Evaluator's whole-mapping scorers pass no per-edge detail, so
-  /// fitness reads only the two worst-case fields.
+  /// kernel's scratch can be folded without materializing an
+  /// EvaluationResult per scoring; every path runs the same fold code,
+  /// keeping fitness bit-identical. The Evaluator's fitness scorers
+  /// pass no per-edge detail, so fitness reads only the two worst-case
+  /// fields.
   [[nodiscard]] virtual double fitness(const EvaluationView& view) const = 0;
   /// Convenience for whole-mapping evaluation results.
   [[nodiscard]] double fitness(const EvaluationResult& r) const {
@@ -35,11 +35,11 @@ class Objective {
   }
   /// True when fitness() reads crosstalk: `worst_snr_db`, or a per-edge
   /// `noise_gain` / `snr_db`. When false, the Evaluator scores fitness
-  /// through the kernel's loss-only pass (no Eq. 4 pair walk, no delta
-  /// kernel), which leaves exactly those fields quiet NaN; the fitness
-  /// is bitwise what a full scoring gives. Derived from what the
-  /// objective reads — never a setting. Defaults to true, so a new
-  /// objective is scored in full unless it declares otherwise.
+  /// through the kernel's loss-only pass (no Eq. 4 pair walk), which
+  /// leaves exactly those fields quiet NaN; the fitness is bitwise what
+  /// a full scoring gives. Derived from what the objective reads —
+  /// never a setting. Defaults to true, so a new objective is scored in
+  /// full unless it declares otherwise.
   [[nodiscard]] virtual bool needs_noise() const { return true; }
 };
 

@@ -24,18 +24,17 @@ namespace phonoc {
 /// Fitness callback: higher is better. Implemented by core::Evaluator.
 ///
 /// Beyond whole-mapping evaluation, the interface carries a transactional
-/// *move* API so neighborhood searches (SA / tabu / R-PBLA, whose move is
-/// a two-tile swap) can be scored incrementally: `propose_swap` evaluates
-/// the mapping that results from one swap, then exactly one of
-/// `commit_move` (keep it) or `revert_move` (restore the previous state)
-/// follows. `apply_move` adopts a swap whose fitness is already known
-/// without spending an evaluation. The default implementations fall back
-/// to `evaluate`, so state-free fitness functions need not override
-/// anything; implementations that answer `supports_moves() == true` may
-/// keep arbitrary internal state between calls. One proposal may be
-/// outstanding at a time. Every `propose_swap` counts as one *logical*
-/// evaluation, exactly like `evaluate` — budgets and determinism
-/// contracts observe logical evaluations, never the physical work done.
+/// *move* API for neighborhood searches (SA / tabu / R-PBLA, whose move
+/// is a two-tile swap): `propose_swap` evaluates the mapping that
+/// results from one swap, then exactly one of `commit_move` (keep it) or
+/// `revert_move` (restore the previous state) follows. `apply_move`
+/// adopts a swap whose fitness is already known without spending an
+/// evaluation. The defaults score a proposal through `evaluate` and do
+/// nothing otherwise, so state-free fitness functions need not override
+/// anything. One proposal may be outstanding at a time. Every
+/// `propose_swap` counts as one *logical* evaluation, exactly like
+/// `evaluate` — budgets and determinism contracts observe logical
+/// evaluations, never the physical work done.
 class FitnessFunction {
  public:
   virtual ~FitnessFunction() = default;
@@ -52,7 +51,8 @@ class FitnessFunction {
       out[i] = evaluate(mappings[i]);
   }
 
-  /// True when propose/commit/revert are served by an incremental path.
+  /// True when `propose_swap` is scored by the implementation itself,
+  /// not by the `evaluate` fallback.
   [[nodiscard]] virtual bool supports_moves() const { return false; }
   /// Fitness of `after`, which is the previous mapping with the (a, b)
   /// tile swap already applied.

@@ -49,17 +49,15 @@ void sieve_row_wide(const std::uint64_t* PHONOC_RESTRICT masks,
 }  // namespace
 
 BatchEvalPlan::BatchEvalPlan(const NetworkModel& net, const CommGraph& cg)
-    : net_(&net), tasks_(cg.task_count()), task_edges_(cg.task_count()) {
+    : net_(&net), tasks_(cg.task_count()) {
   require(tasks_ <= net.tile_count(),
           "BatchEvalPlan: more tasks than tiles (violates Eq. 2)");
   const auto edges = cg.edges();
   edge_src_.reserve(edges.size());
   edge_dst_.reserve(edges.size());
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    edge_src_.push_back(edges[e].src);
-    edge_dst_.push_back(edges[e].dst);
-    task_edges_[edges[e].src].push_back(static_cast<std::uint32_t>(e));
-    task_edges_[edges[e].dst].push_back(static_cast<std::uint32_t>(e));
+  for (const auto& edge : edges) {
+    edge_src_.push_back(edge.src);
+    edge_dst_.push_back(edge.dst);
   }
 }
 

@@ -1,16 +1,16 @@
 #pragma once
 /// \file batch_eval.hpp
 /// \brief The evaluation kernel over the NetworkModel's path store:
-/// batched whole-mapping scoring, plus the per-edge hop rows and the one
-/// pair routine that the delta kernel (incremental.hpp) shares.
+/// batched whole-mapping scoring, its per-edge hop rows and its one
+/// pair routine.
 ///
 /// A `BatchEvalPlan` adds only the CG's shape to the store (edge
-/// endpoints and the task -> edge adjacency; O(|E|), no path data). A
-/// `BatchEvaluator` resolves each mapping's edges to path ids and fills
-/// their hop rows, then per victim edge runs a vectorized tile-mask
-/// sieve (pairs sharing no tile contribute exactly +0.0 and are
-/// skipped), compacts the survivors without a branch and calls
-/// `pair_noise` on each with the tiles the pair shares.
+/// endpoints; O(|E|), no path data). A `BatchEvaluator` resolves each
+/// mapping's edges to path ids and fills their hop rows, then per
+/// victim edge runs a vectorized tile-mask sieve (pairs sharing no tile
+/// contribute exactly +0.0 and are skipped), compacts the survivors
+/// without a branch and calls `pair_noise` on each with the tiles the
+/// pair shares.
 ///
 /// Bit-identity contract: every metric equals `evaluate_mapping` of the
 /// same assignment bitwise — the same per-term operands and
@@ -40,10 +40,10 @@ struct BatchPoint {
   double worst_snr_db = 0.0;
 };
 
-/// Per-edge tile -> hop rows, a kernel's own per-thread scratch (the
-/// shared NetworkModel stays immutable): `row(e)[tile]` is the hop
-/// index at `tile` of the path last set for edge `e`, or -1. Setting or
-/// clearing a path costs O(hops), not O(tiles).
+/// Per-edge tile -> hop rows, each BatchEvaluator's own per-thread
+/// scratch (the shared NetworkModel stays immutable): `row(e)[tile]` is
+/// the hop index at `tile` of the path last set for edge `e`, or -1.
+/// Setting or clearing a path costs O(hops), not O(tiles).
 class HopRows {
  public:
   HopRows(std::size_t edges, std::size_t tiles)
@@ -125,10 +125,10 @@ struct PairPath {
   return contribution;
 }
 
-/// The CG's shape over one NetworkModel's path store: edge endpoints
-/// and the task -> incident-edge adjacency, O(|E|) to build. It copies
-/// no path data. Immutable, so any number of kernels (one per thread)
-/// can share it. The network and CG must outlive the plan.
+/// The CG's shape over one NetworkModel's path store: edge endpoints,
+/// O(|E|) to build. It copies no path data. Immutable, so any number of
+/// BatchEvaluators (one per thread) can share it. The network and CG
+/// must outlive the plan.
 class BatchEvalPlan {
  public:
   BatchEvalPlan(const NetworkModel& net, const CommGraph& cg);
@@ -155,18 +155,12 @@ class BatchEvalPlan {
                                       std::size_t e) const noexcept {
     return net_->path_id(assignment[edge_src_[e]], assignment[edge_dst_[e]]);
   }
-  /// CG edges incident to `task` (as source or destination), ascending.
-  [[nodiscard]] std::span<const std::uint32_t> task_edges(
-      NodeId task) const noexcept {
-    return task_edges_[task];
-  }
 
  private:
   const NetworkModel* net_;
   std::size_t tasks_;
   std::vector<NodeId> edge_src_;
   std::vector<NodeId> edge_dst_;
-  std::vector<std::vector<std::uint32_t>> task_edges_;
 };
 
 /// Batched scorer over a shared plan. Owns reusable per-batch scratch,

@@ -6,8 +6,8 @@
 /// `evaluate_mapping` and `noise_contribution` are the plain reference
 /// loops over `NetworkModel::path` views: the oracle every kernel is
 /// tested against bitwise. Production scoring runs the evaluation
-/// kernel (batch_eval.hpp, incremental.hpp), which computes the same
-/// sums over the network's flat path store.
+/// kernel (batch_eval.hpp), which computes the same sums over the
+/// network's flat path store.
 
 #include <span>
 #include <vector>
@@ -38,9 +38,8 @@ struct EvaluationResult {
 };
 
 /// Non-owning view of an evaluated mapping. Objectives fold over this so
-/// every producer — the batch kernel, the incremental kernel (which
-/// keeps its per-edge metrics alive across moves) and the reference
-/// loop — feeds the same fitness code without copying the edge vector.
+/// every producer — the batch kernel and the reference loop — feeds the
+/// same fitness code without copying the edge vector.
 struct EvaluationView {
   double worst_loss_db = 0.0;
   double worst_snr_db = 0.0;

@@ -1,6 +1,8 @@
 #include "sched/host_pool.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -33,6 +35,11 @@ HostPool::HostPool(std::vector<std::size_t> capacities, std::size_t cells,
       epoch_(std::chrono::steady_clock::now()) {
   const std::size_t hosts = capacities.size();
   require(hosts > 0, "HostPool: need at least one host");
+  // The deal multiplies a capacity by the unit count; a 32-bit bound
+  // keeps that product from wrapping.
+  for (const auto capacity : capacities)
+    require(capacity <= std::numeric_limits<std::uint32_t>::max(),
+            "HostPool: a host capacity exceeds 2^32 - 1");
   const std::size_t unit = std::max<std::size_t>(cells_per_unit, 1);
   const std::size_t units = (cells + unit - 1) / unit;
   // An all-zero fleet (say, no host survived its handshake) degrades

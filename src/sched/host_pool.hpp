@@ -68,7 +68,8 @@ class HostPool {
   /// index). A capacity-0 host starts with nothing and only reaches
   /// work through retry, stealing or speculation; an all-zero fleet
   /// falls back to an equal split so the ledger stays well-formed even
-  /// when nobody will drive it. `max_attempts` >= 1 is the total
+  /// when nobody will drive it. A capacity above 2^32 - 1 throws
+  /// InvalidArgument. `max_attempts` >= 1 is the total
   /// number of dispatches a unit may consume (1 = no retries). A
   /// negative `speculate_after_seconds` disables straggler speculation
   /// (0 makes every in-flight unit immediately cloneable —

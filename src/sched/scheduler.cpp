@@ -79,7 +79,8 @@ void abandon(DriverContext& ctx, std::size_t host,
 /// Parse the worker's hello reply. Accepted shapes: the bare
 /// `kSchedHello` (a peer predating optional fields ⇒ capacity 1) or
 /// `kSchedHello key value ...` with unknown keys ignored (forward
-/// compatibility). Returns false on a version mismatch.
+/// compatibility). A capacity must be a positive 32-bit count, so the
+/// HostPool's deal cannot overflow. Returns false on a version mismatch.
 bool parse_hello_reply(const std::string& payload, std::size_t& capacity) {
   capacity = 1;
   if (payload == kSchedHello) return true;
@@ -89,10 +90,11 @@ bool parse_hello_reply(const std::string& payload, std::size_t& capacity) {
   for (std::size_t i = 0; i + 1 < fields.size(); i += 2) {
     if (fields[i] != "capacity") continue;
     try {
-      const long value = parse_long(fields[i + 1]);
-      if (value > 0) capacity = static_cast<std::size_t>(value);
+      const auto value = parse_uint<std::uint32_t>(fields[i + 1]);
+      if (value > 0) capacity = value;
     } catch (const ParseError&) {
-      // A garbled field is not worth killing the host over: keep 1.
+      // A garbled or out-of-range field is not worth killing the host
+      // over: keep 1.
     }
   }
   return true;

@@ -1,13 +1,13 @@
-// Property tests of the incremental (delta) evaluation layer: across
-// random CGs, mesh/ring/torus topologies and both paper objectives, long
-// random propose/commit/revert swap sequences must stay bit-identical
-// (tolerance 0) to full `evaluate_mapping` re-evaluation — fitness and
-// per-edge metrics alike. Also covers the Evaluator's transactional
-// move API, the equivalence of complete optimizer runs with the oracle
-// (tests/oracle.hpp), the whole-mapping memo's counting contract
-// (cache hits must never change the evaluation counts budgets observe),
-// and the reuse contract: a warm Evaluator serving run after run
-// returns exactly what a fresh one does.
+// Property tests of the Evaluator against the oracle (tests/oracle.hpp):
+// across random CGs, mesh/ring/torus topologies and both paper
+// objectives, every whole-mapping entry point and the move path must be
+// bit-identical (tolerance 0) to `evaluate_mapping`, and complete
+// optimizer runs must equal the oracle's. Also covers the whole-mapping
+// memo's counting contract (cache hits must never change the evaluation
+// counts budgets observe, and moves never touch the memo), the reuse
+// contract (a warm Evaluator serving run after run returns exactly what
+// a fresh one does), and the move shim that perfbench's layer probe
+// times (model/incremental.hpp).
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,6 @@
 #include "router/router_model.hpp"
 #include "routing/table_routing.hpp"
 #include "topology/ring.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/generator.hpp"
@@ -72,31 +71,6 @@ MappingProblem make_test_problem(const std::string& topology,
                         std::move(obj));
 }
 
-/// Bitwise comparison of the kernel-maintained state against a fresh
-/// full evaluation of the same assignment. Zero tolerance throughout.
-void expect_matches_full(const MappingProblem& problem,
-                         const IncrementalEvaluation& kernel,
-                         const Mapping& mapping, const std::string& where) {
-  const auto full = evaluate_mapping(problem.network(), problem.cg(),
-                                     mapping.assignment(), /*detailed=*/true);
-  const auto delta = kernel.result(/*detailed=*/true);
-  ASSERT_EQ(delta.worst_loss_db, full.worst_loss_db) << where;
-  ASSERT_EQ(delta.worst_snr_db, full.worst_snr_db) << where;
-  ASSERT_EQ(problem.objective().fitness(delta),
-            problem.objective().fitness(full))
-      << where;
-  ASSERT_EQ(delta.edges.size(), full.edges.size()) << where;
-  for (std::size_t e = 0; e < full.edges.size(); ++e) {
-    ASSERT_EQ(delta.edges[e].edge, full.edges[e].edge) << where;
-    ASSERT_EQ(delta.edges[e].src_tile, full.edges[e].src_tile) << where;
-    ASSERT_EQ(delta.edges[e].dst_tile, full.edges[e].dst_tile) << where;
-    ASSERT_EQ(delta.edges[e].loss_db, full.edges[e].loss_db) << where;
-    ASSERT_EQ(delta.edges[e].signal_gain, full.edges[e].signal_gain) << where;
-    ASSERT_EQ(delta.edges[e].noise_gain, full.edges[e].noise_gain) << where;
-    ASSERT_EQ(delta.edges[e].snr_db, full.edges[e].snr_db) << where;
-  }
-}
-
 struct SweepConfig {
   const char* topology;
   const char* objective;
@@ -106,66 +80,12 @@ std::string PrintConfig(const ::testing::TestParamInfo<SweepConfig>& info) {
   return std::string(info.param.topology) + "_" + info.param.objective;
 }
 
-class DeltaEqualsFullSweep : public ::testing::TestWithParam<SweepConfig> {};
-
-TEST_P(DeltaEqualsFullSweep, LongRandomSwapSequenceIsBitIdentical) {
-  const auto [topology, objective] = GetParam();
-  const auto problem = make_test_problem(topology, objective, 77);
-  const auto tiles = problem.tile_count();
-
-  IncrementalEvaluation kernel(problem.network(), problem.cg());
-  EXPECT_FALSE(kernel.has_state());
-  Rng rng(std::hash<std::string>{}(std::string(topology) + objective));
-  Mapping current = Mapping::random(problem.task_count(), tiles, rng);
-  kernel.reset(current.assignment());
-  ASSERT_NO_FATAL_FAILURE(
-      expect_matches_full(problem, kernel, current, "after reset"));
-
-  int commits = 0;
-  int reverts = 0;
-  for (int step = 0; step < 1200; ++step) {
-    const auto where = "step " + std::to_string(step);
-    if (step % 250 == 249) {
-      // Arbitrary re-assignment: the full-rebuild fallback.
-      current = Mapping::random(problem.task_count(), tiles, rng);
-      kernel.reset(current.assignment());
-      ASSERT_NO_FATAL_FAILURE(
-          expect_matches_full(problem, kernel, current, where + " rebase"));
-      continue;
-    }
-    const auto a = static_cast<TileId>(rng.next_below(tiles));
-    const auto b = static_cast<TileId>(rng.next_below(tiles));
-    current.swap_tiles(a, b);
-    kernel.propose_swap(a, b);
-    ASSERT_TRUE(kernel.pending());
-    ASSERT_NO_FATAL_FAILURE(
-        expect_matches_full(problem, kernel, current, where + " propose"));
-    if (rng.next_bool(0.6)) {
-      kernel.commit();
-      ++commits;
-    } else {
-      // Revert-after-propose round trip must restore the state bitwise.
-      kernel.revert();
-      current.swap_tiles(a, b);
-      ++reverts;
-      ASSERT_NO_FATAL_FAILURE(
-          expect_matches_full(problem, kernel, current, where + " revert"));
-    }
-  }
-  EXPECT_GT(commits, 100);
-  EXPECT_GT(reverts, 100);
-}
-
-const auto kSweepConfigs =
-    ::testing::Values(SweepConfig{"mesh", "worst_loss"},
-                      SweepConfig{"mesh", "worst_snr"},
-                      SweepConfig{"ring", "worst_loss"},
-                      SweepConfig{"ring", "worst_snr"},
-                      SweepConfig{"torus", "worst_loss"},
-                      SweepConfig{"torus", "worst_snr"});
-
-INSTANTIATE_TEST_SUITE_P(Configs, DeltaEqualsFullSweep, kSweepConfigs,
-                         PrintConfig);
+/// Mesh, ring and torus x both paper objectives.
+const SweepConfig kSweep[] = {
+    {"mesh", "worst_loss"},  {"mesh", "worst_snr"},
+    {"ring", "worst_loss"},  {"ring", "worst_snr"},
+    {"torus", "worst_loss"}, {"torus", "worst_snr"}};
+const auto kSweepConfigs = ::testing::ValuesIn(kSweep);
 
 // --- every Evaluator entry point vs the oracle ------------------------------
 
@@ -273,86 +193,55 @@ MappingProblem make_wide_problem(const std::string& objective) {
                         std::move(obj));
 }
 
-TEST(IncrementalKernel, TwoMaskWordsWalkIsBitIdentical) {
-  const auto problem = make_wide_problem("worst_snr");
-  ASSERT_EQ(problem.network().store().mask_words, 2u);
-  const auto tiles = problem.tile_count();
-  IncrementalEvaluation kernel(problem.network(), problem.cg());
-  Rng rng(97);
-  Mapping current = Mapping::random(problem.task_count(), tiles, rng);
-  kernel.reset(current.assignment());
-  ASSERT_NO_FATAL_FAILURE(
-      expect_matches_full(problem, kernel, current, "after reset"));
-  for (int step = 0; step < 300; ++step) {
-    const auto where = "step " + std::to_string(step);
-    const auto a = static_cast<TileId>(rng.next_below(tiles));
-    const auto b = static_cast<TileId>(rng.next_below(tiles));
-    current.swap_tiles(a, b);
-    kernel.propose_swap(a, b);
-    ASSERT_NO_FATAL_FAILURE(
-        expect_matches_full(problem, kernel, current, where + " propose"));
-    if (rng.next_bool(0.6)) {
-      kernel.commit();
-      continue;
-    }
-    kernel.revert();
-    current.swap_tiles(a, b);
-    ASSERT_NO_FATAL_FAILURE(
-        expect_matches_full(problem, kernel, current, where + " revert"));
-  }
-}
-
 TEST(EvaluatorEqualsOracleWide, TwoMaskWordsAreBitIdentical) {
   Rng rng(std::hash<std::string>{}("worst_snr"));
   ASSERT_NO_FATAL_FAILURE(
       expect_entry_points_match_oracle(make_wide_problem("worst_snr"), rng));
 }
 
-// --- kernel protocol guards -------------------------------------------------
+// --- the move shim (model/incremental.hpp) ----------------------------------
 
-TEST(IncrementalKernel, ProtocolMisuseThrows) {
-  const auto problem = make_test_problem("mesh", "worst_snr", 3);
-  IncrementalEvaluation kernel(problem.network(), problem.cg());
-  EXPECT_THROW(kernel.propose_swap(0, 1), InvalidArgument);  // no base
-  EXPECT_THROW(kernel.commit(), InvalidArgument);
-  EXPECT_THROW(kernel.revert(), InvalidArgument);
-  Rng rng(5);
-  const auto mapping = Mapping::random(problem.task_count(),
-                                       problem.tile_count(), rng);
-  kernel.reset(mapping.assignment());
-  kernel.propose_swap(0, 1);
-  EXPECT_THROW(kernel.propose_swap(2, 3), InvalidArgument);  // pending
-  EXPECT_THROW(kernel.reset(mapping.assignment()), InvalidArgument);
-  kernel.revert();
-  EXPECT_THROW(kernel.commit(), InvalidArgument);  // nothing pending
-}
-
-TEST(IncrementalKernel, EmptyTileAndIdentitySwapsAreExactNoOps) {
-  // 10 tasks on 16 tiles: empty tiles exist. Swapping two empty tiles
-  // or a tile with itself must leave every metric bitwise unchanged.
-  const auto problem = make_test_problem("mesh", "worst_snr", 9);
-  IncrementalEvaluation kernel(problem.network(), problem.cg());
-  Rng rng(11);
-  Mapping current = Mapping::random(problem.task_count(),
-                                    problem.tile_count(), rng);
-  kernel.reset(current.assignment());
-  TileId empty_a = 0;
-  TileId empty_b = 0;
-  for (TileId t = 0; t < problem.tile_count(); ++t)
-    if (current.task_at(t) < 0) {
-      empty_a = empty_b;
-      empty_b = t;
+TEST(MoveShim, ProposeRevertWalkMatchesTheOracle) {
+  // The shim perfbench's layer probe times must really score: after
+  // every proposal (kept or reverted) its view equals the oracle of the
+  // current mapping bitwise, on one mask word and on two.
+  const auto mesh = make_test_problem("mesh", "worst_snr", 61);
+  const auto wide = make_wide_problem("worst_snr");
+  ASSERT_EQ(mesh.network().store().mask_words, 1u);
+  ASSERT_EQ(wide.network().store().mask_words, 2u);
+  for (const MappingProblem* problem : {&mesh, &wide}) {
+    SCOPED_TRACE(problem->tile_count());
+    const auto tiles = problem->tile_count();
+    const auto expect_oracle = [&](const IncrementalEvaluation& shim,
+                                   const Mapping& mapping,
+                                   const std::string& where) {
+      const auto want = evaluate_mapping(problem->network(), problem->cg(),
+                                         mapping.assignment());
+      const auto got = shim.view();
+      ASSERT_EQ(got.worst_loss_db, want.worst_loss_db) << where;
+      ASSERT_EQ(got.worst_snr_db, want.worst_snr_db) << where;
+    };
+    IncrementalEvaluation shim(problem->network(), problem->cg());
+    Rng rng(71);
+    Mapping current = Mapping::random(problem->task_count(), tiles, rng);
+    shim.reset(current.assignment());
+    ASSERT_NO_FATAL_FAILURE(expect_oracle(shim, current, "reset"));
+    int reverts = 0;
+    for (int step = 0; step < 200; ++step) {
+      const auto where = "step " + std::to_string(step);
+      const auto a = static_cast<TileId>(rng.next_below(tiles));
+      const auto b = static_cast<TileId>(rng.next_below(tiles));
+      current.swap_tiles(a, b);
+      shim.propose_swap(a, b);
+      ASSERT_NO_FATAL_FAILURE(expect_oracle(shim, current, where + " propose"));
+      if (rng.next_bool(0.4)) continue;  // keep the move
+      shim.revert();
+      current.swap_tiles(a, b);
+      ++reverts;
+      ASSERT_NO_FATAL_FAILURE(expect_oracle(shim, current, where + " revert"));
     }
-  ASSERT_NE(empty_a, empty_b);
-  const auto before = kernel.result(true);
-  kernel.propose_swap(empty_a, empty_b);
-  EXPECT_EQ(kernel.result(true).worst_snr_db, before.worst_snr_db);
-  kernel.commit();
-  kernel.propose_swap(3, 3);
-  EXPECT_EQ(kernel.result(true).worst_snr_db, before.worst_snr_db);
-  kernel.revert();
-  ASSERT_NO_FATAL_FAILURE(
-      expect_matches_full(problem, kernel, current, "after no-ops"));
+    EXPECT_GT(reverts, 50);
+  }
 }
 
 // --- Evaluator move API -----------------------------------------------------
@@ -381,12 +270,12 @@ TEST(EvaluatorMoves, ProposalCountsOneLogicalEvaluation) {
 }
 
 TEST(EvaluatorMoves, ProposalsMatchTheOracleBitIdentically) {
-  // The SNR objective's moves run the delta kernel; the loss-only
-  // objective's moves are loss-only batches of one. Both equal the
-  // oracle's whole-mapping fallback bitwise.
-  for (const auto* objective : {"worst_snr", "worst_loss"}) {
-    SCOPED_TRACE(objective);
-    const auto problem = make_test_problem("torus", objective, 23);
+  // Each move is scored whole, a loss-only batch of one for the
+  // loss-only objective; both equal the oracle's whole-mapping fallback
+  // bitwise on every topology.
+  for (const auto& [topology, objective] : kSweep) {
+    SCOPED_TRACE(std::string(topology) + " " + objective);
+    const auto problem = make_test_problem(topology, objective, 23);
     Evaluator evaluator(problem, {.cache_capacity = 0});
     OracleFitness oracle(problem);
     Rng rng(17);
@@ -419,24 +308,60 @@ TEST(EvaluatorMoves, ProposalsMatchTheOracleBitIdentically) {
   }
 }
 
-TEST(EvaluatorMoves, LossOnlyObjectivesNeverBuildTheDeltaKernel) {
-  // An objective that reads no crosstalk has its moves scored as
-  // loss-only batches of one: whole move-based runs never build the
-  // O(|E|^2) delta kernel, which the SNR objective's runs do.
-  OptimizerBudget budget;
-  budget.max_evaluations = 600;
-  for (const auto* objective : {"worst_loss", "worst_snr"}) {
+TEST(EvaluatorMoves, ProposalsLeaveTheMemoAndItsCountersUntouched) {
+  // Moves are scored whole and bypass the memo: a propose/commit/revert
+  // walk from a memoized mapping leaves every memo counter, the physical
+  // count and the memo's contents and recency order exactly as they
+  // were, while each proposal still counts one logical evaluation.
+  for (const auto* objective : {"worst_snr", "worst_loss"}) {
     SCOPED_TRACE(objective);
-    const auto problem = make_test_problem("mesh", objective, 51);
-    const Engine engine(problem);
-    Evaluator evaluator(problem);
-    for (const auto* name : {"sa", "tabu", "rpbla"})
-      (void)engine.run_with(evaluator, name, budget, 3);
-    EXPECT_GT(evaluator.evaluation_count(), 1000u);
-    if (problem.objective().needs_noise())
-      EXPECT_GT(evaluator.kernel_rebuild_count(), 0u);
-    else
-      EXPECT_EQ(evaluator.kernel_rebuild_count(), 0u);
+    const auto problem = make_test_problem("mesh", objective, 29);
+    Evaluator evaluator(problem, {.cache_capacity = 4});
+    Rng rng(13);
+    std::vector<Mapping> seen;
+    for (int i = 0; i < 6; ++i) {
+      seen.push_back(Mapping::random(problem.task_count(),
+                                     problem.tile_count(), rng));
+      (void)evaluator.evaluate(seen.back());
+    }
+    (void)evaluator.evaluate(seen[4]);
+    const auto hits = evaluator.cache_hit_count();
+    const auto misses = evaluator.cache_miss_count();
+    const auto evictions = evaluator.cache_eviction_count();
+    const auto physical = evaluator.physical_evaluation_count();
+    const auto logical = evaluator.evaluation_count();
+    const auto memo = evaluator.export_memo();
+    ASSERT_EQ(hits, 1u);
+    ASSERT_EQ(evictions, 2u);
+
+    Mapping current = seen[5];
+    for (int step = 0; step < 200; ++step) {
+      const auto a =
+          static_cast<TileId>(rng.next_below(problem.tile_count()));
+      const auto b =
+          static_cast<TileId>(rng.next_below(problem.tile_count()));
+      current.swap_tiles(a, b);
+      (void)evaluator.propose_swap(current, a, b);
+      if (rng.next_bool(0.5)) {
+        evaluator.commit_move();
+      } else {
+        evaluator.revert_move();
+        current.swap_tiles(a, b);
+      }
+    }
+    EXPECT_EQ(evaluator.evaluation_count(), logical + 200);
+    EXPECT_EQ(evaluator.cache_hit_count(), hits);
+    EXPECT_EQ(evaluator.cache_miss_count(), misses);
+    EXPECT_EQ(evaluator.cache_eviction_count(), evictions);
+    EXPECT_EQ(evaluator.physical_evaluation_count(), physical);
+    const auto after = evaluator.export_memo();
+    ASSERT_EQ(after.entries.size(), memo.entries.size());
+    for (std::size_t i = 0; i < memo.entries.size(); ++i) {
+      EXPECT_EQ(after.entries[i].assignment, memo.entries[i].assignment)
+          << "entry " << i;
+      EXPECT_EQ(after.entries[i].fitness, memo.entries[i].fitness)
+          << "entry " << i;
+    }
   }
 }
 
@@ -459,10 +384,9 @@ void expect_identical_runs(const RunResult& a, const RunResult& b) {
 
 TEST(EvaluatorEquivalence, OptimizerTrajectoriesMatchWholeMappingPath) {
   // The load-bearing end-to-end property: for every optimizer, the
-  // Evaluator's kernels (and the memo) must reproduce the oracle's
+  // Evaluator's kernel (and the memo) must reproduce the oracle's
   // whole-mapping sequential protocol bit for bit. Two objectives: SNR
-  // runs the full and delta kernels, the insertion-loss goal runs the
-  // loss-only pass.
+  // runs the full pass, the insertion-loss goal the loss-only pass.
   ExperimentSpec spec;
   spec.benchmark = "mpeg4";
   const auto snr = make_experiment(spec);
@@ -472,13 +396,13 @@ TEST(EvaluatorEquivalence, OptimizerTrajectoriesMatchWholeMappingPath) {
   budget.max_evaluations = 1500;
   for (const MappingProblem* problem : {&snr, &loss}) {
     SCOPED_TRACE(problem->objective().name());
-    const Engine delta(*problem, {.cache_capacity = 0});
-    const Engine delta_cached(*problem, {.cache_capacity = 512});
+    const Engine uncached(*problem, {.cache_capacity = 0});
+    const Engine cached(*problem, {.cache_capacity = 512});
     for (const auto* name : {"sa", "tabu", "rpbla", "rs", "ga"}) {
       SCOPED_TRACE(name);
       const auto want = oracle_run(*problem, name, budget, 42);
-      expect_identical_runs(delta.run(name, budget, 42), want);
-      expect_identical_runs(delta_cached.run(name, budget, 42), want);
+      expect_identical_runs(uncached.run(name, budget, 42), want);
+      expect_identical_runs(cached.run(name, budget, 42), want);
     }
   }
 }
@@ -578,9 +502,8 @@ TEST(EvaluatorMemo, DisabledCacheCountsNothing) {
 
 TEST(EvaluatorReuse, WarmEvaluatorRunsEqualFreshOnesBitForBit) {
   // The service's warm-Evaluator contract: one Evaluator serving run
-  // after run — its memo holding earlier runs' mappings, its delta
-  // kernel sitting on an earlier run's state — returns exactly what a
-  // fresh Evaluator returns. The second pass repeats every run, so the
+  // after run, its memo holding earlier runs' mappings, returns exactly
+  // what a fresh Evaluator returns. The second pass repeats every run, so the
   // memo answers most of its evaluations.
   OptimizerBudget budget;
   budget.max_evaluations = 600;

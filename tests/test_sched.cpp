@@ -171,6 +171,16 @@ TEST(HostPool, AllZeroCapacitiesFallBackToAnEqualSplit) {
   EXPECT_EQ(u1->begin, 2u);
 }
 
+TEST(HostPool, CapacitiesBeyond32BitsAreRejected) {
+  // The deal multiplies each capacity by the unit count in size_t; a
+  // capacity past 32 bits could wrap that product and under-deal.
+  EXPECT_THROW(HostPool(std::vector<std::size_t>{std::size_t{1} << 32, 1}, 8,
+                        2, 1, -1.0),
+               InvalidArgument);
+  EXPECT_NO_THROW(HostPool(std::vector<std::size_t>{0xFFFFFFFFu, 1}, 8, 2, 1,
+                           -1.0));
+}
+
 TEST(HostPool, CompleteCellIsFirstWins) {
   HostPool pool({1}, 4, 4, 1, -1.0);
   (void)pool.acquire(0);
@@ -660,6 +670,25 @@ TEST(Scheduler, BareHelloPeersCountAsCapacityOne) {
   EXPECT_EQ(outcome.hosts[0].capacity, 1u);
   for (const auto& result : outcome.results)
     EXPECT_EQ(result.status, CellStatus::Ok);
+}
+
+TEST(Scheduler, OversizedHelloCapacityCountsAsOne) {
+  // A hello advertising 2^62 slots. Times this sweep's 4 units, that
+  // wraps size_t to 0 in the HostPool's deal, which would then leave
+  // units unqueued. Out of the 32-bit range, the field keeps capacity 1,
+  // and the sweep finishes bit-identical.
+  const auto spec = spec8();
+  const auto reference = BatchEngine({.workers = 1}).run(spec);
+  SchedulerOptions options;
+  options.hosts = {"huge", "plain"};
+  options.transport = std::make_shared<FakeTransport>(
+      std::map<std::string, FakeBehavior>{
+          {"huge", {.advertise_capacity = std::size_t{1} << 62}}});
+  options.cells_per_shard = 2;
+  const auto outcome = Scheduler(options).run(spec);
+  expect_all_identical(spec, outcome.results, reference);
+  EXPECT_EQ(outcome.hosts[0].capacity, 1u);
+  EXPECT_EQ(outcome.hosts[1].capacity, 1u);
 }
 
 TEST(Scheduler, CapacityWeightedFleetDealsProportionallyAndStaysIdentical) {
