@@ -24,10 +24,11 @@ int main(int argc, char** argv) {
   using namespace phonoc;
   const CliOptions cli(argc, argv);
   OptimizerBudget budget;
-  budget.max_evaluations = static_cast<std::uint64_t>(cli.get_int(
-      "evals",
-      env_int("PHONOC_ABLATION_EVALS", full_scale_requested() ? 30000 : 5000)));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  budget.max_evaluations = cli.get_uint<std::uint64_t>(
+      "evals", static_cast<std::uint64_t>(env_int(
+                   "PHONOC_ABLATION_EVALS",
+                   full_scale_requested() ? 30000 : 5000)));
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
   const auto app = cli.get_or("benchmark", "vopd");
   Timer timer;
 

@@ -25,14 +25,15 @@ int main(int argc, char** argv) {
   using namespace phonoc;
   const CliOptions cli(argc, argv);
   OptimizerBudget budget;
-  budget.max_evaluations = static_cast<std::uint64_t>(cli.get_int(
-      "evals",
-      env_int("PHONOC_ABLATION_EVALS", full_scale_requested() ? 20000 : 3000)));
+  budget.max_evaluations = cli.get_uint<std::uint64_t>(
+      "evals", static_cast<std::uint64_t>(env_int(
+                   "PHONOC_ABLATION_EVALS",
+                   full_scale_requested() ? 20000 : 3000)));
   SimulationOptions sim;
   sim.duration_ns = cli.get_double(
       "duration-ns", full_scale_requested() ? 500000.0 : 100000.0);
   sim.arrivals_per_us = cli.get_double("load", 2.0);
-  sim.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  sim.seed = cli.get_uint<std::uint64_t>("seed", 1);
   const auto seed = sim.seed;
   Timer timer;
 

@@ -1,28 +1,21 @@
 /// \file bench_eval_micro.cpp
 /// \brief P1 — google-benchmark microbenchmarks of the hot paths: the
 /// mapping evaluator (which the DSE calls tens of thousands of times),
-/// the SoA batched kernel, router-model derivation, and network-model
-/// construction.
+/// router-model derivation, and network-model construction.
 ///
-/// Before the benchmarks run, main() checks the batched kernel for
-/// bitwise agreement against per-mapping evaluation — the loss-only
-/// pass included, on worst-case loss and every edge's loss and signal
-/// gain — on a 4x4 CG, on dvopd (the costliest problem of the fleet
-/// sweep grid) and on the reference CG, then reports per-mapping
-/// throughput (mappings/sec) across batch sizes {1, 8, 64, 512} and CG
-/// sizes.
-/// --json=FILE dumps the batched section's headline numbers
-/// (bench/BENCH_batch_eval.json; regenerate with
-/// bench/update_snapshots.sh).
+/// Before the benchmarks run, main() checks the evaluation kernel for
+/// bitwise agreement with per-mapping `evaluate_mapping` — the full
+/// pass with per-edge detail, and the loss-only pass on worst-case loss
+/// and every edge's loss and signal gain — on a 4x4 CG, on dvopd (the
+/// costliest problem of the fleet sweep grid) and on the reference CG,
+/// then reports the kernel's and the scalar loop's mappings/sec on each
+/// problem, one mapping per call.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
-#include <optional>
 #include <string>
 
 #include "core/evaluator.hpp"
@@ -32,7 +25,6 @@
 #include "router/registry.hpp"
 #include "router/router_model.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 #include "util/timer.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/generator.hpp"
@@ -130,7 +122,7 @@ void BM_NoiseContribution(benchmark::State& state) {
 }
 BENCHMARK(BM_NoiseContribution);
 
-// --- batched (SoA) vs scalar bulk evaluation --------------------------------
+// --- the kernel vs the scalar reference loop --------------------------------
 
 /// dvopd on its auto-sized 6x6 mesh (32 tasks, 44 edges): the fleet
 /// sweep grid's costliest problem, so the agreement checks cover the
@@ -141,7 +133,7 @@ MappingProblem make_fleet_problem() {
   return make_experiment(spec);
 }
 
-/// A smaller CG on a 4x4 mesh for the CG-size axis of the batched
+/// A smaller CG on a 4x4 mesh for the CG-size axis of the kernel
 /// section (the large problem above is the 8x8-torus reference).
 MappingProblem make_small_problem() {
   auto cg = random_cg({.tasks = 12,
@@ -155,90 +147,68 @@ MappingProblem make_small_problem() {
                         make_objective(OptimizationGoal::Snr));
 }
 
-void BM_BatchedEvaluate(benchmark::State& state) {
-  const auto problem = make_large_problem();
-  const Evaluator evaluator(problem);
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  std::vector<Mapping> mappings;
-  for (std::size_t i = 0; i < batch; ++i)
-    mappings.push_back(
-        Mapping::random(problem.task_count(), problem.tile_count(), rng));
-  std::vector<BatchPoint> points(batch);
-  for (auto _ : state) {
-    evaluator.evaluate_raw_batch(mappings, points);
-    benchmark::DoNotOptimize(points.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * batch));
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
-BENCHMARK(BM_BatchedEvaluate)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
-struct BatchedHeadline {
-  std::size_t edges = 0;
-  double scalar_mps = 0.0;  ///< scalar loop, mappings/sec
-  double batched_mps[4] = {0.0, 0.0, 0.0, 0.0};  ///< B = 1, 8, 64, 512
-};
+/// Assert kernel/scalar agreement (bitwise) on `problem`, then time the
+/// scalar reference loop against the kernel, one mapping per call,
+/// single-threaded. Returns the kernel's speedup over the scalar loop.
+double report_kernel_for(const char* label, const MappingProblem& problem) {
+  const auto& net = problem.network();
+  const auto& cg = problem.cg();
+  const std::size_t edges = cg.communication_count();
+  BatchEvaluator kernel(net, cg);
+  std::fprintf(stderr, "# kernel vs scalar, %s: %zu tasks, %zu edges\n",
+               label, problem.task_count(), edges);
 
-constexpr std::size_t kBatchSizes[4] = {1, 8, 64, 512};
-
-/// Assert batched/scalar agreement (bitwise) on `problem`, then time
-/// the scalar per-mapping loop against the batched kernel at each
-/// batch size, single-threaded. Returns the headline numbers.
-BatchedHeadline report_batched_for(const char* label,
-                                   const MappingProblem& problem) {
-  BatchedHeadline head;
-  head.edges = problem.cg().communication_count();
-  const Evaluator evaluator(problem);
-  std::fprintf(stderr, "# batched vs scalar, %s: %zu tasks, %zu edges\n",
-               label, problem.task_count(), head.edges);
-
-  // Agreement: one odd-sized batch, every mapping checked bitwise
-  // against evaluate_mapping, through the full pass and the loss-only
-  // pass (which must match on every loss field it scores).
+  // Agreement: every mapping checked bitwise against evaluate_mapping,
+  // through the full pass with per-edge detail and the loss-only pass
+  // (which must match on every loss field it scores).
   {
-    BatchEvaluator kernel(problem.network(), problem.cg());
     Rng rng(23);
     const std::size_t n = 101;
-    std::vector<Mapping> mappings;
-    std::vector<TileId> flat;
+    std::vector<EdgeMetrics> detail(edges);
+    std::vector<EdgeMetrics> loss_detail(edges);
     for (std::size_t i = 0; i < n; ++i) {
-      mappings.push_back(
-          Mapping::random(problem.task_count(), problem.tile_count(), rng));
-      const auto assignment = mappings.back().assignment();
-      flat.insert(flat.end(), assignment.begin(), assignment.end());
-    }
-    std::vector<BatchPoint> points(n);
-    evaluator.evaluate_raw_batch(mappings, points);
-    std::vector<BatchPoint> loss(n);
-    std::vector<EdgeMetrics> loss_edges(n * head.edges);
-    kernel.evaluate(flat, n, loss, loss_edges, /*noise=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto full = evaluate_mapping(problem.network(), problem.cg(),
-                                         mappings[i].assignment(), true);
-      bool loss_agrees = full.worst_loss_db == loss[i].worst_loss_db;
-      for (std::size_t e = 0; e < head.edges; ++e) {
-        const auto& got = loss_edges[i * head.edges + e];
-        loss_agrees = loss_agrees && got.loss_db == full.edges[e].loss_db &&
-                      got.signal_gain == full.edges[e].signal_gain;
+      const auto mapping =
+          Mapping::random(problem.task_count(), problem.tile_count(), rng);
+      const auto full = evaluate_mapping(net, cg, mapping.assignment(), true);
+      const BatchPoint point = kernel.evaluate(mapping.assignment(), detail);
+      const BatchPoint loss =
+          kernel.evaluate(mapping.assignment(), loss_detail, /*noise=*/false);
+      bool full_agrees = same_bits(full.worst_loss_db, point.worst_loss_db) &&
+                         same_bits(full.worst_snr_db, point.worst_snr_db);
+      bool loss_agrees = same_bits(full.worst_loss_db, loss.worst_loss_db);
+      for (std::size_t e = 0; e < edges; ++e) {
+        const auto& want = full.edges[e];
+        const auto& got = detail[e];
+        full_agrees = full_agrees && got.src_tile == want.src_tile &&
+                      got.dst_tile == want.dst_tile &&
+                      same_bits(got.loss_db, want.loss_db) &&
+                      same_bits(got.signal_gain, want.signal_gain) &&
+                      same_bits(got.noise_gain, want.noise_gain) &&
+                      same_bits(got.snr_db, want.snr_db);
+        loss_agrees = loss_agrees &&
+                      same_bits(loss_detail[e].loss_db, want.loss_db) &&
+                      same_bits(loss_detail[e].signal_gain, want.signal_gain);
       }
-      if (full.worst_loss_db != points[i].worst_loss_db ||
-          full.worst_snr_db != points[i].worst_snr_db || !loss_agrees) {
+      if (!full_agrees || !loss_agrees) {
         std::fprintf(stderr,
                      "FATAL: %s pass and scalar evaluation disagree on %s "
                      "at mapping %zu\n",
-                     loss_agrees ? "batched" : "loss-only", label, i);
+                     full_agrees ? "loss-only" : "full", label, i);
         std::exit(1);
       }
     }
     std::fprintf(stderr,
-                 "# agreement: %zu random mappings, batched == scalar "
-                 "bitwise, loss-only pass included\n",
+                 "# agreement: %zu random mappings, kernel == scalar "
+                 "bitwise, per-edge detail and loss-only pass included\n",
                  n);
   }
 
-  // Throughput: the same total mapping count through each path.
-  const std::size_t total = head.edges >= 100 ? 2048 : 8192;
+  // Throughput: the same mappings through each path.
+  const std::size_t total = edges >= 100 ? 2048 : 8192;
   Rng rng(31);
   std::vector<Mapping> mappings;
   mappings.reserve(total);
@@ -249,86 +219,40 @@ BatchedHeadline report_batched_for(const char* label,
   // The scalar baseline is the reference loop the kernel must match.
   Timer scalar_timer;
   for (const auto& mapping : mappings) {
-    const auto result = evaluate_mapping(problem.network(), problem.cg(),
-                                         mapping.assignment());
+    const auto result = evaluate_mapping(net, cg, mapping.assignment());
     benchmark::DoNotOptimize(result.worst_snr_db);
   }
-  head.scalar_mps = total / scalar_timer.elapsed_seconds();
-  std::fprintf(stderr, "# scalar loop:   %12.0f mappings/sec\n",
-               head.scalar_mps);
+  const double scalar_mps = total / scalar_timer.elapsed_seconds();
 
-  for (std::size_t s = 0; s < 4; ++s) {
-    const std::size_t batch = kBatchSizes[s];
-    std::vector<BatchPoint> points(batch);
-    Timer timer;
-    for (std::size_t start = 0; start < total; start += batch) {
-      const std::size_t n = std::min(batch, total - start);
-      evaluator.evaluate_raw_batch(
-          std::span<const Mapping>(mappings.data() + start, n),
-          std::span<BatchPoint>(points.data(), n));
-      benchmark::DoNotOptimize(points.data());
-    }
-    head.batched_mps[s] = total / timer.elapsed_seconds();
-    std::fprintf(stderr,
-                 "# batched B=%-3zu: %12.0f mappings/sec  (%.1fx)\n", batch,
-                 head.batched_mps[s], head.batched_mps[s] / head.scalar_mps);
+  Timer kernel_timer;
+  for (const auto& mapping : mappings) {
+    const BatchPoint point = kernel.evaluate(mapping.assignment());
+    benchmark::DoNotOptimize(point.worst_snr_db);
   }
-  std::fprintf(stderr, "\n");
-  return head;
+  const double kernel_mps = total / kernel_timer.elapsed_seconds();
+  std::fprintf(stderr, "# scalar loop: %12.0f mappings/sec\n", scalar_mps);
+  std::fprintf(stderr, "# kernel:      %12.0f mappings/sec  (%.1fx)\n\n",
+               kernel_mps, kernel_mps / scalar_mps);
+  return kernel_mps / scalar_mps;
 }
 
-void report_batched_vs_scalar(const std::optional<std::string>& json_path) {
-  const auto small = make_small_problem();
-  report_batched_for("small CG on 4x4 mesh", small);
-  report_batched_for("dvopd on 6x6 mesh", make_fleet_problem());
-  const auto large = make_large_problem();
-  const auto head = report_batched_for("reference CG on 8x8 torus", large);
-
-  const double speedup_64 = head.batched_mps[2] / head.scalar_mps;
-  const double speedup_512 = head.batched_mps[3] / head.scalar_mps;
-  std::fprintf(stderr, "# reference-CG speedup: B=64 %.1fx, B=512 %.1fx (%s "
-               "the >=2x acceptance bar)\n\n",
-               speedup_64, speedup_512,
-               std::min(speedup_64, speedup_512) >= 2.0 ? "PASS" : "below");
-
-  if (!json_path) return;
-  std::ofstream out(*json_path);
-  if (!out) {
-    std::cerr << "error: cannot open " << *json_path << " for writing\n";
-    std::exit(1);
-  }
-  out << "{\n"
-      << "  \"benchmark\": \"batch_eval\",\n"
-      << "  \"reference_edges\": " << head.edges << ",\n"
-      << "  \"scalar_mappings_per_sec\": " << format_fixed(head.scalar_mps, 0)
-      << ",\n";
-  for (std::size_t s = 0; s < 4; ++s)
-    out << "  \"batched_b" << kBatchSizes[s]
-        << "_mappings_per_sec\": " << format_fixed(head.batched_mps[s], 0)
-        << ",\n";
-  out << "  \"speedup_b64\": " << format_fixed(speedup_64, 2) << ",\n"
-      << "  \"speedup_b512\": " << format_fixed(speedup_512, 2) << "\n"
-      << "}\n";
-  std::cout << "# snapshot written to " << *json_path << '\n';
+void report_kernel_vs_scalar() {
+  report_kernel_for("small CG on 4x4 mesh", make_small_problem());
+  report_kernel_for("dvopd on 6x6 mesh", make_fleet_problem());
+  const double speedup =
+      report_kernel_for("reference CG on 8x8 torus", make_large_problem());
+  std::fprintf(stderr,
+               "# reference-CG speedup: %.1fx (%s the >=2x acceptance "
+               "bar)\n\n",
+               speedup, speedup >= 2.0 ? "PASS" : "below");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --json=FILE (ours) before google-benchmark sees the argv.
-  std::optional<std::string> json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0)
-      json_path = std::string(argv[i] + 7);
-    else
-      argv[kept++] = argv[i];
-  }
-  argc = kept;
-
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  report_batched_vs_scalar(json_path);
+  report_kernel_vs_scalar();
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -91,14 +91,14 @@ DistributionResult merge_app(const std::vector<CellResult>& results,
 
 int main(int argc, char** argv) {
   const CliOptions cli(argc, argv);
-  const auto samples = static_cast<std::uint64_t>(cli.get_int(
-      "samples",
-      env_int("PHONOC_FIG3_SAMPLES", full_scale_requested() ? 100000 : 20000)));
+  const auto samples = cli.get_uint<std::uint64_t>(
+      "samples", static_cast<std::uint64_t>(env_int(
+                     "PHONOC_FIG3_SAMPLES",
+                     full_scale_requested() ? 100000 : 20000)));
   const auto subcells =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int(
-          "subcells", 8)));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const auto workers = static_cast<std::size_t>(cli.get_int("workers", 0));
+      std::max<std::size_t>(1, cli.get_uint<std::size_t>("subcells", 8));
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
+  const auto workers = cli.get_uint<std::size_t>("workers", 0);
   const auto backend_name = cli.get_or("backend", "thread");
   if (backend_name != "thread" && backend_name != "fork" &&
       backend_name != "remote") {

@@ -62,9 +62,9 @@ bool identical(const CellResult& a, const CellResult& b) {
 
 int main(int argc, char** argv) {
   const CliOptions cli(argc, argv);
-  const auto evals = static_cast<std::uint64_t>(
-      cli.get_int("evals", env_int("PHONOC_SWEEP_EVALS", 1500)));
-  const auto workers = static_cast<std::size_t>(cli.get_int("workers", 0));
+  const auto evals = cli.get_uint<std::uint64_t>(
+      "evals", static_cast<std::uint64_t>(env_int("PHONOC_SWEEP_EVALS", 1500)));
+  const auto workers = cli.get_uint<std::size_t>("workers", 0);
 
   SweepSpec spec;
   spec.add_all_benchmarks()
@@ -122,8 +122,7 @@ int main(int argc, char** argv) {
   // loopback fleet. Measures the framing + scheduling overhead of
   // src/sched/ and re-checks bit-identity through the full remote path
   // (frames, retry bookkeeping, per-host merge).
-  if (const auto remote_hosts =
-          static_cast<std::size_t>(cli.get_int("remote", 0));
+  if (const auto remote_hosts = cli.get_uint<std::size_t>("remote", 0);
       remote_hosts > 0) {
     BatchOptions remote_options{.backend = BatchBackend::Remote};
     remote_options.remote_hosts.assign(remote_hosts, "loopback");

@@ -32,13 +32,14 @@ int main(int argc, char** argv) {
   using namespace phonoc;
   const CliOptions cli(argc, argv);
   OptimizerBudget budget;
-  budget.max_evaluations = static_cast<std::uint64_t>(cli.get_int(
-      "evals",
-      env_int("PHONOC_SCALE_EVALS", full_scale_requested() ? 40000 : 4000)));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const auto max_side = static_cast<std::uint32_t>(cli.get_int(
-      "max-side", full_scale_requested() ? 8 : 7));
-  const auto workers = static_cast<std::size_t>(cli.get_int("workers", 0));
+  budget.max_evaluations = cli.get_uint<std::uint64_t>(
+      "evals", static_cast<std::uint64_t>(env_int(
+                   "PHONOC_SCALE_EVALS",
+                   full_scale_requested() ? 40000 : 4000)));
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
+  const auto max_side = cli.get_uint<std::uint32_t>(
+      "max-side", full_scale_requested() ? 8 : 7);
+  const auto workers = cli.get_uint<std::size_t>("workers", 0);
   const BatchEngine engine({.workers = workers});
   Timer timer;
 

@@ -159,19 +159,18 @@ PassResult run_pass(const std::string& mode, std::size_t concurrency,
 
 int main(int argc, char** argv) {
   const CliOptions cli(argc, argv);
-  const auto bulk_requests =
-      static_cast<std::size_t>(cli.get_int("bulk-requests", 3));
+  const auto bulk_requests = cli.get_uint<std::size_t>("bulk-requests", 3);
   const auto bulk_spec = make_spec(
-      static_cast<std::uint64_t>(
-          cli.get_int("bulk-evals", env_int("PHONOC_SWEEP_EVALS", 1200))),
-      static_cast<std::size_t>(cli.get_int("bulk-seeds", 8)));
+      cli.get_uint<std::uint64_t>(
+          "bulk-evals",
+          static_cast<std::uint64_t>(env_int("PHONOC_SWEEP_EVALS", 1200))),
+      cli.get_uint<std::size_t>("bulk-seeds", 8));
   const auto interactive_requests =
-      static_cast<std::size_t>(cli.get_int("interactive-requests", 24));
+      cli.get_uint<std::size_t>("interactive-requests", 24);
   const auto interactive_spec = make_spec(
-      static_cast<std::uint64_t>(cli.get_int("interactive-evals", 150)), 1);
+      cli.get_uint<std::uint64_t>("interactive-evals", 150), 1);
   const auto clients =
-      static_cast<std::size_t>(std::max<std::int64_t>(
-          1, cli.get_int("clients", 6)));
+      std::max<std::size_t>(1, cli.get_uint<std::size_t>("clients", 6));
 
   std::cout << "# service throughput: " << bulk_requests << " bulk x "
             << cell_count(bulk_spec) << " cells vs " << interactive_requests

@@ -36,15 +36,16 @@ int main(int argc, char** argv) {
   using namespace phonoc;
   const CliOptions cli(argc, argv);
   OptimizerBudget budget;
-  budget.max_evaluations = static_cast<std::uint64_t>(cli.get_int(
-      "evals",
-      env_int("PHONOC_TABLE2_EVALS", full_scale_requested() ? 60000 : 12000)));
+  budget.max_evaluations = cli.get_uint<std::uint64_t>(
+      "evals", static_cast<std::uint64_t>(env_int(
+                   "PHONOC_TABLE2_EVALS",
+                   full_scale_requested() ? 60000 : 12000)));
   if (cli.has("seconds")) {
     budget.max_evaluations = 0;
     budget.max_seconds = cli.get_double("seconds", 1.0);
   }
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  auto workers = static_cast<std::size_t>(cli.get_int("workers", 0));
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
+  auto workers = cli.get_uint<std::size_t>("workers", 0);
   // The paper's equal wall-clock protocol gives each run the whole
   // machine; concurrent cells would share cores and skew the comparison.
   if (budget.max_seconds > 0.0 && !cli.has("workers")) workers = 1;

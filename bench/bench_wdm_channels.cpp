@@ -25,10 +25,11 @@ int main(int argc, char** argv) {
   using namespace phonoc;
   const CliOptions cli(argc, argv);
   OptimizerBudget budget;
-  budget.max_evaluations = static_cast<std::uint64_t>(cli.get_int(
-      "evals",
-      env_int("PHONOC_ABLATION_EVALS", full_scale_requested() ? 20000 : 3000)));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  budget.max_evaluations = cli.get_uint<std::uint64_t>(
+      "evals", static_cast<std::uint64_t>(env_int(
+                   "PHONOC_ABLATION_EVALS",
+                   full_scale_requested() ? 20000 : 3000)));
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
   WdmOptions base;
   base.inter_channel_isolation_db =
       cli.get_double("isolation", -30.0);

@@ -3,11 +3,8 @@
 # BENCH_*.json so perf changes are visible in review):
 #
 #   bench/BENCH_eval_micro.json     google-benchmark JSON of the hot-path
-#                                   microbenchmarks (evaluator, batched
-#                                   SoA kernel, router/network models)
-#   bench/BENCH_batch_eval.json     headline numbers of the batched-vs-
-#                                   scalar section (mappings/sec per
-#                                   batch size + speedups)
+#                                   microbenchmarks (evaluator,
+#                                   router/network models)
 #   bench/BENCH_parallel_sweep.json headline numbers of the batch
 #                                   speedup + bit-identity bench
 #   bench/BENCH_trace_overhead.json flight-recorder overhead on the
@@ -35,7 +32,6 @@ if [ ! -x "$build/bench_eval_micro" ] || [ ! -x "$build/bench_parallel_sweep" ];
 fi
 
 "$build/bench_eval_micro" \
-  --json=bench/BENCH_batch_eval.json \
   --benchmark_out=bench/BENCH_eval_micro.json \
   --benchmark_out_format=json
 
@@ -59,6 +55,6 @@ PHONOC_SWEEP_EVALS=800 "$build/bench_parallel_sweep" \
   --json=bench/BENCH_service_throughput.json
 
 echo "snapshots updated:"
-ls -l bench/BENCH_eval_micro.json bench/BENCH_batch_eval.json \
+ls -l bench/BENCH_eval_micro.json \
   bench/BENCH_parallel_sweep.json bench/BENCH_trace_overhead.json \
   bench/BENCH_service_throughput.json

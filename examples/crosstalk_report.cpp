@@ -30,13 +30,12 @@ int main(int argc, char** argv) {
                       : TopologyKind::Mesh;
   spec.goal = OptimizationGoal::Snr;
   const auto problem = make_experiment(spec);
-  const auto top = static_cast<std::size_t>(cli.get_int("top", 5));
+  const auto top = cli.get_uint<std::size_t>("top", 5);
 
   OptimizerBudget budget;
-  budget.max_evaluations =
-      static_cast<std::uint64_t>(cli.get_int("evals", 6000));
+  budget.max_evaluations = cli.get_uint<std::uint64_t>("evals", 6000);
   const auto run = Engine(problem).run(
-      "rpbla", budget, static_cast<std::uint64_t>(cli.get_int("seed", 1)));
+      "rpbla", budget, cli.get_uint<std::uint64_t>("seed", 1));
 
   std::cout << "crosstalk diagnosis of the optimized mapping\n";
   std::cout << summarize_run(run) << "\n\n";

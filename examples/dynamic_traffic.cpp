@@ -28,9 +28,8 @@ int main(int argc, char** argv) {
   const auto problem = make_experiment(spec);
 
   OptimizerBudget budget;
-  budget.max_evaluations =
-      static_cast<std::uint64_t>(cli.get_int("evals", 6000));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  budget.max_evaluations = cli.get_uint<std::uint64_t>("evals", 6000);
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
   const auto run = Engine(problem).run("rpbla", budget, seed);
   const auto static_bound = evaluate_mapping(
       problem.network(), problem.cg(), run.search.best.assignment());

@@ -35,11 +35,10 @@
 int main(int argc, char** argv) {
   using namespace phonoc;
   const CliOptions cli(argc, argv);
-  const auto samples =
-      static_cast<std::uint64_t>(cli.get_int("samples", 4000));
-  const auto subcells = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("subcells", 4)));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const auto samples = cli.get_uint<std::uint64_t>("samples", 4000);
+  const auto subcells =
+      std::max<std::size_t>(1, cli.get_uint<std::size_t>("subcells", 4));
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
 
   SweepSpec spec;
   if (const auto app = cli.get("app")) {
@@ -53,8 +52,7 @@ int main(int argc, char** argv) {
       .use_sampling({.samples_per_cell =
                          std::max<std::uint64_t>(1, samples / subcells)});
 
-  BatchOptions options{.workers =
-                           static_cast<std::size_t>(cli.get_int("workers", 0))};
+  BatchOptions options{.workers = cli.get_uint<std::size_t>("workers", 0)};
   const auto backend_name = cli.get_or("backend", "thread");
   if (backend_name == "fork") {
     options.backend = BatchBackend::Remote;

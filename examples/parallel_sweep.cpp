@@ -116,10 +116,9 @@ bool identical_runs(const CellResult& got, const CellResult& want) {
 
 int main(int argc, char** argv) {
   const CliOptions cli(argc, argv);
-  const auto evals =
-      static_cast<std::uint64_t>(cli.get_int("evals", 2000));
-  const auto workers = static_cast<std::size_t>(cli.get_int("workers", 0));
-  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds", 3));
+  const auto evals = cli.get_uint<std::uint64_t>("evals", 2000);
+  const auto workers = cli.get_uint<std::size_t>("workers", 0);
+  const auto seeds = cli.get_uint<std::size_t>("seeds", 3);
   const auto backend_name = cli.get_or("backend", "thread");
   if (backend_name != "thread" && backend_name != "fork" &&
       backend_name != "remote") {
@@ -179,9 +178,10 @@ int main(int argc, char** argv) {
     SchedulerOptions sched;
     sched.hosts = hosts;
     sched.evaluator = options.evaluator;
-    if (const auto shard_cells = cli.get_int("cells-per-shard", 0);
+    if (const auto shard_cells =
+            cli.get_uint<std::size_t>("cells-per-shard", 0);
         shard_cells > 0)
-      sched.cells_per_shard = static_cast<std::size_t>(shard_cells);
+      sched.cells_per_shard = shard_cells;
     sched.journal_path = cli.get_or("journal", "");
     sched.admit_port = cli.get_int("admit-port", -1);
     try {
@@ -278,8 +278,7 @@ int main(int argc, char** argv) {
   }
 
   if (cli.has("expect-failed")) {
-    const auto expected =
-        static_cast<std::size_t>(cli.get_int("expect-failed", 0));
+    const auto expected = cli.get_uint<std::size_t>("expect-failed", 0);
     if (report.failed_count != expected) {
       std::cerr << "error: expected " << expected << " failed cell(s), got "
                 << report.failed_count << '\n';
@@ -296,8 +295,7 @@ int main(int argc, char** argv) {
   }
 
   if (cli.has("expect-admitted")) {
-    const auto expected =
-        static_cast<std::size_t>(cli.get_int("expect-admitted", 0));
+    const auto expected = cli.get_uint<std::size_t>("expect-admitted", 0);
     std::size_t admitted = 0;
     if (fleet)
       for (const auto& host : fleet->hosts)
@@ -312,8 +310,7 @@ int main(int argc, char** argv) {
   }
 
   if (cli.has("expect-journaled-min")) {
-    const auto floor =
-        static_cast<std::size_t>(cli.get_int("expect-journaled-min", 1));
+    const auto floor = cli.get_uint<std::size_t>("expect-journaled-min", 1);
     const std::size_t journaled = fleet ? fleet->journaled : 0;
     if (journaled < floor) {
       std::cerr << "error: expected at least " << floor

@@ -186,10 +186,10 @@ int run_load_connection(const std::string& endpoint, double timeout,
 int run_load_generator(const CliOptions& cli, const ServiceRequest& base,
                        const std::string& endpoint, double timeout,
                        const std::string& client) {
-  const auto connections = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("concurrency", 1)));
-  const auto repeats = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("repeat", 1)));
+  const auto connections =
+      std::max<std::size_t>(1, cli.get_uint<std::size_t>("concurrency", 1));
+  const auto repeats =
+      std::max<std::size_t>(1, cli.get_uint<std::size_t>("repeat", 1));
   std::vector<std::vector<LatencyRow>> rows(connections);
   std::vector<int> codes(connections, 0);
   std::vector<std::thread> threads;
@@ -241,7 +241,7 @@ int run_load_generator(const CliOptions& cli, const ServiceRequest& base,
 int main(int argc, char** argv) {
   const CliOptions cli(argc, argv);
   const auto endpoint = cli.get_or("host", "127.0.0.1") + ":" +
-                        std::to_string(cli.get_int("port", 7501));
+                        std::to_string(cli.get_port("port", 7501));
   const double timeout = cli.get_double("timeout", 120.0);
   const auto expect_reject = cli.get("expect-reject");
   const auto client_name = cli.get_or("client", "");
@@ -257,7 +257,7 @@ int main(int argc, char** argv) {
   ServiceRequest request;
   request.id = cli.get_or("id", "cli");
   request.deadline_seconds = cli.get_double("deadline", 0.0);
-  request.max_cells = static_cast<std::uint64_t>(cli.get_int("max-cells", 0));
+  request.max_cells = cli.get_uint<std::uint64_t>("max-cells", 0);
   try {
     request.priority = parse_priority(cli.get_or("priority", "auto"));
     for (const auto& name : split(cli.get_or("benchmarks", "pip"), ','))
@@ -273,12 +273,11 @@ int main(int argc, char** argv) {
       if (!trim(name).empty())
         request.spec.add_optimizer(std::string(trim(name)));
     request.spec
-        .add_budget(static_cast<std::uint64_t>(cli.get_int("evals", 500)))
-        .add_seed_range(1, static_cast<std::size_t>(cli.get_int("seeds", 1)));
+        .add_budget(cli.get_uint<std::uint64_t>("evals", 500))
+        .add_seed_range(1, cli.get_uint<std::size_t>("seeds", 1));
     if (cli.has("sample")) {
       SamplingSpec sampling;
-      sampling.samples_per_cell =
-          static_cast<std::uint64_t>(cli.get_int("samples", 1000));
+      sampling.samples_per_cell = cli.get_uint<std::uint64_t>("samples", 1000);
       request.spec.use_sampling(sampling);
     }
   } catch (const std::exception& e) {
@@ -338,9 +337,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto repeats = std::max<std::int64_t>(1, cli.get_int("repeat", 1));
+  const auto repeats =
+      std::max<std::size_t>(1, cli.get_uint<std::size_t>("repeat", 1));
   std::vector<CellResult> results;
-  for (std::int64_t round = 0; round < repeats; ++round) {
+  for (std::size_t round = 0; round < repeats; ++round) {
     if (!conn->send(write_request(request))) {
       std::cerr << "phonoc_client: request send failed\n";
       return 3;

@@ -83,21 +83,22 @@ int main(int argc, char** argv) {
   TraceFlusher trace{cli.get_or("trace", ""), status};
   if (!trace.path.empty()) obs::start_tracing();
   std::uint16_t port = 0;
+  std::uint64_t max_conns = 1;  // --once
+  std::size_t threads = 0;
   try {
     port = cli.get_port("port", 7401);
+    if (!cli.has("once"))
+      max_conns = cli.get_uint<std::uint64_t>("max-conns", 0);  // 0 = forever
+    threads = cli.get_uint<std::size_t>("threads", 0);
   } catch (const InvalidArgument& e) {
     std::cerr << "phonoc_workerd: " << e.what() << "\n";
     return 1;
   }
-  const auto max_conns = cli.has("once")
-                             ? 1
-                             : cli.get_int("max-conns", 0);  // 0 = forever
   WorkerOptions worker;
   if (const char* crash = std::getenv("PHONOC_WORKER_CRASH_INDEX");
       crash && *crash)
     worker.crash_index = parse_long(crash);
-  const auto threads = cli.get_int("threads", 0);
-  if (threads > 0) worker.threads = static_cast<std::size_t>(threads);
+  if (threads > 0) worker.threads = threads;
 
   // --stdio (a spawned worker) and --join (a late joiner dialing a
   // scheduler's admission port) serve one connection and exit. The
@@ -129,7 +130,7 @@ int main(int argc, char** argv) {
          << (worker.crash_index >= 0 ? " (crash injection armed)" : "")
          << std::endl;
 
-  std::int64_t served = 0;
+  std::uint64_t served = 0;
   for (;;) {
     auto conn = listener.accept_for(0.0);
     if (!conn) {

@@ -68,12 +68,12 @@
 int main(int argc, char** argv) {
   using namespace phonoc;
   const CliOptions cli(argc, argv);
-  const auto max_conns = cli.has("once")
-                             ? std::int64_t{1}
-                             : cli.get_int("max-conns", 0);  // 0 = forever
+  const auto max_conns =  // 0 = forever
+      cli.has("once") ? std::size_t{1}
+                      : cli.get_uint<std::size_t>("max-conns", 0);
 
   BrokerOptions broker;
-  broker.batch.workers = static_cast<std::size_t>(cli.get_int("workers", 0));
+  broker.batch.workers = cli.get_uint<std::size_t>("workers", 0);
   const auto backend_name = cli.get_or("backend", "thread");
   if (backend_name == "fork") {
     broker.batch.backend = BatchBackend::Remote;
@@ -93,29 +93,20 @@ int main(int argc, char** argv) {
     return 1;
   }
   broker.request_concurrency =
-      static_cast<std::size_t>(cli.get_int("request-concurrency", 0));
-  broker.max_queue_depth =
-      static_cast<std::size_t>(cli.get_int("max-queue", 8));
+      cli.get_uint<std::size_t>("request-concurrency", 0);
+  broker.max_queue_depth = cli.get_uint<std::size_t>("max-queue", 8);
   broker.max_queue_per_client =
-      static_cast<std::size_t>(cli.get_int("max-queue-per-client", 0));
-  broker.interactive_cell_threshold = static_cast<std::size_t>(
-      cli.get_int("interactive-cells",
-                  static_cast<std::int64_t>(
-                      BrokerOptions{}.interactive_cell_threshold)));
-  broker.drr_quantum_cells = static_cast<std::size_t>(
-      cli.get_int("drr-quantum",
-                  static_cast<std::int64_t>(
-                      BrokerOptions{}.drr_quantum_cells)));
+      cli.get_uint<std::size_t>("max-queue-per-client", 0);
+  broker.interactive_cell_threshold = cli.get_uint(
+      "interactive-cells", BrokerOptions{}.interactive_cell_threshold);
+  broker.drr_quantum_cells =
+      cli.get_uint("drr-quantum", BrokerOptions{}.drr_quantum_cells);
   broker.max_outstanding_cells =
-      static_cast<std::size_t>(cli.get_int("max-outstanding-cells", 4096));
-  broker.max_cells_per_request =
-      static_cast<std::uint64_t>(cli.get_int("max-cells", 0));
-  broker.batch.evaluator.cache_capacity = static_cast<std::size_t>(
-      cli.get_int("evaluator-cache",
-                  static_cast<std::int64_t>(
-                      EvaluatorOptions{}.cache_capacity)));
-  broker.cache.max_problems =
-      static_cast<std::size_t>(cli.get_int("max-problems", 64));
+      cli.get_uint<std::size_t>("max-outstanding-cells", 4096);
+  broker.max_cells_per_request = cli.get_uint<std::uint64_t>("max-cells", 0);
+  broker.batch.evaluator.cache_capacity =
+      cli.get_uint("evaluator-cache", EvaluatorOptions{}.cache_capacity);
+  broker.cache.max_problems = cli.get_uint<std::size_t>("max-problems", 64);
 
   ServiceServerOptions server_options;
   server_options.idle_timeout_seconds = cli.get_double("idle-timeout", 0.0);
@@ -140,7 +131,7 @@ int main(int argc, char** argv) {
       std::cout << "phonocd: metrics on http://127.0.0.1:" << prom->port()
                 << "/metrics" << std::endl;
     }
-    server.run(static_cast<std::size_t>(max_conns));
+    server.run(max_conns);
     const auto stats = server.broker().stats();
     std::uint64_t connections = 0;
     std::uint64_t accepted = 0;

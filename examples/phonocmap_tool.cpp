@@ -63,8 +63,7 @@ int run_tool(const CliOptions& cli) {
   MappingProblem problem(std::move(cg), network, make_objective(goal));
 
   OptimizerBudget budget;
-  budget.max_evaluations =
-      static_cast<std::uint64_t>(cli.get_int("evals", 10000));
+  budget.max_evaluations = cli.get_uint<std::uint64_t>("evals", 10000);
   if (cli.has("seconds")) {
     budget.max_evaluations = 0;
     budget.max_seconds = cli.get_double("seconds", 1.0);
@@ -81,7 +80,7 @@ int run_tool(const CliOptions& cli) {
   const Engine engine(problem);
   const auto result =
       engine.run(cli.get_or("optimizer", "rpbla"), budget,
-                 static_cast<std::uint64_t>(cli.get_int("seed", 1)));
+                 cli.get_uint<std::uint64_t>("seed", 1));
 
   if (cli.get_bool("quiet", false)) {
     std::cout << summarize_run(result) << '\n';

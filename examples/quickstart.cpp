@@ -36,9 +36,8 @@ int main(int argc, char** argv) {
             << to_string(spec.goal) << "\n\n";
 
   OptimizerBudget budget;
-  budget.max_evaluations =
-      static_cast<std::uint64_t>(cli.get_int("evals", 20000));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  budget.max_evaluations = cli.get_uint<std::uint64_t>("evals", 20000);
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
 
   const Engine engine(problem);
   const auto baseline = engine.run("rs", budget, seed);

@@ -23,17 +23,14 @@
 int main(int argc, char** argv) {
   using namespace phonoc;
   const CliOptions cli(argc, argv);
-  const auto max_side =
-      static_cast<std::uint32_t>(cli.get_int("max-side", 8));
-  const auto channels =
-      static_cast<std::uint32_t>(cli.get_int("channels", 96));
+  const auto max_side = cli.get_uint<std::uint32_t>("max-side", 8);
+  const auto channels = cli.get_uint<std::uint32_t>("channels", 96);
   // The constructive heuristic places pipeline neighbours adjacently in
   // one shot, which is what large instances need within a small budget.
   const auto optimizer = cli.get_or("optimizer", "greedy");
   OptimizerBudget budget;
-  budget.max_evaluations =
-      static_cast<std::uint64_t>(cli.get_int("evals", 3000));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  budget.max_evaluations = cli.get_uint<std::uint64_t>("evals", 3000);
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
 
   // A fast receiver (-14 dBm sensitivity) with dense WDM: the regime
   // where the worst-case loss actually decides feasibility.

@@ -5,34 +5,32 @@
 ///
 /// The Evaluator scores every mapping through one evaluation kernel,
 /// its `BatchEvaluator` over the network's path store
-/// (model/batch_eval.hpp); the single entry points score a batch of one:
-///  * whole-mapping scoring (`evaluate`, `evaluate_batch`,
-///    `evaluate_raw`, `evaluate_detailed`, `evaluate_raw_batch`) runs
-///    behind an assignment-keyed LRU memo: RS and GA re-sample
-///    duplicate mappings at small problem sizes, and a cache hit skips
-///    the physical evaluation entirely;
+/// (model/batch_eval.hpp), one validated mapping per kernel call:
+///  * fitness (`evaluate`) runs behind an assignment-keyed LRU memo: RS
+///    and GA re-sample duplicate mappings at small problem sizes, and a
+///    cache hit skips the physical evaluation entirely;
 ///  * the move path (`propose_swap`), which SA, tabu and R-PBLA use for
 ///    their two-tile swaps, scores the swapped mapping whole and
 ///    neither reads nor fills the memo. It holds no state, so
 ///    `commit_move`, `revert_move` and `apply_move` keep the
-///    `FitnessFunction` no-op defaults.
+///    `FitnessFunction` no-op defaults;
+///  * the reporting entry points (`evaluate_detailed`, `evaluate_raw`,
+///    `evaluate_raw_batch`) score every call and always score noise.
 ///
 /// Fitness scores only what the objective reads. When
 /// `Objective::needs_noise()` is false (worst-case insertion loss),
-/// `evaluate`, `evaluate_batch` and `propose_swap` run the kernel's
-/// loss-only pass, O(|E|). Fitness stays bitwise what a full scoring
-/// gives, since the skipped fields are ones it never reads. The
-/// reporting entry points (`evaluate_detailed`, `evaluate_raw`,
-/// `evaluate_raw_batch`) always score noise.
+/// `evaluate` and `propose_swap` run the kernel's loss-only pass,
+/// O(|E|). Fitness stays bitwise what a full scoring gives, since the
+/// skipped fields are ones it never reads.
 ///
 /// Counting contract: `evaluation_count` counts *logical* evaluations —
 /// one per `evaluate` or `propose_swap` call, whether it was served by
 /// the cache or a kernel pass. Budgets, traces and the exec subsystem's
 /// bit-identical determinism protocol observe logical counts only, so
 /// the memo cannot change any optimizer's trajectory.
-/// `physical_evaluation_count` reports how many `evaluate` and
-/// `evaluate_batch` scorings the memo did not absorb; moves count in
-/// neither it nor the memo counters.
+/// `physical_evaluation_count` reports how many `evaluate` scorings the
+/// memo did not absorb; moves count in neither it nor the memo
+/// counters.
 ///
 /// Reuse contract: one Evaluator may serve any number of optimizer runs
 /// on its problem, back to back, with results bit-identical to a fresh
@@ -78,19 +76,6 @@ class Evaluator final : public FitnessFunction {
   /// Fitness (higher = better) of a mapping under the problem objective.
   [[nodiscard]] double evaluate(const Mapping& mapping) override;
 
-  /// Batched fitness through the SoA kernel (model/batch_eval.hpp):
-  /// physical scoring runs one vectorized pass over the whole batch,
-  /// while fitness values, logical/physical counts and the memo's
-  /// contents + recency order stay exactly what a sequential loop of
-  /// `evaluate` calls would produce. The memo is peeked (no mutation)
-  /// to decide which rows need physical scoring, the kernel scores
-  /// those in one pass, and a sequential replay then performs the real
-  /// lookups/inserts in index order; a row whose peek promised a hit
-  /// that was evicted before its replay turn is scored alone (a batch
-  /// of one, bit-identical by the kernel's contract).
-  void evaluate_batch(std::span<const Mapping> mappings,
-                      std::span<double> out) override;
-
   [[nodiscard]] bool supports_moves() const override { return true; }
   /// Fitness of `after` (the previous mapping with the (a, b) swap
   /// applied), scored whole: one logical evaluation, no memo traffic.
@@ -107,12 +92,10 @@ class Evaluator final : public FitnessFunction {
   /// Always scores noise; no per-edge detail.
   [[nodiscard]] EvaluationResult evaluate_raw(const Mapping& mapping) const;
 
-  /// Batched `evaluate_raw` for consumers that only need the worst-case
-  /// pair (Sample cells): `out[i]` holds both Fig. 3 metrics of
-  /// `mappings[i]`, bitwise equal to the corresponding `evaluate_raw`
-  /// fields. Uncounted, like `evaluate_raw`. Validation is hoisted to
-  /// the `Mapping` invariant (its constructor enforces Eq. 5/6), so the
-  /// kernel skips the per-row injectivity scan.
+  /// `evaluate_raw`'s worst-case pair for each of `mappings`, in order:
+  /// `out[i]` is bitwise `evaluate_raw(mappings[i])`'s. A loop of one
+  /// kernel call per mapping, kept for perfbench's layer probe;
+  /// uncounted, like `evaluate_raw`.
   void evaluate_raw_batch(std::span<const Mapping> mappings,
                           std::span<BatchPoint> out) const;
 
@@ -120,8 +103,8 @@ class Evaluator final : public FitnessFunction {
   [[nodiscard]] std::uint64_t evaluation_count() const noexcept {
     return count_;
   }
-  /// Whole-mapping kernel scorings performed by `evaluate` and
-  /// `evaluate_batch` (cache misses).
+  /// Whole-mapping kernel scorings performed by `evaluate` (cache
+  /// misses).
   [[nodiscard]] std::uint64_t physical_evaluation_count() const noexcept {
     return physical_count_;
   }
@@ -161,20 +144,16 @@ class Evaluator final : public FitnessFunction {
   }
 
  private:
-  /// The one whole-mapping scorer behind every single entry point: a
-  /// batch of one through `batch_`, validated like a batch row, with
-  /// per-edge detail in `edge_scratch_` when `detailed` and crosstalk
-  /// when `noise` (the view stays valid until the next scoring).
+  /// The one whole-mapping scorer behind every entry point: one
+  /// validated kernel call, with per-edge detail in `edge_scratch_`
+  /// when `detailed` and crosstalk when `noise` (the view stays valid
+  /// until the next scoring).
   [[nodiscard]] EvaluationView score(const Mapping& mapping, bool detailed,
                                      bool noise) const;
-  /// Flatten `mappings` row-major into `batch_scratch_`.
-  std::span<const TileId> flatten(std::span<const Mapping> mappings) const;
   [[nodiscard]] const double* cache_lookup(const Mapping& mapping,
                                            std::uint64_t hash);
   void cache_insert(std::vector<TileId> assignment, std::uint64_t hash,
                     double fitness);
-  [[nodiscard]] bool cache_contains(std::span<const TileId> assignment,
-                                    std::uint64_t hash) const;
 
   const MappingProblem& problem_;
   EvaluatorOptions options_;
@@ -205,8 +184,7 @@ class Evaluator final : public FitnessFunction {
   /// Mutable: the kernel is pure scoring plus reusable scratch, so the
   /// const entry points may use it. Built with the Evaluator: its plan
   /// is O(|E|) over the network's path store.
-  mutable BatchEvaluator batch_;
-  mutable std::vector<TileId> batch_scratch_;
+  mutable BatchEvaluator kernel_;
   mutable std::vector<EdgeMetrics> edge_scratch_;
 };
 

@@ -110,14 +110,8 @@ namespace {
 /// The Sample-kind cell body: samples_per_cell uniform random mappings
 /// on the cell's problem, RNG seeded from the cell's seed value alone
 /// (exactly the Optimize kind's seeding rule, so the determinism
-/// contract carries over unchanged). Mappings are generated and scored
-/// in fixed-size chunks through the batched SoA kernel
-/// (`evaluate_raw_batch`): generation consumes RNG and scoring does
-/// not, and each chunk's metrics are folded into the distributions in
-/// sample order, so every histogram bin and running statistic is
-/// bit-identical to the per-sample `evaluate_raw` loop this replaces —
-/// the per-sample O(tiles) validation now happens once, inside
-/// `Mapping::random`'s invariant.
+/// contract carries over unchanged). Each mapping is scored by
+/// `evaluate_raw` and folded into the distributions in sample order.
 CellResult run_sample_cell(const SweepSpec& spec, const SweepCell& cell,
                            const Evaluator& evaluator) {
   Timer timer;
@@ -134,25 +128,13 @@ CellResult run_sample_cell(const SweepSpec& spec, const SweepCell& cell,
 
   const MappingProblem& problem = evaluator.problem();
   Rng rng(result.seed);
-  constexpr std::uint64_t kChunk = 512;
-  std::vector<Mapping> mappings;
-  std::vector<BatchPoint> points;
-  for (std::uint64_t start = 0; start < s.samples_per_cell; start += kChunk) {
-    const auto n = static_cast<std::size_t>(
-        std::min(kChunk, s.samples_per_cell - start));
-    mappings.clear();
-    mappings.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      mappings.push_back(
-          Mapping::random(problem.task_count(), problem.tile_count(), rng));
-    points.resize(n);
-    evaluator.evaluate_raw_batch(mappings, points);
-    for (std::size_t i = 0; i < n; ++i) {
-      snr.histogram.add(points[i].worst_snr_db);
-      snr.stats.add(points[i].worst_snr_db);
-      loss.histogram.add(points[i].worst_loss_db);
-      loss.stats.add(points[i].worst_loss_db);
-    }
+  for (std::uint64_t i = 0; i < s.samples_per_cell; ++i) {
+    const auto evaluation = evaluator.evaluate_raw(
+        Mapping::random(problem.task_count(), problem.tile_count(), rng));
+    snr.histogram.add(evaluation.worst_snr_db);
+    snr.stats.add(evaluation.worst_snr_db);
+    loss.histogram.add(evaluation.worst_loss_db);
+    loss.stats.add(evaluation.worst_loss_db);
   }
   result.distribution.samples = s.samples_per_cell;
   result.seconds = timer.elapsed_seconds();

@@ -20,7 +20,7 @@
 ///
 /// A slot also keeps its problem's idle warm Evaluators, which only the
 /// broker leases. A cell checks one out, runs on it and checks it back
-/// in, so the memo and the batch plan carry from cell to cell with
+/// in, so the memo and the kernel's plan carry from cell to cell with
 /// nothing copied. A checkout prefers an Evaluator that recently ran
 /// the same search (the broker's affinity: optimizer, budget, seed),
 /// whose memo holds that search's whole-mapping evaluations (moves

@@ -114,49 +114,20 @@ OptimizerResult GeneticAlgorithm::optimize(FitnessFunction& fitness,
   SearchState state(fitness, task_count, tile_count, budget, seed);
   auto& rng = state.rng();
 
-  const auto eval_perm = [&](const std::vector<TileId>& perm) {
-    return state.evaluate(to_mapping(perm, task_count, tile_count));
-  };
-
-  // Batch-score freshly generated individuals and append them to `dst`.
-  // Generation consumes RNG, evaluation does not, so generating a whole
-  // chunk up front and scoring it in one batched pass preserves the
-  // exact sequential trajectory; the chunk is capped by the remaining
-  // evaluation budget, matching the per-individual `exhausted()` check
-  // of a sequential loop.
-  std::vector<Mapping> chunk_mappings;
-  std::vector<double> chunk_fitness;
-  const auto score_chunk = [&](std::vector<Individual>& generated,
-                               std::vector<Individual>& dst) {
-    chunk_mappings.clear();
-    chunk_mappings.reserve(generated.size());
-    for (const auto& ind : generated)
-      chunk_mappings.push_back(to_mapping(ind.perm, task_count, tile_count));
-    chunk_fitness.resize(generated.size());
-    state.evaluate_batch(chunk_mappings, chunk_fitness);
-    for (std::size_t i = 0; i < generated.size(); ++i) {
-      generated[i].fitness = chunk_fitness[i];
-      dst.push_back(std::move(generated[i]));
-    }
-    generated.clear();
+  // Score each individual through `state` as it is generated.
+  const auto scored = [&](std::vector<TileId> perm) {
+    const double f = state.evaluate(to_mapping(perm, task_count, tile_count));
+    return Individual{std::move(perm), f};
   };
 
   // Initial population.
   std::vector<Individual> population;
   population.reserve(options_.population);
-  std::vector<Individual> generated;
-  while (population.size() < options_.population && !state.exhausted()) {
-    const std::size_t chunk = static_cast<std::size_t>(
-        std::min<std::uint64_t>(options_.population - population.size(),
-                                state.remaining_evaluations()));
-    generated.reserve(chunk);
-    for (std::size_t i = 0; i < chunk; ++i)
-      generated.push_back(Individual{random_permutation(tile_count, rng), 0.0});
-    score_chunk(generated, population);
-  }
+  while (population.size() < options_.population && !state.exhausted())
+    population.push_back(scored(random_permutation(tile_count, rng)));
   if (population.empty()) {
     // Budget smaller than one population: fall back to a single sample.
-    eval_perm(random_permutation(tile_count, rng));
+    (void)scored(random_permutation(tile_count, rng));
     return state.finish(0);
   }
 
@@ -184,36 +155,27 @@ OptimizerResult GeneticAlgorithm::optimize(FitnessFunction& fitness,
       next.push_back(population[e]);
 
     // Selection and variation read only the current generation (whose
-    // fitness is known) and the RNG, never a sibling's score — so a
-    // whole chunk of children can be generated first and scored in one
-    // batched pass without changing any RNG draw or selection.
+    // fitness is known) and the RNG, never a sibling's score.
     while (next.size() < options_.population && !state.exhausted()) {
-      const std::size_t chunk = static_cast<std::size_t>(
-          std::min<std::uint64_t>(options_.population - next.size(),
-                                  state.remaining_evaluations()));
-      generated.reserve(chunk);
-      for (std::size_t c = 0; c < chunk; ++c) {
-        const auto& parent_a = tournament_pick();
-        const auto& parent_b = tournament_pick();
-        std::vector<TileId> child_perm;
-        if (rng.next_bool(options_.crossover_rate)) {
-          auto lo = static_cast<std::size_t>(rng.next_below(tile_count));
-          auto hi = static_cast<std::size_t>(rng.next_below(tile_count));
-          if (lo > hi) std::swap(lo, hi);
-          child_perm = options_.crossover == GeneticOptions::Crossover::Pmx
-                           ? pmx_crossover(parent_a.perm, parent_b.perm, lo, hi)
-                           : ox_crossover(parent_a.perm, parent_b.perm, lo, hi);
-        } else {
-          child_perm = parent_a.perm;
-        }
-        while (rng.next_bool(options_.mutation_rate)) {
-          const auto i = rng.next_below(tile_count);
-          const auto j = rng.next_below(tile_count);
-          std::swap(child_perm[i], child_perm[j]);
-        }
-        generated.push_back(Individual{std::move(child_perm), 0.0});
+      const auto& parent_a = tournament_pick();
+      const auto& parent_b = tournament_pick();
+      std::vector<TileId> child_perm;
+      if (rng.next_bool(options_.crossover_rate)) {
+        auto lo = static_cast<std::size_t>(rng.next_below(tile_count));
+        auto hi = static_cast<std::size_t>(rng.next_below(tile_count));
+        if (lo > hi) std::swap(lo, hi);
+        child_perm = options_.crossover == GeneticOptions::Crossover::Pmx
+                         ? pmx_crossover(parent_a.perm, parent_b.perm, lo, hi)
+                         : ox_crossover(parent_a.perm, parent_b.perm, lo, hi);
+      } else {
+        child_perm = parent_a.perm;
       }
-      score_chunk(generated, next);
+      while (rng.next_bool(options_.mutation_rate)) {
+        const auto i = rng.next_below(tile_count);
+        const auto j = rng.next_below(tile_count);
+        std::swap(child_perm[i], child_perm[j]);
+      }
+      next.push_back(scored(std::move(child_perm)));
     }
     if (!next.empty()) population = std::move(next);
   }

@@ -34,21 +34,6 @@ double SearchState::evaluate(const Mapping& mapping) {
   return fitness;
 }
 
-void SearchState::evaluate_batch(std::span<const Mapping> mappings,
-                                 std::span<double> out) {
-  require(out.size() == mappings.size(),
-          "SearchState::evaluate_batch: out size != mapping count");
-  fitness_.evaluate_batch(mappings, out);
-  for (std::size_t i = 0; i < mappings.size(); ++i)
-    record(mappings[i], out[i]);
-}
-
-std::uint64_t SearchState::remaining_evaluations() const noexcept {
-  if (budget_.max_evaluations == 0) return UINT64_MAX;
-  return budget_.max_evaluations > evals_ ? budget_.max_evaluations - evals_
-                                          : 0;
-}
-
 double SearchState::propose_swap(Mapping& current, TileId a, TileId b) {
   current.swap_tiles(a, b);
   const double fitness = fitness_.propose_swap(current, a, b);

@@ -6,7 +6,9 @@
 /// Optimizers are deterministic functions of (fitness function, problem
 /// dimensions, budget, seed). Budgets are expressed in evaluations by
 /// default — the machine-independent analogue of the paper's "same
-/// running time" rule — with an optional wall-clock cap.
+/// running time" rule — with an optional wall-clock cap. An optimizer
+/// scores one candidate per fitness query, as it generates it, through
+/// `SearchState::evaluate` or the move calls.
 
 #include <cstdint>
 #include <functional>
@@ -40,11 +42,9 @@ class FitnessFunction {
   virtual ~FitnessFunction() = default;
   [[nodiscard]] virtual double evaluate(const Mapping& mapping) = 0;
 
-  /// Score a batch: `out[i]` = fitness of `mappings[i]`, semantically
-  /// identical to calling `evaluate` in index order — same values, same
-  /// logical counting, same memo trajectory. Implementations may
-  /// override to amortize the physical work (core::Evaluator routes the
-  /// batch through the SoA kernel); the default simply loops.
+  /// `out[i]` = fitness of `mappings[i]`: a loop of `evaluate` in index
+  /// order. Nothing in src/ calls it; perfbench's layer probe overrides
+  /// it, and it goes with the benchmark's next change.
   virtual void evaluate_batch(std::span<const Mapping> mappings,
                               std::span<double> out) {
     for (std::size_t i = 0; i < mappings.size(); ++i)
@@ -115,19 +115,6 @@ class SearchState {
 
   /// Evaluate a candidate, tracking the incumbent and the trace.
   double evaluate(const Mapping& mapping);
-
-  /// Batched `evaluate`: scores every candidate through the fitness
-  /// function's batch entry, then records each result in index order —
-  /// incumbent, trace and evaluation counts are identical to calling
-  /// `evaluate` per mapping. Callers size batches with
-  /// `remaining_evaluations()` so the evaluation budget is never
-  /// overshot.
-  void evaluate_batch(std::span<const Mapping> mappings,
-                      std::span<double> out);
-
-  /// Evaluations left under the budget's evaluation cap;
-  /// UINT64_MAX when the budget is time-only.
-  [[nodiscard]] std::uint64_t remaining_evaluations() const noexcept;
 
   /// Move-based search steps. `propose_swap` applies the (a, b) tile
   /// swap to `current`, scores it through the fitness function's move

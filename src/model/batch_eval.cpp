@@ -62,36 +62,18 @@ BatchEvalPlan::BatchEvalPlan(const NetworkModel& net, const CommGraph& cg)
 }
 
 BatchEvaluator::BatchEvaluator(const NetworkModel& net, const CommGraph& cg)
-    : BatchEvaluator(std::make_shared<const BatchEvalPlan>(net, cg)) {}
-
-BatchEvaluator::BatchEvaluator(std::shared_ptr<const BatchEvalPlan> plan)
-    : plan_(std::move(plan)),
-      rows_(plan_ != nullptr ? plan_->edge_count() : 0,
-            plan_ != nullptr ? plan_->tile_count() : 0) {
-  require(plan_ != nullptr, "BatchEvaluator: null plan");
-  const std::size_t edges = plan_->edge_count();
+    : plan_(net, cg), rows_(plan_.edge_count(), plan_.tile_count()) {
+  const std::size_t edges = plan_.edge_count();
   path_of_edge_.resize(edges);
-  edge_mask_.resize(edges * plan_->network().store().mask_words);
+  edge_mask_.resize(edges * net.store().mask_words);
   sieve_.resize(edges);
   survivors_.resize(edges);
-  tile_used_.resize(plan_->tile_count());
-}
-
-void BatchEvaluator::evaluate(std::span<const TileId> assignments,
-                              std::size_t batch, std::span<BatchPoint> out,
-                              std::span<EdgeMetrics> edges_out, bool noise) {
-  run(assignments, batch, out, edges_out, /*validate=*/true, noise);
-}
-
-void BatchEvaluator::evaluate_trusted(std::span<const TileId> assignments,
-                                      std::size_t batch,
-                                      std::span<BatchPoint> out,
-                                      std::span<EdgeMetrics> edges_out,
-                                      bool noise) {
-  run(assignments, batch, out, edges_out, /*validate=*/false, noise);
+  tile_used_.resize(plan_.tile_count());
 }
 
 void BatchEvaluator::validate_assignment(std::span<const TileId> assignment) {
+  require(assignment.size() == plan_.task_count(),
+          "BatchEvaluator: assignment size != task_count");
   std::fill(tile_used_.begin(), tile_used_.end(), std::uint8_t{0});
   for (const auto tile : assignment) {
     require(tile < tile_used_.size(),
@@ -102,105 +84,87 @@ void BatchEvaluator::validate_assignment(std::span<const TileId> assignment) {
   }
 }
 
-void BatchEvaluator::run(std::span<const TileId> assignments,
-                         std::size_t batch, std::span<BatchPoint> out,
-                         std::span<EdgeMetrics> edges_out, bool validate,
-                         bool noise) {
-  const BatchEvalPlan& plan = *plan_;
-  const PathStore& store = plan.network().store();
-  const std::size_t tasks = plan.task_count();
-  const std::size_t edges = plan.edge_count();
-  require(assignments.size() == batch * tasks,
-          "BatchEvaluator: assignments size != batch * task_count");
-  require(out.size() == batch, "BatchEvaluator: out size != batch");
-  require(edges_out.empty() || edges_out.size() == batch * edges,
-          "BatchEvaluator: edges_out size != batch * edge_count");
+BatchPoint BatchEvaluator::evaluate(std::span<const TileId> assignment,
+                                    std::span<EdgeMetrics> edges_out,
+                                    bool noise) {
+  const PathStore& store = plan_.network().store();
+  const std::size_t edges = plan_.edge_count();
+  validate_assignment(assignment);
+  require(edges_out.empty() || edges_out.size() == edges,
+          "BatchEvaluator: edges_out size != edge_count");
 
   const std::size_t words = store.mask_words;
-  const double ceiling_db = plan.snr_ceiling_db();
+  const double ceiling_db = plan_.snr_ceiling_db();
+  BatchPoint point;
+  point.worst_snr_db = noise ? ceiling_db : kUnscored;
 
-  for (std::size_t b = 0; b < batch; ++b) {
-    const std::span<const TileId> assignment =
-        assignments.subspan(b * tasks, tasks);
-    if (validate) validate_assignment(assignment);
-
-    BatchPoint point;
-    point.worst_snr_db = noise ? ceiling_db : kUnscored;
-    if (edges == 0) {
-      out[b] = point;
-      continue;
-    }
-
-    // Resolve this mapping's edges to path ids once and, when scoring
-    // noise, gather their tile masks into contiguous scratch (the
-    // sieve's operands) and fill their hop rows (cleared below).
-    for (std::size_t e = 0; e < edges; ++e) {
-      const std::size_t pid = plan.edge_path(assignment, e);
-      path_of_edge_[e] = static_cast<std::uint32_t>(pid);
-      if (!noise) continue;
-      for (std::size_t w = 0; w < words; ++w)
-        edge_mask_[e * words + w] = store.tile_mask[pid * words + w];
-      rows_.set(store, e, pid);
-    }
-
-    EdgeMetrics* detail =
-        edges_out.empty() ? nullptr : edges_out.data() + b * edges;
-
-    for (std::size_t v = 0; v < edges; ++v) {
-      const std::size_t pv = path_of_edge_[v];
-      double victim_noise = kUnscored;
-      double snr = kUnscored;
-
-      if (noise) {
-        if (words == 1)
-          sieve_row(edge_mask_.data(), store.tile_mask[pv], sieve_.data(),
-                    edges);
-        else
-          sieve_row_wide(edge_mask_.data(), &store.tile_mask[pv * words],
-                         sieve_.data(), edges, words);
-        sieve_[v] = 0;  // a == v contributes nothing (self-pair)
-
-        // Compact the survivors without a branch: the sieve words are
-        // data, and a branch on each mispredicts.
-        std::size_t survivors = 0;
-        for (std::size_t a = 0; a < edges; ++a) {
-          survivors_[survivors] = static_cast<std::uint32_t>(a);
-          survivors += sieve_[a] != 0;
-        }
-
-        // Ascending attacker order with per-attacker subtotals — the
-        // exact addition sequence of evaluate_mapping's nested
-        // noise_contribution calls (skipped pairs add exact +0.0, the
-        // identity on this non-negative accumulator).
-        const PairPath victim{pv, rows_.row(v)};
-        victim_noise = 0.0;
-        for (std::size_t i = 0; i < survivors; ++i) {
-          const std::uint32_t a = survivors_[i];
-          victim_noise += pair_noise(
-              store, victim, {path_of_edge_[a], rows_.row(a)}, sieve_[a]);
-        }
-        snr = std::min(snr_db(store.total_gain[pv], victim_noise),
-                       ceiling_db);
-        point.worst_snr_db = std::min(point.worst_snr_db, snr);
-      }
-
-      point.worst_loss_db =
-          std::min(point.worst_loss_db, store.total_loss_db[pv]);
-      if (detail != nullptr) {
-        detail[v] = EdgeMetrics{static_cast<EdgeId>(v),
-                                assignment[plan.edge_src(v)],
-                                assignment[plan.edge_dst(v)],
-                                store.total_loss_db[pv],
-                                store.total_gain[pv],
-                                victim_noise,
-                                snr};
-      }
-    }
-    if (noise)
-      for (std::size_t e = 0; e < edges; ++e)
-        rows_.clear(store, e, path_of_edge_[e]);
-    out[b] = point;
+  // Resolve the edges to path ids once and, when scoring noise, gather
+  // their tile masks into contiguous scratch (the sieve's operands) and
+  // fill their hop rows (cleared below).
+  for (std::size_t e = 0; e < edges; ++e) {
+    const std::size_t pid = plan_.edge_path(assignment, e);
+    path_of_edge_[e] = static_cast<std::uint32_t>(pid);
+    if (!noise) continue;
+    for (std::size_t w = 0; w < words; ++w)
+      edge_mask_[e * words + w] = store.tile_mask[pid * words + w];
+    rows_.set(store, e, pid);
   }
+
+  EdgeMetrics* detail = edges_out.empty() ? nullptr : edges_out.data();
+
+  for (std::size_t v = 0; v < edges; ++v) {
+    const std::size_t pv = path_of_edge_[v];
+    double victim_noise = kUnscored;
+    double snr = kUnscored;
+
+    if (noise) {
+      if (words == 1)
+        sieve_row(edge_mask_.data(), store.tile_mask[pv], sieve_.data(),
+                  edges);
+      else
+        sieve_row_wide(edge_mask_.data(), &store.tile_mask[pv * words],
+                       sieve_.data(), edges, words);
+      sieve_[v] = 0;  // a == v contributes nothing (self-pair)
+
+      // Compact the survivors without a branch: the sieve words are
+      // data, and a branch on each mispredicts.
+      std::size_t survivors = 0;
+      for (std::size_t a = 0; a < edges; ++a) {
+        survivors_[survivors] = static_cast<std::uint32_t>(a);
+        survivors += sieve_[a] != 0;
+      }
+
+      // Ascending attacker order with per-attacker subtotals — the
+      // exact addition sequence of evaluate_mapping's nested
+      // noise_contribution calls (skipped pairs add exact +0.0, the
+      // identity on this non-negative accumulator).
+      const PairPath victim{pv, rows_.row(v)};
+      victim_noise = 0.0;
+      for (std::size_t i = 0; i < survivors; ++i) {
+        const std::uint32_t a = survivors_[i];
+        victim_noise += pair_noise(
+            store, victim, {path_of_edge_[a], rows_.row(a)}, sieve_[a]);
+      }
+      snr = std::min(snr_db(store.total_gain[pv], victim_noise), ceiling_db);
+      point.worst_snr_db = std::min(point.worst_snr_db, snr);
+    }
+
+    point.worst_loss_db =
+        std::min(point.worst_loss_db, store.total_loss_db[pv]);
+    if (detail != nullptr) {
+      detail[v] = EdgeMetrics{static_cast<EdgeId>(v),
+                              assignment[plan_.edge_src(v)],
+                              assignment[plan_.edge_dst(v)],
+                              store.total_loss_db[pv],
+                              store.total_gain[pv],
+                              victim_noise,
+                              snr};
+    }
+  }
+  if (noise)
+    for (std::size_t e = 0; e < edges; ++e)
+      rows_.clear(store, e, path_of_edge_[e]);
+  return point;
 }
 
 }  // namespace phonoc

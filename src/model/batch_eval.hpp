@@ -1,16 +1,16 @@
 #pragma once
 /// \file batch_eval.hpp
 /// \brief The evaluation kernel over the NetworkModel's path store:
-/// batched whole-mapping scoring, its per-edge hop rows and its one
-/// pair routine.
+/// whole-mapping scoring, one assignment per call, its per-edge hop rows
+/// and its one pair routine.
 ///
 /// A `BatchEvalPlan` adds only the CG's shape to the store (edge
-/// endpoints; O(|E|), no path data). A `BatchEvaluator` resolves each
+/// endpoints; O(|E|), no path data). A `BatchEvaluator` resolves the
 /// mapping's edges to path ids and fills their hop rows, then per
-/// victim edge runs a vectorized tile-mask sieve (pairs sharing no tile
-/// contribute exactly +0.0 and are skipped), compacts the survivors
-/// without a branch and calls `pair_noise` on each with the tiles the
-/// pair shares.
+/// victim edge runs a vectorized tile-mask sieve across the attacker
+/// edges (pairs sharing no tile contribute exactly +0.0 and are
+/// skipped), compacts the survivors without a branch and calls
+/// `pair_noise` on each with the tiles the pair shares.
 ///
 /// Bit-identity contract: every metric equals `evaluate_mapping` of the
 /// same assignment bitwise — the same per-term operands and
@@ -24,7 +24,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -126,9 +125,8 @@ struct PairPath {
 }
 
 /// The CG's shape over one NetworkModel's path store: edge endpoints,
-/// O(|E|) to build. It copies no path data. Immutable, so any number of
-/// BatchEvaluators (one per thread) can share it. The network and CG
-/// must outlive the plan.
+/// O(|E|) to build. It copies no path data. The network and CG must
+/// outlive the plan.
 class BatchEvalPlan {
  public:
   BatchEvalPlan(const NetworkModel& net, const CommGraph& cg);
@@ -163,61 +161,44 @@ class BatchEvalPlan {
   std::vector<NodeId> edge_dst_;
 };
 
-/// Batched scorer over a shared plan. Owns reusable per-batch scratch,
-/// so one instance serves one thread; create one per worker (exactly
-/// how cells already own their Evaluator).
+/// The scorer: its plan plus reusable scratch, so one instance serves
+/// one thread; each Evaluator owns one. The network and CG must outlive
+/// it.
 class BatchEvaluator {
  public:
-  /// Convenience: build (and own) a fresh plan.
   BatchEvaluator(const NetworkModel& net, const CommGraph& cg);
-  /// Share an existing plan (must be non-null).
-  explicit BatchEvaluator(std::shared_ptr<const BatchEvalPlan> plan);
 
-  [[nodiscard]] const BatchEvalPlan& plan() const noexcept { return *plan_; }
+  [[nodiscard]] const BatchEvalPlan& plan() const noexcept { return plan_; }
 
-  /// Score `batch` assignments laid out row-major in `assignments`
-  /// (`batch * task_count` tiles). Every assignment is validated
-  /// exactly like `evaluate_mapping` (injective, every tile in range).
-  /// `out.size()` must equal `batch`. A non-empty `edges_out` receives
-  /// `batch * edge_count` EdgeMetrics rows (mapping-major), each
-  /// bit-identical to `evaluate_mapping(..., detailed=true)`.
+  /// Score one assignment (task -> tile), validated exactly like
+  /// `evaluate_mapping` (one tile per task, injective, every tile in
+  /// range). A non-empty `edges_out` must hold `edge_count` rows and
+  /// receives each edge's EdgeMetrics, bit-identical to
+  /// `evaluate_mapping(..., detailed=true)`.
   ///
   /// `noise == false` is the loss-only pass, for callers whose fitness
   /// reads no crosstalk (`Objective::needs_noise`): `worst_loss_db` and
   /// each row's endpoints, `loss_db` and `signal_gain` are still
   /// bit-identical to `evaluate_mapping`, while the sieve, the hop rows
   /// and `pair_noise` are never touched, and `worst_snr_db`,
-  /// `noise_gain` and `snr_db` hold quiet NaN. O(|E|) per mapping
-  /// instead of O(|E|^2).
-  void evaluate(std::span<const TileId> assignments, std::size_t batch,
-                std::span<BatchPoint> out,
-                std::span<EdgeMetrics> edges_out = {}, bool noise = true);
-
-  /// Trusted entry: skips the per-assignment injectivity/range scan.
-  /// Only for assignments whose validity is already guaranteed by a
-  /// checked invariant (e.g. they were lifted out of `Mapping`, whose
-  /// constructor enforces Eq. 5/6) — this is the validation hoist for
-  /// bulk scoring, not a way to relax the public contract.
-  void evaluate_trusted(std::span<const TileId> assignments,
-                        std::size_t batch, std::span<BatchPoint> out,
-                        std::span<EdgeMetrics> edges_out = {},
-                        bool noise = true);
+  /// `noise_gain` and `snr_db` hold quiet NaN. O(|E|) instead of
+  /// O(|E|^2).
+  [[nodiscard]] BatchPoint evaluate(std::span<const TileId> assignment,
+                                    std::span<EdgeMetrics> edges_out = {},
+                                    bool noise = true);
 
  private:
-  void run(std::span<const TileId> assignments, std::size_t batch,
-           std::span<BatchPoint> out, std::span<EdgeMetrics> edges_out,
-           bool validate, bool noise);
   void validate_assignment(std::span<const TileId> assignment);
 
-  std::shared_ptr<const BatchEvalPlan> plan_;
+  BatchEvalPlan plan_;
 
-  // --- per-batch scratch (reused across calls) -------------------------------
+  // --- scratch (reused across calls) -----------------------------------------
   std::vector<std::uint32_t> path_of_edge_;  ///< per edge
   std::vector<std::uint64_t> edge_mask_;     ///< per edge, mask_words each
   std::vector<std::uint64_t> sieve_;         ///< per edge, intersection words
   std::vector<std::uint32_t> survivors_;     ///< attackers with a nonzero word
   std::vector<std::uint8_t> tile_used_;      ///< validation scratch
-  HopRows rows_;  ///< the current row's paths; all -1 between calls
+  HopRows rows_;  ///< the current mapping's paths; all -1 between calls
 };
 
 }  // namespace phonoc

@@ -38,7 +38,7 @@ struct EvaluationResult {
 };
 
 /// Non-owning view of an evaluated mapping. Objectives fold over this so
-/// every producer — the batch kernel and the reference loop — feeds the
+/// every producer — the kernel and the reference loop — feeds the
 /// same fitness code without copying the edge vector.
 struct EvaluationView {
   double worst_loss_db = 0.0;

@@ -2,9 +2,9 @@
 /// \file incremental.hpp
 /// \brief A move-scoring shim for perfbench's layer probe
 /// (perfbench/src/mapping_probe.cpp), whose `model.delta_us` times one
-/// two-tile swap through it. Each proposed swap is scored whole, as a
-/// batch of one through the evaluation kernel (batch_eval.hpp), exactly
-/// as `core::Evaluator::propose_swap` scores a move. Nothing in src/
+/// two-tile swap through it. Each proposed swap is scored whole through
+/// the evaluation kernel (batch_eval.hpp), exactly as
+/// `core::Evaluator::propose_swap` scores a move. Nothing in src/
 /// calls it; it goes with the benchmark's next change.
 
 #include <span>
@@ -59,7 +59,7 @@ class IncrementalEvaluation {
         tile = a;
     }
   }
-  void score() { kernel_.evaluate(assignment_, 1, {&point_, 1}); }
+  void score() { point_ = kernel_.evaluate(assignment_); }
 
   BatchEvaluator kernel_;
   std::vector<TileId> assignment_;

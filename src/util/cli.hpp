@@ -13,6 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "util/error.hpp"
+#include "util/strings.hpp"
+
 namespace phonoc {
 
 class CliOptions {
@@ -30,8 +33,22 @@ class CliOptions {
                                    const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
+  /// `--name` as a signed integer; unsigned counts read `get_uint`.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
+  /// `--name` as an unsigned `T` (`fallback` when absent). Throws
+  /// InvalidArgument naming the flag for a negative value or one `T`
+  /// cannot hold, which a cast from `get_int` would silently wrap.
+  template <typename T>
+  [[nodiscard]] T get_uint(const std::string& name, T fallback) const {
+    const auto value = get(name);
+    if (!value) return fallback;
+    try {
+      return parse_uint<T>(*value);
+    } catch (const ParseError& e) {
+      throw InvalidArgument("--" + name + ": " + e.what());
+    }
+  }
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
   /// `--name` as a TCP port (`fallback` when absent). Throws
   /// InvalidArgument for a value outside 0-65535, which a narrowing

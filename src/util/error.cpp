@@ -2,12 +2,12 @@
 
 namespace phonoc {
 
-void require(bool condition, const std::string& message) {
-  if (!condition) throw InvalidArgument(message);
+void require(bool condition, std::string_view message) {
+  if (!condition) throw InvalidArgument(std::string(message));
 }
 
-void require_model(bool condition, const std::string& message) {
-  if (!condition) throw ModelError(message);
+void require_model(bool condition, std::string_view message) {
+  if (!condition) throw ModelError(std::string(message));
 }
 
 }  // namespace phonoc

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace phonoc {
 
@@ -47,10 +48,12 @@ class ExecError : public Error {
   explicit ExecError(const std::string& what) : Error(what) {}
 };
 
-/// Throw InvalidArgument with `message` unless `condition` holds.
-void require(bool condition, const std::string& message);
+/// Throw InvalidArgument with `message` unless `condition` holds. The
+/// message becomes a std::string only on the throwing path, so a
+/// passing check allocates nothing.
+void require(bool condition, std::string_view message);
 
 /// Throw ModelError with `message` unless `condition` holds.
-void require_model(bool condition, const std::string& message);
+void require_model(bool condition, std::string_view message);
 
 }  // namespace phonoc

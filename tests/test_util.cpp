@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <new>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -21,6 +24,20 @@
 #include "util/strings.hpp"
 #include "util/timer.hpp"
 #include "util/units.hpp"
+
+// Every global `operator new` of this binary counts itself, so a test
+// can assert that a code path allocates nothing.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
 
 namespace phonoc {
 namespace {
@@ -525,6 +542,33 @@ TEST(Cli, PortReaderRejectsValuesOutsideTheTcpRange) {
   EXPECT_THROW((void)cli.get_port("d", 1), InvalidArgument);
 }
 
+TEST(Cli, UintReaderRejectsNegativeAndOverflowingCounts) {
+  // A cast from get_int would wrap -1 into SIZE_MAX (lifting a bound)
+  // and 2^32 into 0 for a 32-bit count.
+  const char* argv[] = {"prog",
+                        "--a=0",
+                        "--b=4096",
+                        "--c=-1",
+                        "--d=4294967296",
+                        "--e=18446744073709551616",
+                        "--f=12x"};
+  CliOptions cli(7, argv);
+  EXPECT_EQ(cli.get_uint<std::size_t>("a", 7), 0u);
+  EXPECT_EQ(cli.get_uint<std::size_t>("b", 7), 4096u);
+  EXPECT_EQ(cli.get_uint<std::uint64_t>("d", 7), 4294967296u);
+  EXPECT_EQ(cli.get_uint<std::size_t>("missing", 7), 7u);
+  EXPECT_THROW((void)cli.get_uint<std::size_t>("c", 7), InvalidArgument);
+  EXPECT_THROW((void)cli.get_uint<std::uint32_t>("d", 7), InvalidArgument);
+  EXPECT_THROW((void)cli.get_uint<std::uint64_t>("e", 7), InvalidArgument);
+  EXPECT_THROW((void)cli.get_uint<std::size_t>("f", 7), InvalidArgument);
+  try {
+    (void)cli.get_uint<std::size_t>("c", 7);
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--c"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Cli, TypedAccessorsAndFallbacks) {
   const char* argv[] = {"prog", "--n=42", "--x=2.5", "--no=false"};
   CliOptions cli(4, argv);
@@ -554,6 +598,25 @@ TEST(Error, RequireThrowsWithMessage) {
     EXPECT_STREQ(e.what(), "the message");
   }
   EXPECT_THROW(require_model(false, "m"), ModelError);
+}
+
+TEST(Error, PassingChecksAllocateNothing) {
+  // Both messages are longer than any small-string buffer, so building
+  // a std::string from either would allocate.
+  constexpr const char* kLong =
+      "Mapping: a precondition message longer than fifteen bytes";
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < 100; ++i) {
+    require(i >= 0, kLong);
+    require_model(i >= 0, kLong);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  try {
+    require(false, kLong);
+    FAIL() << "expected throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), kLong);
+  }
 }
 
 TEST(Error, ParseErrorCarriesLine) {
