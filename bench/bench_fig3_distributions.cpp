@@ -18,7 +18,8 @@
 /// in-process run, which is what CI's fork and two-daemon TCP smokes
 /// lean on. `--backend=fork` runs the sub-cells on `--workers` local
 /// worker processes (spawn hosts for the `phonoc_workerd` next to this
-/// executable).
+/// executable), `--backend=remote` on `--hosts`; both go through the
+/// Scheduler.
 ///
 /// Memory: no raw per-sample vectors are kept (at paper scale those
 /// were 2 x 100k doubles per app); quantiles come from the merged
@@ -47,7 +48,7 @@
 #include "exec/sweep.hpp"
 #include "io/csv.hpp"
 #include "io/table_writer.hpp"
-#include "sched/transport.hpp"
+#include "sched/scheduler.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -92,17 +93,18 @@ DistributionResult merge_app(const std::vector<CellResult>& results,
 int main(int argc, char** argv) {
   const CliOptions cli(argc, argv);
   const auto samples = cli.get_uint<std::uint64_t>(
-      "samples", static_cast<std::uint64_t>(env_int(
+      "samples", env_uint<std::uint64_t>(
                      "PHONOC_FIG3_SAMPLES",
-                     full_scale_requested() ? 100000 : 20000)));
+                     full_scale_requested() ? 100000 : 20000));
   const auto subcells =
       std::max<std::size_t>(1, cli.get_uint<std::size_t>("subcells", 8));
   const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
   const auto workers = cli.get_uint<std::size_t>("workers", 0);
-  const auto backend_name = cli.get_or("backend", "thread");
-  if (backend_name != "thread" && backend_name != "fork" &&
-      backend_name != "remote") {
-    std::cerr << "error: --backend must be 'thread', 'fork' or 'remote'\n";
+  SchedulerOptions fleet;
+  try {
+    fleet.hosts = fleet_from_cli(cli, argv[0], workers);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
   const auto per_cell =
@@ -115,28 +117,18 @@ int main(int argc, char** argv) {
       .add_seed_range(seed, subcells)
       .use_sampling({.samples_per_cell = per_cell});
 
-  BatchOptions options{.workers = workers};
-  if (backend_name == "fork") {
-    options.backend = BatchBackend::Remote;
-    options.remote_hosts = local_worker_endpoints(argv[0], workers);
-  } else if (backend_name == "remote") {
-    options.backend = BatchBackend::Remote;
-    for (const auto& endpoint :
-         split(cli.get_or("hosts", "loopback,loopback"), ','))
-      if (!trim(endpoint).empty())
-        options.remote_hosts.emplace_back(trim(endpoint));
-  }
-  const BatchEngine engine(options);
-
   std::cout << "# Fig. 3 reproduction: distribution of worst-case SNR and "
                "power loss over\n# "
             << per_cell * subcells << " random mappings per application ("
             << subcells << " sub-cells x " << per_cell
-            << " samples, mesh + Crux router, backend " << backend_name
+            << " samples, mesh + Crux router, backend "
+            << cli.get_or("backend", "thread")
             << ")\n\n";
 
   Timer timer;
-  const auto results = engine.run(spec);
+  const auto results = fleet.hosts.empty()
+                           ? BatchEngine({.workers = workers}).run(spec)
+                           : Scheduler(fleet).run(spec).results;
   std::size_t failed = 0;
   for (const auto& result : results)
     if (result.status == CellStatus::Failed) {

@@ -7,7 +7,8 @@
 /// seeds = 128 cells by default) is executed twice: once on a single
 /// worker (the sequential reference) and once on the full pool. The
 /// acceptance bar for the subsystem is >= 2x speedup on >= 4 workers at
-/// >= 100 cells, with every RunResult bit-identical between the runs.
+/// >= 100 cells, with every cell bit-identical between the runs
+/// (`identical_results`).
 ///
 /// --evals=N cell budget (default 1500; PHONOC_SWEEP_EVALS overrides),
 /// --workers=N pool size for the parallel pass (default all threads),
@@ -45,17 +46,21 @@ namespace {
 
 using namespace phonoc;
 
-/// Bit-identity of two runs: same incumbent, same fitness, same
-/// evaluation count, same trace length (timing fields excluded).
-bool identical(const CellResult& a, const CellResult& b) {
-  return a.run.search.best == b.run.search.best &&
-         a.run.search.best_fitness == b.run.search.best_fitness &&
-         a.run.search.evaluations == b.run.search.evaluations &&
-         a.run.search.trace.size() == b.run.search.trace.size() &&
-         a.run.best_evaluation.worst_loss_db ==
-             b.run.best_evaluation.worst_loss_db &&
-         a.run.best_evaluation.worst_snr_db ==
-             b.run.best_evaluation.worst_snr_db;
+/// Cells of `got` that are not bit-identical to `want`.
+std::size_t mismatched(const std::vector<CellResult>& want,
+                       const std::vector<CellResult>& got) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    if (!identical_results(want[i], got[i])) ++count;
+  return count;
+}
+
+/// The grid on `hosts` through the Scheduler.
+std::vector<CellResult> run_fleet(const SweepSpec& spec,
+                                  std::vector<std::string> hosts) {
+  SchedulerOptions fleet;
+  fleet.hosts = std::move(hosts);
+  return Scheduler(std::move(fleet)).run(spec).results;
 }
 
 }  // namespace
@@ -63,7 +68,7 @@ bool identical(const CellResult& a, const CellResult& b) {
 int main(int argc, char** argv) {
   const CliOptions cli(argc, argv);
   const auto evals = cli.get_uint<std::uint64_t>(
-      "evals", static_cast<std::uint64_t>(env_int("PHONOC_SWEEP_EVALS", 1500)));
+      "evals", env_uint<std::uint64_t>("PHONOC_SWEEP_EVALS", 1500));
   const auto workers = cli.get_uint<std::size_t>("workers", 0);
 
   SweepSpec spec;
@@ -89,9 +94,7 @@ int main(int argc, char** argv) {
   const auto parallel_results = parallel.run(spec);
   const double parallel_seconds = timer.elapsed_seconds();
 
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < sequential_results.size(); ++i)
-    if (!identical(sequential_results[i], parallel_results[i])) ++mismatches;
+  std::size_t mismatches = mismatched(sequential_results, parallel_results);
 
   // Optional third pass: crash-isolated local worker processes (one
   // spawn host per worker). Measures the process-spawn + serialization
@@ -99,16 +102,11 @@ int main(int argc, char** argv) {
   // across the wire.
   if (cli.get_bool("fork", false)) {
     const auto hosts = local_worker_endpoints(argv[0], workers);
-    const BatchEngine forked(
-        {.backend = BatchBackend::Remote, .remote_hosts = hosts});
     timer.restart();
-    const auto forked_results = forked.run(spec);
+    const auto forked_results = run_fleet(spec, hosts);
     const double forked_seconds = timer.elapsed_seconds();
-    std::size_t fork_mismatches = 0;
-    for (std::size_t i = 0; i < sequential_results.size(); ++i)
-      if (forked_results[i].status != CellStatus::Ok ||
-          !identical(sequential_results[i], forked_results[i]))
-        ++fork_mismatches;
+    const std::size_t fork_mismatches =
+        mismatched(sequential_results, forked_results);
     std::cout << "# fork (" << hosts.size() << " worker processes): "
               << format_fixed(forked_seconds, 2) << " s, "
               << fork_mismatches << " mismatched cells"
@@ -122,20 +120,15 @@ int main(int argc, char** argv) {
   // loopback fleet. Measures the framing + scheduling overhead of
   // src/sched/ and re-checks bit-identity through the full remote path
   // (frames, retry bookkeeping, per-host merge).
-  if (const auto remote_hosts = cli.get_uint<std::size_t>("remote", 0);
-      remote_hosts > 0) {
-    BatchOptions remote_options{.backend = BatchBackend::Remote};
-    remote_options.remote_hosts.assign(remote_hosts, "loopback");
-    const BatchEngine remote(remote_options);
+  if (const auto loopback_hosts = cli.get_uint<std::size_t>("remote", 0);
+      loopback_hosts > 0) {
     timer.restart();
-    const auto remote_results = remote.run(spec);
+    const auto remote_results = run_fleet(
+        spec, std::vector<std::string>(loopback_hosts, "loopback"));
     const double remote_seconds = timer.elapsed_seconds();
-    std::size_t remote_mismatches = 0;
-    for (std::size_t i = 0; i < sequential_results.size(); ++i)
-      if (remote_results[i].status != CellStatus::Ok ||
-          !identical(sequential_results[i], remote_results[i]))
-        ++remote_mismatches;
-    std::cout << "# remote scheduler (" << remote_hosts
+    const std::size_t remote_mismatches =
+        mismatched(sequential_results, remote_results);
+    std::cout << "# remote scheduler (" << loopback_hosts
               << " loopback workers): " << format_fixed(remote_seconds, 2)
               << " s, " << remote_mismatches << " mismatched cells"
               << (remote_mismatches == 0
@@ -170,11 +163,8 @@ int main(int argc, char** argv) {
     timer.restart();
     const auto outcome = Scheduler(std::move(sched)).run(spec);
     const double seconds = timer.elapsed_seconds();
-    std::size_t pool_mismatches = 0;
-    for (std::size_t i = 0; i < sequential_results.size(); ++i)
-      if (outcome.results[i].status != CellStatus::Ok ||
-          !identical(sequential_results[i], outcome.results[i]))
-        ++pool_mismatches;
+    const std::size_t pool_mismatches =
+        mismatched(sequential_results, outcome.results);
     std::cout << "# workerd pool (" << threads
               << " exec thread(s)): " << format_fixed(seconds, 2) << " s, "
               << pool_mismatches << " mismatched cells"

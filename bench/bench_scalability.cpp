@@ -33,9 +33,8 @@ int main(int argc, char** argv) {
   const CliOptions cli(argc, argv);
   OptimizerBudget budget;
   budget.max_evaluations = cli.get_uint<std::uint64_t>(
-      "evals", static_cast<std::uint64_t>(env_int(
-                   "PHONOC_SCALE_EVALS",
-                   full_scale_requested() ? 40000 : 4000)));
+      "evals", env_uint<std::uint64_t>("PHONOC_SCALE_EVALS",
+                                       full_scale_requested() ? 40000 : 4000));
   const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
   const auto max_side = cli.get_uint<std::uint32_t>(
       "max-side", full_scale_requested() ? 8 : 7);

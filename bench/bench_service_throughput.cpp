@@ -86,7 +86,7 @@ PassResult run_pass(const std::string& mode, std::size_t concurrency,
                     std::size_t interactive_requests,
                     const SweepSpec& interactive_spec, std::size_t clients) {
   BrokerOptions options;
-  options.batch.workers = 1;  // serial cells: the broker pool is the axis
+  options.workers = 1;  // serial cells: the broker pool is the axis
   options.request_concurrency = concurrency;
   options.interactive_cell_threshold = interactive_threshold;
   options.max_queue_depth = 4096;
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   const auto bulk_spec = make_spec(
       cli.get_uint<std::uint64_t>(
           "bulk-evals",
-          static_cast<std::uint64_t>(env_int("PHONOC_SWEEP_EVALS", 1200))),
+          env_uint<std::uint64_t>("PHONOC_SWEEP_EVALS", 1200)),
       cli.get_uint<std::size_t>("bulk-seeds", 8));
   const auto interactive_requests =
       cli.get_uint<std::size_t>("interactive-requests", 24);

@@ -37,9 +37,8 @@ int main(int argc, char** argv) {
   const CliOptions cli(argc, argv);
   OptimizerBudget budget;
   budget.max_evaluations = cli.get_uint<std::uint64_t>(
-      "evals", static_cast<std::uint64_t>(env_int(
-                   "PHONOC_TABLE2_EVALS",
-                   full_scale_requested() ? 60000 : 12000)));
+      "evals", env_uint<std::uint64_t>("PHONOC_TABLE2_EVALS",
+                                       full_scale_requested() ? 60000 : 12000));
   if (cli.has("seconds")) {
     budget.max_evaluations = 0;
     budget.max_seconds = cli.get_double("seconds", 1.0);

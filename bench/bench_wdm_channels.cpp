@@ -26,9 +26,8 @@ int main(int argc, char** argv) {
   const CliOptions cli(argc, argv);
   OptimizerBudget budget;
   budget.max_evaluations = cli.get_uint<std::uint64_t>(
-      "evals", static_cast<std::uint64_t>(env_int(
-                   "PHONOC_ABLATION_EVALS",
-                   full_scale_requested() ? 20000 : 3000)));
+      "evals", env_uint<std::uint64_t>("PHONOC_ABLATION_EVALS",
+                                       full_scale_requested() ? 20000 : 3000));
   const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
   WdmOptions base;
   base.inter_channel_isolation_db =

@@ -17,7 +17,9 @@
 ///                   [--backend=thread|fork|remote] [--hosts=EP1,...]
 ///
 /// `--backend=fork` runs the sub-cells on `--workers` local worker
-/// processes (spawned `phonoc_workerd`s), `--backend=remote` on `--hosts`.
+/// processes (spawned `phonoc_workerd`s), `--backend=remote` on `--hosts`
+/// (default two loopback workers); both go through the Scheduler. Any
+/// other backend is an error (exit 1).
 ///
 /// Prints the merged summary statistics and an ASCII histogram of the
 /// worst-case SNR per app. The full Fig. 3 harness (CSV series,
@@ -27,7 +29,7 @@
 
 #include "exec/batch_engine.hpp"
 #include "exec/sweep.hpp"
-#include "sched/transport.hpp"
+#include "sched/scheduler.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
@@ -52,24 +54,23 @@ int main(int argc, char** argv) {
       .use_sampling({.samples_per_cell =
                          std::max<std::uint64_t>(1, samples / subcells)});
 
-  BatchOptions options{.workers = cli.get_uint<std::size_t>("workers", 0)};
-  const auto backend_name = cli.get_or("backend", "thread");
-  if (backend_name == "fork") {
-    options.backend = BatchBackend::Remote;
-    options.remote_hosts = local_worker_endpoints(argv[0], options.workers);
-  } else if (backend_name == "remote") {
-    options.backend = BatchBackend::Remote;
-    for (const auto& endpoint :
-         split(cli.get_or("hosts", "loopback,loopback"), ','))
-      if (!trim(endpoint).empty())
-        options.remote_hosts.emplace_back(trim(endpoint));
+  const auto workers = cli.get_uint<std::size_t>("workers", 0);
+  SchedulerOptions fleet;
+  try {
+    fleet.hosts = fleet_from_cli(cli, argv[0], workers);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
   }
 
   std::cout << "Sampling " << spec.sampling.samples_per_cell * subcells
             << " random mappings per app over " << subcells
-            << " sub-cells (backend " << backend_name << ")...\n";
+            << " sub-cells (backend " << cli.get_or("backend", "thread")
+            << ")...\n";
   Timer timer;
-  const auto results = BatchEngine(options).run(spec);
+  const auto results = fleet.hosts.empty()
+                           ? BatchEngine({.workers = workers}).run(spec)
+                           : Scheduler(fleet).run(spec).results;
 
   for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
     // merge_cell_distributions throws if any sub-cell failed.

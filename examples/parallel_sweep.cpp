@@ -18,8 +18,8 @@
 /// `--backend=fork` runs the grid on `--workers` crash-isolated local
 /// worker processes: one `spawn:` host per worker for the
 /// `phonoc_workerd` sitting next to this executable, driven through
-/// the remote path below. A dying worker is respawned and fails only
-/// the cell it died on.
+/// the Scheduler like any fleet. A dying worker is respawned and fails
+/// only the cell it died on.
 ///
 /// `--backend=remote` ships framed shards to a fleet of worker
 /// endpoints through the distributed scheduler (src/sched/): `--hosts`
@@ -57,12 +57,13 @@
 /// are not distorted by oversubscription.
 ///
 /// `--verify` re-runs the sweep on the in-process backend and asserts
-/// every cell is bit-identical (fitness, mapping, evaluation counts,
-/// worst-case metrics) — CI uses this to prove the remote scheduler's
-/// determinism contract, including runs where one daemon is killed
-/// mid-sweep and its cells are recovered by retry. `--expect-failed`
-/// asserts the exact number of failed cells (the fork-backend crash
-/// smoke, where PHONOC_WORKER_CRASH_INDEX makes one cell poison).
+/// every cell is bit-identical (`identical_results`: seed and every
+/// non-timing RunResult field) — CI uses this to prove the remote
+/// scheduler's determinism contract, including runs where one daemon
+/// is killed mid-sweep and its cells are recovered by retry.
+/// `--expect-failed` asserts the exact number of failed cells (the
+/// fork-backend crash smoke, where PHONOC_WORKER_CRASH_INDEX makes one
+/// cell poison).
 ///
 /// Because every cell owns its Evaluator and RNG, the results are
 /// bit-identical whatever the worker count or backend: re-run with
@@ -84,49 +85,23 @@
 #include "util/strings.hpp"
 #include "util/timer.hpp"
 
-namespace {
-
-using namespace phonoc;
-
-/// Bit-exact comparison of the determinism-contract fields (everything
-/// except the timing fields). Prints a diagnostic on mismatch.
-bool identical_runs(const CellResult& got, const CellResult& want) {
-  const auto& g = got.run;
-  const auto& w = want.run;
-  const bool same =
-      got.status == CellStatus::Ok && want.status == CellStatus::Ok &&
-      got.seed == want.seed && g.algorithm == w.algorithm &&
-      g.search.best == w.search.best &&
-      g.search.best_fitness == w.search.best_fitness &&
-      g.search.evaluations == w.search.evaluations &&
-      g.search.iterations == w.search.iterations &&
-      g.best_evaluation.worst_loss_db == w.best_evaluation.worst_loss_db &&
-      g.best_evaluation.worst_snr_db == w.best_evaluation.worst_snr_db;
-  if (!same)
-    std::cerr << "verify: cell " << got.cell.index << " differs ("
-              << (got.status == CellStatus::Failed
-                      ? "failed: " + got.error
-                      : "fitness " + format_double(g.search.best_fitness) +
-                            " vs " + format_double(w.search.best_fitness))
-              << ")\n";
-  return same;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace phonoc;
   const CliOptions cli(argc, argv);
   const auto evals = cli.get_uint<std::uint64_t>("evals", 2000);
   const auto workers = cli.get_uint<std::size_t>("workers", 0);
   const auto seeds = cli.get_uint<std::size_t>("seeds", 3);
-  const auto backend_name = cli.get_or("backend", "thread");
-  if (backend_name != "thread" && backend_name != "fork" &&
-      backend_name != "remote") {
-    std::cerr << "error: --backend must be 'thread', 'fork' or 'remote'\n";
+  // Both fleets run through the Scheduler below: spawned local workers
+  // for --backend=fork, the --hosts endpoints for --backend=remote.
+  std::vector<std::string> hosts;
+  try {
+    hosts = fleet_from_cli(cli, argv[0], workers);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
   const auto trace_path = cli.get_or("trace", "");
-  const bool fleet_backend = backend_name != "thread";
+  const bool fleet_backend = !hosts.empty();
   const auto host_csv_path = cli.get_or("host-report-csv", "");
   if (!host_csv_path.empty() && !fleet_backend) {
     std::cerr << "error: --host-report-csv needs --backend=fork|remote\n";
@@ -144,40 +119,29 @@ int main(int argc, char** argv) {
       .add_budget(evals)
       .add_seed_range(1, seeds);
 
-  BatchOptions options{.workers = workers};
-  options.pin_one_cell_per_thread = cli.get_bool("pin", false);
-  // Both fleets run through the Scheduler below: spawned local workers
-  // for --backend=fork, the --hosts endpoints for --backend=remote.
-  std::vector<std::string> hosts;
-  if (backend_name == "fork")
-    hosts = local_worker_endpoints(argv[0], workers);
-  else if (backend_name == "remote")
-    for (const auto& endpoint :
-         split(cli.get_or("hosts", "loopback,loopback"), ','))
-      if (!trim(endpoint).empty()) hosts.emplace_back(trim(endpoint));
-  const BatchEngine engine(options);
+  const BatchEngine engine({.workers = workers,
+                            .pin_one_cell_per_thread =
+                                cli.get_bool("pin", false)});
   std::cout << "Sweeping " << cell_count(spec) << " cells ("
             << spec.workloads.size() << " apps x " << spec.topologies.size()
             << " topologies x " << spec.goals.size() << " objectives x "
             << spec.optimizers.size() << " optimizers x " << spec.seeds.size()
             << " seeds) on ";
   if (fleet_backend)
-    std::cout << hosts.size() << ' ' << backend_name << " host(s)...\n";
+    std::cout << hosts.size() << ' ' << cli.get_or("backend", "thread")
+              << " host(s)...\n";
   else
     std::cout << engine.worker_count() << " thread worker(s)...\n";
 
   Timer timer;
-  // The fleet path drives the Scheduler directly (not through
-  // BatchEngine) so the fleet outcome — per-host ledger counters,
-  // journal replay count, admitted joiners — is visible to the summary
-  // and the --expect-* assertions. The cell results are the same either
-  // way; run_remote() is this minus the introspection.
+  // The fleet outcome — per-host ledger counters, journal replay
+  // count, admitted joiners — feeds the summary and the --expect-*
+  // assertions. The cell results are the same either way.
   std::optional<ScheduleResult> fleet;
   std::vector<CellResult> results;
   if (fleet_backend) {
     SchedulerOptions sched;
     sched.hosts = hosts;
-    sched.evaluator = options.evaluator;
     if (const auto shard_cells =
             cli.get_uint<std::size_t>("cells-per-shard", 0);
         shard_cells > 0)
@@ -262,12 +226,22 @@ int main(int argc, char** argv) {
 
   if (cli.has("verify")) {
     std::cout << "Verifying bit-identity against the in-process backend...\n";
-    const auto reference =
-        BatchEngine({.workers = workers, .evaluator = options.evaluator})
-            .run(spec);
+    const auto reference = BatchEngine({.workers = workers}).run(spec);
     std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < results.size(); ++i)
-      if (!identical_runs(results[i], reference[i])) ++mismatches;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      if (identical_results(results[i], reference[i])) continue;
+      std::cerr << "verify: cell " << i << " differs ("
+                << (results[i].status == CellStatus::Failed
+                        ? "failed: " + results[i].error
+                        : "fitness " +
+                              format_double(
+                                  results[i].run.search.best_fitness) +
+                              " vs " +
+                              format_double(
+                                  reference[i].run.search.best_fitness))
+                << ")\n";
+      ++mismatches;
+    }
     if (mismatches > 0) {
       std::cerr << "error: " << mismatches << " of " << results.size()
                 << " cells differ from the in-process backend\n";

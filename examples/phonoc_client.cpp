@@ -70,25 +70,6 @@ namespace {
 
 using namespace phonoc;
 
-/// Bit-exact comparison of the determinism-contract fields (everything
-/// except the timing fields); mirrors parallel_sweep's verify.
-bool identical_cells(const CellResult& got, const CellResult& want,
-                     SweepTaskKind kind) {
-  if (got.status != CellStatus::Ok || want.status != CellStatus::Ok ||
-      got.seed != want.seed)
-    return false;
-  if (kind == SweepTaskKind::Sample)
-    return identical_distributions(got.distribution, want.distribution);
-  const auto& g = got.run;
-  const auto& w = want.run;
-  return g.algorithm == w.algorithm && g.search.best == w.search.best &&
-         g.search.best_fitness == w.search.best_fitness &&
-         g.search.evaluations == w.search.evaluations &&
-         g.search.iterations == w.search.iterations &&
-         g.best_evaluation.worst_loss_db == w.best_evaluation.worst_loss_db &&
-         g.best_evaluation.worst_snr_db == w.best_evaluation.worst_snr_db;
-}
-
 /// The hello payload, with the optional fairness identity appended.
 std::string hello_payload(const std::string& client) {
   if (client.empty()) return kServiceHello;
@@ -413,7 +394,7 @@ int main(int argc, char** argv) {
     }
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < local.size(); ++i)
-      if (!identical_cells(results[i], local[i], request.spec.task_kind)) {
+      if (!identical_results(results[i], local[i])) {
         std::cerr << "verify: cell " << i << " differs\n";
         ++mismatches;
       }

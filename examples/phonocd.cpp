@@ -19,7 +19,8 @@
 ///   --backend=thread|fork|remote   execution backend; fork spawns
 ///                         --workers phonoc_workerd processes
 ///   --hosts=EP1,EP2,...   remote backend: phonoc_workerd endpoints
-///                         (host:port, or spawn:PATH)
+///                         (host:port, spawn:PATH or loopback;
+///                         default loopback,loopback)
 ///   --request-concurrency=N  requests executing concurrently (broker
 ///                         worker pool size; 0 = hardware threads,
 ///                         1 = the old one-at-a-time behavior)
@@ -34,8 +35,9 @@
 ///   --max-outstanding-cells=N  outstanding-cell cap (default 4096,
 ///                         0 = uncapped)
 ///   --max-cells=N         per-request grid cap (default 0 = uncapped)
-///   --evaluator-cache=N   memo entries per warm Evaluator (default
-///                         1024; 0 turns the memo off)
+///   --evaluator-cache=N   memo entries per warm Evaluator of the
+///                         in-process path (default 1024; 0 turns the
+///                         memo off); fleet workers keep the default
 ///   --max-problems=N      problems kept in the cross-request cache,
 ///                         each with its warm Evaluators (default 64)
 ///   --idle-timeout=SECS   drop clients idle this long (0 = never)
@@ -73,23 +75,11 @@ int main(int argc, char** argv) {
                       : cli.get_uint<std::size_t>("max-conns", 0);
 
   BrokerOptions broker;
-  broker.batch.workers = cli.get_uint<std::size_t>("workers", 0);
-  const auto backend_name = cli.get_or("backend", "thread");
-  if (backend_name == "fork") {
-    broker.batch.backend = BatchBackend::Remote;
-    broker.batch.remote_hosts =
-        local_worker_endpoints(argv[0], broker.batch.workers);
-  } else if (backend_name == "remote") {
-    broker.batch.backend = BatchBackend::Remote;
-    for (const auto& endpoint : split(cli.get_or("hosts", ""), ','))
-      if (!trim(endpoint).empty())
-        broker.batch.remote_hosts.emplace_back(trim(endpoint));
-    if (broker.batch.remote_hosts.empty()) {
-      std::cerr << "error: --backend=remote needs --hosts\n";
-      return 1;
-    }
-  } else if (backend_name != "thread") {
-    std::cerr << "error: --backend must be 'thread', 'fork' or 'remote'\n";
+  broker.workers = cli.get_uint<std::size_t>("workers", 0);
+  try {
+    broker.fleet = fleet_from_cli(cli, argv[0], broker.workers);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
   broker.request_concurrency =
@@ -104,7 +94,7 @@ int main(int argc, char** argv) {
   broker.max_outstanding_cells =
       cli.get_uint<std::size_t>("max-outstanding-cells", 4096);
   broker.max_cells_per_request = cli.get_uint<std::uint64_t>("max-cells", 0);
-  broker.batch.evaluator.cache_capacity =
+  broker.evaluator.cache_capacity =
       cli.get_uint("evaluator-cache", EvaluatorOptions{}.cache_capacity);
   broker.cache.max_problems = cli.get_uint<std::size_t>("max-problems", 64);
 
@@ -119,7 +109,7 @@ int main(int argc, char** argv) {
     const auto prom_port = cli.get_port("prom-port", 0);
     ServiceServer server(port, broker, server_options);
     std::cout << "phonocd: listening on 127.0.0.1:" << server.port()
-              << " (backend=" << backend_name
+              << " (backend=" << cli.get_or("backend", "thread")
               << ", queue=" << broker.max_queue_depth
               << ", request-concurrency="
               << server.broker().worker_count() << ")" << std::endl;

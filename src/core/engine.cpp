@@ -8,21 +8,19 @@
 
 namespace phonoc {
 
-Engine::Engine(const MappingProblem& problem,
-               EvaluatorOptions evaluator_options)
-    : problem_(problem), evaluator_options_(evaluator_options) {}
+Engine::Engine(const MappingProblem& problem) : problem_(problem) {}
 
 RunResult Engine::run(const std::string& optimizer_name,
                       const OptimizerBudget& budget,
                       std::uint64_t seed) const {
-  Evaluator evaluator(problem_, evaluator_options_);
+  Evaluator evaluator(problem_);
   return run_with(evaluator, optimizer_name, budget, seed);
 }
 
 RunResult Engine::run(const MappingOptimizer& optimizer,
                       const OptimizerBudget& budget,
                       std::uint64_t seed) const {
-  Evaluator evaluator(problem_, evaluator_options_);
+  Evaluator evaluator(problem_);
   return run_with(evaluator, optimizer, budget, seed);
 }
 

@@ -22,11 +22,10 @@ struct RunResult {
 
 class Engine {
  public:
-  /// `evaluator_options` configure the per-run Evaluators (memo
-  /// capacity). The memo cannot change a run's outcome — only its
-  /// physical cost (see core/evaluator.hpp).
-  explicit Engine(const MappingProblem& problem,
-                  EvaluatorOptions evaluator_options = {});
+  /// run() scores on a fresh Evaluator with the default options; a
+  /// caller that wants another memo capacity passes its own Evaluator
+  /// to run_with().
+  explicit Engine(const MappingProblem& problem);
 
   /// Run a registered optimizer by name ("greedy" is constructed from
   /// the problem's CG and topology).
@@ -61,7 +60,6 @@ class Engine {
 
  private:
   const MappingProblem& problem_;
-  EvaluatorOptions evaluator_options_;
 };
 
 }  // namespace phonoc

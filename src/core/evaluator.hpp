@@ -139,9 +139,6 @@ class Evaluator final : public FitnessFunction {
   [[nodiscard]] const MappingProblem& problem() const noexcept {
     return problem_;
   }
-  [[nodiscard]] const EvaluatorOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   /// The one whole-mapping scorer behind every entry point: one

@@ -12,7 +12,6 @@
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sched/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -105,6 +104,40 @@ bool identical_distributions(const DistributionResult& a,
   return true;
 }
 
+bool identical_results(const CellResult& a, const CellResult& b) {
+  if (a.status != CellStatus::Ok || b.status != CellStatus::Ok ||
+      a.seed != b.seed)
+    return false;
+  const auto& x = a.run;
+  const auto& y = b.run;
+  const auto same_event = [](const ImprovementEvent& e,
+                             const ImprovementEvent& f) {
+    return e.evaluation == f.evaluation && same_double(e.fitness, f.fitness);
+  };
+  const auto same_edge = [](const EdgeMetrics& e, const EdgeMetrics& f) {
+    return e.edge == f.edge && e.src_tile == f.src_tile &&
+           e.dst_tile == f.dst_tile && same_double(e.loss_db, f.loss_db) &&
+           same_double(e.signal_gain, f.signal_gain) &&
+           same_double(e.noise_gain, f.noise_gain) &&
+           same_double(e.snr_db, f.snr_db);
+  };
+  const auto& xe = x.best_evaluation.edges;
+  const auto& ye = y.best_evaluation.edges;
+  return x.algorithm == y.algorithm && x.search.best == y.search.best &&
+         same_double(x.search.best_fitness, y.search.best_fitness) &&
+         x.search.evaluations == y.search.evaluations &&
+         x.search.iterations == y.search.iterations &&
+         std::equal(x.search.trace.begin(), x.search.trace.end(),
+                    y.search.trace.begin(), y.search.trace.end(),
+                    same_event) &&
+         same_double(x.best_evaluation.worst_loss_db,
+                     y.best_evaluation.worst_loss_db) &&
+         same_double(x.best_evaluation.worst_snr_db,
+                     y.best_evaluation.worst_snr_db) &&
+         std::equal(xe.begin(), xe.end(), ye.begin(), ye.end(), same_edge) &&
+         identical_distributions(a.distribution, b.distribution);
+}
+
 namespace {
 
 /// The Sample-kind cell body: samples_per_cell uniform random mappings
@@ -144,9 +177,8 @@ CellResult run_sample_cell(const SweepSpec& spec, const SweepCell& cell,
 }  // namespace
 
 CellResult run_sweep_cell(const SweepSpec& spec, const SweepCell& cell,
-                          const MappingProblem& problem,
-                          const EvaluatorOptions& evaluator) {
-  Evaluator fresh(problem, evaluator);
+                          const MappingProblem& problem) {
+  Evaluator fresh(problem);
   return run_sweep_cell(spec, cell, fresh);
 }
 
@@ -163,7 +195,7 @@ CellResult run_sweep_cell(const SweepSpec& spec, const SweepCell& cell,
   CellResult result;
   result.cell = cell;
   result.seed = spec.seeds[cell.seed];
-  result.run = Engine(evaluator.problem(), evaluator.options())
+  result.run = Engine(evaluator.problem())
                    .run_with(evaluator, spec.optimizers[cell.optimizer],
                              spec.budgets[cell.budget], result.seed);
   result.seconds = timer.elapsed_seconds();
@@ -229,31 +261,23 @@ void run_cells(const SweepSpec& spec, std::span<const SweepCell> cells,
 
 BatchEngine::BatchEngine(BatchOptions options)
     : workers_(options.workers == 0 ? ThreadPool::default_worker_count()
-                                    : options.workers),
-      options_(std::move(options)) {
+                                    : options.workers) {
   require(workers_ <= ThreadPool::kMaxWorkers,
           "BatchEngine: worker count " + std::to_string(workers_) +
               " exceeds the sanity limit of " +
               std::to_string(ThreadPool::kMaxWorkers));
   // Wall-clock-fair mode: one in-flight cell per hardware thread, so
   // max_seconds budgets are not stretched by oversubscription.
-  if (options_.pin_one_cell_per_thread)
+  if (options.pin_one_cell_per_thread)
     workers_ = std::min(workers_, ThreadPool::default_worker_count());
 }
 
 std::vector<CellResult> BatchEngine::run(const SweepSpec& spec) const {
   obs::TraceSpan span("exec", "batch_run");
-  span.arg({"backend",
-            std::string_view(options_.backend == BatchBackend::Remote
-                                 ? "remote"
-                                 : "in_process")});
   span.arg({"cells", std::uint64_t(cell_count(spec))});
   static obs::Counter& sweeps = obs::MetricsRegistry::global().counter(
       "phonoc_exec_sweeps_total", "Batch sweeps run, by backend.",
       {{"backend", "in_process"}});
-
-  if (options_.backend == BatchBackend::Remote)
-    return run_remote(spec, options_);
   sweeps.inc();
 
   const auto cells = expand(spec);
@@ -270,8 +294,7 @@ std::vector<CellResult> BatchEngine::run(const SweepSpec& spec) const {
       [&](const SweepCell& cell) {
         return run_sweep_cell(
             spec, cell,
-            *problems.at({cell.workload, cell.topology, cell.goal}),
-            options_.evaluator);
+            *problems.at({cell.workload, cell.topology, cell.goal}));
       },
       [&](CellResult result) {
         results[result.cell.index] = std::move(result);

@@ -16,10 +16,13 @@
 /// so a sampling grid's merged distributions are bit-identical across
 /// worker counts and backends too.
 ///
+/// BatchEngine runs the cells in this process; sched::Scheduler
+/// (sched/scheduler.hpp) runs them on a fleet of worker processes.
+///
 /// Failure contract, the same on every backend: a cell that throws
 /// comes back CellStatus::Failed with the exception's message, and
 /// every other cell still runs (run_cells below is where the in-process
-/// executors catch it; a Remote worker does the same before it answers).
+/// executors catch it; a fleet worker does the same before it answers).
 
 #include <cstdint>
 #include <functional>
@@ -36,51 +39,10 @@
 
 namespace phonoc {
 
-/// How BatchEngine executes the expanded grid.
-enum class BatchBackend {
-  /// Worker threads in this process (fastest). A throwing cell fails
-  /// alone, as on every backend; a crashing optimizer takes the whole
-  /// batch down.
-  InProcess,
-  /// The distributed sweep scheduler (src/sched/): framed shards go to
-  /// BatchOptions::remote_hosts — TCP `phonoc_workerd` daemons, or
-  /// `spawn:PATH` crash-isolated local worker processes (a dying worker
-  /// is respawned and fails only the cell it died on). Dead hosts fail
-  /// over, stragglers are retried, and late duplicate answers are
-  /// deduplicated per cell. Results are bit-identical to the in-process
-  /// backend. Use sched::Scheduler directly for per-host reports and
-  /// the full set of knobs.
-  Remote,
-};
-
 struct BatchOptions {
-  /// Worker threads (InProcess); 0 = ThreadPool::default_worker_count().
-  /// 1 runs inline on the calling thread (no pool).
+  /// Worker threads; 0 = ThreadPool::default_worker_count(). 1 runs
+  /// inline on the calling thread (no pool).
   std::size_t workers = 0;
-  /// Per-cell Evaluator configuration (memo capacity). Each cell
-  /// constructs its own Evaluator from it, so the determinism contract
-  /// is unaffected: the memo changes only the physical evaluation cost,
-  /// never logical evaluation counts or fitness values (see
-  /// core/evaluator.hpp).
-  EvaluatorOptions evaluator{};
-  /// Execution backend (see BatchBackend).
-  BatchBackend backend = BatchBackend::InProcess;
-  /// Remote only: worker endpoints, one per fleet host — "host:port"
-  /// for a TCP `phonoc_workerd` daemon, "spawn:PATH" for a local worker
-  /// process (`local_worker_endpoints` in sched/transport.hpp builds a
-  /// fleet of them), or "loopback" for a worker served by an in-process
-  /// thread over a socketpair (tests and single-host use). Must be
-  /// non-empty for BatchBackend::Remote.
-  std::vector<std::string> remote_hosts;
-  /// Remote only: settled-cell journal path (see sched/journal.hpp).
-  /// Accepted answers are logged, and an existing journal for the same
-  /// spec is replayed so a killed scheduler resumes instead of
-  /// restarting. Empty disables.
-  std::string journal_path;
-  /// Remote only: cells per dispatched shard; 0 keeps the scheduler
-  /// default. Larger shards amortize worker-side problem construction,
-  /// smaller ones spread load and shrink the retry blast radius.
-  std::size_t cells_per_shard = 0;
   /// Cap the resolved worker count at the hardware thread count so at
   /// most one cell is in flight per hardware thread. With `max_seconds`
   /// budgets an oversubscribed pool distorts the paper's equal-time
@@ -148,6 +110,14 @@ struct CellResult {
   std::string error;       ///< diagnostic for Failed cells
 };
 
+/// The bit-identity contract's cell comparator, shared by every
+/// `--verify`: both cells are Ok, with the same seed, every RunResult
+/// field equal (the full trace and per-edge detail included; only the
+/// timing fields may differ) and identical_distributions payloads.
+/// Doubles compare as identical_distributions compares them.
+[[nodiscard]] bool identical_results(const CellResult& a,
+                                     const CellResult& b);
+
 /// Merge the distributions of `count` consecutive grid cells starting
 /// at `first` — the canonical sub-cell fold: always in grid (seed)
 /// order, which is what makes merged results bit-identical across
@@ -176,10 +146,10 @@ build_sweep_problems(const SweepSpec& spec,
 /// mappings with an Rng seeded from the cell's seed value alone and
 /// accumulates the Fig. 3 metric distributions. Either way the outcome
 /// depends only on (spec, cell), never on worker count or backend.
+/// The cell gets a fresh Evaluator with the default EvaluatorOptions.
 [[nodiscard]] CellResult run_sweep_cell(const SweepSpec& spec,
                                         const SweepCell& cell,
-                                        const MappingProblem& problem,
-                                        const EvaluatorOptions& evaluator);
+                                        const MappingProblem& problem);
 
 /// run_sweep_cell on a caller-owned Evaluator of the cell's problem,
 /// which may have served earlier cells: the outcome is the same as on a
@@ -233,13 +203,9 @@ class BatchEngine {
   [[nodiscard]] std::vector<CellResult> run(const SweepSpec& spec) const;
 
   [[nodiscard]] std::size_t worker_count() const noexcept { return workers_; }
-  [[nodiscard]] BatchBackend backend() const noexcept {
-    return options_.backend;
-  }
 
  private:
   std::size_t workers_;
-  BatchOptions options_;
 };
 
 }  // namespace phonoc

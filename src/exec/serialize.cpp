@@ -13,7 +13,6 @@
 namespace phonoc {
 namespace {
 
-constexpr const char* kShardMagic = "phonoc-shard v1";
 constexpr const char* kCellMagic = "phonoc-cell v1";
 
 /// Bound on a cell block's mapping tile count, which sizes the mapping's
@@ -342,24 +341,27 @@ SweepSpec read_spec_body(LineReader& reader) {
   return spec;
 }
 
+/// Consume the shard magic line; anything else is a ParseError.
+void expect_shard_magic(LineReader& reader) {
+  if (trim(reader.require_line("shard magic")) != kShardMagic)
+    throw ParseError("stream does not start with '" +
+                     std::string(kShardMagic) + "'");
+}
+
 }  // namespace
 
 SweepSpec read_spec(std::istream& in) {
   LineReader reader(in);
-  if (trim(reader.require_line("shard magic")) != kShardMagic)
-    throw ParseError(std::string("stream does not start with '") +
-                     kShardMagic + "'");
+  expect_shard_magic(reader);
   return read_spec_body(reader);
 }
 
 // --- shard -----------------------------------------------------------------
 
-std::string shard_prefix(const SweepSpec& spec,
-                         const EvaluatorOptions& evaluator) {
+std::string shard_prefix(const SweepSpec& spec) {
   std::ostringstream out;
   out << kShardMagic << '\n';
   write_spec(out, spec);
-  out << "evaluator " << evaluator.cache_capacity << '\n';
   return out.str();
 }
 
@@ -370,24 +372,16 @@ std::string complete_shard(const std::string& prefix, std::size_t begin,
 }
 
 void write_shard(std::ostream& out, const SweepShard& shard) {
-  out << complete_shard(shard_prefix(shard.spec, shard.evaluator),
-                        shard.begin, shard.end);
+  out << complete_shard(shard_prefix(shard.spec), shard.begin, shard.end);
 }
 
 SweepShard read_shard(std::istream& in) {
   LineReader reader(in);
-  if (trim(reader.require_line("shard magic")) != kShardMagic)
-    throw ParseError(std::string("stream does not start with '") +
-                     kShardMagic + "'");
+  expect_shard_magic(reader);
   SweepShard shard;
   shard.spec = read_spec_body(reader);
 
-  auto fields = reader.expect("evaluator");
-  check_arity(fields, 2, reader.line());
-  shard.evaluator.cache_capacity =
-      parse_uint<std::size_t>(fields[1], reader.line());
-
-  fields = reader.expect("slice");
+  auto fields = reader.expect("slice");
   check_arity(fields, 3, reader.line());
   shard.begin = parse_uint<std::size_t>(fields[1], reader.line());
   shard.end = parse_uint<std::size_t>(fields[2], reader.line());
@@ -693,30 +687,34 @@ std::string encode_frame(std::string_view payload) {
   return frame;
 }
 
-void FrameDecoder::feed(std::string_view bytes) { buffer_ += bytes; }
+void FrameDecoder::feed(std::string_view bytes) {
+  // The decoded prefix goes here, once per feed rather than once per
+  // frame, so decoding a whole file fed at once stays linear.
+  buffer_.erase(0, read_);
+  read_ = 0;
+  buffer_ += bytes;
+}
 
 std::optional<std::string> FrameDecoder::next() {
-  const auto newline = buffer_.find('\n');
-  if (newline == std::string::npos) {
+  const auto rest = std::string_view(buffer_).substr(read_);
+  const auto newline = rest.find('\n');
+  if (newline == std::string_view::npos) {
     // An impossibly long "header" can only be garbage: fail early
     // instead of buffering an unbounded junk stream.
-    if (buffer_.size() > 64)
-      (void)parse_frame_header(buffer_);  // throws with a diagnostic
+    if (rest.size() > 64)
+      (void)parse_frame_header(rest);  // throws with a diagnostic
     return std::nullopt;
   }
-  const auto header =
-      parse_frame_header(std::string_view(buffer_).substr(0, newline));
+  const auto header = parse_frame_header(rest.substr(0, newline));
   const auto body_begin = newline + 1;
-  if (buffer_.size() < body_begin + header.length + 1) return std::nullopt;
-  const auto payload =
-      std::string_view(buffer_).substr(body_begin, header.length);
-  if (buffer_[body_begin + header.length] != '\n')
+  if (rest.size() < body_begin + header.length + 1) return std::nullopt;
+  const auto payload = rest.substr(body_begin, header.length);
+  if (rest[body_begin + header.length] != '\n')
     throw ParseError("frame payload is not newline-terminated: "
                      "length header and stream disagree");
   verify_frame(payload, header);
-  std::string result(payload);
-  buffer_.erase(0, body_begin + header.length + 1);
-  return result;
+  read_ += body_begin + header.length + 1;
+  return std::string(payload);
 }
 
 }  // namespace phonoc

@@ -15,7 +15,7 @@
 /// asserts. Wire counts bound loops, never allocations, so malformed
 /// input throws a phonoc::Error rather than std::bad_alloc.
 ///
-/// Versioning: streams start with `phonoc-shard v1` / `phonoc-cell v1`
+/// Versioning: streams start with `phonoc-shard v2` / `phonoc-cell v1`
 /// magic; readers reject anything else, so protocol evolution is an
 /// explicit version bump rather than a silent drift.
 
@@ -30,14 +30,15 @@
 
 namespace phonoc {
 
-/// A contiguous slice [begin, end) of one spec's expand() output, plus
-/// the evaluator knobs the owning BatchEngine would have used. This is
-/// the unit of work a worker process (or a remote host) receives.
+/// First line of every shard, and of the spec a phonocd request embeds.
+inline constexpr std::string_view kShardMagic = "phonoc-shard v2";
+
+/// A contiguous slice [begin, end) of one spec's expand() output: the
+/// unit of work a worker process (or a remote host) receives.
 struct SweepShard {
   SweepSpec spec;
   std::size_t begin = 0;  ///< first grid index of the slice
   std::size_t end = 0;    ///< one past the last grid index
-  EvaluatorOptions evaluator{};
 };
 
 /// Serialize a spec (workloads embedded via io/cg_io). Workload and
@@ -50,11 +51,10 @@ void write_shard(std::ostream& out, const SweepShard& shard);
 [[nodiscard]] SweepShard read_shard(std::istream& in);
 
 /// The slice-independent prefix of a serialized shard (magic, spec with
-/// embedded workloads, evaluator options). A scheduler dispatching many
-/// slices of one spec serializes this once and completes each shard
-/// with complete_shard() — only the two slice lines differ per unit.
-[[nodiscard]] std::string shard_prefix(const SweepSpec& spec,
-                                       const EvaluatorOptions& evaluator);
+/// embedded workloads). A scheduler dispatching many slices of one spec
+/// serializes this once and completes each shard with complete_shard()
+/// — only the two slice lines differ per unit.
+[[nodiscard]] std::string shard_prefix(const SweepSpec& spec);
 [[nodiscard]] std::string complete_shard(const std::string& prefix,
                                          std::size_t begin, std::size_t end);
 
@@ -102,10 +102,13 @@ class FrameDecoder {
   [[nodiscard]] std::optional<std::string> next();
   /// True when buffered bytes form an incomplete frame (a truncation
   /// diagnostic for streams that ended mid-message).
-  [[nodiscard]] bool has_partial() const noexcept { return !buffer_.empty(); }
+  [[nodiscard]] bool has_partial() const noexcept {
+    return buffer_.size() > read_;
+  }
 
  private:
   std::string buffer_;
+  std::size_t read_ = 0;  ///< bytes of buffer_ already decoded
 };
 
 }  // namespace phonoc

@@ -18,10 +18,10 @@
 ///     phonoc-cell v1 ... end_cell\n          # block each, verbatim
 ///
 /// The header's spec hash is the FNV-1a of the sweep's slice-independent
-/// shard prefix (spec with embedded workloads + evaluator options, the
-/// byte-exact text every dispatched unit shares), so a journal can never
-/// be replayed against a different sweep: a mismatch is a structured
-/// JournalError naming both hashes.
+/// shard prefix (magic + spec with embedded workloads, the byte-exact
+/// text every dispatched unit shares), so a journal can never be
+/// replayed against a different sweep, or across a shard version bump:
+/// a mismatch is a structured JournalError naming both hashes.
 ///
 /// Crash atomicity: each record is appended with a single O_APPEND
 /// write(2) and no userspace buffering, so a SIGKILLed scheduler leaves

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "exec/serialize.hpp"
+#include "io/csv.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/journal.hpp"
@@ -25,6 +26,9 @@ namespace {
 /// this often, so one wedged straggler cannot stall an otherwise
 /// finished sweep for its whole hard timeout.
 constexpr double kRecvTickSeconds = 0.25;
+/// With admission on, a fleet whose every driver has exited waits this
+/// long for a late joiner before failing the unsettled cells.
+constexpr double kAdmitGraceSeconds = 30.0;
 
 /// Hands each settled cell to the caller's Scheduler::run callback, one
 /// at a time: host drivers settle cells concurrently.
@@ -50,8 +54,8 @@ struct DriverContext {
   const SweepSpec& spec;
   const SchedulerOptions& options;
   const std::vector<SweepCell>& cells;
-  /// Slice-independent serialized shard text (spec + evaluator),
-  /// computed once per sweep; complete_shard() finishes it per unit.
+  /// Slice-independent serialized shard text (magic + spec), computed
+  /// once per sweep; complete_shard() finishes it per unit.
   const std::string& shard_prefix;
   HostPool& pool;
   Transport& transport;  ///< redials spawn hosts that died
@@ -385,7 +389,7 @@ ScheduleResult Scheduler::run(const SweepSpec& spec,
   auto transport = options_.transport ? options_.transport : make_transport();
   // The spec (with its embedded workloads) dwarfs the two slice lines;
   // serialize it once instead of once per dispatched unit.
-  const std::string prefix = shard_prefix(spec, options_.evaluator);
+  const std::string prefix = shard_prefix(spec);
 
   // Settled-cell journal: replay an existing log *before* any work is
   // dealt (replay errors throw — never silent partial reuse), then open
@@ -537,7 +541,7 @@ ScheduleResult Scheduler::run(const SweepSpec& spec,
 
   // Join every driver, including ones admitted while joining. Without
   // admission this is the plain "wait for the fleet" barrier; with it,
-  // an all-drivers-exited fleet holds the sweep open admit_grace_seconds
+  // an all-drivers-exited fleet holds the sweep open kAdmitGraceSeconds
   // for a joiner before giving up on the unsettled cells.
   const auto join_pass = [&]() {
     std::size_t joined = 0;
@@ -562,7 +566,7 @@ ScheduleResult Scheduler::run(const SweepSpec& spec,
     for (;;) {
       if (join_pass() > 0) idle.restart();
       if (pool.all_settled()) break;
-      if (idle.elapsed_seconds() >= options_.admit_grace_seconds) break;
+      if (idle.elapsed_seconds() >= kAdmitGraceSeconds) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     admitting.store(false);
@@ -597,46 +601,22 @@ ScheduleResult Scheduler::run(const SweepSpec& spec,
 
 std::string host_report_csv(const ScheduleResult& outcome) {
   std::ostringstream out;
-  out << "endpoint,connected,died,admitted_late,capacity,shards,cells_ok,"
-         "cells_failed,duplicates,steals,retries,speculations,"
-         "cpu_seconds,wall_seconds,error\n";
-  for (const auto& host : outcome.hosts) {
-    // The error text is free-form (strerror, exception messages): CSV-
-    // quote it and double any embedded quotes.
-    std::string error = host.error;
-    std::string quoted;
-    quoted.reserve(error.size() + 2);
-    quoted += '"';
-    for (const char c : error) {
-      if (c == '"') quoted += '"';
-      quoted += c == '\n' ? ' ' : c;
-    }
-    quoted += '"';
-    out << host.endpoint << ',' << (host.connected ? 1 : 0) << ','
-        << (host.died ? 1 : 0) << ',' << (host.admitted_late ? 1 : 0) << ','
-        << host.capacity << ',' << host.shards << ',' << host.cells_ok << ','
-        << host.cells_failed << ',' << host.duplicates << ',' << host.steals
-        << ',' << host.retries << ',' << host.speculations << ','
-        << format_double(host.cpu_seconds) << ','
-        << format_double(host.wall_seconds) << ',' << quoted << '\n';
-  }
+  CsvWriter csv(out);
+  csv.header({"endpoint", "connected", "died", "admitted_late", "capacity",
+              "shards", "cells_ok", "cells_failed", "duplicates", "steals",
+              "retries", "speculations", "cpu_seconds", "wall_seconds",
+              "error"});
+  const auto flag = [](bool value) { return std::string(value ? "1" : "0"); };
+  for (const auto& host : outcome.hosts)
+    csv.row({host.endpoint, flag(host.connected), flag(host.died),
+             flag(host.admitted_late), std::to_string(host.capacity),
+             std::to_string(host.shards), std::to_string(host.cells_ok),
+             std::to_string(host.cells_failed),
+             std::to_string(host.duplicates), std::to_string(host.steals),
+             std::to_string(host.retries), std::to_string(host.speculations),
+             format_double(host.cpu_seconds),
+             format_double(host.wall_seconds), host.error});
   return out.str();
-}
-
-std::vector<CellResult> run_remote(const SweepSpec& spec,
-                                   const BatchOptions& options,
-                                   const SettledCell& on_cell) {
-  if (options.remote_hosts.empty())
-    throw ExecError(
-        "BatchBackend::Remote requires BatchOptions::remote_hosts (endpoints "
-        "like \"host:port\" or \"loopback\")");
-  SchedulerOptions sched;
-  sched.hosts = options.remote_hosts;
-  sched.evaluator = options.evaluator;
-  sched.journal_path = options.journal_path;
-  if (options.cells_per_shard > 0)
-    sched.cells_per_shard = options.cells_per_shard;
-  return Scheduler(std::move(sched)).run(spec, on_cell).results;
 }
 
 }  // namespace phonoc

@@ -20,12 +20,12 @@
 /// units).
 ///
 /// Determinism: cells execute through the same ProblemCache +
-/// run_cells() + run_sweep_cell() path as the in-process backend and the wire
+/// run_cells() + run_sweep_cell() path as BatchEngine and the wire
 /// format round-trips doubles bit-exactly, so — for evaluation-count
-/// budgets — the per-cell results are bit-identical to
-/// BatchBackend::InProcess whatever the fleet size, failure pattern or
-/// retry schedule (tests/test_sched.cpp asserts this on a 64-cell grid
-/// with an injected mid-sweep worker death).
+/// budgets — the per-cell results are bit-identical to an in-process
+/// BatchEngine run whatever the fleet size, failure pattern or retry
+/// schedule (tests/test_sched.cpp asserts this on a 64-cell grid with
+/// an injected mid-sweep worker death).
 
 #include <cstddef>
 #include <cstdint>
@@ -52,9 +52,6 @@ struct SchedulerOptions {
   /// Connection factory; null uses make_transport() (spawn + TCP +
   /// loopback dispatch). Failure-path tests inject fakes here.
   std::shared_ptr<Transport> transport;
-  /// Per-cell Evaluator options (memo capacity), carried to the workers
-  /// in each shard.
-  EvaluatorOptions evaluator{};
   /// Cells per dispatched shard. Small units spread load and shrink
   /// the retry blast radius; larger ones amortize worker-side problem
   /// construction across neighbouring cells.
@@ -84,16 +81,13 @@ struct SchedulerOptions {
   /// workers (`phonoc_workerd --join`) and hand them work mid-sweep.
   /// 0 picks an ephemeral port (read back via on_admit_port); negative
   /// disables. With admission on, a fleet whose every driver has exited
-  /// holds the sweep open `admit_grace_seconds` for a joiner before
-  /// failing the unsettled cells.
+  /// holds the sweep open 30 s for a joiner before failing the
+  /// unsettled cells.
   int admit_port = -1;
   /// Called once with the bound admission port (useful with
   /// admit_port = 0); runs on the scheduling thread before any thread
   /// of the sweep starts.
   std::function<void(std::uint16_t)> on_admit_port;
-  /// How long an otherwise-dead fleet waits for a late joiner (only
-  /// with admit_port >= 0).
-  double admit_grace_seconds = 30.0;
 };
 
 /// What one host contributed to a sweep.
@@ -169,17 +163,10 @@ class Scheduler {
   SchedulerOptions options_;
 };
 
-/// Render every HostReport of a fleet outcome as CSV (header row +
-/// one row per host, configured fleet first then late joiners) — the
-/// body behind `parallel_sweep --host-report-csv=FILE`.
+/// Render every HostReport of a fleet outcome as RFC-4180 CSV
+/// (CsvWriter: header row + one row per host, configured fleet first
+/// then late joiners) — the body behind
+/// `parallel_sweep --host-report-csv=FILE`.
 [[nodiscard]] std::string host_report_csv(const ScheduleResult& outcome);
-
-/// BatchEngine's BatchBackend::Remote entry point: a Scheduler built
-/// from BatchOptions (endpoints from remote_hosts, default transport),
-/// returning grid-ordered results like every other backend. `on_cell`
-/// is passed through to Scheduler::run.
-[[nodiscard]] std::vector<CellResult> run_remote(
-    const SweepSpec& spec, const BatchOptions& options,
-    const SettledCell& on_cell = {});
 
 }  // namespace phonoc

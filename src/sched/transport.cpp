@@ -9,6 +9,7 @@
 #include "exec/serialize.hpp"
 #include "exec/thread_pool.hpp"
 #include "sched/worker.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
@@ -477,7 +478,7 @@ namespace {
 [[noreturn]] void no_sockets() {
   throw ExecError(
       "the sched transports require a POSIX platform (sockets/socketpair); "
-      "use BatchBackend::InProcess here");
+      "run the cells in process with BatchEngine here");
 }
 std::unique_ptr<Connection> spawn_worker(const std::string&) { no_sockets(); }
 }  // namespace
@@ -515,6 +516,24 @@ std::vector<std::string> local_worker_endpoints(const std::string& argv0,
   return std::vector<std::string>(
       count > 0 ? count : ThreadPool::default_worker_count(),
       std::string(kSpawnPrefix) + dir + "phonoc_workerd");
+}
+
+std::vector<std::string> fleet_from_cli(const CliOptions& cli,
+                                        const std::string& argv0,
+                                        std::size_t workers) {
+  const auto backend = cli.get_or("backend", "thread");
+  if (backend == "thread") return {};
+  if (backend == "fork") return local_worker_endpoints(argv0, workers);
+  if (backend != "remote")
+    throw InvalidArgument("--backend must be 'thread', 'fork' or 'remote', "
+                          "not '" + backend + "'");
+  std::vector<std::string> hosts;
+  for (const auto& endpoint :
+       split(cli.get_or("hosts", "loopback,loopback"), ','))
+    if (!trim(endpoint).empty()) hosts.emplace_back(trim(endpoint));
+  if (hosts.empty())
+    throw InvalidArgument("--hosts names no endpoint for --backend=remote");
+  return hosts;
 }
 
 namespace {

@@ -151,6 +151,17 @@ void check_spawn_endpoint(const std::string& endpoint);
 [[nodiscard]] std::vector<std::string> local_worker_endpoints(
     const std::string& argv0, std::size_t count);
 
+class CliOptions;
+
+/// The fleet a program's `--backend` and `--hosts` flags name, read in
+/// one place for every program: `thread` (the default) is no fleet,
+/// so the cells run in process; `fork` is local_worker_endpoints(argv0,
+/// workers); `remote` is the comma-separated `--hosts` endpoints
+/// (default `loopback,loopback`). Throws InvalidArgument for any other
+/// backend, or a `--hosts` list without an endpoint.
+[[nodiscard]] std::vector<std::string> fleet_from_cli(
+    const CliOptions& cli, const std::string& argv0, std::size_t workers);
+
 /// The default endpoint-dispatching transport: spawn endpoints are
 /// local worker processes, "loopback*" is served in-process, everything
 /// else is dialed as TCP.

@@ -132,8 +132,7 @@ std::size_t serve_connection(Connection& conn, const WorkerOptions& options) {
             }
             const auto& entry =
                 slice_problems.at({cell.workload, cell.topology, cell.goal});
-            return run_sweep_cell(shard.spec, cell, *entry.problem,
-                                  shard.evaluator);
+            return run_sweep_cell(shard.spec, cell, *entry.problem);
           },
           [&](CellResult result) {
             // A dead peer skips the rest of the slice instead of

@@ -202,12 +202,12 @@ void RequestBroker::Metrics::count_memo(const Evaluator& evaluator,
 RequestBroker::RequestBroker(BrokerOptions options)
     : options_(std::move(options)),
       metrics_(std::make_unique<Metrics>(registry_)),
-      cache_(options_.cache, options_.batch.evaluator, registry_),
+      cache_(options_.cache, options_.evaluator, registry_),
       sched_(options_.drr_quantum_cells) {
   paused_ = options_.start_paused;
-  if (options_.batch.backend == BatchBackend::InProcess) {
-    std::size_t workers = options_.batch.workers != 0
-                              ? options_.batch.workers
+  if (options_.fleet.empty()) {
+    std::size_t workers = options_.workers != 0
+                              ? options_.workers
                               : ThreadPool::default_worker_count();
     workers = std::min(workers, ThreadPool::kMaxWorkers);
     if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
@@ -531,7 +531,7 @@ void RequestBroker::execute(Job& job) {
 
 void RequestBroker::run_job(Job& job, bool& canceled, std::size_t& ok,
                             std::size_t& failed) {
-  // One stream for both backends, called once per settled cell and
+  // One stream for both executors, called once per settled cell and
   // never concurrently (run_cells and Scheduler::run both serialize it).
   const auto stream = [&](const CellResult& result) {
     if (!canceled) {
@@ -548,10 +548,12 @@ void RequestBroker::run_job(Job& job, bool& canceled, std::size_t& ok,
     return !canceled;
   };
   const auto& spec = job.request.spec;
-  if (options_.batch.backend == BatchBackend::Remote) {
+  if (!options_.fleet.empty()) {
     // Cells run in other processes (no cross-request cache there) and
     // stream as the fleet settles them.
-    (void)run_remote(spec, options_.batch, stream);
+    SchedulerOptions fleet;
+    fleet.hosts = options_.fleet;
+    (void)Scheduler(std::move(fleet)).run(spec, stream);
     return;
   }
   const auto cells = expand(spec);

@@ -3,7 +3,8 @@
 /// \brief The RequestBroker: admission control and request execution.
 ///
 /// One broker multiplexes every client connection of a phonocd daemon
-/// onto one shared BatchEngine configuration (any backend). Admission
+/// onto one shared executor: its own cell pool, or a fleet through the
+/// Scheduler. Admission
 /// is bounded and sheds explicitly: a request that would exceed the
 /// queue depth, the client's own queue share, or the outstanding-cell
 /// budget is rejected *immediately* with a structured answer — the
@@ -21,9 +22,9 @@
 /// at a time, and a single client's requests execute in submission
 /// order with byte-identical streams (the pre-pool behavior, pinned by
 /// test). Within a request, cells fan out over the broker's persistent
-/// thread pool (InProcess, through run_cells) or the configured Remote
-/// fleet (Scheduler::run), and either way stream to the client as they
-/// settle.
+/// thread pool (through run_cells) or, when `BrokerOptions::fleet`
+/// names endpoints, over that fleet (Scheduler::run), and either way
+/// stream to the client as they settle.
 ///
 /// Event contract, per submit() call:
 ///  * rejected at admission — submit() returns the rejection; no events
@@ -36,7 +37,7 @@
 ///    queue on deadline/shutdown, or a request-level execution
 ///    failure).
 ///
-/// Bit-identity: the InProcess path runs BatchEngine's per-cell code
+/// Bit-identity: the in-process path runs BatchEngine's per-cell code
 /// (`run_sweep_cell`, same seeds) on a warm Evaluator checked out of
 /// the problem cache. Concurrent requests share the cache but never
 /// mutate each other's state: problems are immutable, a running cell
@@ -67,8 +68,16 @@
 namespace phonoc {
 
 struct BrokerOptions {
-  /// Backend, worker count and evaluator knobs of the shared engine.
-  BatchOptions batch{};
+  /// Cell workers of the in-process pool; 0 = the hardware thread
+  /// count, 1 runs a request's cells inline on its broker worker.
+  std::size_t workers = 0;
+  /// Worker endpoints (see SchedulerOptions::hosts); empty runs the
+  /// cells in process. A fleet runs them in other processes, outside
+  /// the problem cache and its warm Evaluators.
+  std::vector<std::string> fleet;
+  /// Options of the warm Evaluators the problem cache builds (memo
+  /// capacity; 0 turns the memo off).
+  EvaluatorOptions evaluator{};
   /// Requests executing concurrently: the broker worker pool size.
   /// 0 derives from the hardware concurrency; 1 preserves the
   /// single-executor behavior exactly (one request at a time, FIFO per
@@ -225,11 +234,11 @@ class RequestBroker {
 
   void worker_loop();
   void execute(Job& job);
-  /// Run the job's cells and stream each as it settles. InProcess: each
+  /// Run the job's cells and stream each as it settles. No fleet: each
   /// cell on a warm Evaluator of the job's lane (check it out,
   /// run_sweep_cell, count the run's memo activity, check it back in)
-  /// through run_cells on the broker pool. Remote: the fleet's
-  /// Scheduler::run, streaming through the same callback.
+  /// through run_cells on the broker pool. A fleet: Scheduler::run on
+  /// it, streaming through the same callback.
   void run_job(Job& job, bool& canceled, std::size_t& ok,
                std::size_t& failed);
   void finish_cell(Job& job);
@@ -244,7 +253,7 @@ class RequestBroker {
   std::unique_ptr<Metrics> metrics_;  ///< registered in catalog order
   ProblemCache cache_;                ///< adds problem_cache_* to registry_
   Timer uptime_;
-  std::unique_ptr<ThreadPool> pool_;  ///< InProcess cell fan-out
+  std::unique_ptr<ThreadPool> pool_;  ///< in-process cell fan-out
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;

@@ -26,11 +26,6 @@ SweepSpec parse_spec_body(std::string_view body, const char* what) {
   return read_spec(in);
 }
 
-/// read_spec expects the shard magic ahead of the spec body (write_spec
-/// itself is magic-less; see the spec-magic note in exec/serialize.cpp),
-/// so request writers emit it between the header line and the spec.
-constexpr const char* kSpecMagic = "phonoc-shard v1";
-
 }  // namespace
 
 std::string_view reject_kind_token(RejectKind kind) noexcept {
@@ -94,7 +89,7 @@ std::string write_request(const ServiceRequest& request) {
   // to the pre-lane wire format.
   if (request.priority != RequestPriority::Auto)
     out << " priority " << priority_token(request.priority);
-  out << '\n' << kSpecMagic << '\n';
+  out << '\n' << kShardMagic << '\n';
   write_spec(out, request.spec);
   return out.str();
 }
@@ -124,7 +119,7 @@ std::string write_evaluate(const EvaluateRequest& request) {
   std::ostringstream out;
   out << "evaluate " << request.id << " tiles";
   for (const TileId tile : request.assignment) out << ' ' << tile;
-  out << '\n' << kSpecMagic << '\n';
+  out << '\n' << kShardMagic << '\n';
   write_spec(out, request.spec);
   return out.str();
 }

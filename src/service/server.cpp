@@ -13,6 +13,9 @@
 namespace phonoc {
 namespace {
 
+/// A peer that dials but never says hello is dropped after this long.
+constexpr double kHandshakeTimeoutSeconds = 30.0;
+
 /// Serializes every frame a connection emits. Cell frames arrive from
 /// broker worker threads while the connection thread answers stats and
 /// pipelined submissions, so all sends funnel through one mutex. Also
@@ -120,7 +123,7 @@ std::size_t serve_client(Connection& conn, RequestBroker& broker,
                          const ServiceServerOptions& options) {
   Connection::RecvResult hello;
   try {
-    hello = conn.recv(options.handshake_timeout_seconds);
+    hello = conn.recv(kHandshakeTimeoutSeconds);
   } catch (const std::exception& e) {
     // A non-client peer (port scanner, stray HTTP probe) sends unframed
     // bytes; drop the connection, not the daemon.
@@ -249,9 +252,8 @@ std::size_t serve_client(Connection& conn, RequestBroker& broker,
 
 ServiceServer::ServiceServer(std::uint16_t port, BrokerOptions broker_options,
                              ServiceServerOptions options)
-    : broker_options_(std::move(broker_options)),
-      options_(options),
-      broker_(broker_options_),
+    : options_(options),
+      broker_(std::move(broker_options)),
       listener_(port) {}
 
 ServiceServer::~ServiceServer() {

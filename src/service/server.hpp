@@ -24,9 +24,6 @@
 namespace phonoc {
 
 struct ServiceServerOptions {
-  /// Handshake deadline; a peer that dials but never says hello is
-  /// dropped after this long.
-  double handshake_timeout_seconds = 30.0;
   /// How long to wait for the next request frame before giving up on
   /// the peer; <= 0 waits forever (the daemon default — clients say
   /// "quit").
@@ -34,7 +31,8 @@ struct ServiceServerOptions {
 };
 
 /// Serve one client connection to completion; returns the number of
-/// request frames handled (requests, evaluates and stats). Never
+/// request frames handled (requests, evaluates and stats). A peer that
+/// dials but never says hello is dropped after 30 s. Never
 /// throws: protocol errors are answered with an `error` frame (best
 /// effort) and end the connection. Does not return while any accepted
 /// job of this connection is still running — a vanished client cancels
@@ -70,7 +68,6 @@ class ServiceServer {
  private:
   void reap_finished();
 
-  BrokerOptions broker_options_;
   ServiceServerOptions options_;
   RequestBroker broker_;
   TcpListener listener_;

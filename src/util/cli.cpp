@@ -1,7 +1,5 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
-
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -73,16 +71,8 @@ std::uint16_t CliOptions::get_port(const std::string& name,
   return static_cast<std::uint16_t>(value);
 }
 
-std::int64_t env_int(const char* name, std::int64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  try {
-    return parse_long(raw);
-  } catch (const ParseError&) {
-    return fallback;
-  }
+bool full_scale_requested() {
+  return env_uint<std::uint64_t>("PHONOC_FULL", 0) != 0;
 }
-
-bool full_scale_requested() { return env_int("PHONOC_FULL", 0) != 0; }
 
 }  // namespace phonoc

@@ -8,6 +8,7 @@
 /// scaled globally (e.g. PHONOC_FULL=1) without editing command lines.
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
@@ -61,11 +62,23 @@ class CliOptions {
   std::vector<std::string> positional_;
 };
 
-/// Read an environment variable as integer with fallback.
-[[nodiscard]] std::int64_t env_int(const char* name, std::int64_t fallback);
+/// The environment variable `name` as an unsigned `T` (`fallback` when
+/// unset or empty). Throws InvalidArgument naming the variable for a
+/// negative, garbled or out-of-range value, which a signed read and a
+/// cast would wrap into a near-2^64 budget.
+template <typename T>
+[[nodiscard]] T env_uint(const char* name, T fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  try {
+    return parse_uint<T>(raw);
+  } catch (const ParseError& e) {
+    throw InvalidArgument(std::string(name) + ": " + e.what());
+  }
+}
 
-/// True when PHONOC_FULL is set to a non-zero / non-empty value; the bench
-/// harness uses this to switch to paper-scale sample counts.
+/// True when PHONOC_FULL is set to a non-zero count; the bench harness
+/// uses this to switch to paper-scale sample counts.
 [[nodiscard]] bool full_scale_requested();
 
 }  // namespace phonoc

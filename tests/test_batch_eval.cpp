@@ -386,7 +386,7 @@ TEST(SampleBatch, CellDistributionMatchesScalarLoop) {
   const auto problems = build_sweep_problems(spec, cells);
   const auto& problem = *problems.begin()->second;
 
-  const auto got = run_sweep_cell(spec, cells[0], problem, {});
+  const auto got = run_sweep_cell(spec, cells[0], problem);
   ASSERT_EQ(got.status, CellStatus::Ok) << got.error;
 
   const auto& s = spec.sampling;

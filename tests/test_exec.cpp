@@ -229,7 +229,6 @@ TEST(Serialize, ShardRoundTripsEveryField) {
   shard.spec = wire_spec();
   shard.begin = 7;
   shard.end = 23;
-  shard.evaluator = {.cache_capacity = 99};
   std::ostringstream out;
   write_shard(out, shard);
   std::istringstream in(out.str());
@@ -237,7 +236,9 @@ TEST(Serialize, ShardRoundTripsEveryField) {
 
   EXPECT_EQ(parsed.begin, 7u);
   EXPECT_EQ(parsed.end, 23u);
-  EXPECT_EQ(parsed.evaluator.cache_capacity, 99u);
+  // Shard v2 opens with its magic and carries no `evaluator` line.
+  EXPECT_EQ(out.str().rfind("phonoc-shard v2\n", 0), 0u);
+  EXPECT_EQ(out.str().find("\nevaluator "), std::string::npos);
   const auto& a = shard.spec;
   const auto& b = parsed.spec;
   EXPECT_EQ(b.router, a.router);
@@ -513,15 +514,17 @@ class ScopedCrashIndex {
 };
 
 /// `workers` spawn endpoints for the freshly built `phonoc_workerd`, and
-/// the Remote backend over them.
+/// the grid run on them through the Scheduler.
 std::vector<std::string> spawn_hosts(std::size_t workers) {
   return std::vector<std::string>(workers,
                                   std::string("spawn:") + PHONOC_WORKER_PATH);
 }
 
-BatchOptions spawn_options(std::size_t workers) {
-  return {.backend = BatchBackend::Remote,
-          .remote_hosts = spawn_hosts(workers)};
+std::vector<CellResult> run_on_spawn_hosts(const SweepSpec& spec,
+                                           std::size_t workers) {
+  SchedulerOptions options;
+  options.hosts = spawn_hosts(workers);
+  return Scheduler(std::move(options)).run(spec).results;
 }
 
 /// Every spawned worker was reaped: this process has no child left,
@@ -542,7 +545,7 @@ TEST(SpawnHosts, MatchesInProcessBitForBitOn64Cells) {
   spec.budgets[1].max_seconds = 0.0;
   ASSERT_GE(cell_count(spec), 64u);
   const auto reference = BatchEngine({.workers = 2}).run(spec);
-  const auto forked = BatchEngine(spawn_options(4)).run(spec);
+  const auto forked = run_on_spawn_hosts(spec, 4);
   expect_no_child_left();
   ASSERT_EQ(forked.size(), reference.size());
   for (std::size_t i = 0; i < forked.size(); ++i) {
@@ -579,7 +582,7 @@ TEST(SpawnHosts, InjectedCrashFailsOnlyThatCell) {
   const std::size_t crash_index = 10;
   const auto reference = BatchEngine({.workers = 1}).run(spec);
   const ScopedCrashIndex scoped(crash_index);
-  const auto forked = BatchEngine(spawn_options(4)).run(spec);
+  const auto forked = run_on_spawn_hosts(spec, 4);
   expect_no_child_left();
   ASSERT_EQ(forked.size(), reference.size());
   for (std::size_t i = 0; i < forked.size(); ++i) {
@@ -609,11 +612,9 @@ TEST(SpawnHosts, MissingWorkerBinaryFailsFast) {
       .add_optimizer("rs")
       .add_budget(10)
       .add_seed(1);
-  EXPECT_THROW((void)BatchEngine(
-                   {.backend = BatchBackend::Remote,
-                    .remote_hosts = {"spawn:/nonexistent/phonoc_workerd"}})
-                   .run(spec),
-               ExecError);
+  SchedulerOptions options;
+  options.hosts = {"spawn:/nonexistent/phonoc_workerd"};
+  EXPECT_THROW((void)Scheduler(options).run(spec), ExecError);
   expect_no_child_left();  // thrown before any process was spawned
 }
 
@@ -738,7 +739,7 @@ TEST(SampleKind, MergedDistributionsBitIdenticalAcrossWorkersAndBackends) {
   for (const std::size_t workers : {2u, 8u})
     runs.push_back(BatchEngine({.workers = workers}).run(spec));
   for (const std::size_t workers : {1u, 4u}) {
-    runs.push_back(BatchEngine(spawn_options(workers)).run(spec));
+    runs.push_back(run_on_spawn_hosts(spec, workers));
     expect_no_child_left();
   }
   for (const auto& run : runs) {
@@ -967,7 +968,7 @@ TEST(Serialize, SeededMutationsParseOrThrowPhonocErrors) {
   // A settled-cell journal: header plus three records, replayed from a
   // file as a restarted scheduler does.
   const std::uint64_t journal_hash =
-      fnv1a64(shard_prefix(optimize, EvaluatorOptions{}));
+      fnv1a64(shard_prefix(optimize));
   const std::string journal_path =
       ::testing::TempDir() + "/mutated_settled.journal";
   std::remove(journal_path.c_str());
@@ -1036,7 +1037,7 @@ TEST(Serialize, SeedsBeyond64BitsAreRejectedNotWrapped) {
   // Seeds use the whole unsigned 64-bit range. One past it is a
   // ParseError naming its line: wrapped, 2^64 + 7 would read as seed 7
   // and rerun another cell.
-  const std::string text = shard_prefix(wire_spec(), EvaluatorOptions{});
+  const std::string text = shard_prefix(wire_spec());
   const std::string line = "seeds 2 3 21\n";
   const auto at = text.find(line);
   ASSERT_NE(at, std::string::npos);
@@ -1122,7 +1123,7 @@ TEST(BatchEngine, NetworkCacheIsWorkloadIndependent) {
   for (const auto& cell : expand(spec)) {
     // Fresh network for every cell: no sharing at all.
     const auto fresh_problem = make_problem(spec, cell, nullptr);
-    const auto fresh = run_sweep_cell(spec, cell, fresh_problem, {});
+    const auto fresh = run_sweep_cell(spec, cell, fresh_problem);
     expect_identical(cached[cell.index].run, fresh.run);
   }
 }
@@ -1182,6 +1183,71 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.best_evaluation.worst_snr_db, b.best_evaluation.worst_snr_db);
 }
 
+TEST(Determinism, IdenticalResultsCatchesEveryOneFieldDifference) {
+  // The comparator behind every --verify: a cell equals itself and a
+  // copy that differs only in its timing fields, and a change in any
+  // one contract field is caught, in either argument order.
+  auto spec = tiny_spec();
+  spec.goals = {OptimizationGoal::Snr};  // per-edge noise fields non-zero
+  const auto cell = BatchEngine({.workers = 1}).run(spec).front();
+  ASSERT_EQ(cell.status, CellStatus::Ok) << cell.error;
+  ASSERT_FALSE(cell.run.search.trace.empty());
+  ASSERT_FALSE(cell.run.best_evaluation.edges.empty());
+  EXPECT_TRUE(identical_results(cell, cell));
+  auto timed = cell;
+  timed.seconds += 1.0;
+  timed.run.search.seconds += 1.0;
+  EXPECT_TRUE(identical_results(timed, cell));
+
+  const auto up = [](double& value) { value = std::nextafter(value, 1e300); };
+  using Edit = std::function<void(CellResult&)>;
+  const std::vector<std::pair<std::string, Edit>> edits = {
+      {"status", [](CellResult& c) { c.status = CellStatus::Failed; }},
+      {"seed", [](CellResult& c) { ++c.seed; }},
+      {"algorithm", [](CellResult& c) { c.run.algorithm += "'"; }},
+      {"best",
+       [](CellResult& c) {
+         auto& best = c.run.search.best;
+         best.swap_tiles(best.tile_of(0), best.tile_of(1));
+       }},
+      {"best_fitness", [&](CellResult& c) { up(c.run.search.best_fitness); }},
+      {"evaluations", [](CellResult& c) { ++c.run.search.evaluations; }},
+      {"iterations", [](CellResult& c) { ++c.run.search.iterations; }},
+      {"trace length",
+       [](CellResult& c) { c.run.search.trace.push_back({0, 0.0}); }},
+      {"trace evaluation",
+       [](CellResult& c) { ++c.run.search.trace.back().evaluation; }},
+      {"trace fitness",
+       [&](CellResult& c) { up(c.run.search.trace.back().fitness); }},
+      {"worst_loss_db",
+       [&](CellResult& c) { up(c.run.best_evaluation.worst_loss_db); }},
+      {"worst_snr_db",
+       [&](CellResult& c) { up(c.run.best_evaluation.worst_snr_db); }},
+      {"edge count",
+       [](CellResult& c) { c.run.best_evaluation.edges.pop_back(); }},
+      {"edge id", [](CellResult& c) { ++c.run.best_evaluation.edges[0].edge; }},
+      {"edge src_tile",
+       [](CellResult& c) { ++c.run.best_evaluation.edges[0].src_tile; }},
+      {"edge dst_tile",
+       [](CellResult& c) { ++c.run.best_evaluation.edges[0].dst_tile; }},
+      {"edge loss_db",
+       [&](CellResult& c) { up(c.run.best_evaluation.edges[0].loss_db); }},
+      {"edge signal_gain",
+       [&](CellResult& c) { up(c.run.best_evaluation.edges[0].signal_gain); }},
+      {"edge noise_gain",
+       [&](CellResult& c) { up(c.run.best_evaluation.edges[0].noise_gain); }},
+      {"edge snr_db",
+       [&](CellResult& c) { up(c.run.best_evaluation.edges[0].snr_db); }},
+      {"distribution", [](CellResult& c) { ++c.distribution.samples; }},
+  };
+  for (const auto& [field, edit] : edits) {
+    auto changed = cell;
+    edit(changed);
+    EXPECT_FALSE(identical_results(changed, cell)) << field;
+    EXPECT_FALSE(identical_results(cell, changed)) << field;
+  }
+}
+
 class DeterminismSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DeterminismSweep, BatchEngineMatchesSequentialRunsBitForBit) {
@@ -1230,9 +1296,9 @@ INSTANTIATE_TEST_SUITE_P(RandomProblems, DeterminismSweep,
 
 TEST(Determinism, EvaluatorOptionsCannotChangeBatchResults) {
   // The evaluation memo only changes the physical cost of a cell, never
-  // its outcome: a grid run with the memo on and one with it off are
-  // both bit-identical to the oracle (tests/oracle.hpp) run of each
-  // cell.
+  // its outcome: a grid run with the memo on and each cell run on a
+  // memo-off Evaluator are both bit-identical to the oracle
+  // (tests/oracle.hpp) run of each cell.
   SweepSpec spec;
   spec.add_workload("random", random_cg({.tasks = 8,
                                          .avg_out_degree = 1.6,
@@ -1244,19 +1310,18 @@ TEST(Determinism, EvaluatorOptionsCannotChangeBatchResults) {
       .add_budget(300)
       .add_seed(7);
   const auto defaults = BatchEngine({.workers = 2}).run(spec);
-  const auto plain =
-      BatchEngine({.workers = 2, .evaluator = {.cache_capacity = 0}})
-          .run(spec);
   const auto cells = expand(spec);
   ASSERT_EQ(defaults.size(), cells.size());
-  ASSERT_EQ(plain.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto problem = make_problem(spec, cells[i]);
     const auto want = oracle_run(problem, spec.optimizers[cells[i].optimizer],
                                  spec.budgets[cells[i].budget],
                                  spec.seeds[cells[i].seed]);
+    Evaluator memo_off(problem, {.cache_capacity = 0});
+    const auto plain = run_sweep_cell(spec, cells[i], memo_off);
+    EXPECT_EQ(memo_off.cache_hit_count() + memo_off.cache_miss_count(), 0u);
     expect_identical(defaults[i].run, want);
-    expect_identical(plain[i].run, want);
+    expect_identical(plain.run, want);
   }
 }
 

@@ -396,13 +396,15 @@ TEST(EvaluatorEquivalence, OptimizerTrajectoriesMatchWholeMappingPath) {
   budget.max_evaluations = 1500;
   for (const MappingProblem* problem : {&snr, &loss}) {
     SCOPED_TRACE(problem->objective().name());
-    const Engine uncached(*problem, {.cache_capacity = 0});
-    const Engine cached(*problem, {.cache_capacity = 512});
+    const Engine engine(*problem);
     for (const auto* name : {"sa", "tabu", "rpbla", "rs", "ga"}) {
       SCOPED_TRACE(name);
       const auto want = oracle_run(*problem, name, budget, 42);
-      expect_identical_runs(uncached.run(name, budget, 42), want);
-      expect_identical_runs(cached.run(name, budget, 42), want);
+      Evaluator uncached(*problem, {.cache_capacity = 0});
+      Evaluator cached(*problem, {.cache_capacity = 512});
+      expect_identical_runs(engine.run_with(uncached, name, budget, 42),
+                            want);
+      expect_identical_runs(engine.run_with(cached, name, budget, 42), want);
     }
   }
 }

@@ -416,18 +416,22 @@ void expect_bit_identical(const std::vector<CellResult>& traced,
   }
 }
 
-std::vector<CellResult> run_backend(const SweepSpec& spec,
-                                    const BatchOptions& options) {
-  return BatchEngine(options).run(spec);
+/// The grid on `hosts` through the Scheduler.
+std::vector<CellResult> run_fleet(const SweepSpec& spec,
+                                  std::vector<std::string> hosts) {
+  SchedulerOptions options;
+  options.hosts = std::move(hosts);
+  return Scheduler(std::move(options)).run(spec).results;
 }
 
 TEST(Trace, BitIdentityInProcessTracingOnVsOff) {
   TracerReset reset;
   const auto spec = tiny_spec();
+  const BatchEngine engine({.workers = 2});
   obs::stop_tracing();
-  const auto untraced = run_backend(spec, {.workers = 2});
+  const auto untraced = engine.run(spec);
   obs::start_tracing();
-  const auto traced = run_backend(spec, {.workers = 2});
+  const auto traced = engine.run(spec);
   obs::stop_tracing();
   EXPECT_GT(obs::trace_event_count(), 0u);  // the traced run did record
   expect_bit_identical(traced, untraced);
@@ -436,12 +440,12 @@ TEST(Trace, BitIdentityInProcessTracingOnVsOff) {
 TEST(Trace, BitIdentitySpawnHostsTracingOnVsOff) {
   TracerReset reset;
   const auto spec = tiny_spec();
-  BatchOptions options{.backend = BatchBackend::Remote};
-  options.remote_hosts.assign(2, std::string("spawn:") + PHONOC_WORKER_PATH);
+  const std::vector<std::string> hosts(
+      2, std::string("spawn:") + PHONOC_WORKER_PATH);
   obs::stop_tracing();
-  const auto untraced = run_backend(spec, options);
+  const auto untraced = run_fleet(spec, hosts);
   obs::start_tracing();
-  const auto traced = run_backend(spec, options);
+  const auto traced = run_fleet(spec, hosts);
   obs::stop_tracing();
   EXPECT_GT(obs::trace_event_count(), 0u);
   expect_bit_identical(traced, untraced);
@@ -450,12 +454,10 @@ TEST(Trace, BitIdentitySpawnHostsTracingOnVsOff) {
 TEST(Trace, BitIdentityRemoteLoopbackTracingOnVsOff) {
   TracerReset reset;
   const auto spec = tiny_spec();
-  BatchOptions options{.backend = BatchBackend::Remote};
-  options.remote_hosts = {"loopback", "loopback"};
   obs::stop_tracing();
-  const auto untraced = run_backend(spec, options);
+  const auto untraced = run_fleet(spec, {"loopback", "loopback"});
   obs::start_tracing();
-  const auto traced = run_backend(spec, options);
+  const auto traced = run_fleet(spec, {"loopback", "loopback"});
   obs::stop_tracing();
   EXPECT_GT(obs::trace_event_count(), 0u);
   expect_bit_identical(traced, untraced);
@@ -647,7 +649,7 @@ TEST(Metrics, HistogramStaysConsistentUnderConcurrentObservers) {
 
 TEST(Metrics, BrokerStatsAndPrometheusRenderFromOneRegistry) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   RequestBroker broker(options);
 
   // The `stats` / --stats-csv lines that CI greps and perfbench parses:
@@ -767,7 +769,7 @@ TEST(PromHttp, EveryHttpScrapeCountsInStatsRequests) {
   // The --prom-port listener renders through the broker's scrape path,
   // so HTTP scrapes count in stats_requests like framed ones.
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   RequestBroker broker(options);
   obs::PromHttpServer server(
       0, [&broker] { return broker.scrape(StatsFormat::Prometheus); });

@@ -43,6 +43,7 @@
 #include "sched/scheduler.hpp"
 #include "sched/transport.hpp"
 #include "sched/worker.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 #include "workloads/generator.hpp"
@@ -419,8 +420,7 @@ class FakeConnection final : public Connection {
       const auto& problem = *problems.at(
           SweepProblemKey{cell.workload, cell.topology, cell.goal});
       std::ostringstream block;
-      write_cell_result(
-          block, run_sweep_cell(shard.spec, cell, problem, shard.evaluator));
+      write_cell_result(block, run_sweep_cell(shard.spec, cell, problem));
       outbox_.push_back({at, block.str()});
       ++cells_emitted_;
     }
@@ -743,20 +743,77 @@ TEST(Service, HelloWithUnknownFieldsStillHandshakes) {
   conn->close();
 }
 
-TEST(BatchEngine, RemoteBackendRunsOnLoopbackWorkers) {
-  const auto spec = spec8();
-  const auto reference = BatchEngine({.workers = 1}).run(spec);
-  const auto remote =
-      BatchEngine({.backend = BatchBackend::Remote,
-                   .remote_hosts = {"loopback", "loopback"}})
-          .run(spec);
-  expect_all_identical(spec, remote, reference);
+TEST(Scheduler, EmptyFleetThrows) {
+  EXPECT_THROW((void)Scheduler(SchedulerOptions{}), InvalidArgument);
 }
 
-TEST(BatchEngine, RemoteBackendWithoutHostsThrows) {
-  EXPECT_THROW((void)BatchEngine({.backend = BatchBackend::Remote})
-                   .run(spec8()),
-               ExecError);
+TEST(Fleet, FromCliReadsBackendAndHosts) {
+  const auto fleet = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "tools/prog");
+    const CliOptions cli(static_cast<int>(args.size()), args.data());
+    return fleet_from_cli(cli, "tools/prog", 3);
+  };
+  using Hosts = std::vector<std::string>;
+  // thread, the default, is no fleet: the cells run in process.
+  EXPECT_EQ(fleet({}), Hosts{});
+  EXPECT_EQ(fleet({"--backend=thread", "--hosts=a:1"}), Hosts{});
+  EXPECT_EQ(fleet({"--backend=fork"}),
+            Hosts(3, "spawn:tools/phonoc_workerd"));
+  EXPECT_EQ(fleet({"--backend=remote"}), (Hosts{"loopback", "loopback"}));
+  EXPECT_EQ(fleet({"--backend=remote", "--hosts=a:1, b:2,"}),
+            (Hosts{"a:1", "b:2"}));
+  EXPECT_THROW((void)fleet({"--backend=frok"}), InvalidArgument);
+  EXPECT_THROW((void)fleet({"--backend=remote", "--hosts="}),
+               InvalidArgument);
+  EXPECT_THROW((void)fleet({"--backend=remote", "--hosts= , "}),
+               InvalidArgument);
+}
+
+/// A strict RFC-4180 reader: newline-terminated records of fields, where
+/// a quoted field may hold commas, newlines and doubled quotes.
+std::vector<std::vector<std::string>> read_csv_records(
+    const std::string& text) {
+  std::vector<std::vector<std::string>> records(1);
+  std::string field;
+  bool quoted = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted && c == '"' && i + 1 < text.size() && text[i + 1] == '"') {
+      field += '"';
+      ++i;
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (!quoted && (c == ',' || c == '\n')) {
+      records.back().push_back(std::move(field));
+      field.clear();
+      if (c == '\n') records.emplace_back();
+    } else {
+      field += c;
+    }
+  }
+  EXPECT_FALSE(quoted) << "unterminated quoted field";
+  EXPECT_TRUE(records.back().empty() && field.empty())
+      << "last record not newline-terminated";
+  records.pop_back();
+  return records;
+}
+
+TEST(HostReport, CsvKeepsFreeFormTextIntactAsOneRecordPerHost) {
+  ScheduleResult outcome;
+  HostReport host;
+  host.endpoint = "spawn:dir,one/phonoc_workerd";
+  host.error = "worker said \"bye\", then\nexited";
+  outcome.hosts.push_back(host);
+  outcome.hosts.emplace_back().endpoint = "127.0.0.1:7";
+  const auto records = read_csv_records(host_report_csv(outcome));
+  ASSERT_EQ(records.size(), 3u);  // header + one record per host
+  ASSERT_EQ(records[0].back(), "error");
+  for (const auto& record : records)
+    ASSERT_EQ(record.size(), records[0].size());
+  EXPECT_EQ(records[1].front(), host.endpoint);
+  EXPECT_EQ(records[1].back(), host.error);
+  EXPECT_EQ(records[2].front(), "127.0.0.1:7");
+  EXPECT_EQ(records[2].back(), "");
 }
 
 // --- fleet failure paths (scripted transport) -------------------------------
@@ -998,7 +1055,7 @@ std::string temp_journal(const std::string& name) {
 /// The key the scheduler stamps on a sweep's journal: FNV-1a 64 of the
 /// slice-independent shard prefix every dispatched unit shares.
 std::uint64_t journal_key(const SweepSpec& spec) {
-  return fnv1a64(shard_prefix(spec, EvaluatorOptions{}));
+  return fnv1a64(shard_prefix(spec));
 }
 
 TEST(Journal, MissingEmptyAndHeaderOnlyFilesReplayToNothing) {

@@ -6,7 +6,7 @@
 // hook, FairScheduler lane + deficit-round-robin mechanics, broker
 // scheduling (per-client fairness, lane routing, per-client caps,
 // per-job in-flight accounting, bit-identity under a concurrent
-// request pool), Remote requests streamed from a loopback fleet, one
+// request pool), fleet requests streamed from a loopback fleet, one
 // bad cell failing alone on every backend, the problem cache (warm
 // Evaluators reused across requests: search affinity, one pool per
 // lane, eviction with their slot; one network shared by the problems
@@ -37,6 +37,7 @@
 #include "exec/sweep.hpp"
 #include "mapping/mapping.hpp"
 #include "obs/metrics.hpp"
+#include "sched/scheduler.hpp"
 #include "sched/transport.hpp"
 #include "service/broker.hpp"
 #include "service/protocol.hpp"
@@ -397,7 +398,7 @@ ServiceRequest make_request(std::string id, SweepSpec spec) {
 
 TEST(RequestBroker, FullQueueShedsOverloadedImmediately) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   options.max_queue_depth = 1;
   options.start_paused = true;  // the first job stays queued
   RequestBroker broker(options);
@@ -426,7 +427,7 @@ TEST(RequestBroker, FullQueueShedsOverloadedImmediately) {
 
 TEST(RequestBroker, OutstandingCellCapShedsBeforeQueueDepthDoes) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   options.max_queue_depth = 8;
   options.max_outstanding_cells = 6;  // one 4-cell grid fits, two don't
   options.start_paused = true;
@@ -448,7 +449,7 @@ TEST(RequestBroker, OutstandingCellCapShedsBeforeQueueDepthDoes) {
 
 TEST(RequestBroker, CellBudgetsRejectOversizedGridsAsBudget) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   RequestBroker broker(options);
 
   // The client's own cap.
@@ -460,7 +461,7 @@ TEST(RequestBroker, CellBudgetsRejectOversizedGridsAsBudget) {
 
   // The server-side cap, independent of what the client asked for.
   BrokerOptions capped_options;
-  capped_options.batch.workers = 1;
+  capped_options.workers = 1;
   capped_options.max_cells_per_request = 2;
   RequestBroker capped(capped_options);
   const auto server_capped =
@@ -472,7 +473,7 @@ TEST(RequestBroker, CellBudgetsRejectOversizedGridsAsBudget) {
 
 TEST(RequestBroker, EmptyGridIsMalformedNotAccepted) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   RequestBroker broker(options);
   SweepSpec empty;  // no dimensions at all: cell_count == 0
   const auto outcome = broker.submit(make_request("empty", empty), {});
@@ -483,7 +484,7 @@ TEST(RequestBroker, EmptyGridIsMalformedNotAccepted) {
 
 TEST(RequestBroker, ExpiredDeadlineShedsTheQueuedJob) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   options.start_paused = true;
   RequestBroker broker(options);
 
@@ -502,7 +503,7 @@ TEST(RequestBroker, ExpiredDeadlineShedsTheQueuedJob) {
 
 TEST(RequestBroker, RequestLevelFailureRejectsInternalAndCountsFailed) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   RequestBroker broker(options);
 
   // A 2x2 mesh cannot host the 5-task pipeline: admission passes, then
@@ -529,7 +530,7 @@ TEST(RequestBroker, StreamsBitIdenticalCellsAndReusesTheMemoBank) {
   const auto reference = BatchEngine(BatchOptions{}).run(spec);
 
   BrokerOptions options;
-  options.batch.workers = 2;
+  options.workers = 2;
   RequestBroker broker(options);
 
   for (int round = 0; round < 2; ++round) {
@@ -562,11 +563,10 @@ TEST(RequestBroker, StreamsBitIdenticalCellsAndReusesTheMemoBank) {
 }
 
 TEST(RequestBroker, RemoteBackendStreamsBitIdenticalCells) {
-  // The broker's Remote path streams each cell as the fleet settles it,
+  // A broker with a fleet streams each cell as the fleet settles it,
   // through the same callback as the in-process path.
   BrokerOptions options;
-  options.batch.backend = BatchBackend::Remote;
-  options.batch.remote_hosts = {"loopback", "loopback"};
+  options.fleet = {"loopback", "loopback"};
   RequestBroker broker(options);
 
   std::size_t cells = 0;
@@ -610,14 +610,17 @@ TEST(CellExecutors, OneBadCellFailsAloneOnEveryBackend) {
   for (const std::size_t workers : {1, 4})
     runs.emplace_back("BatchEngine workers=" + std::to_string(workers),
                       BatchEngine({.workers = workers}).run(spec));
-  const BatchOptions remote{.backend = BatchBackend::Remote,
-                            .remote_hosts = {"loopback", "loopback"}};
-  runs.emplace_back("BatchEngine Remote", BatchEngine(remote).run(spec));
-  for (const auto& [name, batch] :
-       {std::pair{std::string("broker InProcess"), BatchOptions{.workers = 2}},
-        std::pair{std::string("broker Remote"), remote}}) {
+  const std::vector<std::string> fleet = {"loopback", "loopback"};
+  SchedulerOptions scheduler;
+  scheduler.hosts = fleet;
+  runs.emplace_back("Scheduler", Scheduler(scheduler).run(spec).results);
+  for (const auto& [name, broker_fleet] :
+       {std::pair{std::string("broker in process"),
+                  std::vector<std::string>{}},
+        std::pair{std::string("broker fleet"), fleet}}) {
     BrokerOptions options;
-    options.batch = batch;
+    options.workers = 2;
+    options.fleet = broker_fleet;
     RequestBroker broker(options);
     Collected collected;
     ASSERT_TRUE(broker.submit(make_request("bad", spec), collected.events())
@@ -649,7 +652,7 @@ TEST(CellExecutors, OneBadCellFailsAloneOnEveryBackend) {
 TEST(RequestBroker, EvaluateScoresAMappingThroughTheSharedCache) {
   const auto spec = opt_spec();
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   RequestBroker broker(options);
 
   EvaluateRequest request;
@@ -663,7 +666,7 @@ TEST(RequestBroker, EvaluateScoresAMappingThroughTheSharedCache) {
   const SweepCell cell{};
   const auto problem =
       make_problem(spec, cell, make_cell_network(spec, 0, 0));
-  Evaluator evaluator(problem, options.batch.evaluator);
+  Evaluator evaluator(problem, options.evaluator);
   const auto mapping =
       Mapping::from_assignment({0, 1, 2, 3, 4}, problem.tile_count());
   EXPECT_EQ(answer.fitness, evaluator.evaluate(mapping));
@@ -824,8 +827,8 @@ TEST(RequestBroker, BulkSearchesLeaveTheInteractiveMemoWarm) {
   const auto reference_large = BatchEngine(BatchOptions{}).run(large);
 
   BrokerOptions options;
-  options.batch.workers = 1;
-  options.batch.evaluator.cache_capacity = 64;
+  options.workers = 1;
+  options.evaluator.cache_capacity = 64;
   RequestBroker broker(options);
   const auto run = [&](const std::string& id, const SweepSpec& spec,
                        RequestPriority priority,
@@ -861,7 +864,7 @@ TEST(RequestBroker, AlternatingProblemsInOneSlotStayBitIdentical) {
   const auto reference_b = BatchEngine(BatchOptions{}).run(spec_b);
 
   BrokerOptions options;
-  options.batch.workers = 2;
+  options.workers = 2;
   options.cache.max_problems = 1;
   RequestBroker broker(options);
   int requests = 0;
@@ -906,7 +909,7 @@ TEST(RequestBroker, WallQuantilesNeverExceedTheSlowestRequest) {
       .add_budget(30)
       .add_seed_range(1, 1);
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   RequestBroker broker(options);
   for (int i = 0; i < 25; ++i) {
     Collected collected;
@@ -1008,7 +1011,7 @@ TEST(ServeClient, ConcurrentMixedKindClientsAreBitIdenticalToInProcess) {
   const auto sample_reference = BatchEngine(BatchOptions{}).run(sample);
 
   BrokerOptions options;
-  options.batch.workers = 2;
+  options.workers = 2;
   RequestBroker broker(options);
 
   // Two concurrent clients down one broker: one Optimize (submitted
@@ -1083,7 +1086,7 @@ TEST(ServeClient, ConcurrentMixedKindClientsAreBitIdenticalToInProcess) {
 
 TEST(ServeClient, VanishedClientCancelsItsJobWithoutHanging) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   options.start_paused = true;  // the job is still queued when we vanish
   RequestBroker broker(options);
 
@@ -1115,7 +1118,7 @@ TEST(ServeClient, VanishedClientCancelsItsJobWithoutHanging) {
 
 TEST(ServeClient, MalformedAndUnknownFramesGetStructuredAnswers) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   RequestBroker broker(options);
 
   auto pair = make_connection_pair();
@@ -1152,7 +1155,7 @@ TEST(ServeClient, MalformedAndUnknownFramesGetStructuredAnswers) {
 
 TEST(ServeClient, HandshakeMismatchIsAnsweredAndDropped) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   RequestBroker broker(options);
 
   auto pair = make_connection_pair();
@@ -1169,7 +1172,7 @@ TEST(ServeClient, HandshakeMismatchIsAnsweredAndDropped) {
 
 TEST(ServiceServer, ServesARealTcpClientOnAnEphemeralPort) {
   BrokerOptions options;
-  options.batch.workers = 2;
+  options.workers = 2;
   ServiceServer server(0, options);
   ASSERT_NE(server.port(), 0);
   std::thread accept_thread([&] { server.run(/*max_connections=*/1); });
@@ -1279,7 +1282,7 @@ TEST(FairScheduler, DrainReturnsEverythingInteractiveFirst) {
 
 TEST(RequestBroker, PausedBrokerServesLightClientWithinFirstDrrRound) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   options.request_concurrency = 1;  // completion order == pop order
   options.interactive_cell_threshold = 0;  // everything rides bulk: DRR only
   options.drr_quantum_cells = 16;
@@ -1328,7 +1331,7 @@ TEST(RequestBroker, ConcurrencyOnePreservesAnonymousSubmissionOrder) {
   // FIFO — admission order is execution order, exactly the old
   // single-thread run_loop.
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   options.request_concurrency = 1;
   options.interactive_cell_threshold = 0;
   options.start_paused = true;
@@ -1363,7 +1366,7 @@ TEST(RequestBroker, ConcurrencyOnePreservesAnonymousSubmissionOrder) {
 
 TEST(RequestBroker, LaneRoutingByThresholdAndExplicitPriority) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   options.request_concurrency = 1;
   options.interactive_cell_threshold = 4;  // opt_spec's 4 cells qualify
   options.max_outstanding_cells = 0;
@@ -1418,7 +1421,7 @@ TEST(RequestBroker, LaneRoutingByThresholdAndExplicitPriority) {
 
 TEST(RequestBroker, PerClientCapShedsTheHogAndAdmitsOthers) {
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   options.request_concurrency = 1;
   options.max_queue_depth = 16;
   options.max_queue_per_client = 2;
@@ -1458,7 +1461,7 @@ TEST(RequestBroker, InFlightCellsAreAPerJobSumUnderConcurrency) {
   // in-flight gauge must be the *sum* of both jobs' unfinished cells
   // (the old scalar was overwritten by whichever job started last).
   BrokerOptions options;
-  options.batch.workers = 1;  // cells run serially inside each request
+  options.workers = 1;  // cells run serially inside each request
   options.request_concurrency = 2;
   options.max_outstanding_cells = 0;
   options.start_paused = true;
@@ -1528,7 +1531,7 @@ TEST(RequestBroker, ThreeConcurrentBusyClientsStayBitIdenticalToSolo) {
   const auto sample_reference = BatchEngine(BatchOptions{}).run(sample);
 
   BrokerOptions options;
-  options.batch.workers = 1;
+  options.workers = 1;
   options.request_concurrency = 3;  // three requests genuinely in flight
   options.max_outstanding_cells = 0;
   RequestBroker broker(options);

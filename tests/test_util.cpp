@@ -569,6 +569,34 @@ TEST(Cli, UintReaderRejectsNegativeAndOverflowingCounts) {
   }
 }
 
+TEST(Cli, EnvUintRejectsNegativeOverflowingAndGarbledValues) {
+  // A signed read and a cast would wrap -1 into a near-2^64 budget, and
+  // a fallback on garbage would run silently with another budget.
+  const char* name = "PHONOC_TEST_ENV_UINT";
+  const auto read = [&](const char* value) {
+    ::setenv(name, value, 1);
+    return env_uint<std::uint32_t>(name, 7);
+  };
+  ::unsetenv(name);
+  EXPECT_EQ(env_uint<std::uint32_t>(name, 7), 7u);
+  EXPECT_EQ(read(""), 7u);  // set but empty reads as unset
+  EXPECT_EQ(read("0"), 0u);
+  EXPECT_EQ(read("4000"), 4000u);
+  EXPECT_EQ(read("4294967295"), 4294967295u);
+  for (const char* bad : {"-1", "4294967296", "18446744073709551616", "abc",
+                          "12x", " "}) {
+    SCOPED_TRACE(bad);
+    try {
+      (void)read(bad);
+      ADD_FAILURE() << "expected InvalidArgument";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv(name);
+}
+
 TEST(Cli, TypedAccessorsAndFallbacks) {
   const char* argv[] = {"prog", "--n=42", "--x=2.5", "--no=false"};
   CliOptions cli(4, argv);
